@@ -2,17 +2,21 @@
 
 A covering pair is a family of vertex-disjoint links (outer-center-outer paths
 of length two) plus a matching, such that every inner vertex of full degree d
-is covered by exactly one of them.  The construction pads the view to
-(d, d+1)-biregular, grows a link family until every uncovered outer vertex is
-blocked, covers the remaining inner vertices by an augmenting-path matching,
-and finally restricts back to the original view and reduces to the irreducible
-form the labeling stage relies on.
+is covered by exactly one of them.  The construction tries a plain
+augmenting-path matching first: when one covers every full-degree inner vertex,
+the pair with no links is already irreducible.  Links are needed only where
+Hall's condition fails.  Then the view is padded to (d, d+1)-biregular, a link
+family is grown until every uncovered outer vertex is blocked, the remaining
+inner vertices are covered by a matching, and the pair is restricted back to
+the original view and reduced to the irreducible form the labeling stage
+relies on.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .errors import GraphShapeError, InternalInvariantError
 from .graph import BipartiteView
@@ -181,7 +185,7 @@ def _coverage(view: BipartiteView, centers: set[int]) -> dict[int, int]:
     """Outer vertex -> number of neighboring centers."""
     covered: dict[int, int] = {}
     for c in centers:
-        for y in view.neighbors(c):
+        for y, _ in view.incident(c):
             covered[y] = covered.get(y, 0) + 1
     return covered
 
@@ -189,13 +193,10 @@ def _coverage(view: BipartiteView, centers: set[int]) -> dict[int, int]:
 def _frontier(view: BipartiteView, centers: set[int], covered: dict[int, int]) -> set[int]:
     """Non-center inner vertices adjacent to a multiply covered outer vertex."""
     multi = {y for y, cnt in covered.items() if cnt >= 2}
-    out = set()
-    for x in view.inner:
-        if x in centers:
-            continue
-        if any(y in multi for y in view.neighbors(x)):
-            out.add(x)
-    return out
+    if not multi:
+        return set()
+    return {x for x in view.inner
+            if x not in centers and any(y in multi for y, _ in view.incident(x))}
 
 
 def _potential(view: BipartiteView, centers: set[int]) -> tuple[int, int]:
@@ -223,18 +224,36 @@ class _LinkSearch:
     def restore(self, snap) -> None:
         self.centers, self.ends, self.owner = snap[0], snap[1], snap[2]
 
-    def _augment(self, c: int, visited: set[int]) -> bool:
-        for y in self.view.neighbors(c):
-            if y in visited or y in self.ends[c]:
-                continue
-            visited.add(y)
-            o = self.owner.get(y)
-            if o is None or self._augment(o, visited):
-                if o is not None:
-                    self.ends[o].remove(y)
-                self.ends[c].append(y)
-                self.owner[y] = c
-                return True
+    def _augment(self, c: int) -> bool:
+        """Give center c one more end along an augmenting path, depth first in
+        neighbor order, with an explicit stack so long paths cannot exhaust
+        the recursion limit."""
+        visited: set[int] = set()
+        stack = [(c, iter(self.view.neighbors(c)))]
+        taken: list[int] = []  # taken[i]: the end stack[i] is trying to take
+        while stack:
+            x, todo = stack[-1]
+            for y in todo:
+                if y in visited or y in self.ends[x]:
+                    continue
+                visited.add(y)
+                o = self.owner.get(y)
+                if o is None:
+                    # hand every end on the path to its new center, deepest first
+                    for (center, _), end in reversed(list(zip(stack, taken + [y]))):
+                        prev = self.owner.get(end)
+                        if prev is not None:
+                            self.ends[prev].remove(end)
+                        self.ends[center].append(end)
+                        self.owner[end] = center
+                    return True
+                taken.append(y)
+                stack.append((o, iter(self.view.neighbors(o))))
+                break
+            else:
+                stack.pop()
+                if taken:
+                    taken.pop()
         return False
 
     def apply(self, add: int | None = None, remove: int | None = None) -> bool:
@@ -248,7 +267,7 @@ class _LinkSearch:
             self.centers.add(add)
             self.ends[add] = []
             for _ in range(2):
-                if not self._augment(add, set()):
+                if not self._augment(add):
                     return False
         return True
 
@@ -309,17 +328,19 @@ def _find_witness(view: BipartiteView, centers: set[int]) -> tuple[int, int] | N
     return None
 
 
-def _candidate_moves(view: BipartiteView, centers: set[int], x_w: int) -> list[tuple[int, int | None]]:
+def _candidate_moves(view: BipartiteView, centers: set[int],
+                     x_w: int) -> Iterator[tuple[int, int | None]]:
     """Move order: add the witness neighbor, swaps into it, then generic adds
-    and swaps.  Returns (add, remove) pairs, built up front because the search
-    state mutates while candidates are tried."""
+    and swaps.  Yields (add, remove) pairs lazily; the center set is copied
+    up front because the search state mutates while candidates are tried."""
     frozen = sorted(centers)
     others = [x for x in view.inner if x not in centers and x != x_w]
-    moves: list[tuple[int, int | None]] = [(x_w, None)]
-    moves.extend((x_w, c) for c in frozen)
-    moves.extend((x, None) for x in others)
-    moves.extend((x, c) for c in frozen for x in others)
-    return moves
+    return itertools.chain(
+        [(x_w, None)],
+        ((x_w, c) for c in frozen),
+        ((x, None) for x in others),
+        ((x, c) for c in frozen for x in others),
+    )
 
 
 def _escape_witness(view: BipartiteView, st: _LinkSearch, pot: tuple[int, int],
@@ -366,19 +387,35 @@ def hall_matching(view: BipartiteView, d: int, forbidden: frozenset[int] = froze
     targets = [x for x in view.inner if view.degree(x) == d and x not in forbidden]
     match_x: dict[int, int] = {}
 
-    def try_assign(x: int, visited: set[int]) -> bool:
-        for y, _eid in view.incident(x):
-            if y in visited:
-                continue
-            visited.add(y)
-            o = match_x.get(y)
-            if o is None or try_assign(o, visited):
-                match_x[y] = x
-                return True
+    def try_assign(x: int) -> bool:
+        # depth first in incidence order, with an explicit stack so paths
+        # longer than the recursion limit are fine
+        visited: set[int] = set()
+        stack = [(x, iter(view.incident(x)))]
+        taken: list[int] = []  # taken[i]: the outer vertex stack[i] is trying to take
+        while stack:
+            u, todo = stack[-1]
+            for y, _eid in todo:
+                if y in visited:
+                    continue
+                visited.add(y)
+                o = match_x.get(y)
+                if o is None:
+                    match_x[y] = u
+                    for (v, _), w in zip(stack, taken):
+                        match_x[w] = v
+                    return True
+                taken.append(y)
+                stack.append((o, iter(view.incident(o))))
+                break
+            else:
+                stack.pop()
+                if taken:
+                    taken.pop()
         return False
 
     for x in targets:
-        if not try_assign(x, set()):
+        if not try_assign(x):
             raise InternalInvariantError(f"no matching covers full-degree inner vertex {x}")
     eids = set()
     for y, x in match_x.items():
@@ -556,14 +593,29 @@ def restrict_and_reduce(view: BipartiteView, d: int, links: Iterable[Link],
 
 
 def build_covering_pair(view: BipartiteView, d: int) -> CoveringPair:
-    """Full pipeline: pad, grow the link family, match, restrict, reduce, validate."""
+    """Matching first, links only when Hall's condition fails.
+
+    A matching of the view that covers every full-degree inner vertex is,
+    with no links, already an irreducible pair; it is tried unless there are
+    visibly too few outer vertices for it.  Otherwise the pair comes from the
+    link search (`_link_search_pair`).  Either way the pair is validated.
+    """
     if d < 3:
         raise GraphShapeError(f"covering pairs need degree bound >= 3, got {d}")
-    if len(view.inner) == 1 and view.degree(view.inner[0]) > d:
-        # root layer: the single inner vertex exceeds the bound and needs no cover
-        pair = CoveringPair(view, d, [], frozenset())
-        validate_covering_pair(pair)
-        return pair
+    if sum(1 for x in view.inner if view.degree(x) == d) <= len(view.outer):
+        try:
+            matching = hall_matching(view, d)
+        except InternalInvariantError:
+            pass  # Hall's condition fails on some set of full-degree inner vertices
+        else:
+            pair = CoveringPair(view, d, [], matching)
+            validate_covering_pair(pair)
+            return pair
+    return _link_search_pair(view, d)
+
+
+def _link_search_pair(view: BipartiteView, d: int) -> CoveringPair:
+    """Pad, grow the link family, match the rest, restrict, reduce, validate."""
     padded, _ = pad_to_biregular(view, d)
     links = maximize_link_family(padded, d)
     centers = frozenset(l.center for l in links)

@@ -9,9 +9,10 @@ so tests can assert an empty list.
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .covering import validate_covering_pair
 from .errors import InternalInvariantError, StressFailure
@@ -447,30 +448,35 @@ def _serialize_instance(graph: Graph, n: int, degree: int, seed: int) -> str:
     return f"# n={n} degree={degree} seed={seed}\n{format_edge_list(graph)}"
 
 
-def stress(count: int, n_min: int, n_max: int, degrees: Sequence[int], seed: int) -> StressSummary:
-    """Generate, label, and deeply verify random regular graphs; any failure
-    raises StressFailure carrying a reproducible instance."""
-    import random
-
-    for degree in degrees:
-        if degree % 2 or degree < 4:
-            raise ValueError(f"degree {degree} out of scope; need even degree >= 4")
-    if count < 0:
-        raise ValueError("count must be nonnegative")
+def stress_instances(count: int, n_min: int, n_max: int, degrees: Sequence[int],
+                     seed: int) -> Iterator[tuple[int, int, int, int, Graph]]:
+    """The seeded instance stream of `stress`: (index, n, degree, generator
+    seed, graph) for each instance, degrees cycling through `degrees`."""
     rng = random.Random(seed)
-    t0 = time.monotonic()
-    passed = 0
-    min_hi: int | None = None
-    min_lo: int | None = None
-    bad_instances = 0
-    link_instances = 0
     for idx in range(count):
         degree = degrees[idx % len(degrees)]
         lo = max(degree + 1, n_min)
         hi = max(lo, n_max)
         n = rng.randrange(lo, hi + 1)
         gseed = rng.randrange(1 << 30)
-        graph = generate_regular(n, degree, gseed)
+        yield idx, n, degree, gseed, generate_regular(n, degree, gseed)
+
+
+def stress(count: int, n_min: int, n_max: int, degrees: Sequence[int], seed: int) -> StressSummary:
+    """Generate, label, and deeply verify random regular graphs; any failure
+    raises StressFailure carrying a reproducible instance."""
+    for degree in degrees:
+        if degree % 2 or degree < 4:
+            raise ValueError(f"degree {degree} out of scope; need even degree >= 4")
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    t0 = time.monotonic()
+    passed = 0
+    min_hi: int | None = None
+    min_lo: int | None = None
+    bad_instances = 0
+    link_instances = 0
+    for idx, n, degree, gseed, graph in stress_instances(count, n_min, n_max, degrees, seed):
         info = f"instance {idx} (n={n}, degree={degree}, seed={gseed})"
         try:
             result = label_graph(graph)

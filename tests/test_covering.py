@@ -2,16 +2,19 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from antimagic import (BipartiteView, GraphShapeError, InternalInvariantError,
-                       bfs_layering, build_covering_pair, layer_view,
+                       bfs_layering, build_covering_pair, covering, layer_view,
                        validate_covering_pair)
-from antimagic.covering import (CoveringPair, Link, hall_matching, maximize_free_links,
-                                maximize_link_family, pad_to_biregular)
+from antimagic.covering import (CoveringPair, Link, _candidate_moves, _link_search_pair, _LinkSearch,
+                                hall_matching, maximize_free_links, maximize_link_family,
+                                pad_to_biregular)
 from antimagic.trails import analyze_bad_components
+from antimagic.verify import stress_instances
 from corpus import (complete_bipartite, complete_graph, free_link_gadget,
                     random_bounded_bipartite)
 
@@ -194,6 +197,16 @@ class TestLinkFamily:
                     assert all(x in frontier for x in padded.neighbors(y)), \
                         f"seed {seed}: uncovered outer {y} has an unblocked neighbor"
 
+    def test_candidate_move_order(self):
+        # add the witness neighbor, swap it in for each center, then add each
+        # other inner vertex, then swap each of those in for each center
+        view = make_view(range(5), [5], [(x, 5) for x in range(5)])
+        centers = {3, 1}
+        moves = _candidate_moves(view, centers, 2)
+        centers.add(0)  # the search mutates its center set while moves are tried
+        assert list(moves) == [(2, None), (2, 1), (2, 3), (0, None), (4, None),
+                               (0, 1), (4, 1), (0, 3), (4, 3)]
+
     def test_hall_matching_covers_targets(self):
         g = complete_bipartite(4, 3)
         view = layer_view(g, bfs_layering(g, 0), 2)
@@ -217,6 +230,44 @@ class TestLinkFamily:
 
     def test_hall_matching_empty_view(self):
         assert hall_matching(make_view([], [], []), 3) == frozenset()
+
+
+class TestLongAugmentingPaths:
+    """Augmenting paths longer than the interpreter's recursion limit."""
+
+    def test_hall_matching(self):
+        # with outer ids from o = L + 1, inner i < L sees o + i and o + i + 1
+        # and takes o + i; the last inner vertex L sees o and o + 1 only, so
+        # covering it shifts every earlier vertex one step along the chain
+        length = sys.getrecursionlimit() + 50
+        o = length + 1
+        pairs = [(i, o + i) for i in range(length)]
+        pairs += [(i, o + i + 1) for i in range(length)]
+        pairs += [(length, o), (length, o + 1)]
+        view = make_view(range(length + 1), range(o, o + length + 1), pairs)
+        eids = hall_matching(view, 2)
+        assert len(eids) == length + 1
+        partner = dict(view.ends_of(eid) for eid in eids)
+        assert partner[length] == o
+        assert all(partner[i] == o + i + 1 for i in range(length))
+
+    def test_link_search_augment(self):
+        # center i sees private end i and chain ends L + i, L + i + 1, and
+        # takes i and L + i; a new center on L and a private end gives its
+        # first end to the chain, which shifts every center one step along
+        length = sys.getrecursionlimit() + 50
+        centers = range(3 * length, 4 * length)
+        new_center, spare = 4 * length, 2 * length + 1
+        pairs = [(c, y) for i, c in enumerate(centers) for y in (i, length + i, length + i + 1)]
+        pairs += [(new_center, length), (new_center, spare)]
+        view = make_view(list(centers) + [new_center], range(2 * length + 2), pairs)
+        st = _LinkSearch(view)
+        for c in centers:
+            assert st.apply(add=c)
+        assert st.apply(add=new_center)
+        links = {l.center: l for l in st.links()}
+        assert links[new_center] == Link.of(new_center, length, spare)
+        assert all(links[c] == Link.of(c, i, length + i + 1) for i, c in enumerate(centers))
 
 
 class TestBuildCoveringPair:
@@ -259,6 +310,22 @@ class TestBuildCoveringPair:
         assert len(pair.matching) == 2
         assert_irreducible(pair, view, 3)
 
+    def test_too_few_outer_skips_plain_matching(self, monkeypatch):
+        # six full-degree inner vertices over five outer cannot all be
+        # matched, so the only matching run is the link search's, which
+        # leaves the link centers out
+        g = complete_bipartite(6, 6)
+        view = layer_view(g, bfs_layering(g, 0), 2)
+        forbidden_sets = []
+
+        def spy(v, d, forbidden=frozenset()):
+            forbidden_sets.append(forbidden)
+            return hall_matching(v, d, forbidden)
+
+        monkeypatch.setattr(covering, "hall_matching", spy)
+        pair = build_covering_pair(view, 5)
+        assert forbidden_sets == [pair.centers]
+
     def test_small_degree_rejected(self):
         view = make_view([0], [1], [(0, 1)])
         with pytest.raises(GraphShapeError):
@@ -271,6 +338,28 @@ class TestBuildCoveringPair:
         pair = build_covering_pair(view, d)
         assert_irreducible(pair, view, d)
         assert covering_pair_exists(view, d)
+
+
+class TestMatchingFirstDifferential:
+    def test_stress_views_both_ways(self):
+        # every layer view of the acceptance stress suite, built matching
+        # first and through the link search; the root layer's single inner
+        # vertex exceeds the degree bound, so only matching first takes it
+        views = linked = 0
+        for _, _, degree, _, g in stress_instances(200, 8, 60, [4, 6, 8], 0):
+            layering, d = bfs_layering(g, 0), degree - 1
+            for i in range(1, layering.depth + 1):
+                view = layer_view(g, layering, i)
+                pairs = [build_covering_pair(view, d)]
+                assert pairs[0].links == ()  # a plain matching covers every one
+                if i > 1:
+                    pairs.append(_link_search_pair(view, d))
+                    linked += bool(pairs[1].links)
+                for pair in pairs:
+                    assert_irreducible(pair, view, d)
+                views += 1
+        assert views == 619
+        assert linked >= 1  # the link search keeps links on some of these views
 
 
 class TestFreeLinkExchange:

@@ -4,11 +4,14 @@ Expected constants in this file were derived by hand from the layer structure
 of the example graphs before the engine produced them, and are frozen here.
 """
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from antimagic import (GraphShapeError, check_construction, generate_regular,
                        label_graph, verify_antimagic)
+from antimagic.documents import render_document
 from antimagic.labeling import LayerPlan
 from corpus import (circulant, complete_bipartite, complete_graph, cycle_graph,
                     hypercube, octahedron, torus_grid)
@@ -75,6 +78,18 @@ class TestLinksEndToEnd:
         issues, stats = check_construction(res)
         assert issues == []
         assert stats["links_total"] >= 1
+
+
+class TestLinkSearchGoldens:
+    """Hall's condition fails on layer 2 of K_{a,a}, so that layer's pair
+    comes from the link search; the documents are frozen in tests/golden."""
+
+    @pytest.mark.parametrize("a", [6, 8])
+    def test_document(self, a):
+        res = label_graph(complete_bipartite(a, a))
+        assert len(res.layers[2].pair.links) == 1
+        golden = Path(__file__).parent / "golden" / f"k{a}_{a}.txt"
+        assert render_document(res) == golden.read_text()
 
 
 class TestPlanArithmetic:
