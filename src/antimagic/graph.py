@@ -142,13 +142,15 @@ class Layering:
     """Breadth-first distance classes from a root, plus per-edge classes.
 
     Edge class i means the edge joins two layer-i vertices or a layer-i vertex
-    to a layer-(i-1) vertex.
+    to a layer-(i-1) vertex.  class_edges[i] lists the ids of the class-i
+    edges in increasing order, so per-layer work never scans the whole graph.
     """
 
     root: int
     layers: tuple[tuple[int, ...], ...]
     layer_of: tuple[int, ...]
     edge_class: tuple[int, ...]
+    class_edges: tuple[tuple[int, ...], ...]
 
     @property
     def depth(self) -> int:
@@ -176,13 +178,17 @@ def bfs_layering(graph: Graph, root: int) -> Layering:
     for v in range(graph.n):
         layers[dist[v]].append(v)
     edge_class = []
-    for u, v in graph.edges:
-        edge_class.append(max(dist[u], dist[v]))
+    class_edges: list[list[int]] = [[] for _ in range(depth + 1)]
+    for eid, (u, v) in enumerate(graph.edges):
+        cls = max(dist[u], dist[v])
+        edge_class.append(cls)
+        class_edges[cls].append(eid)
     return Layering(
         root=root,
         layers=tuple(tuple(layer) for layer in layers),
         layer_of=tuple(dist),
         edge_class=tuple(edge_class),
+        class_edges=tuple(tuple(bucket) for bucket in class_edges),
     )
 
 
@@ -260,11 +266,13 @@ def layer_view(graph: Graph, layering: Layering, index: int) -> BipartiteView:
         raise GraphShapeError(f"layer index {index} out of range 1..{layering.depth}")
     inner = layering.layers[index - 1]
     outer = layering.layers[index]
+    layer_of = layering.layer_of
     edges = []
-    for eid, (u, v) in enumerate(graph.edges):
-        du, dv = layering.layer_of[u], layering.layer_of[v]
-        if du == index - 1 and dv == index:
+    for eid in layering.class_edges[index]:
+        u, v = graph.edges[eid]
+        # a class-index edge crosses the two layers unless both ends are in layer index
+        if layer_of[u] < layer_of[v]:
             edges.append((u, v, eid))
-        elif dv == index - 1 and du == index:
+        elif layer_of[v] < layer_of[u]:
             edges.append((v, u, eid))
     return BipartiteView(index=index, inner=inner, outer=outer, edges=tuple(edges))

@@ -205,8 +205,9 @@ def compute_interval_plan(graph: Graph, layering: Layering,
 
 def _assign_inner_labels(graph: Graph, layering: Layering, index: int,
                          plan: LayerPlan, labels: dict[int, int]) -> None:
-    eids = [eid for eid, (u, v) in enumerate(graph.edges)
-            if layering.layer_of[u] == index and layering.layer_of[v] == index]
+    layer_of = layering.layer_of
+    eids = [eid for eid in layering.class_edges[index]
+            if layer_of[graph.edges[eid][0]] == layer_of[graph.edges[eid][1]]]
     eids.sort(key=lambda e: graph.edges[e])
     if len(eids) != plan.inner_count:
         raise InternalInvariantError("within-layer edge count disagrees with the plan")

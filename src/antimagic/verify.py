@@ -269,7 +269,12 @@ def _check_layer_structure(result: LabelingResult, labels: Sequence[int]) -> tup
     stats = {"bad_layers": 0, "links_total": 0, "free_links_total": 0}
     g = result.graph
     k = result.k
-    for i in range(1, result.layering.depth + 1):
+    lay = result.layering
+    cross_count = [0] * (lay.depth + 1)
+    for (u, v), cls in zip(g.edges, lay.edge_class):
+        if lay.layer_of[u] != lay.layer_of[v]:
+            cross_count[cls] += 1
+    for i in range(1, lay.depth + 1):
         plan = result.plans[i]
         rec = result.layers[i]
         view, pair = rec.view, rec.pair
@@ -350,11 +355,7 @@ def _check_layer_structure(result: LabelingResult, labels: Sequence[int]) -> tup
         except InternalInvariantError as exc:
             issues.append(f"layer {i}: covering pair invalid: {exc}")
 
-        cross = [eid for eid, cls in enumerate(result.layering.edge_class)
-                 if cls == i and g.edges[eid][0] != g.edges[eid][1]
-                 and result.layering.layer_of[g.edges[eid][0]]
-                 != result.layering.layer_of[g.edges[eid][1]]]
-        if len(cross) != plan.layer_size + plan.trail_count + plan.link_count:
+        if cross_count[i] != plan.layer_size + plan.trail_count + plan.link_count:
             issues.append(f"layer {i}: cross-edge count disagrees with the plan")
     return issues, stats
 

@@ -27,6 +27,19 @@ def circulant(n: int, offsets: list[int]) -> Graph:
     return Graph(n, sorted(edges))
 
 
+def shuffled_circulant(n: int, offsets: list[int], seed: int) -> Graph:
+    """C_n(offsets) with vertex ids permuted by the seed; edge ids follow the
+    sorted edge list, so they no longer run along the cycle."""
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    edges = set()
+    for v in range(n):
+        for o in offsets:
+            a, b = perm[v], perm[(v + o) % n]
+            edges.add((min(a, b), max(a, b)))
+    return Graph(n, sorted(edges))
+
+
 def complete_bipartite(a: int, b: int) -> Graph:
     return Graph(a + b, [(x, a + y) for x in range(a) for y in range(b)])
 

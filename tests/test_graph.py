@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 from antimagic import (Graph, GraphFormatError, GraphShapeError, bfs_layering,
                        format_edge_list, generate_regular, layer_view, parse_edge_list,
                        validate_even_regular)
-from corpus import circulant, complete_graph, cycle_graph, petersen, two_disjoint_k5
+from antimagic.verify import stress_instances
+from corpus import (circulant, complete_bipartite, complete_graph, cycle_graph, petersen,
+                    shuffled_circulant, two_disjoint_k5)
 
 
 class TestGraph:
@@ -166,3 +168,56 @@ class TestLayerView:
         lay = bfs_layering(g, 0)
         with pytest.raises(GraphShapeError):
             layer_view(g, lay, 2)
+
+
+def _bucketed_graphs():
+    """Random regular graphs, shuffled-id circulants and K_{a,a}, each with a root."""
+    regular = st.builds(lambda n, d, seed: generate_regular(n, d, seed),
+                        st.integers(10, 40), st.sampled_from([4, 6]), st.integers(0, 10_000))
+    circ = st.builds(lambda n, seed: shuffled_circulant(n, [1, 2], seed),
+                     st.integers(8, 120), st.integers(0, 10_000))
+    bip = st.builds(lambda a: complete_bipartite(a, a), st.integers(2, 12))
+    return st.one_of(regular, circ, bip).flatmap(
+        lambda g: st.tuples(st.just(g), st.integers(0, g.n - 1)))
+
+
+class TestClassEdges:
+    @settings(max_examples=60, deadline=None)
+    @given(_bucketed_graphs())
+    def test_buckets_partition_edge_ids_by_class(self, graph_and_root):
+        g, root = graph_and_root
+        lay = bfs_layering(g, root)
+        assert len(lay.class_edges) == lay.depth + 1
+        assert sorted(eid for bucket in lay.class_edges for eid in bucket) == list(range(g.m))
+        for cls, bucket in enumerate(lay.class_edges):
+            assert all(a < b for a, b in zip(bucket, bucket[1:]))
+            assert all(lay.edge_class[eid] == cls for eid in bucket)
+
+
+def _full_scan_view(g, lay, index):
+    """Reference view that scans every edge of the graph."""
+    edges = []
+    for eid, (u, v) in enumerate(g.edges):
+        du, dv = lay.layer_of[u], lay.layer_of[v]
+        if du == index - 1 and dv == index:
+            edges.append((u, v, eid))
+        elif dv == index - 1 and du == index:
+            edges.append((v, u, eid))
+    return lay.layers[index - 1], lay.layers[index], tuple(edges)
+
+
+class TestLayerViewMatchesFullScan:
+    def _assert_all_layers(self, g):
+        lay = bfs_layering(g, 0)
+        for i in range(1, lay.depth + 1):
+            view = layer_view(g, lay, i)
+            assert (view.inner, view.outer, view.edges) == _full_scan_view(g, lay, i)
+
+    def test_shuffled_deep_circulant(self):
+        g = shuffled_circulant(400, [1, 2], 7)
+        assert bfs_layering(g, 0).depth == 100
+        self._assert_all_layers(g)
+
+    def test_stress_stream(self):
+        for _, _, _, _, g in stress_instances(200, 8, 60, [4, 6, 8], 0):
+            self._assert_all_layers(g)

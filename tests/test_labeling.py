@@ -4,17 +4,18 @@ Expected constants in this file were derived by hand from the layer structure
 of the example graphs before the engine produced them, and are frozen here.
 """
 
+import dataclasses
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from antimagic import (GraphShapeError, check_construction, generate_regular,
-                       label_graph, verify_antimagic)
+from antimagic import (GraphShapeError, bfs_layering, check_construction, generate_regular,
+                       label_graph, labeling, verify_antimagic)
 from antimagic.documents import render_document
 from antimagic.labeling import LayerPlan
 from corpus import (circulant, complete_bipartite, complete_graph, cycle_graph,
-                    hypercube, octahedron, torus_grid)
+                    hypercube, octahedron, shuffled_circulant, torus_grid)
 
 
 class TestGoldenK5:
@@ -90,6 +91,60 @@ class TestLinkSearchGoldens:
         assert len(res.layers[2].pair.links) == 1
         golden = Path(__file__).parent / "golden" / f"k{a}_{a}.txt"
         assert render_document(res) == golden.read_text()
+
+
+class TestDeepGolden:
+    """A twelve-layer circulant with shuffled ids, frozen in tests/golden."""
+
+    def test_document(self):
+        res = label_graph(shuffled_circulant(48, [1, 2], 48))
+        assert res.layering.depth == 12
+        golden = Path(__file__).parent / "golden" / "c48_1_2.txt"
+        assert render_document(res) == golden.read_text()
+
+
+class _CountingTuple(tuple):
+    """Tuple that counts the elements read through iteration or indexing."""
+
+    def __iter__(self):
+        for item in super().__iter__():
+            self.reads += 1
+            yield item
+
+    def __getitem__(self, key):
+        item = super().__getitem__(key)
+        self.reads += len(item) if isinstance(key, slice) else 1
+        return item
+
+
+def _counting(items) -> _CountingTuple:
+    out = _CountingTuple(items)
+    out.reads = 0
+    return out
+
+
+class TestEdgeScans:
+    """Per-layer work must touch only its own edges: a full scan of the edge
+    list in every layer would read about depth * m elements."""
+
+    def test_deep_circulant_reads_each_edge_a_bounded_number_of_times(self, monkeypatch):
+        g = circulant(400, [1, 2])
+        g.edges = _counting(g.edges)
+        edge_class_reads = []
+
+        def counting_layering(graph, root):
+            lay = bfs_layering(graph, root)
+            counted = _counting(lay.edge_class)
+            edge_class_reads.append(counted)
+            return dataclasses.replace(lay, edge_class=counted)
+
+        monkeypatch.setattr(labeling, "bfs_layering", counting_layering)
+        res = label_graph(g)
+        assert res.layering.depth == 100
+        issues, _ = check_construction(res)
+        assert issues == []
+        reads = g.edges.reads + sum(t.reads for t in edge_class_reads)
+        assert reads <= 16 * g.m
 
 
 class TestPlanArithmetic:
