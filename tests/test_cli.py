@@ -1,8 +1,10 @@
 """Command-line surface: subcommands, exit codes, and output discipline."""
 
+import dataclasses
+
 import pytest
 
-from antimagic import InternalInvariantError, format_edge_list
+from antimagic import InternalInvariantError, format_edge_list, label_graph, verify_antimagic
 from antimagic.cli import main
 from antimagic.documents import HEADER
 from corpus import complete_graph, cycle_graph, two_disjoint_k5
@@ -40,6 +42,27 @@ class TestLabel:
         assert main(["label", k5_file, "--check"]) == 0
         err = capsys.readouterr().err
         assert "all construction invariants hold" in err
+
+    def test_failed_check_exits_2(self, k5_file, monkeypatch, capsys):
+        def swapped(graph, root=0):
+            res = label_graph(graph, root)
+            labels = list(res.labeling.labels)
+            i, j = labels.index(1), labels.index(len(labels))
+            labels[i], labels[j] = labels[j], labels[i]
+            return dataclasses.replace(
+                res, labeling=dataclasses.replace(res.labeling, labels=tuple(labels)))
+
+        monkeypatch.setattr("antimagic.cli.label_graph", swapped)
+        assert main(["label", k5_file, "--check"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        res = swapped(complete_graph(5))
+        report = verify_antimagic(res.graph, res.labeling.labels, res.layering, res)
+        ok = {True: "ok", False: "FAIL"}
+        assert err[0] == (f"check: bijection={ok[report.bijection_ok]} "
+                          f"distinct-sums={ok[report.distinct_sums_ok]} "
+                          f"layer-monotone={ok[report.layer_monotone_ok]}")
+        assert f"check: FAIL {report.first_failure}" in err
+        assert "check: all construction invariants hold" not in err
 
     def test_root_flag(self, k5_file, capsys):
         assert main(["label", k5_file, "--root", "3"]) == 0

@@ -1,11 +1,23 @@
 """Independent verifier: positive cases, seeded corruption, stress harness."""
 
+import dataclasses
+
 import pytest
 
-from antimagic import (Graph, StressFailure, check_construction, label_graph,
+from antimagic import (Graph, StressFailure, check_construction, generate_regular, label_graph,
                        parse_edge_list, stress, verify_antimagic)
-from antimagic.verify import recompute_vertex_sums
-from corpus import circulant, complete_graph, cycle_graph
+from antimagic.covering import maximize_free_links
+from antimagic.trails import analyze_bad_components, residual_edge_sets
+from antimagic.verify import (_bad_components, _partial_sums_from_labels,
+                              recompute_vertex_sums, stress_instances)
+from corpus import (circulant, complete_bipartite, complete_graph, cycle_graph,
+                    free_link_gadget)
+
+
+def with_layer(res, i, **changes):
+    """The result with fields of layer i's record replaced."""
+    rec = dataclasses.replace(res.layers[i], **changes)
+    return dataclasses.replace(res, layers={**res.layers, i: rec})
 
 
 class TestVerifyAntimagic:
@@ -91,6 +103,79 @@ class TestCheckConstruction:
                                       res.plans, res.layers, broken)
         issues, _ = check_construction(broken_result)
         assert any("disagree" in issue for issue in issues)
+
+    def test_covers_the_full_verification(self):
+        res = label_graph(circulant(10, [1, 2]))
+        labels = list(res.labeling.labels)
+        i, j = labels.index(1), labels.index(len(labels))
+        labels[i], labels[j] = labels[j], labels[i]
+        swapped = dataclasses.replace(
+            res, labeling=dataclasses.replace(res.labeling, labels=tuple(labels)))
+        for r, clean in ((res, True), (swapped, False)):
+            issues, stats = check_construction(r)
+            report = verify_antimagic(r.graph, r.labeling.labels, r.layering, r)
+            assert (stats["bijection_ok"], stats["distinct_sums_ok"],
+                    stats["layer_monotone_ok"]) == (report.bijection_ok, report.distinct_sums_ok,
+                                                    report.layer_monotone_ok)
+            assert report.passed == clean
+            assert (issues == []) if clean else (report.first_failure in issues)
+
+    def test_foreign_parent_edge_is_reported_not_raised(self):
+        res = label_graph(generate_regular(40, 6, 3))
+        rec = res.layers[2]
+        a, b = rec.view.outer[0], rec.view.outer[1]
+        broken = with_layer(res, 2, parent_edge={**rec.parent_edge, a: rec.parent_edge[b]})
+        issues, _ = check_construction(broken)
+        assert any(f"vertex {a} has an invalid parent edge" in issue for issue in issues)
+        assert "layer 2: parent edges are not distinct" in issues
+
+    @pytest.mark.parametrize("tamper", ["claims a bad component", "drops a free link"])
+    def test_tampered_bad_analysis_is_reported(self, tamper):
+        res = label_graph(complete_bipartite(6, 6))
+        analysis = res.layers[2].analysis
+        assert analysis.free_links and not analysis.bad_cids
+        if tamper == "claims a bad component":
+            forged = dataclasses.replace(analysis, bad_cids=frozenset({0}))
+        else:
+            forged = dataclasses.replace(analysis, free_links=(), free_count=0)
+        issues, _ = check_construction(with_layer(res, 2, analysis=forged))
+        assert "layer 2: recomputed bad components disagree with the record" in issues
+
+
+class TestReplayRecomputation:
+    """The replay's own bad-component and partial-sum recomputation against
+    the trail builder and a re-sum of incident labels."""
+
+    @staticmethod
+    def assert_bad_components_agree(view, pair, parent_edge, k):
+        ref = analyze_bad_components(view, pair, parent_edge, k)
+        _, trail_eids = residual_edge_sets(view, pair, parent_edge)
+        got = _bad_components(view, pair, trail_eids, k)
+        assert got == (ref.bad_cids, ref.bad_vertices, ref.free_links)
+        return ref
+
+    def test_every_stress_layer(self):
+        for _, _, _, _, graph in stress_instances(200, 8, 60, [4, 6, 8], 0):
+            res = label_graph(graph)
+            labels = res.labeling.labels
+            sums = recompute_vertex_sums(graph, labels)
+            for i, rec in res.layers.items():
+                self.assert_bad_components_agree(rec.view, rec.pair, rec.parent_edge, res.k)
+                resummed = {u: sum(labels[eid] for _, eid in graph.incident(u))
+                            - labels[rec.parent_edge[u]] for u in res.layering.layers[i]}
+                assert _partial_sums_from_labels(res, labels, sums, i) == resummed
+
+    def test_free_link_gadget_before_and_after_exchange(self):
+        view, pair, parent = free_link_gadget()
+        ref = self.assert_bad_components_agree(view, pair, parent, 1)
+        assert len(ref.bad_cids) == 2 and not ref.free_links
+
+        def analyze(p):
+            return analyze_bad_components(view, p, parent, 1)
+
+        exchanged, _ = maximize_free_links(pair, parent, analyze, k=1)
+        ref = self.assert_bad_components_agree(view, exchanged, parent, 1)
+        assert ref.bad_cids and ref.free_links
 
 
 class TestStress:
