@@ -87,7 +87,9 @@ class Graph:
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format: one edge per line as two whitespace-separated
-    non-negative integers, '#' lines ignored, vertex count = max id + 1."""
+    non-negative integers, '#' lines ignored, vertex count = max id + 1.
+    Errors that need a line number are raised here; Graph rejects duplicate
+    edges (GraphShapeError)."""
     edges: list[tuple[int, int]] = []
     max_id = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -109,12 +111,6 @@ def parse_edge_list(text: str) -> Graph:
         edges.append((u, v))
     if max_id < 0:
         raise GraphFormatError("no edges in input")
-    seen: set[tuple[int, int]] = set()
-    for u, v in edges:
-        e = (u, v) if u < v else (v, u)
-        if e in seen:
-            raise GraphFormatError(f"duplicate edge ({e[0]}, {e[1]})")
-        seen.add(e)
     return Graph(max_id + 1, edges)
 
 

@@ -89,18 +89,14 @@ class LayerRecord:
 
 @dataclass(frozen=True)
 class TrailEvent:
-    """One labeling unit: a single trail or a pair of mixed trails, with the
-    oriented trails, the labels in trail order, and the cursor around it."""
+    """One labeling unit: a single trail or a pair of mixed trails, oriented
+    as labeled.  The labels themselves are read from the labeling; the unit's
+    place in the cursor sequence follows from the plan's trail interval."""
 
     kind: str  # closed | open-inner | open-outer | mixed-pair | mixed-last
     trails: tuple[Trail, ...]
     case: str | None
-    start_vertex: int | None
-    labels: tuple[int, ...]
-    cursor_before: tuple[int, int]
-    cursor_after: tuple[int, int]
     bad: bool
-    cid: int | None
 
 
 @dataclass(frozen=True)
@@ -166,14 +162,13 @@ def compute_interval_plan(graph: Graph, layering: Layering,
                           trail_counts: dict[int, int],
                           link_counts: dict[int, int]) -> dict[int, LayerPlan]:
     """Stack the per-layer intervals from the outermost layer down and check
-    they partition the whole label range."""
+    they cover the whole label range; each LayerPlan's intervals are
+    contiguous by construction."""
     p = layering.depth
     within = {i: 0 for i in range(0, p + 1)}
     for u, v in graph.edges:
         if layering.layer_of[u] == layering.layer_of[v]:
             within[layering.layer_of[u]] += 1
-    if within.get(0):
-        raise InternalInvariantError("edges inside the root layer")
 
     plans: dict[int, LayerPlan] = {}
     offset = 0
@@ -190,16 +185,6 @@ def compute_interval_plan(graph: Graph, layering: Layering,
     if offset != graph.m:
         raise InternalInvariantError(
             f"interval plan covers {offset} labels for {graph.m} edges")
-
-    expected = 1
-    for i in range(p, 0, -1):
-        for lo, hi in (plans[i].inner_interval, plans[i].trail_interval,
-                       plans[i].link_interval, plans[i].parent_interval):
-            if lo != expected:
-                raise InternalInvariantError("interval plan leaves a gap")
-            expected = hi + 1
-    if expected != graph.m + 1:
-        raise InternalInvariantError("interval plan leaves a tail gap")
     return plans
 
 
@@ -209,8 +194,6 @@ def _assign_inner_labels(graph: Graph, layering: Layering, index: int,
     eids = [eid for eid in layering.class_edges[index]
             if layer_of[graph.edges[eid][0]] == layer_of[graph.edges[eid][1]]]
     eids.sort(key=lambda e: graph.edges[e])
-    if len(eids) != plan.inner_count:
-        raise InternalInvariantError("within-layer edge count disagrees with the plan")
     lab = plan.inner_interval[0]
     for eid in eids:
         labels[eid] = lab
@@ -239,9 +222,8 @@ def _assign_trail_labels(rec: LayerRecord, plan: LayerPlan, labels: dict[int, in
     target = plan.target_pair_sum
     events: list[TrailEvent] = []
 
-    def emit(kind: str, trails: tuple[Trail, ...], case: str | None, start: int | None,
-             high_first: bool, bad: bool, cid: int | None) -> None:
-        before = (cursor.lo, cursor.hi)
+    def emit(kind: str, trails: tuple[Trail, ...], case: str | None, high_first: bool,
+             bad: bool) -> None:
         count = sum(t.edge_count for t in trails)
         labs = cursor.take(count, high_first)
         pos = 0
@@ -249,8 +231,7 @@ def _assign_trail_labels(rec: LayerRecord, plan: LayerPlan, labels: dict[int, in
             for eid in t.edges:
                 labels[eid] = labs[pos]
                 pos += 1
-        after = (cursor.lo, cursor.hi)
-        events.append(TrailEvent(kind, trails, case, start, tuple(labs), before, after, bad, cid))
+        events.append(TrailEvent(kind, trails, case, bad))
         balanced = count % 2 == 0
         want = target if balanced else target + 1
         if cursor.lo + cursor.hi != want:
@@ -262,25 +243,22 @@ def _assign_trail_labels(rec: LayerRecord, plan: LayerPlan, labels: dict[int, in
         comp = family.components[cid]
         start, case = choose_closed_start(trail, comp, bad, rec.pair, view, k)
         oriented = rotate_closed(trail, start)
-        emit("closed", (oriented,), case, start, case == "outer-high", bad, cid)
+        emit("closed", (oriented,), case, case == "outer-high", bad)
 
     for trail in family.open_inner:
-        start = min(trail.ends)
-        emit("open-inner", (orient_open(trail, start),), None, start, False, False, None)
+        emit("open-inner", (orient_open(trail, min(trail.ends)),), None, False, False)
 
     for trail in family.open_outer:
-        start = min(trail.ends)
-        emit("open-outer", (orient_open(trail, start),), None, start, True, False, None)
+        emit("open-outer", (orient_open(trail, min(trail.ends)),), None, True, False)
 
     mixed = list(family.open_mixed)
     for first, second in zip(mixed[0::2], mixed[1::2]):
         a = orient_open(first, _inner_start(view, first))
         b = orient_open(second, _outer_start(view, second))
-        emit("mixed-pair", (a, b), None, None, False, False, None)
+        emit("mixed-pair", (a, b), None, False, False)
     if len(mixed) % 2:
         last = mixed[-1]
-        emit("mixed-last", (orient_open(last, _inner_start(view, last)),), None, None,
-             False, False, None)
+        emit("mixed-last", (orient_open(last, _inner_start(view, last)),), None, False, False)
 
     if cursor.lo != cursor.hi + 1:
         raise InternalInvariantError(f"trail interval of layer {plan.index} not exactly consumed")
@@ -350,9 +328,6 @@ def label_graph(graph: Graph, root: int = 0) -> LabelingResult:
         records[i] = LayerRecord(view=view, pair=pair, parent_edge=parent, analysis=analysis)
         trail_counts[i] = analysis.family.edge_total
         link_counts[i] = 2 * len(pair.links)
-        if len(view.edges) != len(view.outer) + trail_counts[i] + link_counts[i]:
-            raise InternalInvariantError(
-                f"cross edges of layer {i} do not split into parent, trail, and link edges")
 
     plans = compute_interval_plan(graph, layering, trail_counts, link_counts)
 
@@ -394,9 +369,6 @@ def label_graph(graph: Graph, root: int = 0) -> LabelingResult:
         if lab != plan.parent_interval[1] + 1:
             raise InternalInvariantError("parent interval not exactly consumed")
         rec.parent_order = tuple(order)
-
-    if len(labels) != graph.m or sorted(labels.values()) != list(range(1, graph.m + 1)):
-        raise InternalInvariantError("labels do not form a bijection onto the label range")
 
     label_seq = tuple(labels[eid] for eid in range(graph.m))
     partial[root] = sum(labels[eid] for _, eid in graph.incident(root))

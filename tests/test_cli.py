@@ -78,6 +78,11 @@ class TestLabel:
         assert main(["label", path]) == 1
         assert "disconnected" in capsys.readouterr().err
 
+    def test_duplicate_edge_rejected(self, tmp_path, capsys):
+        path = write(tmp_path, "dup.txt", "0 1\n1 0\n")
+        assert main(["label", path]) == 1
+        assert capsys.readouterr().err == "error: duplicate edge (0, 1)\n"
+
     def test_missing_file(self, capsys):
         assert main(["label", "does-not-exist.txt"]) == 1
 

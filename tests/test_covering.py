@@ -130,6 +130,23 @@ class TestValidate:
         with pytest.raises(InternalInvariantError, match="neither matched nor a link end"):
             validate_covering_pair(pair)
 
+    # Components of matching plus links that are not single edges or W-shapes
+    # are caught by the pair's own checks; there is no separate shape check.
+    def test_two_link_ends_matched_to_one_inner_vertex_rejected(self):
+        view = make_view([0, 1], [2, 3], [(0, 2), (0, 3), (1, 2), (1, 3)])
+        with pytest.raises(InternalInvariantError, match="matching edges share a vertex"):
+            CoveringPair(view, 2, [Link.of(0, 2, 3)],
+                         [view.edge_between(1, 2), view.edge_between(1, 3)])
+
+    def test_link_end_matched_to_a_center_rejected(self):
+        # end 2 of the link at center 0 is matched to center 1 of the other link
+        view = make_view([0, 1, 7, 8, 9], [2, 3, 5, 6],
+                         [(0, 2), (0, 3), (0, 5), (1, 2), (1, 5), (1, 6), (7, 3), (8, 5), (9, 6)])
+        pair = CoveringPair(view, 3, [Link.of(0, 2, 3), Link.of(1, 5, 6)],
+                            [view.edge_between(x, y) for x, y in ((1, 2), (7, 3), (8, 5), (9, 6))])
+        with pytest.raises(InternalInvariantError, match="link center 1 is also matched"):
+            validate_covering_pair(pair)
+
 
 class TestPadding:
     def test_empty_view_becomes_gadget(self):

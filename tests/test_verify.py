@@ -11,7 +11,7 @@ from antimagic.trails import analyze_bad_components, residual_edge_sets
 from antimagic.verify import (_bad_components, _partial_sums_from_labels,
                               recompute_vertex_sums, stress_instances)
 from corpus import (circulant, complete_bipartite, complete_graph, cycle_graph,
-                    free_link_gadget)
+                    free_link_gadget, hypercube, shuffled_circulant)
 
 
 def with_layer(res, i, **changes):
@@ -128,6 +128,45 @@ class TestCheckConstruction:
         issues, _ = check_construction(broken)
         assert any(f"vertex {a} has an invalid parent edge" in issue for issue in issues)
         assert "layer 2: parent edges are not distinct" in issues
+
+    def test_missing_parent_edge_is_reported_not_raised(self):
+        res = label_graph(generate_regular(40, 6, 3))
+        rec = res.layers[2]
+        a = rec.view.outer[0]
+        broken = with_layer(res, 2, parent_edge={u: e for u, e in rec.parent_edge.items()
+                                                 if u != a})
+        issues, _ = check_construction(broken)
+        assert f"layer 2: vertex {a} has an invalid parent edge None" in issues
+        report = verify_antimagic(broken.graph, broken.labeling.labels, broken.layering, broken)
+        assert report.inequality_ok is False
+        assert f"vertex {a} " in report.first_failure
+
+    @pytest.mark.parametrize("graph", [complete_bipartite(6, 6),
+                                       shuffled_circulant(48, [1, 2], 48)],
+                             ids=["K6,6", "C48(1,2)"])
+    def test_tampered_trail_label_is_named_by_the_replay(self, graph):
+        res = label_graph(graph)
+        i = max(j for j, rec in res.layers.items() if rec.events)
+        eid = res.layers[i].events[-1].trails[-1].edges[-1]
+        labels = list(res.labeling.labels)
+        replayed, labels[eid] = labels[eid], graph.m + 1
+        tampered = dataclasses.replace(
+            res, labeling=dataclasses.replace(res.labeling, labels=tuple(labels)))
+        issues, _ = check_construction(tampered)
+        assert (f"layer {i}: edge {eid} carries label {graph.m + 1}, replay gives {replayed}"
+                in issues)
+
+    def test_flipped_closed_trail_case_is_reported_by_the_replay(self):
+        res = label_graph(hypercube(4))
+        (i, pos), = [(i, pos) for i, rec in res.layers.items()
+                     for pos, ev in enumerate(rec.events) if ev.case == "outer-high"]
+        events = list(res.layers[i].events)
+        events[pos] = dataclasses.replace(events[pos], case="inner-low")
+        issues, _ = check_construction(with_layer(res, i, events=tuple(events)))
+        first = events[pos].trails[0].edges[0]
+        label = res.labeling.labels[first]
+        assert any(issue.startswith(f"layer {i}: edge {first} carries label {label}, replay gives ")
+                   for issue in issues)
 
     @pytest.mark.parametrize("tamper", ["claims a bad component", "drops a free link"])
     def test_tampered_bad_analysis_is_reported(self, tamper):
