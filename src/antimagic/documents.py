@@ -43,13 +43,11 @@ def render_document(result: LabelingResult) -> str:
         plan = result.plans[i]
         lines.append(f"plan {i} offset={plan.offset} inner={plan.inner_count} "
                      f"trail={plan.trail_count} link={plan.link_count} size={plan.layer_size}")
-    for v in range(g.n):
-        lines.append(f"layer {v} {result.layering.layer_of[v]}")
-    by_ends = sorted((g.edges[eid], eid) for eid in range(g.m))
-    for (u, v), eid in by_ends:
-        lines.append(f"edge {u} {v} {result.labeling.labels[eid]}")
-    for v in range(g.n):
-        lines.append(f"sum {v} {result.labeling.vertex_sums[v]}")
+    lines += [f"layer {v} {idx}" for v, idx in enumerate(result.layering.layer_of)]
+    # edges are distinct, so this sorts by endpoints alone
+    lines += [f"edge {u} {v} {label}"
+              for (u, v), label in sorted(zip(g.edges, result.labeling.labels))]
+    lines += [f"sum {v} {s}" for v, s in enumerate(result.labeling.vertex_sums)]
     return "\n".join(lines) + "\n"
 
 
@@ -63,42 +61,62 @@ def _int_fields(parts: list[str], count: int, lineno: int) -> list[int]:
 
 
 def parse_document(text: str) -> LabelingDocument:
+    """Parse a labeling document; the grammar is in README.md.  Every error
+    but a missing header or a document without edges names its line."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != HEADER:
         raise GraphFormatError(f"labeling document must start with '{HEADER}'")
-    doc = LabelingDocument(labels={})
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    labels: dict[tuple[int, int], int] = {}
+    layer_of: dict[int, int] = {}
+    sums: dict[int, int] = {}
+    doc = LabelingDocument(labels=labels, layer_of=layer_of, sums=sums)
+    for lineno, line in enumerate(lines[1:], start=2):
+        # one split per line: the first field tells blank, comment and record
+        # kind apart, and the hot records (edge, layer, sum) convert inline
+        parts = line.split()
+        if not parts:
             continue
-        kind, *rest = line.split()
-        if kind == "graph":
-            doc.n, doc.m = _int_fields(rest, 2, lineno)
-        elif kind == "root":
-            (doc.root,) = _int_fields(rest, 1, lineno)
-        elif kind == "degree":
-            (doc.degree,) = _int_fields(rest, 1, lineno)
-        elif kind == "layers":
-            (doc.depth,) = _int_fields(rest, 1, lineno)
-        elif kind == "plan":
-            continue  # informative; the verifier recomputes plans when needed
-        elif kind == "layer":
-            v, idx = _int_fields(rest, 2, lineno)
-            doc.layer_of[v] = idx
-        elif kind == "edge":
-            u, v, label = _int_fields(rest, 3, lineno)
-            if u == v:
+        kind = parts[0]
+        if kind == "edge":
+            if len(parts) != 4:
+                raise GraphFormatError(f"line {lineno}: expected 3 fields, got {len(parts) - 1}")
+            try:
+                u, v, label = int(parts[1]), int(parts[2]), int(parts[3])
+            except ValueError as exc:
+                raise GraphFormatError(f"line {lineno}: non-integer field") from exc
+            if u < v:
+                key = (u, v)
+            elif v < u:
+                key = (v, u)
+            else:
                 raise GraphFormatError(f"line {lineno}: loop edge {u}-{v}")
-            key = (u, v) if u < v else (v, u)
-            if key in doc.labels:
+            if key in labels:
                 raise GraphFormatError(f"line {lineno}: duplicate edge {key[0]}-{key[1]}")
-            doc.labels[key] = label
-        elif kind == "sum":
-            v, s = _int_fields(rest, 2, lineno)
-            doc.sums[v] = s
+            labels[key] = label
+        elif kind == "layer" or kind == "sum":
+            if len(parts) != 3:
+                raise GraphFormatError(f"line {lineno}: expected 2 fields, got {len(parts) - 1}")
+            try:
+                v, x = int(parts[1]), int(parts[2])
+            except ValueError as exc:
+                raise GraphFormatError(f"line {lineno}: non-integer field") from exc
+            if kind == "layer":
+                layer_of[v] = x
+            else:
+                sums[v] = x
+        elif kind[0] == "#" or kind == "plan":
+            continue  # plans are informative; the verifier recomputes them when needed
+        elif kind == "graph":
+            doc.n, doc.m = _int_fields(parts[1:], 2, lineno)
+        elif kind == "root":
+            (doc.root,) = _int_fields(parts[1:], 1, lineno)
+        elif kind == "degree":
+            (doc.degree,) = _int_fields(parts[1:], 1, lineno)
+        elif kind == "layers":
+            (doc.depth,) = _int_fields(parts[1:], 1, lineno)
         else:
             raise GraphFormatError(f"line {lineno}: unknown record '{kind}'")
-    if not doc.labels:
+    if not labels:
         raise GraphFormatError("labeling document has no edge records")
     return doc
 
@@ -112,9 +130,8 @@ def labels_for_graph(graph: Graph, doc: LabelingDocument) -> list[int]:
         raise GraphFormatError(f"document declares {doc.m} edges, graph has {graph.m}")
     if len(doc.labels) != graph.m:
         raise GraphFormatError(f"document labels {len(doc.labels)} edges, graph has {graph.m}")
-    out = []
-    for u, v in graph.edges:
-        if (u, v) not in doc.labels:
-            raise GraphFormatError(f"graph edge {u}-{v} has no label in the document")
-        out.append(doc.labels[(u, v)])
-    return out
+    try:
+        return list(map(doc.labels.__getitem__, graph.edges))
+    except KeyError as exc:
+        u, v = exc.args[0]
+        raise GraphFormatError(f"graph edge {u}-{v} has no label in the document") from None

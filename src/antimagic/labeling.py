@@ -138,8 +138,6 @@ class _Cursor:
             else:
                 out.append(self.lo)
                 self.lo += 1
-            if self.lo > self.hi + 1:
-                raise InternalInvariantError("trail label interval overrun")
         return out
 
 
@@ -273,8 +271,6 @@ def _assign_link_labels(rec: LayerRecord, plan: LayerPlan, labels: dict[int, int
     c = plan.link_count
     free_set = set(analysis.free_links)
     ordered = list(analysis.free_links) + [l for l in pair.links if l not in free_set]
-    if len(ordered) != len(pair.links) or 2 * len(ordered) != c:
-        raise InternalInvariantError("link ordering lost links")
 
     low_end: dict[Link, int] = {}
     for idx, link in enumerate(ordered, start=1):

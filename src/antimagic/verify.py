@@ -179,12 +179,18 @@ def _check_pair_sums(result: LabelingResult, labels: Sequence[int]) -> list[str]
     the wrap-around pair of a closed trail (bounded, not exact), and outer
     meets inside bad components, which sit exactly one above the target."""
     issues: list[str] = []
+    m = len(labels)
     for i in range(1, result.layering.depth + 1):
         plan = result.plans[i]
         rec = result.layers[i]
         view = rec.view
         target = plan.target_pair_sum
         anchor = plan.offset + plan.inner_count
+        stray = [eid for ev in rec.events for trail in ev.trails for eid in trail.edges
+                 if not 0 <= eid < m]
+        if stray:
+            issues.append(f"layer {i}: trail names edge id {stray[0]}, outside 0..{m - 1}")
+            continue
         for ev in rec.events:
             for trail in ev.trails:
                 for pos in range(trail.edge_count - 1):
@@ -232,6 +238,7 @@ def _check_trail_events(result: LabelingResult, labels: Sequence[int]) -> list[s
     units in order, and confirm each trail edge's label, the cursor identity
     after every unit, and exact consumption of the interval."""
     issues: list[str] = []
+    m = len(labels)
     for i in range(1, result.layering.depth + 1):
         plan = result.plans[i]
         lo, hi = plan.trail_interval
@@ -244,7 +251,8 @@ def _check_trail_events(result: LabelingResult, labels: Sequence[int]) -> list[s
                     want, hi = hi, hi - 1
                 else:
                     want, lo = lo, lo + 1
-                if labels[eid] != want:
+                # an id outside the edge range is reported by _check_pair_sums
+                if 0 <= eid < m and labels[eid] != want:
                     issues.append(f"layer {i}: edge {eid} carries label {labels[eid]}, "
                                   f"replay gives {want}")
             want = target if len(eids) % 2 == 0 else target + 1
@@ -333,9 +341,13 @@ def _check_layer_structure(result: LabelingResult, labels: Sequence[int],
             issues.append(f"layer {i}: parent edges are not distinct")
 
         trail_eids = view_eids - sigma_eids - pair.link_edge_ids
+        trail_sorted = sorted(trail_eids)
         fam_eids = [eid for t in rec.analysis.family.all_trails() for eid in t.edges]
-        if sorted(fam_eids) != sorted(trail_eids):
+        if sorted(fam_eids) != trail_sorted:
             issues.append(f"layer {i}: trail family does not cover the trail graph exactly")
+        unit_eids = [eid for ev in rec.events for t in ev.trails for eid in t.edges]
+        if sorted(unit_eids) != trail_sorted:
+            issues.append(f"layer {i}: trail units do not cover the trail graph exactly")
         if len(rec.analysis.family.open_mixed) % 2 != plan.trail_count % 2:
             issues.append(f"layer {i}: mixed-trail parity disagrees with the trail edge count")
 

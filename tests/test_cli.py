@@ -1,13 +1,18 @@
 """Command-line surface: subcommands, exit codes, and output discipline."""
 
 import dataclasses
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from antimagic import InternalInvariantError, format_edge_list, label_graph, verify_antimagic
+from antimagic import (InternalInvariantError, format_edge_list, generate_regular, label_graph,
+                       verify_antimagic)
 from antimagic.cli import main
-from antimagic.documents import HEADER
+from antimagic.documents import HEADER, render_document
 from corpus import complete_graph, cycle_graph, two_disjoint_k5
+from test_documents import mutated_documents
 
 
 @pytest.fixture
@@ -187,3 +192,77 @@ class TestUsage:
 
     def test_unknown_flag(self, k5_file, capsys):
         assert main(["label", k5_file, "--frobnicate"]) == 1
+
+
+# ids stay at most 64: an edge list allocates per vertex id before it is
+# rejected, so large ids are a memory question, not a fuzzing one
+_EDGE_LINES = st.one_of(
+    st.tuples(st.integers(0, 64), st.integers(0, 64)).map(lambda e: f"{e[0]} {e[1]}"),
+    st.sampled_from(["", "# note", "3", "1 2 3", "a b", "-1 2", "  3\t4  ", "1.0 2"]))
+
+
+@st.composite
+def _regular_graphs(draw):
+    degree = draw(st.sampled_from([4, 6]))
+    n = draw(st.integers(degree + 1, 16))
+    return generate_regular(n, degree, draw(st.integers(0, 10_000)))
+
+
+@st.composite
+def _edge_lists(draw):
+    """A random edge list, or a regular graph's with a few lines edited."""
+    if draw(st.booleans()):
+        return "\n".join(draw(st.lists(_EDGE_LINES, max_size=40))) + "\n"
+    lines = format_edge_list(draw(_regular_graphs())).splitlines()
+    for _ in range(draw(st.integers(0, 2))):
+        pos = draw(st.integers(0, len(lines) - 1))
+        if draw(st.booleans()):
+            del lines[pos]
+        else:
+            lines.insert(pos, draw(_EDGE_LINES))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _graphs_and_documents(draw):
+    """An edge list with a document: the graph's own rendered document,
+    possibly edited, a random relabeling of its edges without declared sums,
+    or one built from random edge records."""
+    graph = draw(_regular_graphs())
+    graph_text = format_edge_list(graph) if draw(st.integers(0, 3)) else draw(_edge_lists())
+    kind = draw(st.sampled_from(["rendered", "rendered", "relabeled", "random"]))
+    if kind == "rendered":
+        rendered = render_document(label_graph(graph))
+        return graph_text, draw(st.one_of(st.just(rendered), mutated_documents(st.just(rendered))))
+    if kind == "relabeled":
+        labels = draw(st.permutations(range(1, graph.m + 1)))
+        records = [(u, v, lab) for (u, v), lab in zip(graph.edges, labels)]
+    else:
+        records = draw(st.lists(st.tuples(st.integers(0, 64), st.integers(0, 64),
+                                          st.integers(-1, 64)), max_size=40))
+    return graph_text, HEADER + "\n" + "".join(f"edge {u} {v} {lab}\n" for u, v, lab in records)
+
+
+def _run(verb, *texts):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for idx, text in enumerate(texts):
+            path = Path(tmp) / f"in{idx}.txt"
+            path.write_text(text, encoding="utf-8")
+            paths.append(str(path))
+        return main([verb, *paths])
+
+
+class TestFuzz:
+    """Random input through main: every run ends in exit 0, 1 or 2, and no
+    exception escapes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_edge_lists())
+    def test_label(self, text):
+        assert _run("label", text) in (0, 1, 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_graphs_and_documents())
+    def test_verify(self, texts):
+        assert _run("verify", *texts) in (0, 1, 2)

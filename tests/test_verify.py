@@ -141,6 +141,24 @@ class TestCheckConstruction:
         assert report.inequality_ok is False
         assert f"vertex {a} " in report.first_failure
 
+    @pytest.mark.parametrize("past_end", [True, False], ids=["m+5", "-1"])
+    def test_stray_trail_edge_id_is_reported_not_raised(self, past_end):
+        res = label_graph(complete_bipartite(6, 6))
+        m = res.graph.m
+        stray = m + 5 if past_end else -1
+        events = list(res.layers[2].events)
+        *kept, last = events[0].trails
+        last = dataclasses.replace(last, edges=last.edges[:-1] + (stray,))
+        events[0] = dataclasses.replace(events[0], trails=(*kept, last))
+        broken = with_layer(res, 2, events=tuple(events))
+        issues, _ = check_construction(broken)
+        stray_issue = f"layer 2: trail names edge id {stray}, outside 0..{m - 1}"
+        assert "layer 2: trail units do not cover the trail graph exactly" in issues
+        assert stray_issue in issues
+        report = verify_antimagic(broken.graph, broken.labeling.labels, broken.layering, broken)
+        assert report.pair_sum_ok is False
+        assert report.first_failure == stray_issue
+
     @pytest.mark.parametrize("graph", [complete_bipartite(6, 6),
                                        shuffled_circulant(48, [1, 2], 48)],
                              ids=["K6,6", "C48(1,2)"])
