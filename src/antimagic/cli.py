@@ -75,7 +75,7 @@ def _cmd_verify(args) -> int:
         print("error: labels are not a bijection onto the label range", file=sys.stderr)
         return 1
     for v, declared in sorted(doc.sums.items()):
-        if v >= graph.n or report.vertex_sums[v] != declared:
+        if not 0 <= v < graph.n or report.vertex_sums[v] != declared:
             print(f"error: document declares vertex sum {declared} for vertex {v}, "
                   f"recomputation disagrees", file=sys.stderr)
             return 1

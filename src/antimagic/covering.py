@@ -60,7 +60,6 @@ class CoveringPair:
                     raise InternalInvariantError(f"outer vertex {end} is an end of two links")
             link_of[l.end_a] = l
             link_of[l.end_b] = l
-        self._link_of = link_of
         self.link_ends = frozenset(link_of)
 
         match_of: dict[int, int] = {}
@@ -87,9 +86,6 @@ class CoveringPair:
 
     def matching_edge(self, v: int) -> int | None:
         return self._match_of.get(v)
-
-    def link_of_end(self, y: int) -> Link | None:
-        return self._link_of.get(y)
 
     def describe(self) -> str:
         lines = [f"links {len(self.links)} matching {len(self.matching)}"]
@@ -579,10 +575,13 @@ def maximize_free_links(pair: CoveringPair, parent_edge: dict[int, int],
     exist.
 
     An exchange moves one link end to another neighbor of its center that is
-    not currently a link end; by R4 that neighbor is matched, so the parent-edge
-    map stays valid unchanged.  Exchanges are accepted only when the recomputed
-    free-link count strictly increases.  At a local optimum with bad components
-    still present, fewer than k free links is an implementation bug.
+    not currently a link end.  By R4 that neighbor is matched, and the center
+    stays unmatched, so the candidate pair stays irreducible and the
+    parent-edge map stays valid unchanged; `parent_edge` is not read here,
+    since `analyze` (through `residual_edge_sets`) rejects a parent edge that
+    is a link edge.  Exchanges are accepted only when the recomputed free-link
+    count strictly increases.  At a local optimum with bad components still
+    present, fewer than k free links is an implementation bug.
     """
     analysis = analyze(pair)
     guard = len(pair.links) + 1
@@ -599,7 +598,6 @@ def maximize_free_links(pair: CoveringPair, parent_edge: dict[int, int],
                     new_links = [Link.of(l.center, keep, w) if l == link else l
                                  for l in pair.links]
                     cand = CoveringPair(pair.view, pair.d, new_links, pair.matching)
-                    validate_covering_pair(cand)
                     cand_analysis = analyze(cand)
                     if cand_analysis.free_count > analysis.free_count:
                         improved = (cand, cand_analysis)
@@ -614,6 +612,4 @@ def maximize_free_links(pair: CoveringPair, parent_edge: dict[int, int],
     if analysis.bad_cids and analysis.free_count < k:
         raise InternalInvariantError(
             f"bad components remain with {analysis.free_count} free links, need at least {k}")
-    if set(parent_edge.values()) & pair.link_edge_ids:
-        raise InternalInvariantError("a parent edge became a link edge during exchanges")
     return pair, analysis

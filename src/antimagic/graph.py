@@ -251,9 +251,6 @@ class BipartiteView:
                 return eid
         return None
 
-    def edge_ids(self) -> list[int]:
-        return [eid for _, _, eid in self.edges]
-
 
 def layer_view(graph: Graph, layering: Layering, index: int) -> BipartiteView:
     """Bipartite view between layers index-1 and index; inner side may include

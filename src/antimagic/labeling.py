@@ -11,9 +11,9 @@ the partial sums they complete, which is what makes all vertex sums distinct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .covering import CoveringPair, Link, build_covering_pair, maximize_free_links
+from .covering import CoveringPair, build_covering_pair, maximize_free_links
 from .errors import InternalInvariantError
 from .graph import BipartiteView, Graph, Layering, bfs_layering, layer_view, validate_even_regular
 from .trails import (
@@ -82,9 +82,6 @@ class LayerRecord:
     parent_edge: dict[int, int]
     analysis: BadAnalysis
     events: tuple["TrailEvent", ...] = ()
-    link_order: tuple[Link, ...] = ()
-    link_low_end: dict[Link, int] = field(default_factory=dict)
-    parent_order: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -198,18 +195,9 @@ def _assign_inner_labels(graph: Graph, layering: Layering, index: int,
         lab += 1
 
 
-def _inner_start(view: BipartiteView, trail: Trail) -> int:
-    ends = [v for v in trail.ends if view.side(v) == "inner"]
-    if len(ends) != 1:
-        raise InternalInvariantError(f"mixed trail with ends {trail.ends} lacks a unique inner end")
-    return ends[0]
-
-
-def _outer_start(view: BipartiteView, trail: Trail) -> int:
-    ends = [v for v in trail.ends if view.side(v) == "outer"]
-    if len(ends) != 1:
-        raise InternalInvariantError(f"mixed trail with ends {trail.ends} lacks a unique outer end")
-    return ends[0]
+def _end_on(view: BipartiteView, trail: Trail, side: str) -> int:
+    """The end of a mixed trail on the given side of the view."""
+    return trail.vertices[0] if view.side(trail.vertices[0]) == side else trail.vertices[-1]
 
 
 def _assign_trail_labels(rec: LayerRecord, plan: LayerPlan, labels: dict[int, int],
@@ -217,24 +205,13 @@ def _assign_trail_labels(rec: LayerRecord, plan: LayerPlan, labels: dict[int, in
     view = rec.view
     family = rec.analysis.family
     cursor = _Cursor(*plan.trail_interval)
-    target = plan.target_pair_sum
     events: list[TrailEvent] = []
 
     def emit(kind: str, trails: tuple[Trail, ...], case: str | None, high_first: bool,
              bad: bool) -> None:
-        count = sum(t.edge_count for t in trails)
-        labs = cursor.take(count, high_first)
-        pos = 0
-        for t in trails:
-            for eid in t.edges:
-                labels[eid] = labs[pos]
-                pos += 1
+        eids = [eid for t in trails for eid in t.edges]
+        labels.update(zip(eids, cursor.take(len(eids), high_first)))
         events.append(TrailEvent(kind, trails, case, bad))
-        balanced = count % 2 == 0
-        want = target if balanced else target + 1
-        if cursor.lo + cursor.hi != want:
-            raise InternalInvariantError(
-                f"cursor identity broken after a {kind} unit in layer {plan.index}")
 
     for cid, trail in sorted(family.closed, key=lambda ct: min(ct[1].edges)):
         bad = cid in rec.analysis.bad_cids
@@ -251,28 +228,28 @@ def _assign_trail_labels(rec: LayerRecord, plan: LayerPlan, labels: dict[int, in
 
     mixed = list(family.open_mixed)
     for first, second in zip(mixed[0::2], mixed[1::2]):
-        a = orient_open(first, _inner_start(view, first))
-        b = orient_open(second, _outer_start(view, second))
+        a = orient_open(first, _end_on(view, first, "inner"))
+        b = orient_open(second, _end_on(view, second, "outer"))
         emit("mixed-pair", (a, b), None, False, False)
     if len(mixed) % 2:
         last = mixed[-1]
-        emit("mixed-last", (orient_open(last, _inner_start(view, last)),), None, False, False)
+        emit("mixed-last", (orient_open(last, _end_on(view, last, "inner")),), None, False, False)
 
     if cursor.lo != cursor.hi + 1:
         raise InternalInvariantError(f"trail interval of layer {plan.index} not exactly consumed")
     rec.events = tuple(events)
 
 
-def _assign_link_labels(rec: LayerRecord, plan: LayerPlan, labels: dict[int, int],
-                        k: int) -> None:
+def _assign_link_labels(rec: LayerRecord, plan: LayerPlan, labels: dict[int, int]) -> None:
+    """Free links first: the i-th link's low end gets base + i and its high
+    end base + c - i + 1; a free link with one end in a bad component puts
+    its low label on that end."""
     pair = rec.pair
     analysis = rec.analysis
     base = plan.offset + plan.inner_count + plan.trail_count
     c = plan.link_count
     free_set = set(analysis.free_links)
     ordered = list(analysis.free_links) + [l for l in pair.links if l not in free_set]
-
-    low_end: dict[Link, int] = {}
     for idx, link in enumerate(ordered, start=1):
         in_bad = [e for e in link.ends if e in analysis.bad_vertices]
         if link in free_set and len(in_bad) == 1:
@@ -284,20 +261,6 @@ def _assign_link_labels(rec: LayerRecord, plan: LayerPlan, labels: dict[int, int
         e_high = pair.view.edge_between(link.center, u_high)
         labels[e_low] = base + idx
         labels[e_high] = base + c - idx + 1
-        low_end[link] = u_low
-
-    if analysis.bad_cids:
-        # low labels on edges into bad components keep those vertex sums small
-        for link in ordered:
-            for end in link.ends:
-                if end in analysis.bad_vertices:
-                    lab = labels[pair.view.edge_between(link.center, end)]
-                    if lab > base + c - k:
-                        raise InternalInvariantError(
-                            f"link edge into a bad component got label {lab}, "
-                            f"above the bound {base + c - k}")
-    rec.link_order = tuple(ordered)
-    rec.link_low_end = low_end
 
 
 def label_graph(graph: Graph, root: int = 0) -> LabelingResult:
@@ -333,18 +296,11 @@ def label_graph(graph: Graph, root: int = 0) -> LabelingResult:
         rec, plan = records[i], plans[i]
         _assign_inner_labels(graph, layering, i, plan, labels)
         _assign_trail_labels(rec, plan, labels, k)
-        _assign_link_labels(rec, plan, labels, k)
+        _assign_link_labels(rec, plan, labels)
 
         bound = plan.partial_sum_bound(k)
         for u in layering.layers[i]:
-            s = 0
-            for _, eid in graph.incident(u):
-                if eid == rec.parent_edge[u]:
-                    continue
-                if eid not in labels:
-                    raise InternalInvariantError(
-                        f"edge {eid} at vertex {u} unlabeled when its partial sum is needed")
-                s += labels[eid]
+            s = sum(labels[eid] for _, eid in graph.incident(u) if eid != rec.parent_edge[u])
             partial[u] = s
             if s > bound:
                 raise InternalInvariantError(
@@ -358,13 +314,8 @@ def label_graph(graph: Graph, root: int = 0) -> LabelingResult:
                         f"layer bound {lower}")
 
         order = sorted(layering.layers[i], key=lambda u: (partial[u], u))
-        lab = plan.parent_interval[0]
-        for u in order:
+        for lab, u in enumerate(order, start=plan.parent_interval[0]):
             labels[rec.parent_edge[u]] = lab
-            lab += 1
-        if lab != plan.parent_interval[1] + 1:
-            raise InternalInvariantError("parent interval not exactly consumed")
-        rec.parent_order = tuple(order)
 
     label_seq = tuple(labels[eid] for eid in range(graph.m))
     partial[root] = sum(labels[eid] for _, eid in graph.incident(root))

@@ -137,6 +137,19 @@ class TestVerify:
         assert main(["verify", g, doc]) == 1
         assert "recomputation disagrees" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("records", [
+        # K5's sums of vertices 4 and 0, which ids -1 and -5 would index from the end
+        lambda sums: f"sum -1 {sums[4]}\nsum -5 {sums[0]}\n",
+        lambda sums: "sum -100 1\n",
+    ], ids=["-1,-5", "-100"])
+    def test_negative_sum_vertex_is_input_error(self, k5_file, tmp_path, records, capsys):
+        doc = tmp_path / "doc.txt"
+        assert main(["label", k5_file, "--out", str(doc)]) == 0
+        sums = label_graph(complete_graph(5)).labeling.vertex_sums
+        doc.write_text(doc.read_text() + records(sums))
+        assert main(["verify", k5_file, str(doc)]) == 1
+        assert "recomputation disagrees" in capsys.readouterr().err
+
     def test_edge_set_mismatch(self, tmp_path, capsys):
         g = write(tmp_path, "tri.txt", "0 1\n1 2\n0 2\n")
         doc = write(tmp_path, "other.doc", f"{HEADER}\nedge 0 1 1\nedge 1 2 2\nedge 1 3 3\n")

@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from antimagic import (GraphShapeError, bfs_layering, check_construction, generate_regular,
-                       label_graph, labeling, verify_antimagic)
+from antimagic import (GraphShapeError, InternalInvariantError, bfs_layering, check_construction,
+                       format_edge_list, generate_regular, label_graph, labeling, trails,
+                       verify_antimagic)
+from antimagic.cli import main
 from antimagic.documents import render_document
 from antimagic.labeling import LayerPlan
 from corpus import (circulant, complete_bipartite, complete_graph, cycle_graph,
@@ -145,6 +147,46 @@ class TestEdgeScans:
         assert issues == []
         reads = g.edges.reads + sum(t.reads for t in edge_class_reads)
         assert reads <= 16 * g.m
+
+
+class TestLostTrailEdge:
+    """A trail that loses its last edge leaves one label of the layer's trail
+    interval undealt; the exact-consumption check must name that layer, since
+    the interval's size is counted from the trail graph's degrees."""
+
+    @staticmethod
+    def losing_last_edge(monkeypatch):
+        decompose = trails.decompose_trails
+
+        def truncated(view, trail_eids):
+            family = decompose(view, trail_eids)
+            for kind in ("open_inner", "open_outer", "open_mixed"):
+                found = getattr(family, kind)
+                if found:
+                    t = found[0]
+                    short = trails.Trail(t.vertices[:-1], t.edges[:-1], closed=False)
+                    return dataclasses.replace(family, **{kind: (short,) + found[1:]})
+            return family
+
+        monkeypatch.setattr(trails, "decompose_trails", truncated)
+
+    def test_label_graph_raises_the_consumption_check(self, monkeypatch):
+        g = generate_regular(40, 6, 3)
+        assert any(rec.analysis.family.open_inner or rec.analysis.family.open_outer
+                   or rec.analysis.family.open_mixed for rec in label_graph(g).layers.values())
+        self.losing_last_edge(monkeypatch)
+        with pytest.raises(InternalInvariantError,
+                           match=r"^trail interval of layer \d+ not exactly consumed$"):
+            label_graph(g)
+
+    def test_label_verb_exits_3(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        path.write_text(format_edge_list(generate_regular(40, 6, 3)))
+        self.losing_last_edge(monkeypatch)
+        assert main(["label", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "not exactly consumed" in err
+        assert "KeyError" not in err
 
 
 class TestPlanArithmetic:

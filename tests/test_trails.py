@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from antimagic import BipartiteView, InternalInvariantError
 from antimagic.covering import CoveringPair
-from antimagic.trails import (Trail, analyze_bad_components, choose_closed_start,
-                              decompose_trails, detect_bad_components, orient_open,
-                              residual_edge_sets, rotate_closed)
+from antimagic.trails import (Trail, _split_at_dummies, analyze_bad_components,
+                              choose_closed_start, decompose_trails, detect_bad_components,
+                              orient_open, residual_edge_sets, rotate_closed)
 from corpus import free_link_gadget, random_bounded_bipartite
 
 
@@ -107,6 +107,47 @@ class TestDecompose:
         fam1 = decompose_trails(view, eids)
         fam2 = decompose_trails(view, eids)
         assert [t.edges for t in fam1.all_trails()] == [t.edges for t in fam2.all_trails()]
+
+
+def reference_split_at_dummies(verts, eids):
+    """The splitter as first written: one segment after each dummy, in
+    circuit order, each running to the next dummy with wrap-around."""
+    length = len(eids)
+    cyc = verts[:length]
+    dummy_pos = [i for i, eid in enumerate(eids) if eid < 0]
+    trails = []
+    for idx, j in enumerate(dummy_pos):
+        nj = dummy_pos[(idx + 1) % len(dummy_pos)]
+        seg_v = [cyc[(j + 1) % length]]
+        seg_e = []
+        for step in range((nj - j - 1) % length):
+            pos = (j + 1 + step) % length
+            seg_e.append(eids[pos])
+            seg_v.append(cyc[(pos + 1) % length])
+        trails.append(Trail(tuple(seg_v), tuple(seg_e), closed=False))
+    return trails
+
+
+@st.composite
+def circuits_with_dummies(draw):
+    """A closed walk's vertex and edge lists with at least one dummy edge and
+    no two dummies next to each other, cyclically."""
+    length = draw(st.integers(2, 30))
+    dummy = [False] * length
+    for pos in draw(st.lists(st.integers(0, length - 1), min_size=1, max_size=length)):
+        if not dummy[pos - 1] and not dummy[(pos + 1) % length]:
+            dummy[pos] = True
+    verts = draw(st.lists(st.integers(0, 9), min_size=length, max_size=length))
+    eids = [-1 - pos if is_dummy else pos for pos, is_dummy in enumerate(dummy)]
+    return verts + verts[:1], eids
+
+
+class TestSplitAtDummies:
+    @settings(max_examples=200, deadline=None)
+    @given(circuits_with_dummies())
+    def test_same_trails_in_the_same_order_as_the_reference(self, circuit):
+        verts, eids = circuit
+        assert _split_at_dummies(verts, eids) == reference_split_at_dummies(verts, eids)
 
 
 class TestResidual:

@@ -141,6 +141,18 @@ class TestCheckConstruction:
         assert report.inequality_ok is False
         assert f"vertex {a} " in report.first_failure
 
+    def test_missing_parent_edge_skips_the_parent_order(self):
+        # the order by partial sum cannot be recomputed without the vertex's
+        # partial sum, so the other parent labels are not judged against it
+        res = label_graph(generate_regular(40, 6, 3))
+        rec = res.layers[2]
+        a = rec.view.outer[0]
+        broken = with_layer(res, 2, parent_edge={u: e for u, e in rec.parent_edge.items()
+                                                 if u != a})
+        issues, _ = check_construction(broken)
+        assert f"layer 2: vertex {a} has no valid parent edge for its partial sum" in issues
+        assert not [issue for issue in issues if "parent edge of vertex" in issue]
+
     @pytest.mark.parametrize("past_end", [True, False], ids=["m+5", "-1"])
     def test_stray_trail_edge_id_is_reported_not_raised(self, past_end):
         res = label_graph(complete_bipartite(6, 6))
@@ -185,6 +197,34 @@ class TestCheckConstruction:
         label = res.labeling.labels[first]
         assert any(issue.startswith(f"layer {i}: edge {first} carries label {label}, replay gives ")
                    for issue in issues)
+
+    @staticmethod
+    def with_swapped_labels(res, a, b):
+        labels = list(res.labeling.labels)
+        labels[a], labels[b] = labels[b], labels[a]
+        return dataclasses.replace(
+            res, labeling=dataclasses.replace(res.labeling, labels=tuple(labels)))
+
+    def test_swapped_link_labels_are_reported(self):
+        res = label_graph(complete_bipartite(6, 6))
+        view = res.layers[2].view
+        link = res.layers[2].pair.links[0]
+        a, b = (view.edge_between(link.center, end) for end in link.ends)
+        issues, _ = check_construction(self.with_swapped_labels(res, a, b))
+        assert f"layer 2: low link edge of center {link.center} mislabeled" in issues
+        assert f"layer 2: high link edge of center {link.center} mislabeled" in issues
+
+    def test_swapped_parent_labels_are_reported(self):
+        res = label_graph(complete_bipartite(6, 6))
+        rec = res.layers[2]
+        u, w = rec.view.outer[:2]
+        a, b = rec.parent_edge[u], rec.parent_edge[w]
+        labels = res.labeling.labels
+        issues, _ = check_construction(self.with_swapped_labels(res, a, b))
+        assert (f"layer 2: parent edge of vertex {u} carries label {labels[b]}, "
+                f"expected {labels[a]}") in issues
+        assert (f"layer 2: parent edge of vertex {w} carries label {labels[a]}, "
+                f"expected {labels[b]}") in issues
 
     @pytest.mark.parametrize("tamper", ["claims a bad component", "drops a free link"])
     def test_tampered_bad_analysis_is_reported(self, tamper):
