@@ -315,15 +315,20 @@ def _escape_witness(view: BipartiteView, st: _LinkSearch, pot: tuple[int, int],
 def _gaining_add(view: BipartiteView, st: _LinkSearch, pot: tuple[int, int]) -> tuple[int, int] | None:
     """Apply one feasible add-center move that strictly grows the covered outer
     set, if one exists.  Running these to exhaustion gives the family the
-    maximality the matching step depends on."""
+    maximality the matching step depends on.
+
+    The coverage of the current centers is computed once: adding x covers
+    those outer vertices plus x's uncovered neighbors, so each candidate is
+    screened in O(d), and only one whose covered count beats pot[0] pays for
+    the full potential with its frontier."""
+    covered = _coverage(view, st.centers)
+    base = len(covered)
     for x in view.inner:
         if x in st.centers:
             continue
-        cand = set(st.centers)
-        cand.add(x)
-        new_pot = _potential(view, cand)
-        if new_pot[0] <= pot[0]:
+        if base + sum(1 for y, _ in view.incident(x) if y not in covered) <= pot[0]:
             continue
+        new_pot = _potential(view, st.centers | {x})
         snap = st.snapshot()
         if st.apply(add=x):
             return new_pot

@@ -10,6 +10,7 @@ dummies.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 
 from .covering import CoveringPair, Link
@@ -97,29 +98,27 @@ def residual_edge_sets(view: BipartiteView, pair: CoveringPair,
     return frozenset(residual), frozenset(residual - pair.link_edge_ids)
 
 
-def _euler_circuit(adj: dict[int, list[tuple[int, int]]], start: int) -> tuple[list[int], list[int]]:
-    """Iterative Hierholzer walk over an even-degree connected edge set;
-    adjacency lists must be sorted for determinism."""
-    ptr = {v: 0 for v in adj}
+def _euler_circuit(walk: dict[int, list[tuple[int, int]]],
+                   members: list[int]) -> tuple[list[int], list[int]]:
+    """Iterative Hierholzer walk over the even-degree connected edge set on
+    `members` (sorted), from the lowest member; adjacency lists must be
+    sorted for determinism.  `walk` may hold other components too.  Each
+    member keeps one iterator over its list, so every entry is read once and
+    an edge already walked from its other end is skipped there."""
+    todo = {v: iter(walk[v]) for v in members}
     used: set[int] = set()
-    stack_v = [start]
+    stack_v = [members[0]]
     stack_e: list[int] = []
     out_v: list[int] = []
     out_e: list[int] = []
     while stack_v:
-        v = stack_v[-1]
-        advanced = False
-        while ptr[v] < len(adj[v]):
-            w, eid = adj[v][ptr[v]]
-            if eid in used:
-                ptr[v] += 1
-                continue
-            used.add(eid)
-            stack_v.append(w)
-            stack_e.append(eid)
-            advanced = True
-            break
-        if not advanced:
+        for w, eid in todo[stack_v[-1]]:
+            if eid not in used:
+                used.add(eid)
+                stack_v.append(w)
+                stack_e.append(eid)
+                break
+        else:
             out_v.append(stack_v.pop())
             if stack_e:
                 out_e.append(stack_e.pop())
@@ -144,18 +143,22 @@ def _split_at_dummies(verts: list[int], eids: list[int]) -> list[Trail]:
 
 
 def decompose_trails(view: BipartiteView, trail_eids: frozenset[int]) -> TrailFamily:
-    """Split the trail graph into components and decompose each into trails."""
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for x, y, eid in view.edges:
-        if eid in trail_eids:
-            adj.setdefault(x, []).append((y, eid))
-            adj.setdefault(y, []).append((x, eid))
-    for lst in adj.values():
-        lst.sort()
+    """Split the trail graph into components and decompose each into trails.
+
+    The trail adjacency filters the view's incidence lists, which are already
+    sorted.  Components are vertex-disjoint, so one walk map serves them all:
+    an odd vertex's list gets its dummy edge inserted at its sorted position
+    once the component's degrees are recorded, and every other list is
+    walked as filtered."""
+    walk: dict[int, list[tuple[int, int]]] = {}
+    for v in (*view.inner, *view.outer):
+        lst = [pair for pair in view.incident(v) if pair[1] in trail_eids]
+        if lst:
+            walk[v] = lst
 
     comp_members: list[list[int]] = []
     comp_of: dict[int, int] = {}
-    for v in sorted(adj):
+    for v in sorted(walk):
         if v in comp_of:
             continue
         cid = len(comp_members)
@@ -165,46 +168,43 @@ def decompose_trails(view: BipartiteView, trail_eids: frozenset[int]) -> TrailFa
         while stack:
             u = stack.pop()
             members.append(u)
-            for w, _eid in adj[u]:
+            for w, _eid in walk[u]:
                 if w not in comp_of:
                     comp_of[w] = cid
                     stack.append(w)
-        comp_members.append(sorted(members))
+        members.sort()
+        comp_members.append(members)
 
     components: list[Component] = []
     closed: list[tuple[int, Trail]] = []
     open_inner: list[Trail] = []
     open_outer: list[Trail] = []
     open_mixed: list[Trail] = []
+    side = view.side
     dummy_next = -1
 
     for cid, members in enumerate(comp_members):
-        degrees = {v: len(adj[v]) for v in members}
+        degrees = {v: len(walk[v]) for v in members}
         edge_count = sum(degrees.values()) // 2
         components.append(Component(cid, frozenset(members), edge_count, degrees))
-        odd = sorted(v for v in members if degrees[v] % 2)
-        if not odd:
-            verts, eids = _euler_circuit({v: adj[v] for v in members}, min(members))
-            trail = Trail(tuple(verts), tuple(eids), closed=True)
-            closed.append((cid, trail))
-            continue
-        aug = {v: list(adj[v]) for v in members}
+        odd = [v for v in members if degrees[v] % 2]
         for i in range(0, len(odd), 2):
             a, b = odd[i], odd[i + 1]
-            aug[a].append((b, dummy_next))
-            aug[b].append((a, dummy_next))
+            insort(walk[a], (b, dummy_next))
+            insort(walk[b], (a, dummy_next))
             dummy_next -= 1
-        for lst in aug.values():
-            lst.sort()
-        verts, eids = _euler_circuit(aug, min(members))
+        verts, eids = _euler_circuit(walk, members)
+        if not odd:
+            closed.append((cid, Trail(tuple(verts), tuple(eids), closed=True)))
+            continue
         for seg in _split_at_dummies(verts, eids):
-            sides = {view.side(seg.vertices[0]), view.side(seg.vertices[-1])}
-            if sides == {"inner"}:
-                open_inner.append(seg)
-            elif sides == {"outer"}:
-                open_outer.append(seg)
-            else:
+            first, last = side(seg.vertices[0]), side(seg.vertices[-1])
+            if first != last:
                 open_mixed.append(seg)
+            elif first == "inner":
+                open_inner.append(seg)
+            else:
+                open_outer.append(seg)
 
     return TrailFamily(
         components=tuple(components),

@@ -11,8 +11,8 @@ from antimagic import (BipartiteView, GraphShapeError, InternalInvariantError,
                        bfs_layering, build_covering_pair, covering, layer_view,
                        validate_covering_pair)
 from antimagic.covering import (CoveringPair, Link, _candidate_moves, _link_search_pair, _LinkSearch,
-                                hall_matching, maximize_free_links, maximize_link_family,
-                                pad_to_biregular)
+                                _potential, hall_matching, maximize_free_links,
+                                maximize_link_family, pad_to_biregular)
 from antimagic.trails import analyze_bad_components
 from antimagic.verify import stress_instances
 from corpus import (complete_bipartite, complete_graph, free_link_gadget,
@@ -247,6 +247,64 @@ class TestLinkFamily:
 
     def test_hall_matching_empty_view(self):
         assert hall_matching(make_view([], [], []), 3) == frozenset()
+
+
+def reference_gaining_add(view, st, pot):
+    """The add scan as first written: the full potential of every candidate
+    center set, compared on its covered count."""
+    for x in view.inner:
+        if x in st.centers:
+            continue
+        cand = set(st.centers)
+        cand.add(x)
+        new_pot = _potential(view, cand)
+        if new_pot[0] <= pot[0]:
+            continue
+        snap = st.snapshot()
+        if st.apply(add=x):
+            return new_pot
+        st.restore(snap)
+    return None
+
+
+def padded_layer_two(a):
+    """The layer-2 view of K_{a,a}, padded: a inner vertices of degree a - 1
+    over a - 1 outer ones, where Hall's condition fails."""
+    g = complete_bipartite(a, a)
+    return pad_to_biregular(layer_view(g, bfs_layering(g, 0), 2), a - 1)[0]
+
+
+class TestGainingAddDifferential:
+    def test_random_views_same_links_as_the_reference(self, monkeypatch):
+        for seed in range(60):
+            d = (3, 5)[seed % 2]
+            padded, _ = pad_to_biregular(random_bounded_bipartite(random.Random(seed), d), d)
+            links = maximize_link_family(padded, d)
+            with monkeypatch.context() as m:
+                m.setattr(covering, "_gaining_add", reference_gaining_add)
+                assert maximize_link_family(padded, d) == links, f"seed {seed}"
+
+    def test_complete_bipartite_layer_two_same_links_as_the_reference(self, monkeypatch):
+        for a in range(4, 31):
+            padded = padded_layer_two(a)
+            links = maximize_link_family(padded, a - 1)
+            with monkeypatch.context() as m:
+                m.setattr(covering, "_gaining_add", reference_gaining_add)
+                assert maximize_link_family(padded, a - 1) == links, f"K_{a},{a}"
+
+    def test_add_scan_screens_candidates_before_the_potential(self, monkeypatch):
+        # only an add that covers a new outer vertex pays for the frontier:
+        # on K_{20,20} layer 2 the first add does, then no candidate can
+        calls = []
+
+        def counted(view, centers):
+            calls.append(len(centers))
+            return _potential(view, centers)
+
+        monkeypatch.setattr(covering, "_potential", counted)
+        links = maximize_link_family(padded_layer_two(20), 19)
+        assert len(links) == 1
+        assert len(calls) <= 2
 
 
 class TestLongAugmentingPaths:

@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from antimagic import BipartiteView, InternalInvariantError
 from antimagic.covering import CoveringPair
-from antimagic.trails import (Trail, _split_at_dummies, analyze_bad_components,
-                              choose_closed_start, decompose_trails, detect_bad_components,
-                              orient_open, residual_edge_sets, rotate_closed)
+from antimagic.trails import (Component, Trail, TrailFamily, _split_at_dummies,
+                              analyze_bad_components, choose_closed_start, decompose_trails,
+                              detect_bad_components, orient_open, residual_edge_sets,
+                              rotate_closed)
 from corpus import free_link_gadget, random_bounded_bipartite
 
 
@@ -148,6 +149,158 @@ class TestSplitAtDummies:
     def test_same_trails_in_the_same_order_as_the_reference(self, circuit):
         verts, eids = circuit
         assert _split_at_dummies(verts, eids) == reference_split_at_dummies(verts, eids)
+
+
+def reference_euler_circuit(adj, start):
+    """The Hierholzer walk as first written: a pointer per vertex of `adj`,
+    advanced past each edge already used."""
+    ptr = {v: 0 for v in adj}
+    used = set()
+    stack_v = [start]
+    stack_e = []
+    out_v = []
+    out_e = []
+    while stack_v:
+        v = stack_v[-1]
+        advanced = False
+        while ptr[v] < len(adj[v]):
+            w, eid = adj[v][ptr[v]]
+            if eid in used:
+                ptr[v] += 1
+                continue
+            used.add(eid)
+            stack_v.append(w)
+            stack_e.append(eid)
+            advanced = True
+            break
+        if not advanced:
+            out_v.append(stack_v.pop())
+            if stack_e:
+                out_e.append(stack_e.pop())
+    out_v.reverse()
+    out_e.reverse()
+    return out_v, out_e
+
+
+def reference_decompose_trails(view, trail_eids):
+    """The trail builder as first written: adjacency rebuilt from the edge
+    list and sorted, one adjacency copy per component, dummies appended and
+    every list re-sorted."""
+    adj = {}
+    for x, y, eid in view.edges:
+        if eid in trail_eids:
+            adj.setdefault(x, []).append((y, eid))
+            adj.setdefault(y, []).append((x, eid))
+    for lst in adj.values():
+        lst.sort()
+
+    comp_members = []
+    comp_of = {}
+    for v in sorted(adj):
+        if v in comp_of:
+            continue
+        cid = len(comp_members)
+        stack = [v]
+        comp_of[v] = cid
+        members = []
+        while stack:
+            u = stack.pop()
+            members.append(u)
+            for w, _eid in adj[u]:
+                if w not in comp_of:
+                    comp_of[w] = cid
+                    stack.append(w)
+        comp_members.append(sorted(members))
+
+    components, closed, open_inner, open_outer, open_mixed = [], [], [], [], []
+    dummy_next = -1
+    for cid, members in enumerate(comp_members):
+        degrees = {v: len(adj[v]) for v in members}
+        edge_count = sum(degrees.values()) // 2
+        components.append(Component(cid, frozenset(members), edge_count, degrees))
+        odd = sorted(v for v in members if degrees[v] % 2)
+        if not odd:
+            verts, eids = reference_euler_circuit({v: adj[v] for v in members}, min(members))
+            closed.append((cid, Trail(tuple(verts), tuple(eids), closed=True)))
+            continue
+        aug = {v: list(adj[v]) for v in members}
+        for i in range(0, len(odd), 2):
+            a, b = odd[i], odd[i + 1]
+            aug[a].append((b, dummy_next))
+            aug[b].append((a, dummy_next))
+            dummy_next -= 1
+        for lst in aug.values():
+            lst.sort()
+        verts, eids = reference_euler_circuit(aug, min(members))
+        for seg in _split_at_dummies(verts, eids):
+            sides = {view.side(seg.vertices[0]), view.side(seg.vertices[-1])}
+            if sides == {"inner"}:
+                open_inner.append(seg)
+            elif sides == {"outer"}:
+                open_outer.append(seg)
+            else:
+                open_mixed.append(seg)
+    return TrailFamily(tuple(components), tuple(closed), tuple(open_inner),
+                       tuple(open_outer), tuple(open_mixed))
+
+
+def shuffled_view_and_subset(seed):
+    """A random bounded view plus a planted cycle on fresh vertices, with
+    vertex and edge order shuffled, and as trail edges the cycle (always even)
+    and a random subset of the rest; dropping edges splits the trail graph
+    into several components and leaves some view vertices isolated."""
+    rng = random.Random(seed)
+    base = random_bounded_bipartite(rng, rng.choice([3, 5, 7]), max_inner=12, max_outer=14)
+    r = rng.randrange(2, 5)
+    fresh = len(base.inner) + len(base.outer)
+    ring_inner = list(range(fresh, fresh + r))
+    ring_outer = list(range(fresh + r, fresh + 2 * r))
+    ring = [(ring_inner[i], ring_outer[(i + j) % r], base.edge_count + 2 * i + j)
+            for i in range(r) for j in (0, 1)]
+    inner, outer = list(base.inner) + ring_inner, list(base.outer) + ring_outer
+    edges = list(base.edges) + ring
+    for seq in (inner, outer, edges):
+        rng.shuffle(seq)
+    view = BipartiteView(1, tuple(inner), tuple(outer), tuple(edges))
+    keep = rng.random()
+    rest = (eid for _, _, eid in base.edges if rng.random() < keep)
+    return view, frozenset(eid for _, _, eid in ring).union(rest)
+
+
+def assert_same_family(fam, ref):
+    # Component equality compares cid, vertices, edge_count and degrees;
+    # each closed entry carries its component id
+    assert fam.components == ref.components
+    assert fam.closed == ref.closed
+    assert fam.open_inner == ref.open_inner
+    assert fam.open_outer == ref.open_outer
+    assert fam.open_mixed == ref.open_mixed
+
+
+class TestDecomposeDifferential:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_same_family_as_the_reference(self, seed):
+        view, trail_eids = shuffled_view_and_subset(seed)
+        assert_same_family(decompose_trails(view, trail_eids),
+                           reference_decompose_trails(view, trail_eids))
+
+    def test_fixed_seeds_reach_every_shape(self):
+        # the differential sees families with several components, even and
+        # odd ones side by side, and view vertices left out of the trail graph
+        shapes = set()
+        for seed in range(150):
+            view, trail_eids = shuffled_view_and_subset(seed)
+            fam = decompose_trails(view, trail_eids)
+            assert_same_family(fam, reference_decompose_trails(view, trail_eids))
+            touched = set().union(*(c.vertices for c in fam.components))
+            if len(fam.components) >= 2:
+                shapes.add("several")
+            if fam.closed and (fam.open_inner or fam.open_outer or fam.open_mixed):
+                shapes.add("even and odd")
+            if touched < set(view.inner) | set(view.outer):
+                shapes.add("isolated")
+        assert shapes == {"several", "even and odd", "isolated"}
 
 
 class TestResidual:
