@@ -500,7 +500,7 @@ def restrict_and_reduce(view: BipartiteView, d: int, links: Iterable[Link],
     depend on.
     """
     vids = set(view.inner) | set(view.outer)
-    view_eids = {eid for _, _, eid in view.edges}
+    view_eids = view.edge_ends.keys()
     m_set = {eid for eid in matching if eid in view_eids}
     f_list = sorted(l for l in links
                     if l.center in vids and l.end_a in vids and l.end_b in vids)
@@ -574,19 +574,19 @@ def _link_search_pair(view: BipartiteView, d: int) -> CoveringPair:
     return pair
 
 
-def maximize_free_links(pair: CoveringPair, parent_edge: dict[int, int],
-                        analyze: Callable[[CoveringPair], "object"], k: int):
+def maximize_free_links(pair: CoveringPair, analyze: Callable[[CoveringPair], "object"],
+                        k: int):
     """Exchange link ends to raise the number of free links while bad components
     exist.
 
     An exchange moves one link end to another neighbor of its center that is
     not currently a link end.  By R4 that neighbor is matched, and the center
     stays unmatched, so the candidate pair stays irreducible and the
-    parent-edge map stays valid unchanged; `parent_edge` is not read here,
-    since `analyze` (through `residual_edge_sets`) rejects a parent edge that
-    is a link edge.  Exchanges are accepted only when the recomputed free-link
-    count strictly increases.  At a local optimum with bad components still
-    present, fewer than k free links is an implementation bug.
+    parent-edge map stays valid unchanged; `analyze` (through
+    `residual_edge_sets`) rejects a parent edge that is a link edge.
+    Exchanges are accepted only when the recomputed free-link count strictly
+    increases.  At a local optimum with bad components still present, fewer
+    than k free links is an implementation bug.
     """
     analysis = analyze(pair)
     guard = len(pair.links) + 1
@@ -604,7 +604,7 @@ def maximize_free_links(pair: CoveringPair, parent_edge: dict[int, int],
                                  for l in pair.links]
                     cand = CoveringPair(pair.view, pair.d, new_links, pair.matching)
                     cand_analysis = analyze(cand)
-                    if cand_analysis.free_count > analysis.free_count:
+                    if len(cand_analysis.free_links) > len(analysis.free_links):
                         improved = (cand, cand_analysis)
                         break
                 if improved:
@@ -614,7 +614,8 @@ def maximize_free_links(pair: CoveringPair, parent_edge: dict[int, int],
         if improved is None:
             break
         pair, analysis = improved
-    if analysis.bad_cids and analysis.free_count < k:
+    if analysis.bad_cids and len(analysis.free_links) < k:
         raise InternalInvariantError(
-            f"bad components remain with {analysis.free_count} free links, need at least {k}")
+            f"bad components remain with {len(analysis.free_links)} free links, "
+            f"need at least {k}")
     return pair, analysis

@@ -245,6 +245,11 @@ class BipartiteView:
         """(inner, outer) endpoints of a view edge."""
         return self._ends[eid]
 
+    @property
+    def edge_ends(self) -> dict[int, tuple[int, int]]:
+        """(inner, outer) endpoints of every view edge, by edge id."""
+        return self._ends
+
     def edge_between(self, u: int, v: int) -> int | None:
         for w, eid in self._adj[u]:
             if w == v:

@@ -1,8 +1,10 @@
 """The labeling engine: interval plan, parent-edge map, and label assignment.
 
-Layers are prepared from the root outward (covering pair, parent edges, trail
-decomposition), then labeled from the outermost layer inward.  Within a layer
-the order is: edges inside the layer, trail edges, link edges, parent edges.
+Layers are handled in one pass from the outermost layer inward: each layer's
+covering pair, parent edges and trail decomposition are built, its label
+block is stacked on the labels the layers outside it used, and its edges are
+labeled.  Within a layer the order is: edges inside the layer, trail edges,
+link edges, parent edges.
 Trail labels are drawn from both ends of the layer's trail interval so that
 consecutive trail edges meeting at an inner vertex sum high and those meeting
 at an outer vertex sum low; parent edges are labeled in increasing order of
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .covering import CoveringPair, build_covering_pair, maximize_free_links
+from .covering import CoveringPair, Link, build_covering_pair, maximize_free_links
 from .errors import InternalInvariantError
 from .graph import BipartiteView, Graph, Layering, bfs_layering, layer_view, validate_even_regular
 from .trails import (
@@ -73,15 +75,18 @@ class LayerPlan:
                 + (k + 1) * self.trail_count + self.link_count + k)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayerRecord:
-    """Everything built for one layer, filled across the two passes."""
+    """What the replay reads of one layer, built in the one labeling pass once
+    the layer is labeled; its trail family and bad-component analysis are
+    dropped with the layer."""
 
     view: BipartiteView
     pair: CoveringPair
     parent_edge: dict[int, int]
-    analysis: BadAnalysis
-    events: tuple["TrailEvent", ...] = ()
+    bad_cids: frozenset[int]
+    free_links: tuple[Link, ...]
+    events: tuple["TrailEvent", ...]
 
 
 @dataclass(frozen=True)
@@ -153,34 +158,23 @@ def assign_parent_edges(view: BipartiteView, pair: CoveringPair) -> dict[int, in
     return parent
 
 
-def compute_interval_plan(graph: Graph, layering: Layering,
-                          trail_counts: dict[int, int],
-                          link_counts: dict[int, int]) -> dict[int, LayerPlan]:
-    """Stack the per-layer intervals from the outermost layer down and check
-    they cover the whole label range; each LayerPlan's intervals are
-    contiguous by construction."""
-    p = layering.depth
-    within = {i: 0 for i in range(0, p + 1)}
-    for u, v in graph.edges:
-        if layering.layer_of[u] == layering.layer_of[v]:
-            within[layering.layer_of[u]] += 1
-
-    plans: dict[int, LayerPlan] = {}
-    offset = 0
-    for i in range(p, 0, -1):
-        plans[i] = LayerPlan(
-            index=i,
-            layer_size=len(layering.layers[i]),
-            inner_count=within[i],
-            trail_count=trail_counts[i],
-            link_count=link_counts[i],
-            offset=offset,
-        )
-        offset = plans[i].upper
-    if offset != graph.m:
-        raise InternalInvariantError(
-            f"interval plan covers {offset} labels for {graph.m} edges")
-    return plans
+def compute_interval_plan(layering: Layering, view: BipartiteView, pair: CoveringPair,
+                          offset: int) -> LayerPlan:
+    """The plan of layer `view.index`, stacked on the `offset` labels of the
+    layers outside it.  The layer's class edges are its within-layer edges
+    and the view's cross edges: one parent edge per outer vertex, two edges
+    per link, and the trail edges."""
+    i = view.index
+    layer_size = len(layering.layers[i])
+    link_count = 2 * len(pair.links)
+    return LayerPlan(
+        index=i,
+        layer_size=layer_size,
+        inner_count=len(layering.class_edges[i]) - view.edge_count,
+        trail_count=view.edge_count - layer_size - link_count,
+        link_count=link_count,
+        offset=offset,
+    )
 
 
 def _assign_inner_labels(graph: Graph, layering: Layering, index: int,
@@ -200,10 +194,10 @@ def _end_on(view: BipartiteView, trail: Trail, side: str) -> int:
     return trail.vertices[0] if view.side(trail.vertices[0]) == side else trail.vertices[-1]
 
 
-def _assign_trail_labels(rec: LayerRecord, plan: LayerPlan, labels: dict[int, int],
-                         k: int) -> None:
-    view = rec.view
-    family = rec.analysis.family
+def _assign_trail_labels(view: BipartiteView, pair: CoveringPair, analysis: BadAnalysis,
+                         plan: LayerPlan, labels: dict[int, int],
+                         k: int) -> tuple[TrailEvent, ...]:
+    family = analysis.family
     cursor = _Cursor(*plan.trail_interval)
     events: list[TrailEvent] = []
 
@@ -214,9 +208,9 @@ def _assign_trail_labels(rec: LayerRecord, plan: LayerPlan, labels: dict[int, in
         events.append(TrailEvent(kind, trails, case, bad))
 
     for cid, trail in sorted(family.closed, key=lambda ct: min(ct[1].edges)):
-        bad = cid in rec.analysis.bad_cids
+        bad = cid in analysis.bad_cids
         comp = family.components[cid]
-        start, case = choose_closed_start(trail, comp, bad, rec.pair, view, k)
+        start, case = choose_closed_start(trail, comp, bad, pair, view, k)
         oriented = rotate_closed(trail, start)
         emit("closed", (oriented,), case, case == "outer-high", bad)
 
@@ -237,15 +231,14 @@ def _assign_trail_labels(rec: LayerRecord, plan: LayerPlan, labels: dict[int, in
 
     if cursor.lo != cursor.hi + 1:
         raise InternalInvariantError(f"trail interval of layer {plan.index} not exactly consumed")
-    rec.events = tuple(events)
+    return tuple(events)
 
 
-def _assign_link_labels(rec: LayerRecord, plan: LayerPlan, labels: dict[int, int]) -> None:
+def _assign_link_labels(pair: CoveringPair, analysis: BadAnalysis, plan: LayerPlan,
+                        labels: dict[int, int]) -> None:
     """Free links first: the i-th link's low end gets base + i and its high
     end base + c - i + 1; a free link with one end in a bad component puts
     its low label on that end."""
-    pair = rec.pair
-    analysis = rec.analysis
     base = plan.offset + plan.inner_count + plan.trail_count
     c = plan.link_count
     free_set = set(analysis.free_links)
@@ -271,36 +264,26 @@ def label_graph(graph: Graph, root: int = 0) -> LabelingResult:
     layering = bfs_layering(graph, root)
     p = layering.depth
 
+    plans: dict[int, LayerPlan] = {}
     records: dict[int, LayerRecord] = {}
-    trail_counts: dict[int, int] = {}
-    link_counts: dict[int, int] = {}
-    for i in range(1, p + 1):
+    labels: dict[int, int] = {}
+    partial: dict[int, int] = {}
+    offset = 0
+    for i in range(p, 0, -1):
         view = layer_view(graph, layering, i)
         pair = build_covering_pair(view, d)
         parent = assign_parent_edges(view, pair)
-
-        def analyze(pr: CoveringPair, _view: BipartiteView = view,
-                    _parent: dict[int, int] = parent) -> BadAnalysis:
-            return analyze_bad_components(_view, pr, _parent, k)
-
-        pair, analysis = maximize_free_links(pair, parent, analyze, k)
-        records[i] = LayerRecord(view=view, pair=pair, parent_edge=parent, analysis=analysis)
-        trail_counts[i] = analysis.family.edge_total
-        link_counts[i] = 2 * len(pair.links)
-
-    plans = compute_interval_plan(graph, layering, trail_counts, link_counts)
-
-    labels: dict[int, int] = {}
-    partial: dict[int, int] = {}
-    for i in range(p, 0, -1):
-        rec, plan = records[i], plans[i]
+        pair, analysis = maximize_free_links(
+            pair, lambda pr: analyze_bad_components(view, pr, parent, k), k)
+        plan = plans[i] = compute_interval_plan(layering, view, pair, offset)
+        offset = plan.upper
         _assign_inner_labels(graph, layering, i, plan, labels)
-        _assign_trail_labels(rec, plan, labels, k)
-        _assign_link_labels(rec, plan, labels)
+        events = _assign_trail_labels(view, pair, analysis, plan, labels, k)
+        _assign_link_labels(pair, analysis, plan, labels)
 
         bound = plan.partial_sum_bound(k)
         for u in layering.layers[i]:
-            s = sum(labels[eid] for _, eid in graph.incident(u) if eid != rec.parent_edge[u])
+            s = sum(labels[eid] for _, eid in graph.incident(u) if eid != parent[u])
             partial[u] = s
             if s > bound:
                 raise InternalInvariantError(
@@ -315,27 +298,22 @@ def label_graph(graph: Graph, root: int = 0) -> LabelingResult:
 
         order = sorted(layering.layers[i], key=lambda u: (partial[u], u))
         for lab, u in enumerate(order, start=plan.parent_interval[0]):
-            labels[rec.parent_edge[u]] = lab
+            labels[parent[u]] = lab
+        records[i] = LayerRecord(view, pair, parent, analysis.bad_cids, analysis.free_links,
+                                 events)
 
     label_seq = tuple(labels[eid] for eid in range(graph.m))
-    partial[root] = sum(labels[eid] for _, eid in graph.incident(root))
-    sums = []
-    for v in range(graph.n):
-        if v == root:
-            sums.append(partial[v])
-        else:
-            rec = records[layering.layer_of[v]]
-            sums.append(partial[v] + labels[rec.parent_edge[v]])
-    labeling = Labeling(
-        labels=label_seq,
-        partial_sums=tuple(partial[v] for v in range(graph.n)),
-        vertex_sums=tuple(sums),
-    )
-    result = LabelingResult(graph, root, k, layering, plans, records, labeling)
 
     from .verify import verify_antimagic
 
     report = verify_antimagic(graph, label_seq, layering=layering)
     if not report.passed:
         raise InternalInvariantError(f"final verification failed: {report.first_failure}")
-    return result
+    # the root has no parent edge, so its partial sum is its vertex sum
+    partial[root] = report.vertex_sums[root]
+    labeling = Labeling(
+        labels=label_seq,
+        partial_sums=tuple(partial[v] for v in range(graph.n)),
+        vertex_sums=report.vertex_sums,
+    )
+    return LabelingResult(graph, root, k, layering, plans, records, labeling)

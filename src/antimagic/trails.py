@@ -49,7 +49,6 @@ class Trail:
 class Component:
     cid: int
     vertices: frozenset[int]
-    edge_count: int
     degrees: dict[int, int] = field(hash=False)
 
 
@@ -65,10 +64,6 @@ class TrailFamily:
     open_outer: tuple[Trail, ...]
     open_mixed: tuple[Trail, ...]
 
-    @property
-    def edge_total(self) -> int:
-        return sum(c.edge_count for c in self.components)
-
     def all_trails(self):
         for _, t in self.closed:
             yield t
@@ -81,7 +76,7 @@ def residual_edge_sets(view: BipartiteView, pair: CoveringPair,
                        parent_edge: dict[int, int]) -> tuple[frozenset[int], frozenset[int]]:
     """(residual edge ids, trail edge ids) after removing parent edges and,
     for the second set, link edges as well."""
-    all_eids = {eid for _, _, eid in view.edges}
+    all_eids = view.edge_ends.keys()
     missing = set(view.outer) - set(parent_edge)
     if missing:
         raise InternalInvariantError(f"outer vertices without a parent edge: {sorted(missing)}")
@@ -185,8 +180,7 @@ def decompose_trails(view: BipartiteView, trail_eids: frozenset[int]) -> TrailFa
 
     for cid, members in enumerate(comp_members):
         degrees = {v: len(walk[v]) for v in members}
-        edge_count = sum(degrees.values()) // 2
-        components.append(Component(cid, frozenset(members), edge_count, degrees))
+        components.append(Component(cid, frozenset(members), degrees))
         odd = [v for v in members if degrees[v] % 2]
         for i in range(0, len(odd), 2):
             a, b = odd[i], odd[i + 1]
@@ -236,7 +230,6 @@ class BadAnalysis:
     bad_cids: frozenset[int]
     bad_vertices: frozenset[int]
     free_links: tuple[Link, ...]
-    free_count: int
 
 
 def analyze_bad_components(view: BipartiteView, pair: CoveringPair,
@@ -251,7 +244,7 @@ def analyze_bad_components(view: BipartiteView, pair: CoveringPair,
         bad_vertices.update(family.components[cid].vertices)
     free = tuple(l for l in pair.links
                  if l.end_a not in bad_vertices or l.end_b not in bad_vertices)
-    return BadAnalysis(family, bad_cids, frozenset(bad_vertices), free, len(free))
+    return BadAnalysis(family, bad_cids, frozenset(bad_vertices), free)
 
 
 def choose_closed_start(trail: Trail, component: Component, bad: bool,

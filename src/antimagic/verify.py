@@ -18,7 +18,7 @@ from .covering import CoveringPair, Link, validate_covering_pair
 from .errors import InternalInvariantError, StressFailure
 from .generate import generate_regular
 from .graph import BipartiteView, Graph, Layering, format_edge_list
-from .labeling import LabelingResult, label_graph
+from .labeling import LabelingResult, LayerPlan, LayerRecord, label_graph
 # Not called here: the replay finds bad components itself (_bad_components).
 # The benchmark's tracer (perfbench/tracer.py) patches this module attribute,
 # so the name stays until the tracer drops that patch.
@@ -179,58 +179,78 @@ def _check_pair_sums(result: LabelingResult, labels: Sequence[int]) -> list[str]
     the wrap-around pair of a closed trail (bounded, not exact), and outer
     meets inside bad components, which sit exactly one above the target."""
     issues: list[str] = []
-    m = len(labels)
     for i in range(1, result.layering.depth + 1):
-        plan = result.plans[i]
-        rec = result.layers[i]
-        view = rec.view
-        target = plan.target_pair_sum
-        anchor = plan.offset + plan.inner_count
-        stray = [eid for ev in rec.events for trail in ev.trails for eid in trail.edges
-                 if not 0 <= eid < m]
-        if stray:
-            issues.append(f"layer {i}: trail names edge id {stray[0]}, outside 0..{m - 1}")
-            continue
-        for ev in rec.events:
-            for trail in ev.trails:
-                for pos in range(trail.edge_count - 1):
-                    s = labels[trail.edges[pos]] + labels[trail.edges[pos + 1]]
-                    meet = trail.vertices[pos + 1]
-                    side = view.side(meet)
-                    if ev.bad and side == "outer":
-                        if s != target + 1:
-                            issues.append(
-                                f"layer {i}: outer meet at {meet} in a bad component sums "
-                                f"to {s}, expected exactly {target + 1}")
-                    elif side == "inner":
+        issues.extend(_layer_pair_sums(i, result.plans[i], result.layers[i], labels))
+    return issues
+
+
+def _layer_pair_sums(i: int, plan: LayerPlan, rec: LayerRecord,
+                     labels: Sequence[int]) -> list[str]:
+    """The pair-sum issues of layer i.  Each unit's trail must walk view
+    edges, each between the trail vertices on either side of it; a layer
+    where one does not gets that one issue instead, and its sums are not
+    read."""
+    ends = rec.view.edge_ends
+    target = plan.target_pair_sum
+    anchor = plan.offset + plan.inner_count
+    issues: list[str] = []
+    for ev in rec.events:
+        for trail in ev.trails:
+            verts = iter(trail.vertices)
+            a = next(verts)
+            prev = None
+            for eid, b in zip(trail.edges, verts):
+                x, y = ends.get(eid, (None, None))
+                inner = a == x
+                if (not inner and a != y) or b != (y if inner else x):
+                    return [_walk_issue(i, rec, b if a in (x, y) else a, len(labels))]
+                # prev and eid meet at a, which is eid's inner end when `inner`
+                if prev is not None:
+                    s = labels[prev] + labels[eid]
+                    if inner:
                         if s < target:
                             issues.append(
-                                f"layer {i}: inner meet at {meet} sums to {s}, below {target}")
-                    else:
-                        if s > target:
+                                f"layer {i}: inner meet at {a} sums to {s}, below {target}")
+                    elif ev.bad:
+                        if s != target + 1:
                             issues.append(
-                                f"layer {i}: outer meet at {meet} sums to {s}, above {target}")
-                if trail.closed:
-                    s = labels[trail.edges[-1]] + labels[trail.edges[0]]
-                    start = trail.vertices[0]
-                    if ev.bad or ev.case == "bad":
-                        if s > target:
-                            issues.append(
-                                f"layer {i}: wrap pair of a bad trail at {start} sums to {s}, "
-                                f"above {target}")
-                    elif ev.case == "outer-high":
-                        limit = 2 * anchor + 2 * plan.trail_count
-                        if s > limit:
-                            issues.append(
-                                f"layer {i}: wrap pair at outer start {start} sums to {s}, "
-                                f"above {limit}")
-                    else:
-                        floor = 2 * anchor + 2
-                        if s < floor:
-                            issues.append(
-                                f"layer {i}: wrap pair at inner start {start} sums to {s}, "
-                                f"below {floor}")
+                                f"layer {i}: outer meet at {a} in a bad component sums "
+                                f"to {s}, expected exactly {target + 1}")
+                    elif s > target:
+                        issues.append(f"layer {i}: outer meet at {a} sums to {s}, above {target}")
+                prev, a = eid, b
+            if trail.closed:
+                s = labels[trail.edges[-1]] + labels[trail.edges[0]]
+                start = trail.vertices[0]
+                if ev.bad or ev.case == "bad":
+                    if s > target:
+                        issues.append(
+                            f"layer {i}: wrap pair of a bad trail at {start} sums to {s}, "
+                            f"above {target}")
+                elif ev.case == "outer-high":
+                    limit = 2 * anchor + 2 * plan.trail_count
+                    if s > limit:
+                        issues.append(
+                            f"layer {i}: wrap pair at outer start {start} sums to {s}, "
+                            f"above {limit}")
+                else:
+                    floor = 2 * anchor + 2
+                    if s < floor:
+                        issues.append(
+                            f"layer {i}: wrap pair at inner start {start} sums to {s}, "
+                            f"below {floor}")
     return issues
+
+
+def _walk_issue(i: int, rec: LayerRecord, vertex: int, m: int) -> str:
+    """The one issue of layer i, whose units leave their edges at `vertex`.
+    An edge id outside 0..m-1 is never a view edge, so a unit naming one
+    leaves its edges there or earlier, and is reported by that id."""
+    stray = [eid for ev in rec.events for trail in ev.trails for eid in trail.edges
+             if not 0 <= eid < m]
+    if stray:
+        return f"layer {i}: trail names edge id {stray[0]}, outside 0..{m - 1}"
+    return f"layer {i}: trail unit does not walk its edges at vertex {vertex}"
 
 
 def _check_trail_events(result: LabelingResult, labels: Sequence[int]) -> list[str]:
@@ -326,7 +346,7 @@ def _check_layer_structure(result: LabelingResult, labels: Sequence[int],
         plan = result.plans[i]
         rec = result.layers[i]
         view, pair = rec.view, rec.pair
-        view_eids = {eid for _, _, eid in view.edges}
+        view_eids = view.edge_ends.keys()
         sigma_eids = set(rec.parent_edge.values())
 
         for u in view.outer:
@@ -347,7 +367,7 @@ def _check_layer_structure(result: LabelingResult, labels: Sequence[int],
             issues.append(f"layer {i}: trail units do not cover the trail graph exactly")
 
         bad_cids, bad_vertices, free_links = _bad_components(view, pair, trail_eids, k)
-        if bad_cids != rec.analysis.bad_cids or free_links != rec.analysis.free_links:
+        if bad_cids != rec.bad_cids or free_links != rec.free_links:
             issues.append(f"layer {i}: recomputed bad components disagree with the record")
         if bad_cids:
             stats["bad_layers"] += 1

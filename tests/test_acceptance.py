@@ -71,10 +71,10 @@ def test_criterion_4_bad_component_bounds(stress_summary):
 
     view, pair, parent = free_link_gadget()
     new_pair, analysis = maximize_free_links(
-        pair, parent, lambda p: analyze_bad_components(view, p, parent, 1), 1)
-    assert analysis.bad_cids and analysis.free_count >= 1
+        pair, lambda p: analyze_bad_components(view, p, parent, 1), 1)
+    assert analysis.bad_cids and len(analysis.free_links) >= 1
     print(f"criterion 4: PASS (suite clean; gadget reaches "
-          f"{analysis.free_count} free links with a bad component present)")
+          f"{len(analysis.free_links)} free links with a bad component present)")
 
 
 def test_criterion_5_trail_label_invariants(stress_summary):

@@ -443,7 +443,7 @@ class TestFreeLinkExchange:
         validate_covering_pair(pair)
         analysis = analyze_bad_components(view, pair, parent, k=1)
         assert len(analysis.bad_cids) == 2
-        assert analysis.free_count == 0
+        assert len(analysis.free_links) == 0
 
     def test_exchange_reaches_required_free_links(self):
         view, pair, parent = free_link_gadget()
@@ -451,10 +451,10 @@ class TestFreeLinkExchange:
         def analyze(p):
             return analyze_bad_components(view, p, parent, 1)
 
-        new_pair, analysis = maximize_free_links(pair, parent, analyze, k=1)
+        new_pair, analysis = maximize_free_links(pair, analyze, k=1)
         validate_covering_pair(new_pair)
         assert analysis.bad_cids  # one bad 4-cycle survives the exchange
-        assert analysis.free_count >= 1
+        assert len(analysis.free_links) >= 1
         # exchanged pair still covers exactly the same inner vertices
         assert new_pair.centers == pair.centers
         assert new_pair.matching == pair.matching
@@ -465,5 +465,5 @@ class TestFreeLinkExchange:
         def analyze(p):
             return analyze_bad_components(view, p, parent, 1)
 
-        new_pair, _ = maximize_free_links(pair, parent, analyze, k=1)
+        new_pair, _ = maximize_free_links(pair, analyze, k=1)
         assert not set(parent.values()) & new_pair.link_edge_ids

@@ -5,6 +5,7 @@ of the example graphs before the engine produced them, and are frozen here.
 """
 
 import dataclasses
+import gc
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from antimagic import (GraphShapeError, InternalInvariantError, bfs_layering, ch
 from antimagic.cli import main
 from antimagic.documents import render_document
 from antimagic.labeling import LayerPlan
+from antimagic.verify import stress_instances
 from corpus import (circulant, complete_bipartite, complete_graph, cycle_graph,
                     hypercube, octahedron, shuffled_circulant, torus_grid)
 
@@ -152,7 +154,8 @@ class TestEdgeScans:
 class TestLostTrailEdge:
     """A trail that loses its last edge leaves one label of the layer's trail
     interval undealt; the exact-consumption check must name that layer, since
-    the interval's size is counted from the trail graph's degrees."""
+    the interval's size is counted from the layer's edges, not from the
+    trails."""
 
     @staticmethod
     def losing_last_edge(monkeypatch):
@@ -172,8 +175,8 @@ class TestLostTrailEdge:
 
     def test_label_graph_raises_the_consumption_check(self, monkeypatch):
         g = generate_regular(40, 6, 3)
-        assert any(rec.analysis.family.open_inner or rec.analysis.family.open_outer
-                   or rec.analysis.family.open_mixed for rec in label_graph(g).layers.values())
+        assert any(ev.kind != "closed" for rec in label_graph(g).layers.values()
+                   for ev in rec.events)
         self.losing_last_edge(monkeypatch)
         with pytest.raises(InternalInvariantError,
                            match=r"^trail interval of layer \d+ not exactly consumed$"):
@@ -187,6 +190,64 @@ class TestLostTrailEdge:
         err = capsys.readouterr().err
         assert "not exactly consumed" in err
         assert "KeyError" not in err
+
+
+def reference_interval_plan(graph, layering, trail_counts, link_counts):
+    """The earlier two-pass plan: within-layer counts from a scan of every
+    edge, intervals stacked from the outermost layer down, and a check that
+    they cover the whole label range."""
+    p = layering.depth
+    within = {i: 0 for i in range(0, p + 1)}
+    for u, v in graph.edges:
+        if layering.layer_of[u] == layering.layer_of[v]:
+            within[layering.layer_of[u]] += 1
+    plans = {}
+    offset = 0
+    for i in range(p, 0, -1):
+        plans[i] = LayerPlan(index=i, layer_size=len(layering.layers[i]),
+                             inner_count=within[i], trail_count=trail_counts[i],
+                             link_count=link_counts[i], offset=offset)
+        offset = plans[i].upper
+    assert offset == graph.m
+    return plans
+
+
+class TestPlanAgainstReference:
+    """Each layer's plan, computed from its class-edge count as the layer is
+    labeled, equals the two-pass plan built from the recorded trail units and
+    links."""
+
+    @staticmethod
+    def assert_plans_match(graph, root=0):
+        res = label_graph(graph, root)
+        trail_counts = {i: sum(len(t.edges) for ev in rec.events for t in ev.trails)
+                        for i, rec in res.layers.items()}
+        link_counts = {i: 2 * len(rec.pair.links) for i, rec in res.layers.items()}
+        assert res.plans == reference_interval_plan(graph, res.layering, trail_counts,
+                                                    link_counts)
+
+    def test_stress_instances(self):
+        for _, _, _, _, graph in stress_instances(100, 8, 60, [4, 6, 8], 0):
+            self.assert_plans_match(graph)
+
+    def test_shuffled_deep_circulant(self):
+        self.assert_plans_match(shuffled_circulant(400, [1, 2], 400))
+
+    @pytest.mark.parametrize("a", range(4, 21, 2))
+    def test_complete_bipartite(self, a):
+        self.assert_plans_match(complete_bipartite(a, a))
+
+
+class TestRecordsHoldNoTrailFamilies:
+    """A held result keeps each layer's trail units, bad component ids and
+    free links, but no trail family, component or bad-component analysis."""
+
+    def test_deep_circulant(self):
+        kinds = (trails.TrailFamily, trails.Component, trails.BadAnalysis)
+        res = label_graph(circulant(400, [1, 2]))
+        gc.collect()
+        assert res.layering.depth == 100
+        assert [type(obj).__name__ for obj in gc.get_objects() if isinstance(obj, kinds)] == []
 
 
 class TestPlanArithmetic:

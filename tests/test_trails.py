@@ -68,7 +68,7 @@ class TestDecompose:
     def test_empty(self):
         view = make_view([0], [1], [(0, 1)])
         fam = decompose_trails(view, frozenset())
-        assert fam.components == () and fam.edge_total == 0
+        assert fam.components == () and list(fam.all_trails()) == []
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 100_000))
@@ -216,8 +216,7 @@ def reference_decompose_trails(view, trail_eids):
     dummy_next = -1
     for cid, members in enumerate(comp_members):
         degrees = {v: len(adj[v]) for v in members}
-        edge_count = sum(degrees.values()) // 2
-        components.append(Component(cid, frozenset(members), edge_count, degrees))
+        components.append(Component(cid, frozenset(members), degrees))
         odd = sorted(v for v in members if degrees[v] % 2)
         if not odd:
             verts, eids = reference_euler_circuit({v: adj[v] for v in members}, min(members))
@@ -268,7 +267,7 @@ def shuffled_view_and_subset(seed):
 
 
 def assert_same_family(fam, ref):
-    # Component equality compares cid, vertices, edge_count and degrees;
+    # Component equality compares cid, vertices and degrees;
     # each closed entry carries its component id
     assert fam.components == ref.components
     assert fam.closed == ref.closed

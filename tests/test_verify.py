@@ -171,6 +171,25 @@ class TestCheckConstruction:
         assert report.pair_sum_ok is False
         assert report.first_failure == stray_issue
 
+    @pytest.mark.parametrize("vertex", [10 ** 6, 3, 1], ids=["foreign", "outer", "inner"])
+    def test_unit_off_its_edges_is_reported_not_raised(self, vertex):
+        # layer 3's first unit is an open-inner trail 11, 30, 13, ...; its
+        # second vertex is swapped for one that is no end of edges 61 and 67
+        res = label_graph(generate_regular(40, 6, 3))
+        events = list(res.layers[3].events)
+        trail, = events[0].trails
+        assert events[0].kind == "open-inner" and trail.vertices[1] == 30
+        trail = dataclasses.replace(trail, vertices=(trail.vertices[0], vertex)
+                                    + trail.vertices[2:])
+        events[0] = dataclasses.replace(events[0], trails=(trail,))
+        broken = with_layer(res, 3, events=tuple(events))
+        walk_issue = f"layer 3: trail unit does not walk its edges at vertex {vertex}"
+        issues, _ = check_construction(broken)
+        assert issues == [walk_issue]
+        report = verify_antimagic(broken.graph, broken.labeling.labels, broken.layering, broken)
+        assert report.pair_sum_ok is False
+        assert report.first_failure == walk_issue
+
     @pytest.mark.parametrize("graph", [complete_bipartite(6, 6),
                                        shuffled_circulant(48, [1, 2], 48)],
                              ids=["K6,6", "C48(1,2)"])
@@ -229,13 +248,13 @@ class TestCheckConstruction:
     @pytest.mark.parametrize("tamper", ["claims a bad component", "drops a free link"])
     def test_tampered_bad_analysis_is_reported(self, tamper):
         res = label_graph(complete_bipartite(6, 6))
-        analysis = res.layers[2].analysis
-        assert analysis.free_links and not analysis.bad_cids
+        rec = res.layers[2]
+        assert rec.free_links and not rec.bad_cids
         if tamper == "claims a bad component":
-            forged = dataclasses.replace(analysis, bad_cids=frozenset({0}))
+            forged = {"bad_cids": frozenset({0})}
         else:
-            forged = dataclasses.replace(analysis, free_links=(), free_count=0)
-        issues, _ = check_construction(with_layer(res, 2, analysis=forged))
+            forged = {"free_links": ()}
+        issues, _ = check_construction(with_layer(res, 2, **forged))
         assert "layer 2: recomputed bad components disagree with the record" in issues
 
 
@@ -270,7 +289,7 @@ class TestReplayRecomputation:
         def analyze(p):
             return analyze_bad_components(view, p, parent, 1)
 
-        exchanged, _ = maximize_free_links(pair, parent, analyze, k=1)
+        exchanged, _ = maximize_free_links(pair, analyze, k=1)
         ref = self.assert_bad_components_agree(view, exchanged, parent, 1)
         assert ref.bad_cids and ref.free_links
 
