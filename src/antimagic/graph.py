@@ -8,6 +8,7 @@ follow input order, and every adjacency list is sorted by (neighbor, edge id).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import GraphFormatError, GraphShapeError
 
@@ -194,6 +195,13 @@ class BipartiteView:
 
     Inner vertices sit in the layer closer to the root; outer vertices in the
     layer farther out. Edge ids are the ids of the underlying graph.
+
+    Built from its edge list, the view checks that no vertex is on both
+    sides and that every edge crosses them, and sorts each vertex's
+    incidence.  That is the constructor for padded and hand-built views,
+    whose vertices and edges belong to no graph; `layer_view` builds the
+    views of a layered graph by filtering the graph's sorted incidence, which
+    needs neither the checks nor the sort.
     """
 
     index: int
@@ -259,18 +267,44 @@ class BipartiteView:
 
 def layer_view(graph: Graph, layering: Layering, index: int) -> BipartiteView:
     """Bipartite view between layers index-1 and index; inner side may include
-    vertices with no cross edges, the outer side never does (by BFS)."""
+    vertices with no cross edges, the outer side never does (by BFS).
+
+    The view's incidence is a filter of the graph's: an inner vertex keeps
+    its neighbors in layer index, an outer vertex those in layer index-1.
+    Its entries are the graph's own (neighbor, edge id) tuples, already
+    sorted, and the edges are read off the outer lists and put in edge id
+    order, so the view equals BipartiteView(index, inner, outer, edges).  The
+    constructor's checks hold by construction: the layers are the classes of
+    layer_of, so no vertex is on both sides and every kept edge crosses them.
+    """
     if not (1 <= index <= layering.depth):
         raise GraphShapeError(f"layer index {index} out of range 1..{layering.depth}")
     inner = layering.layers[index - 1]
     outer = layering.layers[index]
     layer_of = layering.layer_of
+    incident = graph.incident
+    side = dict.fromkeys(inner, "inner")
+    side.update(dict.fromkeys(outer, "outer"))
+    adj = {}
+    for x in inner:
+        kept = []
+        for entry in incident(x):
+            if layer_of[entry[0]] == index:
+                kept.append(entry)
+        adj[x] = tuple(kept)
     edges = []
-    for eid in layering.class_edges[index]:
-        u, v = graph.edges[eid]
-        # a class-index edge crosses the two layers unless both ends are in layer index
-        if layer_of[u] < layer_of[v]:
-            edges.append((u, v, eid))
-        elif layer_of[v] < layer_of[u]:
-            edges.append((v, u, eid))
-    return BipartiteView(index=index, inner=inner, outer=outer, edges=tuple(edges))
+    for y in outer:
+        kept = []
+        for entry in incident(y):
+            if layer_of[entry[0]] == index - 1:
+                kept.append(entry)
+                edges.append((entry[0], y, entry[1]))
+        adj[y] = tuple(kept)
+    edges.sort(key=itemgetter(2))
+    view = object.__new__(BipartiteView)
+    # set the fields directly: the constructor would re-check and re-sort them
+    for name, value in (("index", index), ("inner", inner), ("outer", outer),
+                        ("edges", tuple(edges)), ("_side", side), ("_adj", adj),
+                        ("_ends", {eid: (x, y) for x, y, eid in edges})):
+        object.__setattr__(view, name, value)
+    return view

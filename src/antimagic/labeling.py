@@ -283,7 +283,8 @@ def label_graph(graph: Graph, root: int = 0) -> LabelingResult:
 
         bound = plan.partial_sum_bound(k)
         for u in layering.layers[i]:
-            s = sum(labels[eid] for _, eid in graph.incident(u) if eid != parent[u])
+            up = parent[u]
+            s = sum(labels[eid] for _, eid in graph.incident(u) if eid != up)
             partial[u] = s
             if s > bound:
                 raise InternalInvariantError(

@@ -187,9 +187,9 @@ def _check_pair_sums(result: LabelingResult, labels: Sequence[int]) -> list[str]
 def _layer_pair_sums(i: int, plan: LayerPlan, rec: LayerRecord,
                      labels: Sequence[int]) -> list[str]:
     """The pair-sum issues of layer i.  Each unit's trail must walk view
-    edges, each between the trail vertices on either side of it; a layer
-    where one does not gets that one issue instead, and its sums are not
-    read."""
+    edges, each between the trail vertices on either side of it, and a
+    closed one must have an edge to wrap around; a layer where one does not
+    gets that one issue instead, and its sums are not read."""
     ends = rec.view.edge_ends
     target = plan.target_pair_sum
     anchor = plan.offset + plan.inner_count
@@ -220,8 +220,10 @@ def _layer_pair_sums(i: int, plan: LayerPlan, rec: LayerRecord,
                         issues.append(f"layer {i}: outer meet at {a} sums to {s}, above {target}")
                 prev, a = eid, b
             if trail.closed:
-                s = labels[trail.edges[-1]] + labels[trail.edges[0]]
                 start = trail.vertices[0]
+                if not trail.edges:
+                    return [f"layer {i}: closed trail unit at vertex {start} has no edges"]
+                s = labels[trail.edges[-1]] + labels[trail.edges[0]]
                 if ev.bad or ev.case == "bad":
                     if s > target:
                         issues.append(

@@ -3,12 +3,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from antimagic import (Graph, GraphFormatError, GraphShapeError, bfs_layering,
+from antimagic import (BipartiteView, Graph, GraphFormatError, GraphShapeError, bfs_layering,
                        format_edge_list, generate_regular, layer_view, parse_edge_list,
                        validate_even_regular)
 from antimagic.verify import stress_instances
 from corpus import (circulant, complete_bipartite, complete_graph, cycle_graph, petersen,
-                    shuffled_circulant, two_disjoint_k5)
+                    pipeline_corpus, shuffled_circulant, two_disjoint_k5)
 
 
 class TestGraph:
@@ -207,11 +207,19 @@ def _full_scan_view(g, lay, index):
 
 
 class TestLayerViewMatchesFullScan:
+    """layer_view filters the graph's sorted incidence; the constructor builds
+    a view from its edge list.  On a full scan's edges both must give the
+    same view, dict order included, since later stages iterate those dicts."""
+
     def _assert_all_layers(self, g):
-        lay = bfs_layering(g, 0)
-        for i in range(1, lay.depth + 1):
-            view = layer_view(g, lay, i)
-            assert (view.inner, view.outer, view.edges) == _full_scan_view(g, lay, i)
+        for root in (0, g.n - 1):
+            lay = bfs_layering(g, root)
+            for i in range(1, lay.depth + 1):
+                view = layer_view(g, lay, i)
+                ref = BipartiteView(i, *_full_scan_view(g, lay, i))
+                assert view == ref
+                for name in ("_side", "_adj", "_ends"):
+                    assert list(getattr(view, name).items()) == list(getattr(ref, name).items())
 
     def test_shuffled_deep_circulant(self):
         g = shuffled_circulant(400, [1, 2], 7)
@@ -221,3 +229,22 @@ class TestLayerViewMatchesFullScan:
     def test_stress_stream(self):
         for _, _, _, _, g in stress_instances(200, 8, 60, [4, 6, 8], 0):
             self._assert_all_layers(g)
+
+    def test_pipeline_corpus_circulants_and_complete_bipartite(self):
+        for _, g in pipeline_corpus():
+            self._assert_all_layers(g)
+        for n in (8, 9, 48):
+            self._assert_all_layers(shuffled_circulant(n, [1, 2], n))
+        for a in range(2, 21):
+            self._assert_all_layers(complete_bipartite(a, a))
+
+    def test_entries_are_the_graphs_own(self):
+        # the view shares the graph's (neighbor, edge id) tuples, copying none
+        for g in (shuffled_circulant(400, [1, 2], 7), complete_bipartite(20, 20),
+                  *(g for *_, g in stress_instances(50, 8, 60, [4, 6, 8], 0))):
+            lay = bfs_layering(g, 0)
+            for i in range(1, lay.depth + 1):
+                view = layer_view(g, lay, i)
+                for v in view.inner + view.outer:
+                    own = {id(entry) for entry in g.incident(v)}
+                    assert all(id(entry) in own for entry in view.incident(v))

@@ -7,7 +7,8 @@ import pytest
 from antimagic import (Graph, StressFailure, check_construction, generate_regular, label_graph,
                        parse_edge_list, stress, verify_antimagic)
 from antimagic.covering import maximize_free_links
-from antimagic.trails import analyze_bad_components, residual_edge_sets
+from antimagic.labeling import TrailEvent
+from antimagic.trails import Trail, analyze_bad_components, residual_edge_sets
 from antimagic.verify import (_bad_components, _partial_sums_from_labels,
                               recompute_vertex_sums, stress_instances)
 from corpus import (circulant, complete_bipartite, complete_graph, cycle_graph,
@@ -189,6 +190,21 @@ class TestCheckConstruction:
         report = verify_antimagic(broken.graph, broken.labeling.labels, broken.layering, broken)
         assert report.pair_sum_ok is False
         assert report.first_failure == walk_issue
+
+    def test_closed_unit_without_edges_is_reported_not_raised(self):
+        # the coverage check and the cursor replay both accept a unit with no
+        # edges; only the wrap pair of a closed trail reads its edges
+        res = label_graph(generate_regular(40, 6, 3))
+        rec = res.layers[3]
+        v = rec.view.inner[0]
+        empty = TrailEvent("closed", (Trail((v,), (), closed=True),), "inner-low", False)
+        broken = with_layer(res, 3, events=rec.events + (empty,))
+        empty_issue = f"layer 3: closed trail unit at vertex {v} has no edges"
+        issues, _ = check_construction(broken)
+        assert issues == [empty_issue]
+        report = verify_antimagic(broken.graph, broken.labeling.labels, broken.layering, broken)
+        assert report.pair_sum_ok is False
+        assert report.first_failure == empty_issue
 
     @pytest.mark.parametrize("graph", [complete_bipartite(6, 6),
                                        shuffled_circulant(48, [1, 2], 48)],
