@@ -87,15 +87,6 @@ class CoveringPair:
     def matching_edge(self, v: int) -> int | None:
         return self._match_of.get(v)
 
-    def describe(self) -> str:
-        lines = [f"links {len(self.links)} matching {len(self.matching)}"]
-        for l in self.links:
-            lines.append(f"link {l.end_a} {l.center} {l.end_b}")
-        for eid in sorted(self.matching):
-            x, y = self.view.ends_of(eid)
-            lines.append(f"match {x} {y}")
-        return "\n".join(lines) + "\n"
-
 
 def validate_covering_pair(pair: CoveringPair) -> None:
     """Check every structural invariant of the irreducible form; raise on any gap.
@@ -375,14 +366,16 @@ def hall_matching(view: BipartiteView, d: int, forbidden: frozenset[int] = froze
     return frozenset(view.edge_between(x, y) for y, x in match_x.items())
 
 
-def pad_to_biregular(view: BipartiteView, d: int) -> tuple[BipartiteView, dict[int, int]]:
+def pad_to_biregular(view: BipartiteView, d: int) -> BipartiteView:
     """Embed the view into a (d, d+1)-biregular host as an induced subgraph.
 
     Fresh outer vertices absorb inner deficiencies round-robin; the remaining
     outer-side demand, topped up by filler outer vertices until it is divisible
     by d and large enough, is realized against fresh inner vertices by the
     greedy largest-demand-to-largest-capacity rule.  All fresh vertices and
-    edges receive ids above the existing ones, so the embedding is the identity.
+    edges receive ids above the existing ones, so the view's vertices and
+    edges keep their ids: its inner, outer and edges are prefixes of the
+    padded view's.
     """
     if d < 3:
         raise GraphShapeError(f"padding requires degree bound >= 3, got {d}")
@@ -393,7 +386,6 @@ def pad_to_biregular(view: BipartiteView, d: int) -> tuple[BipartiteView, dict[i
         if view.degree(y) > d + 1:
             raise GraphShapeError(f"outer vertex {y} has degree {view.degree(y)} > {d + 1}")
 
-    identity = {v: v for v in list(view.inner) + list(view.outer)}
     if not view.inner and not view.outer:
         gadget_inner = tuple(range(d + 1))
         gadget_outer = tuple(range(d + 1, 2 * d + 1))
@@ -403,12 +395,12 @@ def pad_to_biregular(view: BipartiteView, d: int) -> tuple[BipartiteView, dict[i
             for y in gadget_outer:
                 edges.append((x, y, eid))
                 eid += 1
-        return BipartiteView(view.index, gadget_inner, gadget_outer, tuple(edges)), identity
+        return BipartiteView(view.index, gadget_inner, gadget_outer, tuple(edges))
 
     inner_def = {x: d - view.degree(x) for x in view.inner if view.degree(x) < d}
     outer_def = {y: d + 1 - view.degree(y) for y in view.outer if view.degree(y) < d + 1}
     if not inner_def and not outer_def:
-        return view, identity
+        return view
 
     next_v = max(list(view.inner) + list(view.outer)) + 1
     next_e = max((eid for _, _, eid in view.edges), default=-1) + 1
@@ -481,7 +473,7 @@ def pad_to_biregular(view: BipartiteView, d: int) -> tuple[BipartiteView, dict[i
     for y in padded.outer:
         if padded.degree(y) != d + 1:
             raise InternalInvariantError(f"padded outer vertex {y} has degree {padded.degree(y)}")
-    return padded, identity
+    return padded
 
 
 def restrict_and_reduce(view: BipartiteView, d: int, links: Iterable[Link],
@@ -565,7 +557,7 @@ def build_covering_pair(view: BipartiteView, d: int) -> CoveringPair:
 
 def _link_search_pair(view: BipartiteView, d: int) -> CoveringPair:
     """Pad, grow the link family, match the rest, restrict, reduce, validate."""
-    padded, _ = pad_to_biregular(view, d)
+    padded = pad_to_biregular(view, d)
     links = maximize_link_family(padded, d)
     centers = frozenset(l.center for l in links)
     matching = hall_matching(padded, d, forbidden=centers)
@@ -582,8 +574,9 @@ def maximize_free_links(pair: CoveringPair, analyze: Callable[[CoveringPair], "o
     An exchange moves one link end to another neighbor of its center that is
     not currently a link end.  By R4 that neighbor is matched, and the center
     stays unmatched, so the candidate pair stays irreducible and the
-    parent-edge map stays valid unchanged; `analyze` (through
-    `residual_edge_sets`) rejects a parent edge that is a link edge.
+    parent-edge map stays valid unchanged: the neighbor's parent edge is its
+    matching edge, whose other end is never the unmatched center, so no
+    parent edge becomes a link edge.
     Exchanges are accepted only when the recomputed free-link count strictly
     increases.  At a local optimum with bad components still present, fewer
     than k free links is an implementation bug.

@@ -61,14 +61,6 @@ class Graph:
     def neighbors(self, v: int) -> list[int]:
         return [w for w, _ in self._adj[v]]
 
-    def other_end(self, eid: int, v: int) -> int:
-        u, w = self.edges[eid]
-        if v == u:
-            return w
-        if v == w:
-            return u
-        raise ValueError(f"vertex {v} is not an endpoint of edge {eid}")
-
     def is_connected(self) -> bool:
         if self.n == 1:
             return True

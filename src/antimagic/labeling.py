@@ -103,11 +103,9 @@ class TrailEvent:
 
 @dataclass(frozen=True)
 class Labeling:
-    """Final per-edge labels with per-vertex partial and full sums; the root's
-    partial sum equals its vertex sum because it has no parent edge."""
+    """Final per-edge labels with the per-vertex sums they give."""
 
     labels: tuple[int, ...]
-    partial_sums: tuple[int, ...]
     vertex_sums: tuple[int, ...]
 
 
@@ -310,11 +308,5 @@ def label_graph(graph: Graph, root: int = 0) -> LabelingResult:
     report = verify_antimagic(graph, label_seq, layering=layering)
     if not report.passed:
         raise InternalInvariantError(f"final verification failed: {report.first_failure}")
-    # the root has no parent edge, so its partial sum is its vertex sum
-    partial[root] = report.vertex_sums[root]
-    labeling = Labeling(
-        labels=label_seq,
-        partial_sums=tuple(partial[v] for v in range(graph.n)),
-        vertex_sums=report.vertex_sums,
-    )
+    labeling = Labeling(labels=label_seq, vertex_sums=report.vertex_sums)
     return LabelingResult(graph, root, k, layering, plans, records, labeling)

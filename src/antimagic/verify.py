@@ -4,7 +4,10 @@ of a constructed labeling, and a randomized stress harness.
 verify_antimagic recomputes everything from the edge labels alone; it never
 trusts sums cached by the engine.  check_construction replays the whole
 construction record and reports every violated invariant as a plain string,
-so tests can assert an empty list.
+so tests can assert an empty list.  Like the labeling, the replay makes one
+pass from the outermost layer in: one scan of the graph splits each class's
+edges into within-layer and cross edges, and each layer is then replayed
+once, its partial sums computed once, so the issues come grouped by layer.
 """
 
 from __future__ import annotations
@@ -106,9 +109,13 @@ def verify_antimagic(graph: Graph, labels, layering: Layering | None = None,
     inequality_ok = None
     pair_sum_ok = None
     if result is not None:
-        ineq_issues, _, _ = _check_inequalities(result, labels, sums)
+        ineq_issues: list[str] = []
+        pair_issues: list[str] = []
+        for i in range(1, result.layering.depth + 1):
+            partial = _partial_sums_from_labels(result, labels, sums, i)
+            ineq_issues += _layer_bounds(result, i, partial)[0]
+            pair_issues += _layer_pair_sums(i, result.plans[i], result.layers[i], labels)
         inequality_ok = not ineq_issues
-        pair_issues = _check_pair_sums(result, labels)
         pair_sum_ok = not pair_issues
         if first_failure is None and ineq_issues:
             first_failure = ineq_issues[0]
@@ -140,48 +147,29 @@ def _partial_sums_from_labels(result: LabelingResult, labels: Sequence[int],
     return out
 
 
-def _check_inequalities(result: LabelingResult, labels: Sequence[int], sums: Sequence[int]):
-    """Recheck the per-layer partial-sum bounds from the labels alone, given
-    the vertex sums recomputed from them.
-    Returns (issues, smallest upper slack, smallest lower slack)."""
-    issues: list[str] = []
-    min_hi_slack: int | None = None
-    min_lo_slack: int | None = None
-    p = result.layering.depth
-    for i in range(1, p + 1):
-        plan = result.plans[i]
-        bound = plan.partial_sum_bound(result.k)
-        partial = _partial_sums_from_labels(result, labels, sums, i)
-        for u in result.layering.layers[i]:
-            if u not in partial:
-                issues.append(f"layer {i}: vertex {u} has no valid parent edge for its partial sum")
-        for u, s in sorted(partial.items()):
-            slack = bound - s
-            if min_hi_slack is None or slack < min_hi_slack:
-                min_hi_slack = slack
-            if slack < 0:
-                issues.append(f"layer {i}: partial sum {s} of vertex {u} exceeds bound {bound}")
-        if i < p:
-            lower = result.plans[i + 1].partial_sum_bound(result.k)
-            for u, s in sorted(partial.items()):
-                slack = s - lower
-                if min_lo_slack is None or slack < min_lo_slack:
-                    min_lo_slack = slack
-                if slack < 0:
-                    issues.append(
-                        f"layer {i}: partial sum {s} of vertex {u} below outer bound {lower}")
-    return issues, min_hi_slack, min_lo_slack
-
-
-def _check_pair_sums(result: LabelingResult, labels: Sequence[int]) -> list[str]:
-    """Consecutive trail edges must sum at or above the layer target when they
-    meet at an inner vertex and at or below it at an outer vertex.  Exceptions:
-    the wrap-around pair of a closed trail (bounded, not exact), and outer
-    meets inside bad components, which sit exactly one above the target."""
-    issues: list[str] = []
-    for i in range(1, result.layering.depth + 1):
-        issues.extend(_layer_pair_sums(i, result.plans[i], result.layers[i], labels))
-    return issues
+def _layer_bounds(result: LabelingResult, i: int,
+                  partial: Mapping[int, int]) -> tuple[list[str], int | None, int | None]:
+    """The partial-sum bound issues of layer i, given its partial sums, and
+    the layer's smallest upper and lower slacks: each partial sum must be at
+    most the layer's bound and at least the next outer layer's.  A slack is
+    None when the layer has no partial sum, or no outer layer."""
+    issues = [f"layer {i}: vertex {u} has no valid parent edge for its partial sum"
+              for u in result.layering.layers[i] if u not in partial]
+    if not partial:
+        return issues, None, None
+    bound = result.plans[i].partial_sum_bound(result.k)
+    hi_slack = bound - max(partial.values())
+    if hi_slack < 0:
+        issues += [f"layer {i}: partial sum {s} of vertex {u} exceeds bound {bound}"
+                   for u, s in sorted(partial.items()) if s > bound]
+    if i == result.layering.depth:
+        return issues, hi_slack, None
+    lower = result.plans[i + 1].partial_sum_bound(result.k)
+    lo_slack = min(partial.values()) - lower
+    if lo_slack < 0:
+        issues += [f"layer {i}: partial sum {s} of vertex {u} below outer bound {lower}"
+                   for u, s in sorted(partial.items()) if s < lower]
+    return issues, hi_slack, lo_slack
 
 
 def _layer_pair_sums(i: int, plan: LayerPlan, rec: LayerRecord,
@@ -255,37 +243,6 @@ def _walk_issue(i: int, rec: LayerRecord, vertex: int, m: int) -> str:
     return f"layer {i}: trail unit does not walk its edges at vertex {vertex}"
 
 
-def _check_trail_events(result: LabelingResult, labels: Sequence[int]) -> list[str]:
-    """Replay the two-ended cursor from each layer's trail interval over the
-    units in order, and confirm each trail edge's label, the cursor identity
-    after every unit, and exact consumption of the interval."""
-    issues: list[str] = []
-    m = len(labels)
-    for i in range(1, result.layering.depth + 1):
-        plan = result.plans[i]
-        lo, hi = plan.trail_interval
-        target = plan.target_pair_sum
-        for ev in result.layers[i].events:
-            high_first = (ev.kind == "closed" and ev.case == "outer-high") or ev.kind == "open-outer"
-            eids = [eid for trail in ev.trails for eid in trail.edges]
-            for t, eid in enumerate(eids):
-                if (t % 2 == 0) == high_first:
-                    want, hi = hi, hi - 1
-                else:
-                    want, lo = lo, lo + 1
-                # an id outside the edge range is reported by _check_pair_sums
-                if 0 <= eid < m and labels[eid] != want:
-                    issues.append(f"layer {i}: edge {eid} carries label {labels[eid]}, "
-                                  f"replay gives {want}")
-            want = target if len(eids) % 2 == 0 else target + 1
-            if lo + hi != want:
-                issues.append(f"layer {i}: cursor identity {lo + hi} after a {ev.kind} unit, "
-                              f"expected {want}")
-        if lo != hi + 1:
-            issues.append(f"layer {i}: trail interval not exactly consumed (cursor {(lo, hi)})")
-    return issues
-
-
 def _bad_components(view: BipartiteView, pair: CoveringPair, trail_eids: AbstractSet[int],
                     k: int) -> tuple[frozenset[int], frozenset[int], tuple[Link, ...]]:
     """(bad component ids, their vertices, free links) of a layer's trail
@@ -293,8 +250,11 @@ def _bad_components(view: BipartiteView, pair: CoveringPair, trail_eids: Abstrac
 
     Components are numbered by increasing smallest vertex, the order in which
     the trail builder numbers them.  A component is bad when every degree is
-    2k and every outer vertex is a link end; a link is free when at least one
-    end lies outside every bad component."""
+    2k and every outer vertex is a link end, so a layer without links has
+    none; a link is free when at least one end lies outside every bad
+    component."""
+    if not pair.links:
+        return frozenset(), frozenset(), ()
     adj: dict[int, list[int]] = {}
     outer: set[int] = set()
     for x, y, eid in view.edges:
@@ -330,131 +290,152 @@ def _bad_components(view: BipartiteView, pair: CoveringPair, trail_eids: Abstrac
     return frozenset(bad_cids), frozenset(bad_vertices), free
 
 
-def _check_layer_structure(result: LabelingResult, labels: Sequence[int],
-                           sums: Sequence[int]) -> tuple[list[str], dict]:
-    """Per-layer recomputation: parent-edge map, edge split, trail unit
-    coverage, bad components, and the link and parent labels against the
-    order recomputed here."""
+def _replay_layer(result: LabelingResult, i: int, labels: Sequence[int], sums: Sequence[int],
+                  within: Sequence[int], cross: Sequence[int], stats: dict) -> list[str]:
+    """Every check of layer i: the parent map, the trail units' coverage and
+    cursor replay, their pair sums, bad components, the link labels, the
+    partial-sum bounds and parent order, the covering pair, the cross-edge
+    count and the interval of each class edge.  `within` and `cross` are the
+    layer's class edge ids, split from the graph by the caller.  The layer's
+    link and bad-component counts and its slacks are folded into `stats`."""
+    plan, rec, k = result.plans[i], result.layers[i], result.k
+    view, pair, parent_edge = rec.view, rec.pair, rec.parent_edge
+    link_eids = pair.link_edge_ids
     issues: list[str] = []
-    stats = {"bad_layers": 0, "links_total": 0, "free_links_total": 0}
-    g = result.graph
-    k = result.k
-    lay = result.layering
-    cross_count = [0] * (lay.depth + 1)
-    for (u, v), cls in zip(g.edges, lay.edge_class):
-        if lay.layer_of[u] != lay.layer_of[v]:
-            cross_count[cls] += 1
-    for i in range(1, lay.depth + 1):
-        plan = result.plans[i]
-        rec = result.layers[i]
-        view, pair = rec.view, rec.pair
-        view_eids = view.edge_ends.keys()
-        sigma_eids = set(rec.parent_edge.values())
 
-        for u in view.outer:
-            eid = rec.parent_edge.get(u)
-            if eid is None or eid not in view_eids or view.ends_of(eid)[1] != u:
-                issues.append(f"layer {i}: vertex {u} has an invalid parent edge {eid}")
-                continue
-            if pair.is_matched(u) and eid != pair.matching_edge(u):
-                issues.append(f"layer {i}: matched vertex {u} does not use its matching edge")
-            if eid in pair.link_edge_ids:
-                issues.append(f"layer {i}: parent edge of vertex {u} is a link edge")
-        if len(sigma_eids) != len(view.outer):
-            issues.append(f"layer {i}: parent edges are not distinct")
+    view_eids = view.edge_ends.keys()
+    sigma_eids = set(parent_edge.values())
+    valid_parents = []
+    for u in view.outer:
+        eid = parent_edge.get(u)
+        if eid is None or eid not in view_eids or view.ends_of(eid)[1] != u:
+            issues.append(f"layer {i}: vertex {u} has an invalid parent edge {eid}")
+            continue
+        valid_parents.append(eid)
+        if pair.is_matched(u) and eid != pair.matching_edge(u):
+            issues.append(f"layer {i}: matched vertex {u} does not use its matching edge")
+        if eid in link_eids:
+            issues.append(f"layer {i}: parent edge of vertex {u} is a link edge")
+    if len(sigma_eids) != len(view.outer):
+        issues.append(f"layer {i}: parent edges are not distinct")
+    trail_eids = view_eids - sigma_eids - link_eids
 
-        trail_eids = view_eids - sigma_eids - pair.link_edge_ids
-        unit_eids = [eid for ev in rec.events for t in ev.trails for eid in t.edges]
-        if sorted(unit_eids) != sorted(trail_eids):
-            issues.append(f"layer {i}: trail units do not cover the trail graph exactly")
-
-        bad_cids, bad_vertices, free_links = _bad_components(view, pair, trail_eids, k)
-        if bad_cids != rec.bad_cids or free_links != rec.free_links:
-            issues.append(f"layer {i}: recomputed bad components disagree with the record")
-        if bad_cids:
-            stats["bad_layers"] += 1
-            if len(free_links) < k:
-                issues.append(f"layer {i}: only {len(free_links)} free links with bad "
-                              f"components present, need {k}")
-        stats["links_total"] += len(pair.links)
-        stats["free_links_total"] += len(free_links)
-
-        base = plan.offset + plan.inner_count + plan.trail_count
-        c = plan.link_count
-        free_set = set(free_links)
-        link_order = list(free_links) + [l for l in pair.links if l not in free_set]
-        for idx, link in enumerate(link_order, start=1):
-            in_bad = [e for e in link.ends if e in bad_vertices]
-            u_low = in_bad[0] if (link in free_set and len(in_bad) == 1) else min(link.ends)
-            u_high = link.end_b if u_low == link.end_a else link.end_a
-            if labels[view.edge_between(link.center, u_low)] != base + idx:
-                issues.append(f"layer {i}: low link edge of center {link.center} mislabeled")
-            if labels[view.edge_between(link.center, u_high)] != base + c - idx + 1:
-                issues.append(f"layer {i}: high link edge of center {link.center} mislabeled")
-        if bad_cids:
-            for link in pair.links:
-                for end in link.ends:
-                    if end in bad_vertices:
-                        lab = labels[view.edge_between(link.center, end)]
-                        if lab > base + c - k:
-                            issues.append(f"layer {i}: link edge into a bad component has "
-                                          f"label {lab}, above {base + c - k}")
-
-        partial = _partial_sums_from_labels(result, labels, sums, i)
-        # a missing partial sum is reported by _check_inequalities; without it
-        # the parent order cannot be recomputed
-        if len(partial) == len(view.outer):
-            parent_order = sorted(partial, key=lambda u: (partial[u], u))
-            for lab, u in enumerate(parent_order, start=plan.parent_interval[0]):
-                if labels[rec.parent_edge[u]] != lab:
-                    issues.append(f"layer {i}: parent edge of vertex {u} carries "
-                                  f"label {labels[rec.parent_edge[u]]}, expected {lab}")
-
-        try:
-            validate_covering_pair(pair)
-        except InternalInvariantError as exc:
-            issues.append(f"layer {i}: covering pair invalid: {exc}")
-
-        if cross_count[i] != plan.layer_size + plan.trail_count + plan.link_count:
-            issues.append(f"layer {i}: cross-edge count disagrees with the plan")
-    return issues, stats
-
-
-def _check_interval_discipline(result: LabelingResult, labels: Sequence[int]) -> list[str]:
-    issues: list[str] = []
-    g = result.graph
-    lay = result.layering
-    for eid in range(g.m):
-        i = lay.edge_class[eid]
-        plan = result.plans[i]
-        u, v = g.edges[eid]
-        if lay.layer_of[u] == lay.layer_of[v]:
-            lo, hi = plan.inner_interval
-            bucket = "within-layer"
-        else:
-            rec = result.layers[i]
-            outer = u if lay.layer_of[u] == i else v
-            if rec.parent_edge.get(outer) == eid:
-                lo, hi = plan.parent_interval
-                bucket = "parent"
-            elif eid in rec.pair.link_edge_ids:
-                lo, hi = plan.link_interval
-                bucket = "link"
+    # the two-ended cursor from the trail interval, over the units in order
+    lo, hi = plan.trail_interval
+    target = plan.target_pair_sum
+    unit_eids: list[int] = []
+    for ev in rec.events:
+        high_first = (ev.kind == "closed" and ev.case == "outer-high") or ev.kind == "open-outer"
+        eids = [eid for trail in ev.trails for eid in trail.edges]
+        unit_eids += eids
+        for t, eid in enumerate(eids):
+            if (t % 2 == 0) == high_first:
+                want, hi = hi, hi - 1
             else:
-                lo, hi = plan.trail_interval
-                bucket = "trail"
-        if not (lo <= labels[eid] <= hi):
-            issues.append(f"edge {eid} is a {bucket} edge of layer {i} but carries "
-                          f"label {labels[eid]} outside [{lo}, {hi}]")
+                want, lo = lo, lo + 1
+            # an id outside the edge range is reported by _layer_pair_sums
+            if 0 <= eid < len(labels) and labels[eid] != want:
+                issues.append(f"layer {i}: edge {eid} carries label {labels[eid]}, "
+                              f"replay gives {want}")
+        want = target if len(eids) % 2 == 0 else target + 1
+        if lo + hi != want:
+            issues.append(f"layer {i}: cursor identity {lo + hi} after a {ev.kind} unit, "
+                          f"expected {want}")
+    if lo != hi + 1:
+        issues.append(f"layer {i}: trail interval not exactly consumed (cursor {(lo, hi)})")
+    if sorted(unit_eids) != sorted(trail_eids):
+        issues.append(f"layer {i}: trail units do not cover the trail graph exactly")
+    issues += _layer_pair_sums(i, plan, rec, labels)
+
+    bad_cids, bad_vertices, free_links = _bad_components(view, pair, trail_eids, k)
+    if bad_cids != rec.bad_cids or free_links != rec.free_links:
+        issues.append(f"layer {i}: recomputed bad components disagree with the record")
+    if bad_cids:
+        stats["bad_layers"] += 1
+        if len(free_links) < k:
+            issues.append(f"layer {i}: only {len(free_links)} free links with bad "
+                          f"components present, need {k}")
+    stats["links_total"] += len(pair.links)
+    stats["free_links_total"] += len(free_links)
+
+    base = plan.offset + plan.inner_count + plan.trail_count
+    c = plan.link_count
+    free_set = set(free_links)
+    link_order = list(free_links) + [l for l in pair.links if l not in free_set]
+    for idx, link in enumerate(link_order, start=1):
+        in_bad = [e for e in link.ends if e in bad_vertices]
+        u_low = in_bad[0] if (link in free_set and len(in_bad) == 1) else min(link.ends)
+        u_high = link.end_b if u_low == link.end_a else link.end_a
+        if labels[view.edge_between(link.center, u_low)] != base + idx:
+            issues.append(f"layer {i}: low link edge of center {link.center} mislabeled")
+        if labels[view.edge_between(link.center, u_high)] != base + c - idx + 1:
+            issues.append(f"layer {i}: high link edge of center {link.center} mislabeled")
+    if bad_cids:
+        for link in pair.links:
+            for end in link.ends:
+                if end in bad_vertices:
+                    lab = labels[view.edge_between(link.center, end)]
+                    if lab > base + c - k:
+                        issues.append(f"layer {i}: link edge into a bad component has "
+                                      f"label {lab}, above {base + c - k}")
+
+    partial = _partial_sums_from_labels(result, labels, sums, i)
+    bound_issues, hi_slack, lo_slack = _layer_bounds(result, i, partial)
+    issues += bound_issues
+    for key, slack in (("min_upper_slack", hi_slack), ("min_lower_slack", lo_slack)):
+        if slack is not None and (stats[key] is None or slack < stats[key]):
+            stats[key] = slack
+    # a missing partial sum is reported by _layer_bounds; without it the
+    # parent order cannot be recomputed
+    if len(partial) == len(view.outer):
+        parent_order = sorted(partial, key=lambda u: (partial[u], u))
+        for lab, u in enumerate(parent_order, start=plan.parent_interval[0]):
+            if labels[parent_edge[u]] != lab:
+                issues.append(f"layer {i}: parent edge of vertex {u} carries "
+                              f"label {labels[parent_edge[u]]}, expected {lab}")
+
+    try:
+        validate_covering_pair(pair)
+    except InternalInvariantError as exc:
+        issues.append(f"layer {i}: covering pair invalid: {exc}")
+
+    if len(cross) != plan.layer_size + plan.trail_count + plan.link_count:
+        issues.append(f"layer {i}: cross-edge count disagrees with the plan")
+
+    # A cross edge is a parent edge when it is the record's parent edge of
+    # its own outer end.  Those valid parent edges are values of the map,
+    # so when there are as many of them as values they are all of them.
+    parents = sigma_eids if len(valid_parents) == len(sigma_eids) else set(valid_parents)
+    lo, hi = plan.inner_interval
+    for eid in within:
+        if not lo <= labels[eid] <= hi:
+            issues.append(_interval_issue(i, eid, "within-layer", labels[eid], lo, hi))
+    parent_span, link_span, trail_span = (plan.parent_interval, plan.link_interval,
+                                          plan.trail_interval)
+    for eid in cross:
+        if eid in parents:
+            bucket, (lo, hi) = "parent", parent_span
+        elif eid in link_eids:
+            bucket, (lo, hi) = "link", link_span
+        else:
+            bucket, (lo, hi) = "trail", trail_span
+        if not lo <= labels[eid] <= hi:
+            issues.append(_interval_issue(i, eid, bucket, labels[eid], lo, hi))
     return issues
 
 
+def _interval_issue(i: int, eid: int, bucket: str, label: int, lo: int, hi: int) -> str:
+    return (f"edge {eid} is a {bucket} edge of layer {i} but carries "
+            f"label {label} outside [{lo}, {hi}]")
+
+
 def check_construction(result: LabelingResult) -> tuple[list[str], dict]:
-    """Run the full structural battery over a labeling result.  Returns the
-    list of violated invariants (empty when clean) and summary statistics,
-    including the bijection, distinct-sums and layer-monotone flags of the
-    independent check.  The battery covers every check of
-    verify_antimagic(..., result), so an empty list means that passes too."""
+    """Replay the whole construction record, one layer at a time from the
+    outermost in.  Returns the list of violated invariants (empty when clean),
+    grouped by layer, and summary statistics, including the bijection,
+    distinct-sums and layer-monotone flags of the independent check.  The
+    replay covers every check of verify_antimagic(..., result), so an empty
+    list means that passes too."""
     labels = list(result.labeling.labels)
     issues: list[str] = []
 
@@ -464,27 +445,28 @@ def check_construction(result: LabelingResult) -> tuple[list[str], dict]:
     if tuple(report.vertex_sums) != result.labeling.vertex_sums:
         issues.append("cached vertex sums disagree with recomputation")
 
+    g, lay = result.graph, result.layering
+    layer_of = lay.layer_of
+    within: list[list[int]] = [[] for _ in range(lay.depth + 1)]
+    cross: list[list[int]] = [[] for _ in range(lay.depth + 1)]
+    for eid, ((u, v), cls) in enumerate(zip(g.edges, lay.edge_class)):
+        (within if layer_of[u] == layer_of[v] else cross)[cls].append(eid)
+
+    stats = {"bad_layers": 0, "links_total": 0, "free_links_total": 0,
+             "min_upper_slack": None, "min_lower_slack": None}
     expected = 1
-    for i in range(result.layering.depth, 0, -1):
+    for i in range(lay.depth, 0, -1):
         plan = result.plans[i]
         for lo, hi in (plan.inner_interval, plan.trail_interval,
                        plan.link_interval, plan.parent_interval):
             if lo != expected:
                 issues.append(f"layer {i}: interval starts at {lo}, expected {expected}")
             expected = max(expected, hi + 1)
-    if expected != result.graph.m + 1:
+        issues += _replay_layer(result, i, labels, report.vertex_sums, within[i], cross[i],
+                                stats)
+    if expected != g.m + 1:
         issues.append("intervals do not partition the label range")
 
-    layer_issues, stats = _check_layer_structure(result, labels, report.vertex_sums)
-    issues.extend(layer_issues)
-    issues.extend(_check_interval_discipline(result, labels))
-    issues.extend(_check_trail_events(result, labels))
-    issues.extend(_check_pair_sums(result, labels))
-    ineq_issues, min_hi_slack, min_lo_slack = _check_inequalities(result, labels,
-                                                                  report.vertex_sums)
-    issues.extend(ineq_issues)
-    stats["min_upper_slack"] = min_hi_slack
-    stats["min_lower_slack"] = min_lo_slack
     stats["bijection_ok"] = report.bijection_ok
     stats["distinct_sums_ok"] = report.distinct_sums_ok
     stats["layer_monotone_ok"] = report.layer_monotone_ok

@@ -149,17 +149,25 @@ class TestValidate:
 
 
 class TestPadding:
+    @staticmethod
+    def assert_extends(view, padded):
+        """The view keeps its ids: its inner, outer and edges are prefixes of
+        the padded view's."""
+        assert padded.inner[:len(view.inner)] == tuple(view.inner)
+        assert padded.outer[:len(view.outer)] == tuple(view.outer)
+        assert padded.edges[:view.edge_count] == tuple(view.edges)
+
     def test_empty_view_becomes_gadget(self):
         view = BipartiteView(1, (), (), ())
-        padded, embed = pad_to_biregular(view, 3)
-        assert embed == {}
+        padded = pad_to_biregular(view, 3)
+        self.assert_extends(view, padded)
         assert all(padded.degree(x) == 3 for x in padded.inner)
         assert all(padded.degree(y) == 4 for y in padded.outer)
 
     def test_single_edge_worked_example(self):
         view = make_view([0], [1], [(0, 1)])
-        padded, embed = pad_to_biregular(view, 3)
-        assert embed == {0: 0, 1: 1}
+        padded = pad_to_biregular(view, 3)
+        self.assert_extends(view, padded)
         assert all(padded.degree(x) == 3 for x in padded.inner)
         assert all(padded.degree(y) == 4 for y in padded.outer)
         # two fresh outer vertices absorb the inner deficiency of 2
@@ -170,7 +178,7 @@ class TestPadding:
         # (3, 4)-biregular already
         view = make_view([0, 1, 2, 3], [4, 5, 6],
                          [(x, y) for x in range(4) for y in (4, 5, 6)])
-        padded, _ = pad_to_biregular(view, 3)
+        padded = pad_to_biregular(view, 3)
         assert padded is view
 
     def test_over_degree_rejected(self):
@@ -182,11 +190,10 @@ class TestPadding:
     @given(st.integers(0, 10_000), st.sampled_from([3, 5]))
     def test_padding_is_induced_embedding(self, seed, d):
         view = random_bounded_bipartite(random.Random(seed), d)
-        padded, embed = pad_to_biregular(view, d)
-        assert all(embed[v] == v for v in list(view.inner) + list(view.outer))
+        padded = pad_to_biregular(view, d)
+        self.assert_extends(view, padded)
         assert all(padded.degree(x) == d for x in padded.inner)
         assert all(padded.degree(y) == d + 1 for y in padded.outer)
-        assert padded.edges[:view.edge_count] == view.edges
         old = set(view.inner) | set(view.outer)
         for x, y, eid in padded.edges[view.edge_count:]:
             assert not (x in old and y in old)
@@ -196,7 +203,7 @@ class TestLinkFamily:
     def test_terminal_state_has_no_witness(self):
         for seed in range(30):
             view = random_bounded_bipartite(random.Random(seed), 3)
-            padded, _ = pad_to_biregular(view, 3)
+            padded = pad_to_biregular(view, 3)
             links = maximize_link_family(padded, 3)
             centers = {l.center for l in links}
             used = set()
@@ -271,14 +278,14 @@ def padded_layer_two(a):
     """The layer-2 view of K_{a,a}, padded: a inner vertices of degree a - 1
     over a - 1 outer ones, where Hall's condition fails."""
     g = complete_bipartite(a, a)
-    return pad_to_biregular(layer_view(g, bfs_layering(g, 0), 2), a - 1)[0]
+    return pad_to_biregular(layer_view(g, bfs_layering(g, 0), 2), a - 1)
 
 
 class TestGainingAddDifferential:
     def test_random_views_same_links_as_the_reference(self, monkeypatch):
         for seed in range(60):
             d = (3, 5)[seed % 2]
-            padded, _ = pad_to_biregular(random_bounded_bipartite(random.Random(seed), d), d)
+            padded = pad_to_biregular(random_bounded_bipartite(random.Random(seed), d), d)
             links = maximize_link_family(padded, d)
             with monkeypatch.context() as m:
                 m.setattr(covering, "_gaining_add", reference_gaining_add)

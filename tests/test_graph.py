@@ -25,13 +25,6 @@ class TestGraph:
         g = Graph(3, [(2, 0), (1, 0), (2, 1)])
         assert g.edges == ((0, 2), (0, 1), (1, 2))
 
-    def test_other_end(self):
-        g = Graph(2, [(0, 1)])
-        assert g.other_end(0, 0) == 1
-        assert g.other_end(0, 1) == 0
-        with pytest.raises(ValueError):
-            g.other_end(0, 5)
-
     def test_rejects_loop(self):
         with pytest.raises(GraphShapeError):
             Graph(2, [(1, 1)])

@@ -17,7 +17,7 @@ from antimagic import (GraphShapeError, InternalInvariantError, bfs_layering, ch
 from antimagic.cli import main
 from antimagic.documents import render_document
 from antimagic.labeling import LayerPlan
-from antimagic.verify import stress_instances
+from antimagic.verify import _partial_sums_from_labels, stress_instances
 from corpus import (circulant, complete_bipartite, complete_graph, cycle_graph,
                     hypercube, octahedron, shuffled_circulant, torus_grid)
 
@@ -30,7 +30,11 @@ class TestGoldenK5:
         # edges in id order: (0,1) (0,2) (0,3) (0,4) (1,2) (1,3) (1,4) (2,3) (2,4) (3,4)
         assert res.labeling.labels == (7, 8, 9, 10, 1, 2, 3, 4, 5, 6)
         assert res.labeling.vertex_sums == (34, 13, 18, 21, 24)
-        assert res.labeling.partial_sums == (34, 6, 10, 12, 14)
+        # partial sums: each vertex sum less its parent label; the root has
+        # no parent edge, so its partial sum is its vertex sum, 34
+        labels, sums = res.labeling.labels, res.labeling.vertex_sums
+        assert _partial_sums_from_labels(res, labels, sums, 1) == {1: 6, 2: 10, 3: 12, 4: 14}
+        assert sums[res.root] == 34
 
     def test_root_sum_strictly_largest(self):
         res = label_graph(complete_graph(5))

@@ -309,23 +309,6 @@ class TestResidual:
         assert len(residual) == view.edge_count - len(view.outer)
         assert trail == residual - pair.link_edge_ids
 
-    def test_missing_parent_rejected(self):
-        view, pair, parent = free_link_gadget()
-        incomplete = dict(parent)
-        incomplete.popitem()
-        with pytest.raises(InternalInvariantError, match="without a parent edge"):
-            residual_edge_sets(view, pair, incomplete)
-
-    def test_link_parent_overlap_rejected(self):
-        view, pair, parent = free_link_gadget()
-        broken = dict(parent)
-        # point one outer vertex's parent at a link edge
-        link = pair.links[0]
-        end = link.end_a
-        broken[end] = pair.view.edge_between(link.center, end)
-        with pytest.raises(InternalInvariantError):
-            residual_edge_sets(view, pair, broken)
-
 
 class TestBadComponents:
     def test_gadget_has_two_bad_cycles(self):

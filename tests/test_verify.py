@@ -87,10 +87,8 @@ class TestCheckConstruction:
         res = label_graph(circulant(10, [1, 2]))
         labels = list(res.labeling.labels)
         labels[0], labels[-1] = labels[-1], labels[0]
-        broken = res.labeling.__class__(tuple(labels), res.labeling.partial_sums,
-                                        res.labeling.vertex_sums)
-        broken_result = res.__class__(res.graph, res.root, res.k, res.layering,
-                                      res.plans, res.layers, broken)
+        broken_result = dataclasses.replace(
+            res, labeling=dataclasses.replace(res.labeling, labels=tuple(labels)))
         issues, _ = check_construction(broken_result)
         assert issues, "tampered labels must be reported"
 
@@ -98,10 +96,8 @@ class TestCheckConstruction:
         res = label_graph(complete_graph(5))
         sums = list(res.labeling.vertex_sums)
         sums[1] += 1
-        broken = res.labeling.__class__(res.labeling.labels, res.labeling.partial_sums,
-                                        tuple(sums))
-        broken_result = res.__class__(res.graph, res.root, res.k, res.layering,
-                                      res.plans, res.layers, broken)
+        broken_result = dataclasses.replace(
+            res, labeling=dataclasses.replace(res.labeling, vertex_sums=tuple(sums)))
         issues, _ = check_construction(broken_result)
         assert any("disagree" in issue for issue in issues)
 
