@@ -153,78 +153,69 @@ def _potential(view: BipartiteView, centers: set[int]) -> tuple[int, int]:
 
 
 class _LinkSearch:
-    """Mutable link-family state: a center set plus a feasible assignment of two
-    distinct outer ends per center, maintained by augmenting paths."""
+    """Mutable assignment of distinct outer ends to inner vertices, maintained
+    by augmenting paths: the link search gives each center two ends, the
+    matching gives each target one.  `owner` maps each assigned end to the
+    vertex holding it."""
 
     def __init__(self, view: BipartiteView):
         self.view = view
         self.centers: set[int] = set()
-        self.ends: dict[int, list[int]] = {}
         self.owner: dict[int, int] = {}
 
-    def snapshot(self):
-        return (
-            set(self.centers),
-            {c: list(e) for c, e in self.ends.items()},
-            dict(self.owner),
-        )
-
-    def restore(self, snap) -> None:
-        self.centers, self.ends, self.owner = snap[0], snap[1], snap[2]
-
-    def _augment(self, c: int) -> bool:
-        """Give center c one more end along an augmenting path, depth first in
-        neighbor order, with an explicit stack so long paths cannot exhaust
+    def augment(self, c: int) -> bool:
+        """Give c one more end along an augmenting path, depth first in
+        incidence order, with an explicit stack so long paths cannot exhaust
         the recursion limit."""
+        owner, incident = self.owner, self.view.incident
         visited: set[int] = set()
-        stack = [(c, iter(self.view.neighbors(c)))]
+        stack = [(c, iter(incident(c)))]
         taken: list[int] = []  # taken[i]: the end stack[i] is trying to take
         while stack:
             x, todo = stack[-1]
-            for y in todo:
-                if y in visited or y in self.ends[x]:
+            for y, _ in todo:
+                if y in visited:
                     continue
-                visited.add(y)
-                o = self.owner.get(y)
+                o = owner.get(y)
                 if o is None:
-                    # hand every end on the path to its new center, deepest first
-                    for (center, _), end in reversed(list(zip(stack, taken + [y]))):
-                        prev = self.owner.get(end)
-                        if prev is not None:
-                            self.ends[prev].remove(end)
-                        self.ends[center].append(end)
-                        self.owner[end] = center
+                    owner[y] = x
+                    for (holder, _), end in zip(stack, taken):
+                        owner[end] = holder
                     return True
-                taken.append(y)
-                stack.append((o, iter(self.view.neighbors(o))))
-                break
+                if o != x:  # else x already holds y
+                    visited.add(y)
+                    taken.append(y)
+                    stack.append((o, iter(incident(o))))
+                    break
             else:
                 stack.pop()
                 if taken:
                     taken.pop()
         return False
 
-    def apply(self, add: int | None = None, remove: int | None = None) -> bool:
-        """Mutate the center set; True if two ends per center remain assignable.
-        On False the state is partially mutated; callers must restore."""
+    def try_move(self, add: int, remove: int | None = None) -> bool:
+        """Make `add` a center in place of `remove`, if given; True if every
+        center can still be given two ends.  On False the state is unchanged."""
+        saved = (set(self.centers), self.owner)
         if remove is not None:
             self.centers.discard(remove)
-            for y in self.ends.pop(remove, []):
-                del self.owner[y]
-        if add is not None:
-            self.centers.add(add)
-            self.ends[add] = []
-            for _ in range(2):
-                if not self._augment(add):
-                    return False
-        return True
+        # a fresh map without remove's ends; the old one is kept as saved
+        self.owner = {y: c for y, c in self.owner.items() if c != remove}
+        self.centers.add(add)
+        if self.augment(add) and self.augment(add):
+            return True
+        self.centers, self.owner = saved
+        return False
 
     def links(self) -> list[Link]:
+        ends: dict[int, list[int]] = {c: [] for c in sorted(self.centers)}
+        for y, c in self.owner.items():
+            ends[c].append(y)
         out = []
-        for c in sorted(self.centers):
-            if len(self.ends[c]) != 2:
-                raise InternalInvariantError(f"center {c} has {len(self.ends[c])} assigned ends")
-            out.append(Link.of(c, *self.ends[c]))
+        for c, e in ends.items():
+            if len(e) != 2:
+                raise InternalInvariantError(f"center {c} has {len(e)} assigned ends")
+            out.append(Link.of(c, *e))
         return out
 
 
@@ -237,29 +228,27 @@ def maximize_link_family(view: BipartiteView, d: int) -> list[Link]:
     Moves are add-center and swap-center, accepted only when the pair
     (covered outer count, frontier size) strictly increases lexicographically;
     the pair depends on the center set alone, so candidate moves are scored
-    before checking that disjoint ends can still be assigned.
+    before checking that disjoint ends can still be assigned.  The coverage
+    and frontier of the current centers are computed once per step.
     """
     st = _LinkSearch(view)
-    pot = (0, 0)
     guard = (len(view.outer) + 1) * (len(view.inner) + 1) + 1
     for _ in range(guard):
-        w = _find_witness(view, st.centers)
-        if w is None:
-            new_pot = _gaining_add(view, st, pot)
-            if new_pot is None:
-                break
-            pot = new_pot
-            continue
-        pot = _escape_witness(view, st, pot, w)
+        covered = _coverage(view, st.centers)
+        frontier = _frontier(view, st.centers, covered)
+        w = _find_witness(view, covered, frontier)
+        if w is not None:
+            _escape_witness(view, st, w, covered, frontier)
+        elif not _gaining_add(view, st, covered):
+            break
     else:
         raise InternalInvariantError("link family search exceeded its move budget")
     return st.links()
 
 
-def _find_witness(view: BipartiteView, centers: set[int]) -> tuple[int, int] | None:
+def _find_witness(view: BipartiteView, covered: dict[int, int],
+                  frontier: set[int]) -> tuple[int, int] | None:
     """Lowest (uncovered outer, neighbor outside the frontier) pair, if any."""
-    covered = _coverage(view, centers)
-    frontier = _frontier(view, centers, covered)
     for y in view.outer:
         if y in covered:
             continue
@@ -284,86 +273,48 @@ def _candidate_moves(view: BipartiteView, centers: set[int],
     )
 
 
-def _escape_witness(view: BipartiteView, st: _LinkSearch, pot: tuple[int, int],
-                    witness: tuple[int, int]) -> tuple[int, int]:
+def _escape_witness(view: BipartiteView, st: _LinkSearch, witness: tuple[int, int],
+                    covered: dict[int, int], frontier: set[int]) -> None:
+    """Apply the first feasible candidate move that raises the potential above
+    that of the current centers, whose coverage and frontier are given."""
     y_w, x_w = witness
+    pot = (len(covered), len(frontier))
     for add, remove in _candidate_moves(view, st.centers, x_w):
         cand = set(st.centers)
         if remove is not None:
             cand.discard(remove)
         cand.add(add)
-        new_pot = _potential(view, cand)
-        if new_pot <= pot:
-            continue
-        snap = st.snapshot()
-        if st.apply(add=add, remove=remove):
-            return new_pot
-        st.restore(snap)
+        if _potential(view, cand) > pot and st.try_move(add, remove):
+            return
     raise InternalInvariantError(
         f"no improving move for uncovered outer vertex {y_w} (blocked at inner vertex {x_w})")
 
 
-def _gaining_add(view: BipartiteView, st: _LinkSearch, pot: tuple[int, int]) -> tuple[int, int] | None:
+def _gaining_add(view: BipartiteView, st: _LinkSearch, covered: dict[int, int]) -> bool:
     """Apply one feasible add-center move that strictly grows the covered outer
     set, if one exists.  Running these to exhaustion gives the family the
     maximality the matching step depends on.
 
-    The coverage of the current centers is computed once: adding x covers
-    those outer vertices plus x's uncovered neighbors, so each candidate is
-    screened in O(d), and only one whose covered count beats pot[0] pays for
-    the full potential with its frontier."""
-    covered = _coverage(view, st.centers)
-    base = len(covered)
+    `covered` is the coverage of the current centers: adding x grows it
+    exactly when x has an uncovered neighbor, so each candidate is screened
+    in O(d) and no potential is computed."""
     for x in view.inner:
-        if x in st.centers:
+        if x in st.centers or all(y in covered for y, _ in view.incident(x)):
             continue
-        if base + sum(1 for y, _ in view.incident(x) if y not in covered) <= pot[0]:
-            continue
-        new_pot = _potential(view, st.centers | {x})
-        snap = st.snapshot()
-        if st.apply(add=x):
-            return new_pot
-        st.restore(snap)
-    return None
+        if st.try_move(x):
+            return True
+    return False
 
 
 def hall_matching(view: BipartiteView, d: int, forbidden: frozenset[int] = frozenset()) -> frozenset[int]:
-    """Matching covering every degree-d inner vertex outside `forbidden`,
-    found by augmenting paths; raises if some target cannot be covered."""
-    targets = [x for x in view.inner if view.degree(x) == d and x not in forbidden]
-    match_x: dict[int, int] = {}
-
-    def try_assign(x: int) -> bool:
-        # depth first in incidence order, with an explicit stack so paths
-        # longer than the recursion limit are fine
-        visited: set[int] = set()
-        stack = [(x, iter(view.incident(x)))]
-        taken: list[int] = []  # taken[i]: the outer vertex stack[i] is trying to take
-        while stack:
-            u, todo = stack[-1]
-            for y, _eid in todo:
-                if y in visited:
-                    continue
-                visited.add(y)
-                o = match_x.get(y)
-                if o is None:
-                    match_x[y] = u
-                    for (v, _), w in zip(stack, taken):
-                        match_x[w] = v
-                    return True
-                taken.append(y)
-                stack.append((o, iter(view.incident(o))))
-                break
-            else:
-                stack.pop()
-                if taken:
-                    taken.pop()
-        return False
-
-    for x in targets:
-        if not try_assign(x):
+    """Matching covering every degree-d inner vertex outside `forbidden`: the
+    link search's augmenting paths give each such target one end; raises if
+    some target cannot be covered."""
+    st = _LinkSearch(view)
+    for x in view.inner:
+        if view.degree(x) == d and x not in forbidden and not st.augment(x):
             raise InternalInvariantError(f"no matching covers full-degree inner vertex {x}")
-    return frozenset(view.edge_between(x, y) for y, x in match_x.items())
+    return frozenset(view.edge_between(x, y) for y, x in st.owner.items())
 
 
 def pad_to_biregular(view: BipartiteView, d: int) -> BipartiteView:

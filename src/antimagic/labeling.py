@@ -97,8 +97,7 @@ class TrailEvent:
 
     kind: str  # closed | open-inner | open-outer | mixed-pair | mixed-last
     trails: tuple[Trail, ...]
-    case: str | None
-    bad: bool
+    case: str | None  # closed units: "bad" exactly in a bad component
 
 
 @dataclass(frozen=True)
@@ -199,33 +198,31 @@ def _assign_trail_labels(view: BipartiteView, pair: CoveringPair, analysis: BadA
     cursor = _Cursor(*plan.trail_interval)
     events: list[TrailEvent] = []
 
-    def emit(kind: str, trails: tuple[Trail, ...], case: str | None, high_first: bool,
-             bad: bool) -> None:
+    def emit(kind: str, trails: tuple[Trail, ...], case: str | None, high_first: bool) -> None:
         eids = [eid for t in trails for eid in t.edges]
         labels.update(zip(eids, cursor.take(len(eids), high_first)))
-        events.append(TrailEvent(kind, trails, case, bad))
+        events.append(TrailEvent(kind, trails, case))
 
     for cid, trail in sorted(family.closed, key=lambda ct: min(ct[1].edges)):
-        bad = cid in analysis.bad_cids
         comp = family.components[cid]
-        start, case = choose_closed_start(trail, comp, bad, pair, view, k)
+        start, case = choose_closed_start(trail, comp, cid in analysis.bad_cids, pair, view, k)
         oriented = rotate_closed(trail, start)
-        emit("closed", (oriented,), case, case == "outer-high", bad)
+        emit("closed", (oriented,), case, case == "outer-high")
 
     for trail in family.open_inner:
-        emit("open-inner", (orient_open(trail, min(trail.ends)),), None, False, False)
+        emit("open-inner", (orient_open(trail, min(trail.ends)),), None, False)
 
     for trail in family.open_outer:
-        emit("open-outer", (orient_open(trail, min(trail.ends)),), None, True, False)
+        emit("open-outer", (orient_open(trail, min(trail.ends)),), None, True)
 
     mixed = list(family.open_mixed)
     for first, second in zip(mixed[0::2], mixed[1::2]):
         a = orient_open(first, _end_on(view, first, "inner"))
         b = orient_open(second, _end_on(view, second, "outer"))
-        emit("mixed-pair", (a, b), None, False, False)
+        emit("mixed-pair", (a, b), None, False)
     if len(mixed) % 2:
         last = mixed[-1]
-        emit("mixed-last", (orient_open(last, _end_on(view, last, "inner")),), None, False, False)
+        emit("mixed-last", (orient_open(last, _end_on(view, last, "inner")),), None, False)
 
     if cursor.lo != cursor.hi + 1:
         raise InternalInvariantError(f"trail interval of layer {plan.index} not exactly consumed")

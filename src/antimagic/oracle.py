@@ -41,16 +41,25 @@ def brute_force_antimagic(graph: Graph, max_perms: int | None = None):
     sums = [0] * n
     used = [False] * (m + 1)
     finalized: set[int] = set()
-    assignment = [0] * m
+    # Depth first over positions without recursion, so the depth is bounded
+    # by the node budget, not the recursion limit.  chosen and done are the
+    # stack: chosen[pos] is the label placed at order[pos] (0 while none is),
+    # done[pos] the vertices whose sums that placement finalized.
+    chosen = [0] * m
+    done: list[list[int]] = [[] for _ in range(m)]
     nodes = 0
-
-    def place(pos: int) -> bool:
-        nonlocal nodes
-        if pos == m:
-            return True
-        eid = order[pos]
-        u, v = graph.edges[eid]
-        for label in range(1, m + 1):
+    pos = 0
+    while 0 <= pos < m:
+        u, v = graph.edges[order[pos]]
+        label = chosen[pos]
+        if label:  # the subtree under this label failed: take it back
+            for w in done[pos]:
+                finalized.discard(sums[w])
+            used[label] = False
+            sums[u] -= label
+            sums[v] -= label
+            chosen[pos] = 0
+        for label in range(label + 1, m + 1):
             if used[label]:
                 continue
             nodes += 1
@@ -60,24 +69,21 @@ def brute_force_antimagic(graph: Graph, max_perms: int | None = None):
             used[label] = True
             sums[u] += label
             sums[v] += label
-            done = [w for w in last_of[pos] if sums[w] not in finalized]
-            if len(done) == len(last_of[pos]) and len({sums[w] for w in done}) == len(done):
-                for w in done:
+            fin = [w for w in last_of[pos] if sums[w] not in finalized]
+            if len(fin) == len(last_of[pos]) and len({sums[w] for w in fin}) == len(fin):
+                for w in fin:
                     finalized.add(sums[w])
-                assignment[eid] = label
-                if place(pos + 1):
-                    return True
-                for w in done:
-                    finalized.discard(sums[w])
+                chosen[pos] = label
+                done[pos] = fin
+                break
             used[label] = False
             sums[u] -= label
             sums[v] -= label
-        return False
-
-    if not place(0):
+        pos = pos + 1 if chosen[pos] else pos - 1
+    if pos < 0:
         return False, None
 
-    labels = {eid: assignment[eid] for eid in range(m)}
+    labels = dict(sorted(zip(order, chosen)))
     check = [0] * n
     for eid, lab in labels.items():
         a, b = graph.edges[eid]

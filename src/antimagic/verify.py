@@ -183,6 +183,7 @@ def _layer_pair_sums(i: int, plan: LayerPlan, rec: LayerRecord,
     anchor = plan.offset + plan.inner_count
     issues: list[str] = []
     for ev in rec.events:
+        bad = ev.case == "bad"
         for trail in ev.trails:
             verts = iter(trail.vertices)
             a = next(verts)
@@ -199,7 +200,7 @@ def _layer_pair_sums(i: int, plan: LayerPlan, rec: LayerRecord,
                         if s < target:
                             issues.append(
                                 f"layer {i}: inner meet at {a} sums to {s}, below {target}")
-                    elif ev.bad:
+                    elif bad:
                         if s != target + 1:
                             issues.append(
                                 f"layer {i}: outer meet at {a} in a bad component sums "
@@ -212,7 +213,7 @@ def _layer_pair_sums(i: int, plan: LayerPlan, rec: LayerRecord,
                 if not trail.edges:
                     return [f"layer {i}: closed trail unit at vertex {start} has no edges"]
                 s = labels[trail.edges[-1]] + labels[trail.edges[0]]
-                if ev.bad or ev.case == "bad":
+                if bad:
                     if s > target:
                         issues.append(
                             f"layer {i}: wrap pair of a bad trail at {start} sums to {s}, "

@@ -5,8 +5,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from antimagic import BipartiteView, Graph
-from antimagic.covering import CoveringPair, Link
+from antimagic import BipartiteView, Graph, bfs_layering, layer_view
+from antimagic.covering import CoveringPair, Link, pad_to_biregular
 
 
 def complete_graph(n: int) -> Graph:
@@ -120,6 +120,13 @@ def random_bounded_bipartite(rng: random.Random, d: int, max_inner: int = 8,
             deg[x] += 1
             deg[y] += 1
     return BipartiteView(1, inner, outer, tuple(edges))
+
+
+def padded_layer_two(a: int) -> BipartiteView:
+    """The layer-2 view of K_{a,a}, padded: a inner vertices of degree a - 1
+    over a - 1 outer ones, where Hall's condition fails."""
+    g = complete_bipartite(a, a)
+    return pad_to_biregular(layer_view(g, bfs_layering(g, 0), 2), a - 1)
 
 
 def free_link_gadget():

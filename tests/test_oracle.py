@@ -1,5 +1,7 @@
 """Brute-force oracle: known answers, witness validity, budget behavior."""
 
+import sys
+
 import pytest
 
 from antimagic import Graph, OracleBudgetError, brute_force_antimagic, verify_antimagic
@@ -32,6 +34,13 @@ class TestKnownAnswers:
             found, witness = brute_force_antimagic(g)
             assert found, name
             assert verify_antimagic(g, witness).passed, name
+
+    def test_more_edges_than_the_recursion_limit(self):
+        # the search goes one level deeper per edge, so it must not recurse
+        g = cycle_graph(sys.getrecursionlimit() + 50)
+        found, witness = brute_force_antimagic(g)
+        assert found
+        assert verify_antimagic(g, witness).passed
 
 
 class TestBudget:

@@ -170,7 +170,7 @@ def _():
     res = labeled("R40")
     rec = res.layers[3]
     v = rec.view.inner[0]
-    empty = TrailEvent("closed", (Trail((v,), (), closed=True),), "inner-low", False)
+    empty = TrailEvent("closed", (Trail((v,), (), closed=True),), "inner-low")
     return with_layer(res, 3, events=rec.events + (empty,))
 
 

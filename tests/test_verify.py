@@ -193,7 +193,7 @@ class TestCheckConstruction:
         res = label_graph(generate_regular(40, 6, 3))
         rec = res.layers[3]
         v = rec.view.inner[0]
-        empty = TrailEvent("closed", (Trail((v,), (), closed=True),), "inner-low", False)
+        empty = TrailEvent("closed", (Trail((v,), (), closed=True),), "inner-low")
         broken = with_layer(res, 3, events=rec.events + (empty,))
         empty_issue = f"layer 3: closed trail unit at vertex {v} has no edges"
         issues, _ = check_construction(broken)
