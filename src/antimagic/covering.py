@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, KeysView
 
 from .errors import GraphShapeError, InternalInvariantError
 from .graph import BipartiteView
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Link:
     """Length-two path end_a - center - end_b; the center is an inner vertex,
     both ends are outer, and end_a < end_b."""
@@ -44,15 +44,20 @@ class Link:
 
 
 class CoveringPair:
-    """Immutable covering pair: links, matching edge ids, and derived lookups."""
+    """Immutable covering pair: links, matching edge ids, and derived lookups.
+
+    It keeps three maps: link end -> link, link edge id -> link end, and
+    matched vertex -> matching edge id.  The link ends, link edge ids,
+    centers and matching are read off them, so a pair without links holds
+    three empty dicts and no sets."""
+
+    __slots__ = ("view", "d", "links", "_link_of", "_link_end", "_match_of")
 
     def __init__(self, view: BipartiteView, d: int, links: Iterable[Link], matching: Iterable[int]):
         self.view = view
         self.d = d
         self.links = tuple(sorted(links))
-        self.matching = frozenset(matching)
 
-        self.centers = frozenset(l.center for l in self.links)
         link_of: dict[int, Link] = {}
         for l in self.links:
             for end in l.ends:
@@ -60,10 +65,10 @@ class CoveringPair:
                     raise InternalInvariantError(f"outer vertex {end} is an end of two links")
             link_of[l.end_a] = l
             link_of[l.end_b] = l
-        self.link_ends = frozenset(link_of)
+        self._link_of = link_of
 
         match_of: dict[int, int] = {}
-        for eid in sorted(self.matching):
+        for eid in sorted(set(matching)):
             x, y = view.ends_of(eid)
             if x in match_of or y in match_of:
                 raise InternalInvariantError(f"matching edges share a vertex at edge {eid}")
@@ -71,15 +76,31 @@ class CoveringPair:
             match_of[y] = eid
         self._match_of = match_of
 
-        eids = set()
+        link_end: dict[int, int] = {}
         for l in self.links:
             for end in l.ends:
                 eid = view.edge_between(l.center, end)
                 if eid is None:
                     raise InternalInvariantError(
                         f"link edge ({l.center}, {end}) is not an edge of the view")
-                eids.add(eid)
-        self.link_edge_ids = frozenset(eids)
+                link_end[eid] = end
+        self._link_end = link_end
+
+    @property
+    def matching(self) -> frozenset[int]:
+        return frozenset(self._match_of.values())
+
+    @property
+    def centers(self) -> frozenset[int]:
+        return frozenset(l.center for l in self.links)
+
+    @property
+    def link_ends(self) -> KeysView[int]:
+        return self._link_of.keys()
+
+    @property
+    def link_edge_ids(self) -> KeysView[int]:
+        return self._link_end.keys()
 
     def is_matched(self, v: int) -> bool:
         return v in self._match_of
@@ -94,8 +115,10 @@ def validate_covering_pair(pair: CoveringPair) -> None:
     Together with the checks of CoveringPair (link ends unique, matching
     edges disjoint, link edges in the view) these make every component of
     matching plus links a single matching edge or a W-shape: one unmatched
-    center whose two ends each carry their own matching edge."""
+    center whose two ends each carry their own matching edge.  No link edge
+    is a matching edge, since that edge would match its center."""
     view, d = pair.view, pair.d
+    link_ends = pair.link_ends
     seen: set[int] = set()
     for l in pair.links:
         if view.side(l.center) != "inner":
@@ -117,15 +140,14 @@ def validate_covering_pair(pair: CoveringPair) -> None:
                 raise InternalInvariantError(f"link end {end} is unmatched")
         # every neighbor of a center must be usable as a parent edge elsewhere
         for w in view.neighbors(l.center):
-            if not pair.is_matched(w) and w not in pair.link_ends:
+            if not pair.is_matched(w) and w not in link_ends:
                 raise InternalInvariantError(
                     f"neighbor {w} of center {l.center} is neither matched nor a link end")
-    if pair.matching & pair.link_edge_ids:
-        raise InternalInvariantError("matching and link edges overlap")
-    for x in pair.view.inner:
+    # `seen` holds every link vertex; an inner one is a center
+    for x in view.inner:
         if view.degree(x) != d:
             continue
-        if not (pair.is_matched(x) or x in pair.centers):
+        if not (pair.is_matched(x) or x in seen):
             raise InternalInvariantError(f"full-degree inner vertex {x} is uncovered")
 
 
@@ -354,7 +376,7 @@ def pad_to_biregular(view: BipartiteView, d: int) -> BipartiteView:
         return view
 
     next_v = max(list(view.inner) + list(view.outer)) + 1
-    next_e = max((eid for _, _, eid in view.edges), default=-1) + 1
+    next_e = max(view.edge_ends, default=-1) + 1
     new_edges: list[tuple[int, int, int]] = []
 
     privates: list[int] = []
@@ -416,7 +438,7 @@ def pad_to_biregular(view: BipartiteView, d: int) -> BipartiteView:
         index=view.index,
         inner=tuple(view.inner) + tuple(fresh_inner),
         outer=tuple(view.outer) + tuple(privates) + tuple(fillers),
-        edges=tuple(view.edges) + tuple(new_edges),
+        edges=view.edges + tuple(new_edges),
     )
     for x in padded.inner:
         if padded.degree(x) != d:
@@ -538,11 +560,12 @@ def maximize_free_links(pair: CoveringPair, analyze: Callable[[CoveringPair], "o
         if not analysis.bad_cids:
             break
         improved = None
+        link_ends = pair.link_ends
         for link in pair.links:
             for out_end in sorted(link.ends):
                 keep = link.end_b if out_end == link.end_a else link.end_a
                 for w in pair.view.neighbors(link.center):
-                    if w == keep or w == out_end or w in pair.link_ends:
+                    if w == keep or w == out_end or w in link_ends:
                         continue
                     new_links = [Link.of(l.center, keep, w) if l == link else l
                                  for l in pair.links]

@@ -7,8 +7,7 @@ follow input order, and every adjacency list is sorted by (neighbor, edge id).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from operator import itemgetter
+from dataclasses import dataclass
 
 from .errors import GraphFormatError, GraphShapeError
 
@@ -133,6 +132,9 @@ class Layering:
     Edge class i means the edge joins two layer-i vertices or a layer-i vertex
     to a layer-(i-1) vertex.  class_edges[i] lists the ids of the class-i
     edges in increasing order, so per-layer work never scans the whole graph.
+    inward[v] and outward[v] are the graph's own sorted (neighbor, edge id)
+    entries at v toward layers layer_of[v] - 1 and layer_of[v] + 1, split
+    from its incidence once, so a layer view filters nothing.
     """
 
     root: int
@@ -140,6 +142,8 @@ class Layering:
     layer_of: tuple[int, ...]
     edge_class: tuple[int, ...]
     class_edges: tuple[tuple[int, ...], ...]
+    inward: tuple[tuple[tuple[int, int], ...], ...]
+    outward: tuple[tuple[tuple[int, int], ...], ...]
 
     @property
     def depth(self) -> int:
@@ -149,44 +153,59 @@ class Layering:
 def bfs_layering(graph: Graph, root: int) -> Layering:
     if not (0 <= root < graph.n):
         raise GraphShapeError(f"root {root} is not a vertex of the graph")
+    incident = graph.incident
     dist = [-1] * graph.n
     dist[root] = 0
     queue = [root]
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        for w, _ in graph.incident(v):
+    for v in queue:  # the queue grows while it is read
+        dw = dist[v] + 1
+        for w, _ in incident(v):
             if dist[w] < 0:
-                dist[w] = dist[v] + 1
+                dist[w] = dw
                 queue.append(w)
-    if any(d < 0 for d in dist):
+    if len(queue) < graph.n:
         raise GraphShapeError("graph is disconnected")
-    depth = max(dist)
+    depth = dist[queue[-1]]
     layers: list[list[int]] = [[] for _ in range(depth + 1)]
-    for v in range(graph.n):
-        layers[dist[v]].append(v)
+    inward = []
+    outward = []
+    for v, dv in enumerate(dist):
+        layers[dv].append(v)
+        up = []
+        down = []
+        for entry in incident(v):
+            dw = dist[entry[0]]
+            if dw < dv:
+                up.append(entry)
+            elif dw > dv:
+                down.append(entry)
+        inward.append(tuple(up))
+        outward.append(tuple(down))
     edge_class = []
     class_edges: list[list[int]] = [[] for _ in range(depth + 1)]
     for eid, (u, v) in enumerate(graph.edges):
-        cls = max(dist[u], dist[v])
+        du, dv = dist[u], dist[v]
+        cls = du if du > dv else dv
         edge_class.append(cls)
         class_edges[cls].append(eid)
     return Layering(
         root=root,
-        layers=tuple(tuple(layer) for layer in layers),
+        layers=tuple(map(tuple, layers)),
         layer_of=tuple(dist),
         edge_class=tuple(edge_class),
-        class_edges=tuple(tuple(bucket) for bucket in class_edges),
+        class_edges=tuple(map(tuple, class_edges)),
+        inward=tuple(inward),
+        outward=tuple(outward),
     )
 
 
-@dataclass(frozen=True)
 class BipartiteView:
     """The bipartite graph of cross edges between two consecutive layers.
 
     Inner vertices sit in the layer closer to the root; outer vertices in the
-    layer farther out. Edge ids are the ids of the underlying graph.
+    layer farther out. Edge ids are the ids of the underlying graph.  Each
+    edge's ends are kept once, in the id -> (inner, outer) map `edge_ends`;
+    `edges` lists them as (inner, outer, edge id) triples in that map's order.
 
     Built from its edge list, the view checks that no vertex is on both
     sides and that every edge crosses them, and sorts each vertex's
@@ -196,23 +215,18 @@ class BipartiteView:
     needs neither the checks nor the sort.
     """
 
-    index: int
-    inner: tuple[int, ...]
-    outer: tuple[int, ...]
-    edges: tuple[tuple[int, int, int], ...]  # (inner vertex, outer vertex, edge id)
-    _side: dict[int, str] = field(repr=False, default_factory=dict)
-    _adj: dict[int, tuple[tuple[int, int], ...]] = field(repr=False, default_factory=dict)
-    _ends: dict[int, tuple[int, int]] = field(repr=False, default_factory=dict)
+    __slots__ = ("index", "inner", "outer", "_side", "_adj", "_ends")
 
-    def __post_init__(self):
-        side = {v: "inner" for v in self.inner}
-        for v in self.outer:
+    def __init__(self, index: int, inner: tuple[int, ...], outer: tuple[int, ...],
+                 edges: tuple[tuple[int, int, int], ...]):
+        side = {v: "inner" for v in inner}
+        for v in outer:
             if v in side:
                 raise GraphShapeError(f"vertex {v} on both sides of a bipartite view")
             side[v] = "outer"
         adj: dict[int, list[tuple[int, int]]] = {v: [] for v in side}
         ends: dict[int, tuple[int, int]] = {}
-        for x, y, eid in self.edges:
+        for x, y, eid in edges:
             if side.get(x) != "inner" or side.get(y) != "outer":
                 raise GraphShapeError(f"view edge ({x}, {y}) does not cross the two sides")
             adj[x].append((y, eid))
@@ -220,13 +234,32 @@ class BipartiteView:
             ends[eid] = (x, y)
         for lst in adj.values():
             lst.sort()
-        object.__setattr__(self, "_side", side)
-        object.__setattr__(self, "_adj", {v: tuple(lst) for v, lst in adj.items()})
-        object.__setattr__(self, "_ends", ends)
+        self.index = index
+        self.inner = inner
+        self.outer = outer
+        self._side = side
+        self._adj = {v: tuple(lst) for v, lst in adj.items()}
+        self._ends = ends
+
+    def __eq__(self, other):
+        if not isinstance(other, BipartiteView):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    __hash__ = None  # a view holds dicts
+
+    def __repr__(self) -> str:
+        return (f"BipartiteView(index={self.index!r}, inner={self.inner!r}, "
+                f"outer={self.outer!r}, edges={self.edges!r})")
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        """(inner vertex, outer vertex, edge id) of every view edge."""
+        return tuple((x, y, eid) for eid, (x, y) in self._ends.items())
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self._ends)
 
     def side(self, v: int) -> str:
         return self._side[v]
@@ -261,42 +294,32 @@ def layer_view(graph: Graph, layering: Layering, index: int) -> BipartiteView:
     """Bipartite view between layers index-1 and index; inner side may include
     vertices with no cross edges, the outer side never does (by BFS).
 
-    The view's incidence is a filter of the graph's: an inner vertex keeps
-    its neighbors in layer index, an outer vertex those in layer index-1.
-    Its entries are the graph's own (neighbor, edge id) tuples, already
-    sorted, and the edges are read off the outer lists and put in edge id
-    order, so the view equals BipartiteView(index, inner, outer, edges).  The
+    The view's incidence is the layering's split of the graph's: an inner
+    vertex keeps its outward entries, an outer vertex its inward ones.
+    These are the graph's own (neighbor, edge id) tuples, already sorted,
+    and the edges are read off the outer lists and put in edge id order, so
+    the view equals BipartiteView(index, inner, outer, edges).  The
     constructor's checks hold by construction: the layers are the classes of
     layer_of, so no vertex is on both sides and every kept edge crosses them.
+    Everything read comes from the layering; `graph` is the graph it was
+    built from.
     """
     if not (1 <= index <= layering.depth):
         raise GraphShapeError(f"layer index {index} out of range 1..{layering.depth}")
     inner = layering.layers[index - 1]
     outer = layering.layers[index]
-    layer_of = layering.layer_of
-    incident = graph.incident
+    outward, inward = layering.outward, layering.inward
     side = dict.fromkeys(inner, "inner")
-    side.update(dict.fromkeys(outer, "outer"))
-    adj = {}
-    for x in inner:
-        kept = []
-        for entry in incident(x):
-            if layer_of[entry[0]] == index:
-                kept.append(entry)
-        adj[x] = tuple(kept)
-    edges = []
+    adj = {x: outward[x] for x in inner}
+    ends = []
     for y in outer:
-        kept = []
-        for entry in incident(y):
-            if layer_of[entry[0]] == index - 1:
-                kept.append(entry)
-                edges.append((entry[0], y, entry[1]))
-        adj[y] = tuple(kept)
-    edges.sort(key=itemgetter(2))
-    view = object.__new__(BipartiteView)
+        side[y] = "outer"
+        adj[y] = entries = inward[y]
+        for x, eid in entries:
+            ends.append((eid, (x, y)))
+    ends.sort()
     # set the fields directly: the constructor would re-check and re-sort them
-    for name, value in (("index", index), ("inner", inner), ("outer", outer),
-                        ("edges", tuple(edges)), ("_side", side), ("_adj", adj),
-                        ("_ends", {eid: (x, y) for x, y, eid in edges})):
-        object.__setattr__(view, name, value)
+    view = object.__new__(BipartiteView)
+    view.index, view.inner, view.outer = index, inner, outer
+    view._side, view._adj, view._ends = side, adj, dict(ends)
     return view

@@ -28,7 +28,7 @@ from .trails import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LayerPlan:
     """Label budget of one layer: counts of within-layer, trail, link, and
     parent edges, plus the offset below which outer layers' labels live."""
@@ -75,7 +75,7 @@ class LayerPlan:
                 + (k + 1) * self.trail_count + self.link_count + k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LayerRecord:
     """What the replay reads of one layer, built in the one labeling pass once
     the layer is labeled; its trail family and bad-component analysis are
@@ -84,12 +84,12 @@ class LayerRecord:
     view: BipartiteView
     pair: CoveringPair
     parent_edge: dict[int, int]
-    bad_cids: frozenset[int]
+    bad_cids: tuple[int, ...]
     free_links: tuple[Link, ...]
     events: tuple["TrailEvent", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrailEvent:
     """One labeling unit: a single trail or a pair of mixed trails, oriented
     as labeled.  The labels themselves are read from the labeling; the unit's
@@ -100,7 +100,7 @@ class TrailEvent:
     case: str | None  # closed units: "bad" exactly in a bad component
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Labeling:
     """Final per-edge labels with the per-vertex sums they give."""
 
@@ -108,7 +108,7 @@ class Labeling:
     vertex_sums: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabelingResult:
     graph: Graph
     root: int
@@ -128,29 +128,35 @@ class _Cursor:
         self.lo = lo
         self.hi = hi
 
-    def take(self, n: int, high_first: bool) -> list[int]:
-        out = []
-        for t in range(n):
-            if (t % 2 == 0) == high_first:
-                out.append(self.hi)
-                self.hi -= 1
-            else:
-                out.append(self.lo)
-                self.lo += 1
-        return out
+    def deal(self, trails: tuple[Trail, ...], high_first: bool, labels: dict[int, int]) -> None:
+        """Label the trails' edges in order, alternating between the two ends
+        of the interval, from the high end first when `high_first`."""
+        lo, hi = self.lo, self.hi
+        for trail in trails:
+            for eid in trail.edges:
+                if high_first:
+                    labels[eid] = hi
+                    hi -= 1
+                else:
+                    labels[eid] = lo
+                    lo += 1
+                high_first = not high_first
+        self.lo, self.hi = lo, hi
 
 
 def assign_parent_edges(view: BipartiteView, pair: CoveringPair) -> dict[int, int]:
     """Pick each outer vertex's parent edge: its matching edge when matched,
     otherwise its lowest-id cross edge that is not a link edge."""
+    link_eids = pair.link_edge_ids
     parent: dict[int, int] = {}
     for u in view.outer:
         eid = pair.matching_edge(u)
         if eid is None:
-            candidates = [e for _, e in view.incident(u) if e not in pair.link_edge_ids]
-            if not candidates:
+            for _, e in view.incident(u):
+                if e not in link_eids and (eid is None or e < eid):
+                    eid = e
+            if eid is None:
                 raise InternalInvariantError(f"outer vertex {u} has no usable parent edge")
-            eid = min(candidates)
         parent[u] = eid
     return parent
 
@@ -176,10 +182,13 @@ def compute_interval_plan(layering: Layering, view: BipartiteView, pair: Coverin
 
 def _assign_inner_labels(graph: Graph, layering: Layering, index: int,
                          plan: LayerPlan, labels: dict[int, int]) -> None:
-    layer_of = layering.layer_of
-    eids = [eid for eid in layering.class_edges[index]
-            if layer_of[graph.edges[eid][0]] == layer_of[graph.edges[eid][1]]]
-    eids.sort(key=lambda e: graph.edges[e])
+    edges, layer_of = graph.edges, layering.layer_of
+    eids = []
+    for eid in layering.class_edges[index]:
+        u, v = edges[eid]
+        if layer_of[u] == layer_of[v]:
+            eids.append(eid)
+    eids.sort(key=edges.__getitem__)
     lab = plan.inner_interval[0]
     for eid in eids:
         labels[eid] = lab
@@ -199,13 +208,11 @@ def _assign_trail_labels(view: BipartiteView, pair: CoveringPair, analysis: BadA
     events: list[TrailEvent] = []
 
     def emit(kind: str, trails: tuple[Trail, ...], case: str | None, high_first: bool) -> None:
-        eids = [eid for t in trails for eid in t.edges]
-        labels.update(zip(eids, cursor.take(len(eids), high_first)))
+        cursor.deal(trails, high_first, labels)
         events.append(TrailEvent(kind, trails, case))
 
-    for cid, trail in sorted(family.closed, key=lambda ct: min(ct[1].edges)):
-        comp = family.components[cid]
-        start, case = choose_closed_start(trail, comp, cid in analysis.bad_cids, pair, view, k)
+    for comp, trail in sorted(family.closed, key=lambda ct: min(ct[1].edges)):
+        start, case = choose_closed_start(trail, comp, comp.cid in analysis.bad_cids, pair, view, k)
         oriented = rotate_closed(trail, start)
         emit("closed", (oriented,), case, case == "outer-high")
 
@@ -215,7 +222,7 @@ def _assign_trail_labels(view: BipartiteView, pair: CoveringPair, analysis: BadA
     for trail in family.open_outer:
         emit("open-outer", (orient_open(trail, min(trail.ends)),), None, True)
 
-    mixed = list(family.open_mixed)
+    mixed = family.open_mixed
     for first, second in zip(mixed[0::2], mixed[1::2]):
         a = orient_open(first, _end_on(view, first, "inner"))
         b = orient_open(second, _end_on(view, second, "outer"))
@@ -262,7 +269,6 @@ def label_graph(graph: Graph, root: int = 0) -> LabelingResult:
     plans: dict[int, LayerPlan] = {}
     records: dict[int, LayerRecord] = {}
     labels: dict[int, int] = {}
-    partial: dict[int, int] = {}
     offset = 0
     for i in range(p, 0, -1):
         view = layer_view(graph, layering, i)
@@ -276,29 +282,31 @@ def label_graph(graph: Graph, root: int = 0) -> LabelingResult:
         events = _assign_trail_labels(view, pair, analysis, plan, labels, k)
         _assign_link_labels(pair, analysis, plan, labels)
 
-        bound = plan.partial_sum_bound(k)
+        # partial sums: incident labels but the parent edge's, within the
+        # layer's bound and above the next outer layer's (none outermost)
+        upper = plan.partial_sum_bound(k)
+        lower = plans[i + 1].partial_sum_bound(k) if i < p else 0
+        order = []
         for u in layering.layers[i]:
             up = parent[u]
-            s = sum(labels[eid] for _, eid in graph.incident(u) if eid != up)
-            partial[u] = s
-            if s > bound:
+            s = 0
+            for _, eid in graph.incident(u):
+                if eid != up:
+                    s += labels[eid]
+            if s > upper:
                 raise InternalInvariantError(
-                    f"partial sum {s} of vertex {u} exceeds its layer bound {bound}")
-        if i < p:
-            lower = plans[i + 1].partial_sum_bound(k)
-            for u in layering.layers[i]:
-                if partial[u] < lower:
-                    raise InternalInvariantError(
-                        f"partial sum {partial[u]} of vertex {u} falls below the outer "
-                        f"layer bound {lower}")
-
-        order = sorted(layering.layers[i], key=lambda u: (partial[u], u))
-        for lab, u in enumerate(order, start=plan.parent_interval[0]):
+                    f"partial sum {s} of vertex {u} exceeds its layer bound {upper}")
+            if s < lower:
+                raise InternalInvariantError(
+                    f"partial sum {s} of vertex {u} falls below the outer layer bound {lower}")
+            order.append((s, u))
+        order.sort()
+        for lab, (_, u) in enumerate(order, start=plan.parent_interval[0]):
             labels[parent[u]] = lab
         records[i] = LayerRecord(view, pair, parent, analysis.bad_cids, analysis.free_links,
                                  events)
 
-    label_seq = tuple(labels[eid] for eid in range(graph.m))
+    label_seq = tuple(map(labels.__getitem__, range(graph.m)))
 
     from .verify import verify_antimagic
 

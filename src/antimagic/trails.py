@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
+from typing import AbstractSet, Iterator, KeysView
 
 from .covering import CoveringPair, Link
 from .errors import InternalInvariantError
 from .graph import BipartiteView
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trail:
     """Walk without repeated edges; vertices has one entry more than edges,
     and a closed trail starts and ends at the same vertex."""
@@ -42,24 +43,34 @@ class Trail:
         return (self.vertices[0], self.vertices[-1])
 
     def reverse(self) -> "Trail":
-        return Trail(tuple(reversed(self.vertices)), tuple(reversed(self.edges)), self.closed)
+        return Trail(self.vertices[::-1], self.edges[::-1], self.closed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Component:
+    """An even component of a trail graph: its id among all the layer's
+    components and the trail-graph degree of each of its vertices."""
+
     cid: int
-    vertices: frozenset[int]
     degrees: dict[int, int] = field(hash=False)
 
+    @property
+    def vertices(self) -> KeysView[int]:
+        return self.degrees.keys()
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class TrailFamily:
-    """All trails of one layer's trail graph, classified by end layers:
-    closed trails (one per even-degree component, tagged with their component),
-    open trails with both ends inner, both ends outer, or one of each."""
+    """All trails of one layer's trail graph, classified by end layers: one
+    closed trail per even-degree component, paired with that component, and
+    open trails with both ends inner, both ends outer, or one of each.
 
-    components: tuple[Component, ...]
-    closed: tuple[tuple[int, Trail], ...]
+    Components are numbered over the whole trail graph by increasing smallest
+    vertex, but only the even ones get a `Component`: only closed-trail
+    starts and bad-component detection read one, and a bad component is
+    2k-regular, so it is even."""
+
+    closed: tuple[tuple[Component, Trail], ...]
     open_inner: tuple[Trail, ...]
     open_outer: tuple[Trail, ...]
     open_mixed: tuple[Trail, ...]
@@ -73,23 +84,20 @@ class TrailFamily:
 
 
 def residual_edge_sets(view: BipartiteView, pair: CoveringPair,
-                       parent_edge: dict[int, int]) -> tuple[frozenset[int], frozenset[int]]:
+                       parent_edge: dict[int, int]) -> tuple[AbstractSet[int], AbstractSet[int]]:
     """(residual edge ids, trail edge ids) after removing parent edges and,
     for the second set, link edges as well."""
     residual = view.edge_ends.keys() - parent_edge.values()
-    return frozenset(residual), frozenset(residual - pair.link_edge_ids)
+    return residual, residual - pair.link_edge_ids
 
 
-def _euler_circuit(walk: dict[int, list[tuple[int, int]]],
-                   members: list[int]) -> tuple[list[int], list[int]]:
-    """Iterative Hierholzer walk over the even-degree connected edge set on
-    `members` (sorted), from the lowest member; adjacency lists must be
-    sorted for determinism.  `walk` may hold other components too.  Each
-    member keeps one iterator over its list, so every entry is read once and
-    an edge already walked from its other end is skipped there."""
-    todo = {v: iter(walk[v]) for v in members}
-    used: set[int] = set()
-    stack_v = [members[0]]
+def _euler_circuit(todo: dict[int, Iterator[tuple[int, int]]], used: set[int],
+                   start: int) -> tuple[list[int], list[int]]:
+    """Iterative Hierholzer walk from `start` over its even-degree connected
+    edge set.  `todo` holds one iterator per vertex over its sorted list, so
+    every entry is read once, and `used` the edges walked so far: an edge
+    already walked from its other end is skipped there."""
+    stack_v = [start]
     stack_e: list[int] = []
     out_v: list[int] = []
     out_e: list[int] = []
@@ -110,73 +118,86 @@ def _euler_circuit(walk: dict[int, list[tuple[int, int]]],
 
 
 def _split_at_dummies(verts: list[int], eids: list[int]) -> list[Trail]:
-    """Cut a circuit at its negative (dummy) edge ids into open trails, the
-    first one starting right after the circuit's first dummy."""
-    cut = next(pos for pos, eid in enumerate(eids) if eid < 0) + 1
-    verts = verts[cut:] + verts[1:cut + 1]
-    eids = eids[cut:] + eids[:cut]
-    trails = []
-    start = 0
+    """Cut a circuit at its negative (dummy) edge ids into open trails: one
+    after each dummy, in circuit order, the last one wrapping around the
+    circuit's start to its first dummy."""
+    cuts = []
     for pos, eid in enumerate(eids):
         if eid < 0:
-            trails.append(Trail(tuple(verts[start:pos + 1]), tuple(eids[start:pos]), closed=False))
-            start = pos + 1
+            cuts.append(pos)
+    trails = []
+    for a, b in zip(cuts, cuts[1:]):
+        trails.append(Trail(tuple(verts[a + 1:b + 1]), tuple(eids[a + 1:b]), closed=False))
+    first, last = cuts[0], cuts[-1]
+    trails.append(Trail(tuple(verts[last + 1:] + verts[1:first + 1]),
+                        tuple(eids[last + 1:] + eids[:first]), closed=False))
     return trails
 
 
-def decompose_trails(view: BipartiteView, trail_eids: frozenset[int]) -> TrailFamily:
+def decompose_trails(view: BipartiteView, trail_eids: AbstractSet[int]) -> TrailFamily:
     """Split the trail graph into components and decompose each into trails.
 
     The trail adjacency filters the view's incidence lists, which are already
     sorted.  Components are vertex-disjoint, so one walk map serves them all:
-    an odd vertex's list gets its dummy edge inserted at its sorted position
-    once the component's degrees are recorded, and every other list is
-    walked as filtered."""
+    each component, found from its lowest vertex, pairs its odd vertices in
+    order with dummy edges inserted at their sorted positions, and then one
+    iterator per list and one set of walked edges serve every component's
+    Euler circuit.  A component without odd vertices is one closed trail and
+    gets a `Component` record with its degrees; the others are cut at their
+    dummies into open trails."""
+    incident = view.incident
     walk: dict[int, list[tuple[int, int]]] = {}
     for v in (*view.inner, *view.outer):
-        lst = [pair for pair in view.incident(v) if pair[1] in trail_eids]
+        lst = []
+        for pair in incident(v):
+            if pair[1] in trail_eids:
+                lst.append(pair)
         if lst:
             walk[v] = lst
 
-    comp_members: list[list[int]] = []
-    comp_of: dict[int, int] = {}
+    comps: list[tuple[list[int], bool]] = []
+    seen: set[int] = set()
+    dummy_next = -1
     for v in sorted(walk):
-        if v in comp_of:
+        if v in seen:
             continue
-        cid = len(comp_members)
+        seen.add(v)
         stack = [v]
-        comp_of[v] = cid
         members = []
         while stack:
             u = stack.pop()
             members.append(u)
             for w, _eid in walk[u]:
-                if w not in comp_of:
-                    comp_of[w] = cid
+                if w not in seen:
+                    seen.add(w)
                     stack.append(w)
         members.sort()
-        comp_members.append(members)
+        odd = None  # the odd vertex waiting for its partner
+        even = True
+        for u in members:
+            if len(walk[u]) % 2:
+                even = False
+                if odd is None:
+                    odd = u
+                else:
+                    insort(walk[odd], (u, dummy_next))
+                    insort(walk[u], (odd, dummy_next))
+                    dummy_next -= 1
+                    odd = None
+        comps.append((members, even))
 
-    components: list[Component] = []
-    closed: list[tuple[int, Trail]] = []
+    todo = {v: iter(lst) for v, lst in walk.items()}
+    used: set[int] = set()
+    closed: list[tuple[Component, Trail]] = []
     open_inner: list[Trail] = []
     open_outer: list[Trail] = []
     open_mixed: list[Trail] = []
     side = view.side
-    dummy_next = -1
-
-    for cid, members in enumerate(comp_members):
-        degrees = {v: len(walk[v]) for v in members}
-        components.append(Component(cid, frozenset(members), degrees))
-        odd = [v for v in members if degrees[v] % 2]
-        for i in range(0, len(odd), 2):
-            a, b = odd[i], odd[i + 1]
-            insort(walk[a], (b, dummy_next))
-            insort(walk[b], (a, dummy_next))
-            dummy_next -= 1
-        verts, eids = _euler_circuit(walk, members)
-        if not odd:
-            closed.append((cid, Trail(tuple(verts), tuple(eids), closed=True)))
+    for cid, (members, even) in enumerate(comps):
+        verts, eids = _euler_circuit(todo, used, members[0])
+        if even:
+            degrees = {u: len(walk[u]) for u in members}
+            closed.append((Component(cid, degrees), Trail(tuple(verts), tuple(eids), closed=True)))
             continue
         for seg in _split_at_dummies(verts, eids):
             first, last = side(seg.vertices[0]), side(seg.vertices[-1])
@@ -188,7 +209,6 @@ def decompose_trails(view: BipartiteView, trail_eids: frozenset[int]) -> TrailFa
                 open_outer.append(seg)
 
     return TrailFamily(
-        components=tuple(components),
         closed=tuple(closed),
         open_inner=tuple(open_inner),
         open_outer=tuple(open_outer),
@@ -197,24 +217,29 @@ def decompose_trails(view: BipartiteView, trail_eids: frozenset[int]) -> TrailFa
 
 
 def detect_bad_components(family: TrailFamily, view: BipartiteView,
-                          pair: CoveringPair, k: int) -> frozenset[int]:
-    """Component ids that are 2k-regular with every outer vertex a link end."""
-    bad = set()
-    for comp in family.components:
+                          pair: CoveringPair, k: int) -> tuple[int, ...]:
+    """Ids, ascending, of the components that are 2k-regular with every outer
+    vertex a link end.  Such a component is even, and a layer without links
+    has none."""
+    if not pair.links:
+        return ()
+    link_ends = pair.link_ends
+    bad = []
+    for comp, _ in family.closed:
         if any(deg != 2 * k for deg in comp.degrees.values()):
             continue
-        outer = [v for v in comp.vertices if view.side(v) == "outer"]
-        if outer and all(v in pair.link_ends for v in outer):
-            bad.add(comp.cid)
-    return frozenset(bad)
+        outer = [v for v in comp.degrees if view.side(v) == "outer"]
+        if outer and all(v in link_ends for v in outer):
+            bad.append(comp.cid)
+    return tuple(bad)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BadAnalysis:
     """Trail family plus bad-component bookkeeping for one layer."""
 
     family: TrailFamily
-    bad_cids: frozenset[int]
+    bad_cids: tuple[int, ...]
     bad_vertices: frozenset[int]
     free_links: tuple[Link, ...]
 
@@ -227,8 +252,9 @@ def analyze_bad_components(view: BipartiteView, pair: CoveringPair,
     family = decompose_trails(view, trail_eids)
     bad_cids = detect_bad_components(family, view, pair, k)
     bad_vertices: set[int] = set()
-    for cid in bad_cids:
-        bad_vertices.update(family.components[cid].vertices)
+    for comp, _ in family.closed:
+        if comp.cid in bad_cids:
+            bad_vertices.update(comp.degrees)
     free = tuple(l for l in pair.links
                  if l.end_a not in bad_vertices or l.end_b not in bad_vertices)
     return BadAnalysis(family, bad_cids, frozenset(bad_vertices), free)

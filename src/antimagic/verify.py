@@ -96,9 +96,10 @@ def verify_antimagic(graph: Graph, labels, layering: Layering | None = None,
     monotone_ok = None
     if layering is not None:
         monotone_ok = True
+        at = sums.__getitem__
         for i in range(1, layering.depth + 1):
-            hi = max(sums[v] for v in layering.layers[i])
-            lo = min(sums[v] for v in layering.layers[i - 1])
+            hi = max(map(at, layering.layers[i]))
+            lo = min(map(at, layering.layers[i - 1]))
             if hi >= lo:
                 monotone_ok = False
                 if first_failure is None:
@@ -245,8 +246,8 @@ def _walk_issue(i: int, rec: LayerRecord, vertex: int, m: int) -> str:
 
 
 def _bad_components(view: BipartiteView, pair: CoveringPair, trail_eids: AbstractSet[int],
-                    k: int) -> tuple[frozenset[int], frozenset[int], tuple[Link, ...]]:
-    """(bad component ids, their vertices, free links) of a layer's trail
+                    k: int) -> tuple[tuple[int, ...], frozenset[int], tuple[Link, ...]]:
+    """(bad component ids ascending, their vertices, free links) of a layer's trail
     graph, read off its connected components without walking any trail.
 
     Components are numbered by increasing smallest vertex, the order in which
@@ -255,15 +256,17 @@ def _bad_components(view: BipartiteView, pair: CoveringPair, trail_eids: Abstrac
     none; a link is free when at least one end lies outside every bad
     component."""
     if not pair.links:
-        return frozenset(), frozenset(), ()
+        return (), frozenset(), ()
     adj: dict[int, list[int]] = {}
     outer: set[int] = set()
-    for x, y, eid in view.edges:
-        if eid in trail_eids:
-            adj.setdefault(x, []).append(y)
-            adj.setdefault(y, []).append(x)
-            outer.add(y)
-    bad_cids: set[int] = set()
+    ends = view.edge_ends
+    for eid in trail_eids:
+        x, y = ends[eid]
+        adj.setdefault(x, []).append(y)
+        adj.setdefault(y, []).append(x)
+        outer.add(y)
+    link_ends = pair.link_ends
+    bad_cids: list[int] = []
     bad_vertices: set[int] = set()
     seen: set[int] = set()
     cid = 0
@@ -282,13 +285,13 @@ def _bad_components(view: BipartiteView, pair: CoveringPair, trail_eids: Abstrac
                     stack.append(w)
         outer_members = [u for u in members if u in outer]
         if (all(len(adj[u]) == 2 * k for u in members) and outer_members
-                and all(u in pair.link_ends for u in outer_members)):
-            bad_cids.add(cid)
+                and all(u in link_ends for u in outer_members)):
+            bad_cids.append(cid)
             bad_vertices.update(members)
         cid += 1
     free = tuple(l for l in pair.links
                  if l.end_a not in bad_vertices or l.end_b not in bad_vertices)
-    return frozenset(bad_cids), frozenset(bad_vertices), free
+    return tuple(bad_cids), frozenset(bad_vertices), free
 
 
 def _replay_layer(result: LabelingResult, i: int, labels: Sequence[int], sums: Sequence[int],
@@ -436,25 +439,31 @@ def check_construction(result: LabelingResult) -> tuple[list[str], dict]:
     grouped by layer, and summary statistics, including the bijection,
     distinct-sums and layer-monotone flags of the independent check.  The
     replay covers every check of verify_antimagic(..., result), so an empty
-    list means that passes too."""
+    list means that passes too.  A label sequence that is not one label per
+    edge is one issue; only the plan's intervals are checked then, since
+    every other check reads labels by edge id."""
     labels = list(result.labeling.labels)
-    issues: list[str] = []
-
-    report = verify_antimagic(result.graph, labels, layering=result.layering)
-    if not report.passed:
-        issues.append(report.first_failure or "verification failed")
-    if tuple(report.vertex_sums) != result.labeling.vertex_sums:
-        issues.append("cached vertex sums disagree with recomputation")
-
     g, lay = result.graph, result.layering
+    issues: list[str] = []
+    stats = {"bad_layers": 0, "links_total": 0, "free_links_total": 0,
+             "min_upper_slack": None, "min_lower_slack": None}
+
+    report = None
+    if len(labels) == g.m:
+        report = verify_antimagic(g, labels, layering=lay)
+        if not report.passed:
+            issues.append(report.first_failure or "verification failed")
+        if tuple(report.vertex_sums) != result.labeling.vertex_sums:
+            issues.append("cached vertex sums disagree with recomputation")
+    else:
+        issues.append(f"{len(labels)} labels for {g.m} edges")
+
     layer_of = lay.layer_of
     within: list[list[int]] = [[] for _ in range(lay.depth + 1)]
     cross: list[list[int]] = [[] for _ in range(lay.depth + 1)]
     for eid, ((u, v), cls) in enumerate(zip(g.edges, lay.edge_class)):
         (within if layer_of[u] == layer_of[v] else cross)[cls].append(eid)
 
-    stats = {"bad_layers": 0, "links_total": 0, "free_links_total": 0,
-             "min_upper_slack": None, "min_lower_slack": None}
     expected = 1
     for i in range(lay.depth, 0, -1):
         plan = result.plans[i]
@@ -463,14 +472,17 @@ def check_construction(result: LabelingResult) -> tuple[list[str], dict]:
             if lo != expected:
                 issues.append(f"layer {i}: interval starts at {lo}, expected {expected}")
             expected = max(expected, hi + 1)
-        issues += _replay_layer(result, i, labels, report.vertex_sums, within[i], cross[i],
-                                stats)
+        if report is not None:
+            issues += _replay_layer(result, i, labels, report.vertex_sums, within[i], cross[i],
+                                    stats)
     if expected != g.m + 1:
         issues.append("intervals do not partition the label range")
 
-    stats["bijection_ok"] = report.bijection_ok
-    stats["distinct_sums_ok"] = report.distinct_sums_ok
-    stats["layer_monotone_ok"] = report.layer_monotone_ok
+    if report is None:  # not one label per edge: no bijection, sums unchecked
+        stats.update(bijection_ok=False, distinct_sums_ok=None, layer_monotone_ok=None)
+    else:
+        stats.update(bijection_ok=report.bijection_ok, distinct_sums_ok=report.distinct_sums_ok,
+                     layer_monotone_ok=report.layer_monotone_ok)
     return issues, stats
 
 

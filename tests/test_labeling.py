@@ -6,6 +6,7 @@ of the example graphs before the engine produced them, and are frozen here.
 
 import dataclasses
 import gc
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -252,6 +253,30 @@ class TestRecordsHoldNoTrailFamilies:
         gc.collect()
         assert res.layering.depth == 100
         assert [type(obj).__name__ for obj in gc.get_objects() if isinstance(obj, kinds)] == []
+
+
+class TestHeldMemory:
+    """Bytes per edge that a held result of a deep graph keeps: each of its
+    thousand layers keeps a view, a covering pair, a parent map, its trail
+    units and its plan.  The result measured 544 bytes per edge on Python
+    3.11 when the bound was set at that plus 10 %."""
+
+    BYTES_PER_EDGE = 598
+
+    def test_deep_circulant(self):
+        g = circulant(4000, [1, 2])
+        label_graph(circulant(40, [1, 2]))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = label_graph(g)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert res.layering.depth == 1000
+        assert held / g.m <= self.BYTES_PER_EDGE
 
 
 class TestPlanArithmetic:

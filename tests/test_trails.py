@@ -2,17 +2,18 @@
 bad components, and trail orientation helpers."""
 
 import random
+from bisect import insort
+from collections import namedtuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from antimagic import BipartiteView, InternalInvariantError
-from antimagic.covering import CoveringPair
-from antimagic.trails import (Component, Trail, TrailFamily, _split_at_dummies,
-                              analyze_bad_components, choose_closed_start, decompose_trails,
-                              detect_bad_components, orient_open, residual_edge_sets,
-                              rotate_closed)
-from corpus import free_link_gadget, random_bounded_bipartite
+from antimagic import BipartiteView, InternalInvariantError, label_graph
+from antimagic.covering import CoveringPair, Link, maximize_free_links
+from antimagic.trails import (Trail, _split_at_dummies, analyze_bad_components,
+                              choose_closed_start, decompose_trails, detect_bad_components,
+                              orient_open, residual_edge_sets, rotate_closed)
+from corpus import complete_bipartite, free_link_gadget, random_bounded_bipartite
 
 
 def make_view(inner, outer, pairs):
@@ -62,13 +63,13 @@ class TestDecompose:
     def test_two_components(self):
         view = make_view([0, 1], [2, 3], [(0, 2), (1, 3)])
         fam = decompose_trails(view, frozenset([0, 1]))
-        assert len(fam.components) == 2
-        assert len(fam.open_mixed) == 2
+        assert fam.closed == ()
+        assert [t.edges for t in fam.open_mixed] == [(0,), (1,)]
 
     def test_empty(self):
         view = make_view([0], [1], [(0, 1)])
         fam = decompose_trails(view, frozenset())
-        assert fam.components == () and list(fam.all_trails()) == []
+        assert fam.closed == () and list(fam.all_trails()) == []
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 100_000))
@@ -182,6 +183,13 @@ def reference_euler_circuit(adj, start):
     return out_v, out_e
 
 
+# The family shape both reference builders return: a record for every
+# component of the trail graph, and each closed trail with its component id.
+ReferenceComponent = namedtuple("ReferenceComponent", "cid vertices degrees")
+ReferenceFamily = namedtuple("ReferenceFamily",
+                             "components closed open_inner open_outer open_mixed")
+
+
 def reference_decompose_trails(view, trail_eids):
     """The trail builder as first written: adjacency rebuilt from the edge
     list and sorted, one adjacency copy per component, dummies appended and
@@ -216,7 +224,7 @@ def reference_decompose_trails(view, trail_eids):
     dummy_next = -1
     for cid, members in enumerate(comp_members):
         degrees = {v: len(adj[v]) for v in members}
-        components.append(Component(cid, frozenset(members), degrees))
+        components.append(ReferenceComponent(cid, frozenset(members), degrees))
         odd = sorted(v for v in members if degrees[v] % 2)
         if not odd:
             verts, eids = reference_euler_circuit({v: adj[v] for v in members}, min(members))
@@ -239,8 +247,111 @@ def reference_decompose_trails(view, trail_eids):
                 open_outer.append(seg)
             else:
                 open_mixed.append(seg)
-    return TrailFamily(tuple(components), tuple(closed), tuple(open_inner),
-                       tuple(open_outer), tuple(open_mixed))
+    return ReferenceFamily(tuple(components), tuple(closed), tuple(open_inner),
+                           tuple(open_outer), tuple(open_mixed))
+
+
+def per_component_euler_circuit(walk, members):
+    """The Hierholzer walk of the trail builder before components without odd
+    vertices alone got records: one iterator per member, made per component."""
+    todo = {v: iter(walk[v]) for v in members}
+    used = set()
+    stack_v = [members[0]]
+    stack_e = []
+    out_v = []
+    out_e = []
+    while stack_v:
+        for w, eid in todo[stack_v[-1]]:
+            if eid not in used:
+                used.add(eid)
+                stack_v.append(w)
+                stack_e.append(eid)
+                break
+        else:
+            out_v.append(stack_v.pop())
+            if stack_e:
+                out_e.append(stack_e.pop())
+    out_v.reverse()
+    out_e.reverse()
+    return out_v, out_e
+
+
+def every_component_decompose_trails(view, trail_eids):
+    """The trail builder before components without odd vertices alone got
+    records: one walk map filtered from the view's incidence, a record with
+    vertex set and degrees for every component, dummies inserted in sorted
+    position, and the circuits cut at them by the first splitter."""
+    walk = {}
+    for v in (*view.inner, *view.outer):
+        lst = [pair for pair in view.incident(v) if pair[1] in trail_eids]
+        if lst:
+            walk[v] = lst
+
+    comp_members = []
+    comp_of = {}
+    for v in sorted(walk):
+        if v in comp_of:
+            continue
+        cid = len(comp_members)
+        stack = [v]
+        comp_of[v] = cid
+        members = []
+        while stack:
+            u = stack.pop()
+            members.append(u)
+            for w, _eid in walk[u]:
+                if w not in comp_of:
+                    comp_of[w] = cid
+                    stack.append(w)
+        members.sort()
+        comp_members.append(members)
+
+    components, closed, open_inner, open_outer, open_mixed = [], [], [], [], []
+    dummy_next = -1
+    for cid, members in enumerate(comp_members):
+        degrees = {v: len(walk[v]) for v in members}
+        components.append(ReferenceComponent(cid, frozenset(members), degrees))
+        odd = [v for v in members if degrees[v] % 2]
+        for i in range(0, len(odd), 2):
+            a, b = odd[i], odd[i + 1]
+            insort(walk[a], (b, dummy_next))
+            insort(walk[b], (a, dummy_next))
+            dummy_next -= 1
+        verts, eids = per_component_euler_circuit(walk, members)
+        if not odd:
+            closed.append((cid, Trail(tuple(verts), tuple(eids), closed=True)))
+            continue
+        for seg in reference_split_at_dummies(verts, eids):
+            first, last = view.side(seg.vertices[0]), view.side(seg.vertices[-1])
+            if first != last:
+                open_mixed.append(seg)
+            elif first == "inner":
+                open_inner.append(seg)
+            else:
+                open_outer.append(seg)
+    return ReferenceFamily(tuple(components), tuple(closed), tuple(open_inner),
+                           tuple(open_outer), tuple(open_mixed))
+
+
+def reference_analyze_bad_components(view, pair, parent_edge, k):
+    """(family, bad component ids, their vertices, free links) as the trail
+    stage computed them before: residual sets as frozensets, and every
+    component, even or odd, screened for badness."""
+    residual = frozenset(view.edge_ends.keys() - parent_edge.values())
+    family = every_component_decompose_trails(view, frozenset(residual - set(pair.link_edge_ids)))
+    bad = set()
+    for comp in family.components:
+        if any(deg != 2 * k for deg in comp.degrees.values()):
+            continue
+        outer = [v for v in comp.vertices if view.side(v) == "outer"]
+        if outer and all(v in pair.link_ends for v in outer):
+            bad.add(comp.cid)
+    bad_vertices = set()
+    for cid in bad:
+        bad_vertices.update(family.components[cid].vertices)
+    free = tuple(l for l in pair.links
+                 if l.end_a not in bad_vertices or l.end_b not in bad_vertices)
+    return family, frozenset(bad), frozenset(bad_vertices), free
 
 
 def shuffled_view_and_subset(seed):
@@ -267,13 +378,31 @@ def shuffled_view_and_subset(seed):
 
 
 def assert_same_family(fam, ref):
-    # Component equality compares cid, vertices and degrees;
-    # each closed entry carries its component id
-    assert fam.components == ref.components
-    assert fam.closed == ref.closed
+    """The family equals a reference family: its closed trails, each with a
+    record of its component, are the reference's closed trails with the
+    records of exactly the components that have no odd vertex."""
+    even = [comp for comp in ref.components
+            if all(deg % 2 == 0 for deg in comp.degrees.values())]
+    assert [cid for cid, _ in ref.closed] == [comp.cid for comp in even]
+    assert ([(comp.cid, set(comp.vertices), comp.degrees, trail) for comp, trail in fam.closed]
+            == [(comp.cid, set(comp.vertices), comp.degrees, trail)
+                for comp, (_, trail) in zip(even, ref.closed)])
     assert fam.open_inner == ref.open_inner
     assert fam.open_outer == ref.open_outer
     assert fam.open_mixed == ref.open_mixed
+
+
+def assert_same_analysis(view, pair, parent_edge, k):
+    """analyze_bad_components gives the reference analysis's family, bad
+    component ids, bad vertices and free links; returns the analysis."""
+    analysis = analyze_bad_components(view, pair, parent_edge, k)
+    ref_family, ref_bad, ref_vertices, ref_free = reference_analyze_bad_components(
+        view, pair, parent_edge, k)
+    assert_same_family(analysis.family, ref_family)
+    assert analysis.bad_cids == tuple(sorted(ref_bad))
+    assert analysis.bad_vertices == ref_vertices
+    assert analysis.free_links == ref_free
+    return analysis
 
 
 class TestDecomposeDifferential:
@@ -281,8 +410,9 @@ class TestDecomposeDifferential:
     @given(st.integers(0, 10**6))
     def test_same_family_as_the_reference(self, seed):
         view, trail_eids = shuffled_view_and_subset(seed)
-        assert_same_family(decompose_trails(view, trail_eids),
-                           reference_decompose_trails(view, trail_eids))
+        fam = decompose_trails(view, trail_eids)
+        assert_same_family(fam, reference_decompose_trails(view, trail_eids))
+        assert_same_family(fam, every_component_decompose_trails(view, trail_eids))
 
     def test_fixed_seeds_reach_every_shape(self):
         # the differential sees families with several components, even and
@@ -291,15 +421,54 @@ class TestDecomposeDifferential:
         for seed in range(150):
             view, trail_eids = shuffled_view_and_subset(seed)
             fam = decompose_trails(view, trail_eids)
-            assert_same_family(fam, reference_decompose_trails(view, trail_eids))
-            touched = set().union(*(c.vertices for c in fam.components))
-            if len(fam.components) >= 2:
+            ref = reference_decompose_trails(view, trail_eids)
+            assert_same_family(fam, ref)
+            touched = set().union(*(c.vertices for c in ref.components))
+            assert touched == {v for t in fam.all_trails() for v in t.vertices}
+            if len(ref.components) >= 2:
                 shapes.add("several")
             if fam.closed and (fam.open_inner or fam.open_outer or fam.open_mixed):
                 shapes.add("even and odd")
             if touched < set(view.inner) | set(view.outer):
                 shapes.add("isolated")
         assert shapes == {"several", "even and odd", "isolated"}
+
+
+class TestAnalysisDifferential:
+    """The whole trail stage against the builder that records every
+    component, on layers with links, where bad components and free links
+    are decided."""
+
+    @pytest.mark.parametrize("a", range(4, 41, 2))
+    def test_complete_bipartite_layer_two(self, a):
+        g = complete_bipartite(a, a)
+        for root in (0, g.n - 1):
+            res = label_graph(g, root)
+            rec = res.layers[2]
+            assert rec.pair.links
+            analysis = assert_same_analysis(rec.view, rec.pair, rec.parent_edge, res.k)
+            assert analysis.free_links == rec.free_links
+
+    def test_free_link_gadget_before_and_after_exchange(self):
+        view, pair, parent = free_link_gadget()
+        analysis = assert_same_analysis(view, pair, parent, 1)
+        assert len(analysis.bad_cids) == 2 and not analysis.free_links
+        exchanged, _ = maximize_free_links(
+            pair, lambda p: assert_same_analysis(view, p, parent, 1), 1)
+        analysis = assert_same_analysis(view, exchanged, parent, 1)
+        assert analysis.bad_cids and analysis.free_links
+
+    def test_regular_component_with_a_non_link_outer_vertex(self):
+        # the 4-cycle 0-10-1-11 is 2-regular and holds link end 10, but its
+        # outer vertex 11 is no link end, so it is not bad
+        view = make_view([0, 1, 2, 6, 7, 8], [10, 11, 12],
+                         [(0, 10), (0, 11), (1, 10), (1, 11), (2, 10), (2, 12),
+                          (6, 10), (7, 11), (8, 12)])
+        pair = CoveringPair(view, 3, [Link.of(2, 10, 12)], [6, 7, 8])
+        parent = {y: pair.matching_edge(y) for y in view.outer}
+        analysis = assert_same_analysis(view, pair, parent, 1)
+        assert [t.edges for _, t in analysis.family.closed] == [(0, 2, 3, 1)]
+        assert analysis.bad_cids == () and analysis.free_links == pair.links
 
 
 class TestResidual:
@@ -315,8 +484,9 @@ class TestBadComponents:
         view, pair, parent = free_link_gadget()
         analysis = analyze_bad_components(view, pair, parent, 1)
         assert len(analysis.bad_cids) == 2
+        components = {comp.cid: comp for comp, _ in analysis.family.closed}
         for cid in analysis.bad_cids:
-            comp = analysis.family.components[cid]
+            comp = components[cid]
             assert all(deg == 2 for deg in comp.degrees.values())
             assert all(v in pair.link_ends for v in comp.vertices
                        if view.side(v) == "outer")
@@ -325,7 +495,7 @@ class TestBadComponents:
         view = make_view([0, 1], [2, 3], [(0, 2), (0, 3), (1, 2), (1, 3)])
         pair = CoveringPair(view, 3, [], [])
         fam = decompose_trails(view, frozenset(range(4)))
-        assert detect_bad_components(fam, view, pair, 1) == frozenset()
+        assert detect_bad_components(fam, view, pair, 1) == ()
 
 
 class TestOrientation:
@@ -357,9 +527,9 @@ class TestClosedStart:
     def test_bad_component_starts_at_lowest_outer(self):
         view, pair, parent = free_link_gadget()
         analysis = analyze_bad_components(view, pair, parent, 1)
-        for cid in sorted(analysis.bad_cids):
-            comp = analysis.family.components[cid]
-            trail = dict(analysis.family.closed)[cid]
+        closed = {comp.cid: (comp, trail) for comp, trail in analysis.family.closed}
+        for cid in analysis.bad_cids:
+            comp, trail = closed[cid]
             start, case = choose_closed_start(trail, comp, True, pair, view, 1)
             assert case == "bad"
             assert start == min(v for v in comp.vertices if view.side(v) == "outer")
@@ -368,7 +538,7 @@ class TestClosedStart:
         view = make_view([0, 1], [2, 3], [(0, 2), (0, 3), (1, 2), (1, 3)])
         pair = CoveringPair(view, 3, [], [])
         fam = decompose_trails(view, frozenset(range(4)))
-        cid, trail = fam.closed[0]
-        start, case = choose_closed_start(trail, fam.components[cid], False, pair, view, 1)
+        comp, trail = fam.closed[0]
+        start, case = choose_closed_start(trail, comp, False, pair, view, 1)
         assert case == "outer-high"
         assert start == 2

@@ -117,6 +117,18 @@ class TestCheckConstruction:
             assert report.passed == clean
             assert (issues == []) if clean else (report.first_failure in issues)
 
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+    def test_label_count_off_by_one_is_reported_not_raised(self, extra):
+        res = label_graph(circulant(12, [1, 2]))
+        labels = res.labeling.labels
+        labels = labels[:-1] if extra < 0 else labels + (len(labels) + 1,)
+        broken = dataclasses.replace(
+            res, labeling=dataclasses.replace(res.labeling, labels=labels))
+        issues, stats = check_construction(broken)
+        assert issues == [f"{24 + extra} labels for 24 edges"]
+        assert (stats["bijection_ok"], stats["distinct_sums_ok"],
+                stats["layer_monotone_ok"]) == (False, None, None)
+
     def test_foreign_parent_edge_is_reported_not_raised(self):
         res = label_graph(generate_regular(40, 6, 3))
         rec = res.layers[2]
