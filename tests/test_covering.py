@@ -327,8 +327,9 @@ class TestLongAugmentingPaths:
 
     def test_link_search_augment(self):
         # center i sees private end i and chain ends L + i, L + i + 1, and
-        # takes i and L + i; a new center on L and a private end gives its
-        # first end to the chain, which shifts every center one step along
+        # takes i and L + i; a new center on L and a private end takes the
+        # private end first, and its second end shifts every center one step
+        # along the chain
         length = sys.getrecursionlimit() + 50
         centers = range(3 * length, 4 * length)
         new_center, spare = 4 * length, 2 * length + 1
