@@ -134,7 +134,7 @@ class Layering:
     edges in increasing order, so per-layer work never scans the whole graph.
     inward[v] and outward[v] are the graph's own sorted (neighbor, edge id)
     entries at v toward layers layer_of[v] - 1 and layer_of[v] + 1, split
-    from its incidence once, so a layer view filters nothing.
+    from its incidence by the search itself, so a layer view filters nothing.
     """
 
     root: int
@@ -154,33 +154,38 @@ def bfs_layering(graph: Graph, root: int) -> Layering:
     if not (0 <= root < graph.n):
         raise GraphShapeError(f"root {root} is not a vertex of the graph")
     incident = graph.incident
-    dist = [-1] * graph.n
+    n = graph.n
+    dist = [-1] * n
     dist[root] = 0
     queue = [root]
+    inward: list[tuple[tuple[int, int], ...]] = [()] * n
+    outward: list[tuple[tuple[int, int], ...]] = [()] * n
+    # when v is dequeued, every vertex of its layer and of the one before is
+    # known, so a neighbour not reached yet lies one layer out
     for v in queue:  # the queue grows while it is read
-        dw = dist[v] + 1
-        for w, _ in incident(v):
-            if dist[w] < 0:
-                dist[w] = dw
-                queue.append(w)
-    if len(queue) < graph.n:
-        raise GraphShapeError("graph is disconnected")
-    depth = dist[queue[-1]]
-    layers: list[list[int]] = [[] for _ in range(depth + 1)]
-    inward = []
-    outward = []
-    for v, dv in enumerate(dist):
-        layers[dv].append(v)
+        dv = dist[v]
+        d_next = dv + 1  # one int for all the vertices v discovers
         up = []
         down = []
         for entry in incident(v):
-            dw = dist[entry[0]]
-            if dw < dv:
+            w = entry[0]
+            dw = dist[w]
+            if dw < 0:
+                dist[w] = d_next
+                queue.append(w)
+                down.append(entry)
+            elif dw < dv:
                 up.append(entry)
             elif dw > dv:
                 down.append(entry)
-        inward.append(tuple(up))
-        outward.append(tuple(down))
+        inward[v] = tuple(up)
+        outward[v] = tuple(down)
+    if len(queue) < n:
+        raise GraphShapeError("graph is disconnected")
+    depth = dist[queue[-1]]
+    layers: list[list[int]] = [[] for _ in range(depth + 1)]
+    for v, dv in enumerate(dist):
+        layers[dv].append(v)
     edge_class = []
     class_edges: list[list[int]] = [[] for _ in range(depth + 1)]
     for eid, (u, v) in enumerate(graph.edges):
@@ -204,8 +209,9 @@ class BipartiteView:
 
     Inner vertices sit in the layer closer to the root; outer vertices in the
     layer farther out. Edge ids are the ids of the underlying graph.  Each
-    edge's ends are kept once, in the id -> (inner, outer) map `edge_ends`;
-    `edges` lists them as (inner, outer, edge id) triples in that map's order.
+    edge's ends are kept once, in the id -> (inner, outer) map `edge_ends`,
+    filled outer vertex by outer vertex from their sorted incidence; `edges`
+    lists them as (inner, outer, edge id) triples in edge id order.
 
     Built from its edge list, the view checks that no vertex is on both
     sides and that every edge crosses them, and sorts each vertex's
@@ -225,15 +231,14 @@ class BipartiteView:
                 raise GraphShapeError(f"vertex {v} on both sides of a bipartite view")
             side[v] = "outer"
         adj: dict[int, list[tuple[int, int]]] = {v: [] for v in side}
-        ends: dict[int, tuple[int, int]] = {}
         for x, y, eid in edges:
             if side.get(x) != "inner" or side.get(y) != "outer":
                 raise GraphShapeError(f"view edge ({x}, {y}) does not cross the two sides")
             adj[x].append((y, eid))
             adj[y].append((x, eid))
-            ends[eid] = (x, y)
         for lst in adj.values():
             lst.sort()
+        ends = {eid: (x, y) for y in outer for x, eid in adj[y]}
         self.index = index
         self.inner = inner
         self.outer = outer
@@ -255,7 +260,7 @@ class BipartiteView:
     @property
     def edges(self) -> tuple[tuple[int, int, int], ...]:
         """(inner vertex, outer vertex, edge id) of every view edge."""
-        return tuple((x, y, eid) for eid, (x, y) in self._ends.items())
+        return tuple((x, y, eid) for eid, (x, y) in sorted(self._ends.items()))
 
     @property
     def edge_count(self) -> int:
@@ -297,10 +302,11 @@ def layer_view(graph: Graph, layering: Layering, index: int) -> BipartiteView:
     The view's incidence is the layering's split of the graph's: an inner
     vertex keeps its outward entries, an outer vertex its inward ones.
     These are the graph's own (neighbor, edge id) tuples, already sorted,
-    and the edges are read off the outer lists and put in edge id order, so
-    the view equals BipartiteView(index, inner, outer, edges).  The
-    constructor's checks hold by construction: the layers are the classes of
-    layer_of, so no vertex is on both sides and every kept edge crosses them.
+    and the ends map is filled from the outer lists, as the constructor
+    fills it, so the view equals BipartiteView(index, inner, outer, edges)
+    and iterates its maps in the same order.  The constructor's checks hold
+    by construction: the layers are the classes of layer_of, so no vertex
+    is on both sides and every kept edge crosses them.
     Everything read comes from the layering; `graph` is the graph it was
     built from.
     """
@@ -311,15 +317,14 @@ def layer_view(graph: Graph, layering: Layering, index: int) -> BipartiteView:
     outward, inward = layering.outward, layering.inward
     side = dict.fromkeys(inner, "inner")
     adj = {x: outward[x] for x in inner}
-    ends = []
+    ends = {}
     for y in outer:
         side[y] = "outer"
         adj[y] = entries = inward[y]
         for x, eid in entries:
-            ends.append((eid, (x, y)))
-    ends.sort()
+            ends[eid] = (x, y)
     # set the fields directly: the constructor would re-check and re-sort them
     view = object.__new__(BipartiteView)
     view.index, view.inner, view.outer = index, inner, outer
-    view._side, view._adj, view._ends = side, adj, dict(ends)
+    view._side, view._adj, view._ends = side, adj, ends
     return view

@@ -86,8 +86,11 @@ class TrailFamily:
 def residual_edge_sets(view: BipartiteView, pair: CoveringPair,
                        parent_edge: dict[int, int]) -> tuple[AbstractSet[int], AbstractSet[int]]:
     """(residual edge ids, trail edge ids) after removing parent edges and,
-    for the second set, link edges as well."""
+    for the second set, link edges as well.  On a layer without links the
+    two are one set, which no caller mutates."""
     residual = view.edge_ends.keys() - parent_edge.values()
+    if not pair.links:
+        return residual, residual
     return residual, residual - pair.link_edge_ids
 
 

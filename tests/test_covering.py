@@ -16,7 +16,7 @@ from antimagic.covering import (CoveringPair, Link, _candidate_moves, _link_sear
 from antimagic.trails import analyze_bad_components
 from antimagic.verify import stress_instances
 from corpus import (complete_bipartite, complete_graph, free_link_gadget, padded_layer_two,
-                    random_bounded_bipartite)
+                    random_bounded_bipartite, shuffled_circulant)
 
 
 def make_view(inner, outer, pairs):
@@ -189,14 +189,20 @@ class TestPadding:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000), st.sampled_from([3, 5]))
     def test_padding_is_induced_embedding(self, seed, d):
-        view = random_bounded_bipartite(random.Random(seed), d)
-        padded = pad_to_biregular(view, d)
-        self.assert_extends(view, padded)
-        assert all(padded.degree(x) == d for x in padded.inner)
-        assert all(padded.degree(y) == d + 1 for y in padded.outer)
-        old = set(view.inner) | set(view.outer)
-        for x, y, eid in padded.edges[view.edge_count:]:
-            assert not (x in old and y in old)
+        # a random view, and every layer view of a shuffled circulant past
+        # the root's, whose ends maps do not run in edge id order
+        g = shuffled_circulant(8 + seed % 60, [1, 2], seed)
+        lay = bfs_layering(g, 0)
+        views = [random_bounded_bipartite(random.Random(seed), d),
+                 *(layer_view(g, lay, i) for i in range(2, lay.depth + 1))]
+        for view in views:
+            padded = pad_to_biregular(view, d)
+            self.assert_extends(view, padded)
+            assert all(padded.degree(x) == d for x in padded.inner)
+            assert all(padded.degree(y) == d + 1 for y in padded.outer)
+            old = set(view.inner) | set(view.outer)
+            for x, y, eid in padded.edges[view.edge_count:]:
+                assert not (x in old and y in old)
 
 
 class TestLinkFamily:

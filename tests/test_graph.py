@@ -1,5 +1,7 @@
 """Graph container, parsing, regularity validation, layering, and views."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -161,6 +163,17 @@ class TestLayerView:
         lay = bfs_layering(g, 0)
         with pytest.raises(GraphShapeError):
             layer_view(g, lay, 2)
+
+    def test_edges_in_id_order_from_shuffled_input(self):
+        # the ends map follows the outer vertices; `edges` follows the ids
+        triples = [(x, y, eid) for eid, (x, y) in
+                   enumerate((x, y) for x in range(3) for y in range(3, 7))]
+        shuffled = list(triples)
+        random.Random(5).shuffle(shuffled)
+        assert shuffled != triples
+        view = BipartiteView(1, (0, 1, 2), (3, 4, 5, 6), tuple(shuffled))
+        assert view.edges == tuple(triples)
+        assert view == BipartiteView(1, (0, 1, 2), (3, 4, 5, 6), tuple(triples))
 
 
 def _bucketed_graphs():
