@@ -3,8 +3,10 @@
 A labeling document is versioned text carrying the labeled edge list, the
 per-vertex sums, the layer assignment, and the interval plan.  Rendering is
 deterministic: identical inputs produce byte-identical documents.  Parsing
-accepts any document with the right header and edge lines; the other sections
-are cross-checked when present.
+accepts any document with the right header and edge lines and cross-checks
+nothing: `labels_for_graph` checks the `graph` record against the graph, the
+`verify` command checks the `sum` records against the recomputed sums, and
+the other records are informative.
 """
 
 from __future__ import annotations

@@ -3,9 +3,10 @@
 For each layer the cross edges minus parent edges form the residual graph;
 removing link edges as well leaves the trail graph.  Every component of the
 trail graph splits into edge-disjoint trails: one closed trail if all degrees
-are even, otherwise one open trail per pair of odd-degree vertices, obtained
-by pairing them with dummy edges, walking an Euler circuit, and cutting at the
-dummies.
+are even, otherwise one open trail per pair of odd-degree vertices.  A
+component in which no vertex has degree above 2 is a cycle or a path, its own
+single trail, and is walked once; any other component pairs its odd vertices
+with dummy edges, is walked as an Euler circuit, and is cut at the dummies.
 """
 
 from __future__ import annotations
@@ -137,17 +138,73 @@ def _split_at_dummies(verts: list[int], eids: list[int]) -> list[Trail]:
     return trails
 
 
+def _follow(walk: dict[int, list[tuple[int, int]]], seen: set[int], v: int,
+            entry: tuple[int, int], verts: list[int], eids: list[int]) -> int:
+    """Walk on from `v` through `entry`, appending each vertex and edge id
+    reached to `verts` and `eids` and each vertex to `seen`, for as long as
+    the vertices reached have trail degree 2.  Returns the trail degree of
+    the vertex where it stops: 1 at a path's end, 2 back at `v`, which
+    closes a cycle, and more at a branch vertex."""
+    w, eid = entry
+    while True:
+        verts.append(w)
+        eids.append(eid)
+        if w == v:
+            return 2
+        seen.add(w)
+        lst = walk[w]
+        if len(lst) != 2:
+            return len(lst)
+        first, second = lst
+        w, eid = second if first[1] == eid else first
+
+
+def _unbranched_trail(walk: dict[int, list[tuple[int, int]]], seen: set[int],
+                      v: int) -> tuple[Trail | None, list[int]]:
+    """The single trail of the component whose smallest vertex is `v`, if
+    no vertex of it has trail degree above 2, and the vertices walked.
+
+    Such a component is a cycle or a path, and it is oriented as the dummy
+    circuit from `v` would give it: a cycle runs from `v` through its first
+    entry, and a path ends where that circuit takes the dummy joining the
+    path's ends.  At a branch vertex the walk stops, and the trail is None."""
+    entries = walk[v]
+    verts, eids = [v], []
+    if len(entries) > 2:
+        return None, verts
+    stop = _follow(walk, seen, v, entries[0], verts, eids)
+    if stop == 2:
+        return Trail(tuple(verts), tuple(eids), closed=True), verts
+    if stop > 2:
+        return None, verts
+    if len(entries) == 1:
+        # v is the smaller end; the dummy to the far end sorts first in its
+        # list, and is walked first, unless v's neighbour is smaller
+        if verts[-1] <= entries[0][0]:
+            verts.reverse()
+            eids.reverse()
+        return Trail(tuple(verts), tuple(eids), closed=False), verts
+    # v is inside the path, which ends where its first entry leads
+    back_v, back_e = [v], []
+    if _follow(walk, seen, v, entries[1], back_v, back_e) > 2:
+        return None, verts + back_v[1:]
+    back_v.reverse()
+    back_e.reverse()
+    return Trail(tuple(back_v + verts[1:]), tuple(back_e + eids), closed=False), verts
+
+
 def decompose_trails(view: BipartiteView, trail_eids: AbstractSet[int]) -> TrailFamily:
     """Split the trail graph into components and decompose each into trails.
 
     The trail adjacency filters the view's incidence lists, which are already
-    sorted.  Components are vertex-disjoint, so one walk map serves them all:
-    each component, found from its lowest vertex, pairs its odd vertices in
-    order with dummy edges inserted at their sorted positions, and then one
-    iterator per list and one set of walked edges serve every component's
-    Euler circuit.  A component without odd vertices is one closed trail and
-    gets a `Component` record with its degrees; the others are cut at their
-    dummies into open trails."""
+    sorted.  Components are taken in order of their smallest vertex and
+    walked from it.  A component in which no vertex has trail degree above 2
+    is a path or a cycle, its own single trail, and is emitted as walked.
+    Any other component is completed by a depth-first search, pairs its odd
+    vertices in order with dummy edges inserted at their sorted positions,
+    and is walked as an Euler circuit, one iterator per list; the circuit is
+    cut at its dummies into open trails.  A component without odd vertices
+    is one closed trail and gets a `Component` record with its degrees."""
     incident = view.incident
     walk: dict[int, list[tuple[int, int]]] = {}
     for v in (*view.inner, *view.outer):
@@ -158,51 +215,55 @@ def decompose_trails(view: BipartiteView, trail_eids: AbstractSet[int]) -> Trail
         if lst:
             walk[v] = lst
 
-    comps: list[tuple[list[int], bool]] = []
     seen: set[int] = set()
-    dummy_next = -1
-    for v in sorted(walk):
-        if v in seen:
-            continue
-        seen.add(v)
-        stack = [v]
-        members = []
-        while stack:
-            u = stack.pop()
-            members.append(u)
-            for w, _eid in walk[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        members.sort()
-        odd = None  # the odd vertex waiting for its partner
-        even = True
-        for u in members:
-            if len(walk[u]) % 2:
-                even = False
-                if odd is None:
-                    odd = u
-                else:
-                    insort(walk[odd], (u, dummy_next))
-                    insort(walk[u], (odd, dummy_next))
-                    dummy_next -= 1
-                    odd = None
-        comps.append((members, even))
-
-    todo = {v: iter(lst) for v, lst in walk.items()}
     used: set[int] = set()
+    dummy_next = -1
     closed: list[tuple[Component, Trail]] = []
     open_inner: list[Trail] = []
     open_outer: list[Trail] = []
     open_mixed: list[Trail] = []
     side = view.side
-    for cid, (members, even) in enumerate(comps):
-        verts, eids = _euler_circuit(todo, used, members[0])
-        if even:
-            degrees = {u: len(walk[u]) for u in members}
-            closed.append((Component(cid, degrees), Trail(tuple(verts), tuple(eids), closed=True)))
+    cid = -1
+    for v in sorted(walk):
+        if v in seen:
             continue
-        for seg in _split_at_dummies(verts, eids):
+        cid += 1
+        seen.add(v)
+        trail, reached = _unbranched_trail(walk, seen, v)
+        if trail is not None:
+            if trail.closed:
+                closed.append((Component(cid, dict.fromkeys(sorted(reached[:-1]), 2)), trail))
+                continue
+            segs = (trail,)
+        else:
+            members = []
+            while reached:
+                u = reached.pop()
+                members.append(u)
+                for w, _eid in walk[u]:
+                    if w not in seen:
+                        seen.add(w)
+                        reached.append(w)
+            members.sort()
+            odd = None  # the odd vertex waiting for its partner
+            even = True
+            for u in members:
+                if len(walk[u]) % 2:
+                    even = False
+                    if odd is None:
+                        odd = u
+                    else:
+                        insort(walk[odd], (u, dummy_next))
+                        insort(walk[u], (odd, dummy_next))
+                        dummy_next -= 1
+                        odd = None
+            verts, eids = _euler_circuit({u: iter(walk[u]) for u in members}, used, v)
+            if even:
+                degrees = {u: len(walk[u]) for u in members}
+                closed.append((Component(cid, degrees), Trail(tuple(verts), tuple(eids), closed=True)))
+                continue
+            segs = _split_at_dummies(verts, eids)
+        for seg in segs:
             first, last = side(seg.vertices[0]), side(seg.vertices[-1])
             if first != last:
                 open_mixed.append(seg)

@@ -41,24 +41,35 @@ class TestDecompose:
         assert trail.vertices[0] == 0
         assert_valid_walk(view, trail)
 
+    # A path is oriented as the dummy circuit from its smallest vertex cuts
+    # it: the trail ends where that circuit takes the dummy joining its ends.
+
     def test_single_path_is_mixed(self):
+        # the dummy (1, -1) sorts before (1, 0), so 0 walks it first
         view = make_view([0], [1], [(0, 1)])
         fam = decompose_trails(view, frozenset([0]))
-        assert len(fam.open_mixed) == 1
-        assert fam.open_mixed[0].ends in ((0, 1), (1, 0))
+        assert fam.open_mixed == (Trail((1, 0), (0,), closed=False),)
 
     def test_inner_ended_path(self):
-        # 0 - 2 - 1: both odd-degree ends inner, two edges
+        # 0 - 2 - 1: both odd-degree ends inner, two edges; 0's far end 1
+        # sorts before its neighbour 2, so the trail ends at 0
         view = make_view([0, 1], [2], [(0, 2), (1, 2)])
         fam = decompose_trails(view, frozenset([0, 1]))
-        assert len(fam.open_inner) == 1
-        assert set(fam.open_inner[0].ends) == {0, 1}
+        assert fam.open_inner == (Trail((1, 2, 0), (1, 0), closed=False),)
+
+    def test_inner_ended_path_from_the_smaller_end(self):
+        # 0 - 1 - 3: 0's neighbour 1 sorts before its far end 3, so the
+        # circuit walks the path first and the trail ends at 3
+        view = make_view([0, 3], [1], [(0, 1), (3, 1)])
+        fam = decompose_trails(view, frozenset([0, 1]))
+        assert fam.open_inner == (Trail((0, 1, 3), (0, 1), closed=False),)
 
     def test_outer_ended_path(self):
+        # 1 - 0 - 2: the smallest vertex 0 is inside the path, and the trail
+        # ends at 1, where 0's first entry leads
         view = make_view([0], [1, 2], [(0, 1), (0, 2)])
         fam = decompose_trails(view, frozenset([0, 1]))
-        assert len(fam.open_outer) == 1
-        assert set(fam.open_outer[0].ends) == {1, 2}
+        assert fam.open_outer == (Trail((2, 0, 1), (1, 0), closed=False),)
 
     def test_two_components(self):
         view = make_view([0, 1], [2, 3], [(0, 2), (1, 3)])
@@ -405,6 +416,27 @@ def assert_same_analysis(view, pair, parent_edge, k):
     return analysis
 
 
+def unbranched_shape(view, trail_eids, comp):
+    """How the circuit from the smallest vertex v of a component without a
+    branch vertex runs: around a cycle, along a one-edge path, or along a
+    longer path from v inside it or from v as an end, taking the dummy to
+    the far end first or its one neighbour first; None if the component
+    branches."""
+    if max(comp.degrees.values()) > 2:
+        return None
+    if min(comp.degrees.values()) == 2:
+        return "cycle"
+    if len(comp.vertices) == 2:
+        return "one-edge path"
+    v = min(comp.vertices)
+    if comp.degrees[v] == 2:
+        return "path from an inner vertex"
+    far = max(u for u in comp.vertices if comp.degrees[u] == 1)
+    (neighbour,) = {u for x, y, eid in view.edges if eid in trail_eids and v in (x, y)
+                    for u in (x, y) if u != v}
+    return "path, dummy first" if far <= neighbour else "path, neighbour first"
+
+
 class TestDecomposeDifferential:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 10**6))
@@ -416,7 +448,9 @@ class TestDecomposeDifferential:
 
     def test_fixed_seeds_reach_every_shape(self):
         # the differential sees families with several components, even and
-        # odd ones side by side, and view vertices left out of the trail graph
+        # odd ones side by side, and view vertices left out of the trail
+        # graph; and, among the components without a branch vertex, cycles
+        # and each way the circuit from a path's smallest vertex can run
         shapes = set()
         for seed in range(150):
             view, trail_eids = shuffled_view_and_subset(seed)
@@ -431,7 +465,12 @@ class TestDecomposeDifferential:
                 shapes.add("even and odd")
             if touched < set(view.inner) | set(view.outer):
                 shapes.add("isolated")
-        assert shapes == {"several", "even and odd", "isolated"}
+            for comp in ref.components:
+                shapes.add(unbranched_shape(view, trail_eids, comp))
+        shapes.discard(None)
+        assert shapes == {"several", "even and odd", "isolated", "one-edge path",
+                          "path from an inner vertex", "path, dummy first",
+                          "path, neighbour first", "cycle"}
 
 
 class TestAnalysisDifferential:
