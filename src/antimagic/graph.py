@@ -111,7 +111,9 @@ def format_edge_list(graph: Graph) -> str:
 
 
 def validate_even_regular(graph: Graph) -> int:
-    """Check the graph is connected and (2k+2)-regular for some k >= 1; return k."""
+    """Check the graph is (2k+2)-regular for some k >= 1; return k.
+    Connectivity is left to `bfs_layering`, which raises the same
+    `GraphShapeError` on a disconnected graph."""
     degrees = {graph.degree(v) for v in range(graph.n)}
     if len(degrees) != 1:
         raise GraphShapeError(f"graph is not regular (degrees {sorted(degrees)})")
@@ -120,8 +122,6 @@ def validate_even_regular(graph: Graph) -> int:
         raise GraphShapeError(f"degree {d} is odd; an even degree >= 4 is required")
     if d < 4:
         raise GraphShapeError(f"degree {d} out of scope; the construction needs degree 2k+2 with k >= 1")
-    if not graph.is_connected():
-        raise GraphShapeError("graph is disconnected")
     return (d - 2) // 2
 
 

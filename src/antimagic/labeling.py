@@ -211,8 +211,8 @@ def _assign_trail_labels(view: BipartiteView, pair: CoveringPair, analysis: BadA
         cursor.deal(trails, high_first, labels)
         events.append(TrailEvent(kind, trails, case))
 
-    for comp, trail in sorted(family.closed, key=lambda ct: min(ct[1].edges)):
-        start, case = choose_closed_start(trail, comp, comp.cid in analysis.bad_cids, pair, view, k)
+    for cid, trail in sorted(family.closed, key=lambda ct: min(ct[1].edges)):
+        start, case = choose_closed_start(trail, cid, cid in analysis.bad_cids, pair, view, k)
         oriented = rotate_closed(trail, start)
         emit("closed", (oriented,), case, case == "outer-high")
 

@@ -7,13 +7,16 @@ are even, otherwise one open trail per pair of odd-degree vertices.  A
 component in which no vertex has degree above 2 is a cycle or a path, its own
 single trail, and is walked once; any other component pairs its odd vertices
 with dummy edges, is walked as an Euler circuit, and is cut at the dummies.
+Trails are emitted in the direction they were walked: the labeling orients
+each open trail by its ends and rotates each closed one to its start.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, field
-from typing import AbstractSet, Iterator, KeysView
+from collections import Counter
+from dataclasses import dataclass
+from typing import AbstractSet, Iterator
 
 from .covering import CoveringPair, Link
 from .errors import InternalInvariantError
@@ -48,30 +51,18 @@ class Trail:
 
 
 @dataclass(frozen=True, slots=True)
-class Component:
-    """An even component of a trail graph: its id among all the layer's
-    components and the trail-graph degree of each of its vertices."""
-
-    cid: int
-    degrees: dict[int, int] = field(hash=False)
-
-    @property
-    def vertices(self) -> KeysView[int]:
-        return self.degrees.keys()
-
-
-@dataclass(frozen=True, slots=True)
 class TrailFamily:
     """All trails of one layer's trail graph, classified by end layers: one
-    closed trail per even-degree component, paired with that component, and
-    open trails with both ends inner, both ends outer, or one of each.
+    closed trail per even-degree component, paired with that component's id,
+    and open trails with both ends inner, both ends outer, or one of each.
 
     Components are numbered over the whole trail graph by increasing smallest
-    vertex, but only the even ones get a `Component`: only closed-trail
-    starts and bad-component detection read one, and a bad component is
-    2k-regular, so it is even."""
+    vertex.  A closed trail runs over its whole component, so its
+    `vertices[:-1]` lists each vertex half its trail degree times: that is
+    all closed-trail starts and bad-component detection read of a component,
+    and a bad component is 2k-regular, so it is even."""
 
-    closed: tuple[tuple[Component, Trail], ...]
+    closed: tuple[tuple[int, Trail], ...]
     open_inner: tuple[Trail, ...]
     open_outer: tuple[Trail, ...]
     open_mixed: tuple[Trail, ...]
@@ -85,14 +76,14 @@ class TrailFamily:
 
 
 def residual_edge_sets(view: BipartiteView, pair: CoveringPair,
-                       parent_edge: dict[int, int]) -> tuple[AbstractSet[int], AbstractSet[int]]:
-    """(residual edge ids, trail edge ids) after removing parent edges and,
-    for the second set, link edges as well.  On a layer without links the
-    two are one set, which no caller mutates."""
+                       parent_edge: dict[int, int]) -> AbstractSet[int]:
+    """Trail edge ids: the view's edges minus parent edges and link edges.
+    On a layer without links the residual set is returned as it is, with no
+    copy; no caller mutates it."""
     residual = view.edge_ends.keys() - parent_edge.values()
     if not pair.links:
-        return residual, residual
-    return residual, residual - pair.link_edge_ids
+        return residual
+    return residual - pair.link_edge_ids
 
 
 def _euler_circuit(todo: dict[int, Iterator[tuple[int, int]]], used: set[int],
@@ -164,10 +155,10 @@ def _unbranched_trail(walk: dict[int, list[tuple[int, int]]], seen: set[int],
     """The single trail of the component whose smallest vertex is `v`, if
     no vertex of it has trail degree above 2, and the vertices walked.
 
-    Such a component is a cycle or a path, and it is oriented as the dummy
-    circuit from `v` would give it: a cycle runs from `v` through its first
-    entry, and a path ends where that circuit takes the dummy joining the
-    path's ends.  At a branch vertex the walk stops, and the trail is None."""
+    Such a component is a cycle or a path, emitted as walked: a cycle and a
+    path that ends at `v` run from `v` through its first entry, and a path
+    through `v` runs from the end its second entry leads to.  At a branch
+    vertex the walk stops, and the trail is None."""
     entries = walk[v]
     verts, eids = [v], []
     if len(entries) > 2:
@@ -178,11 +169,6 @@ def _unbranched_trail(walk: dict[int, list[tuple[int, int]]], seen: set[int],
     if stop > 2:
         return None, verts
     if len(entries) == 1:
-        # v is the smaller end; the dummy to the far end sorts first in its
-        # list, and is walked first, unless v's neighbour is smaller
-        if verts[-1] <= entries[0][0]:
-            verts.reverse()
-            eids.reverse()
         return Trail(tuple(verts), tuple(eids), closed=False), verts
     # v is inside the path, which ends where its first entry leads
     back_v, back_e = [v], []
@@ -203,8 +189,8 @@ def decompose_trails(view: BipartiteView, trail_eids: AbstractSet[int]) -> Trail
     Any other component is completed by a depth-first search, pairs its odd
     vertices in order with dummy edges inserted at their sorted positions,
     and is walked as an Euler circuit, one iterator per list; the circuit is
-    cut at its dummies into open trails.  A component without odd vertices
-    is one closed trail and gets a `Component` record with its degrees."""
+    cut at its dummies into open trails, each running as the circuit does.
+    A component without odd vertices is one closed trail, kept with its id."""
     incident = view.incident
     walk: dict[int, list[tuple[int, int]]] = {}
     for v in (*view.inner, *view.outer):
@@ -218,7 +204,7 @@ def decompose_trails(view: BipartiteView, trail_eids: AbstractSet[int]) -> Trail
     seen: set[int] = set()
     used: set[int] = set()
     dummy_next = -1
-    closed: list[tuple[Component, Trail]] = []
+    closed: list[tuple[int, Trail]] = []
     open_inner: list[Trail] = []
     open_outer: list[Trail] = []
     open_mixed: list[Trail] = []
@@ -232,7 +218,7 @@ def decompose_trails(view: BipartiteView, trail_eids: AbstractSet[int]) -> Trail
         trail, reached = _unbranched_trail(walk, seen, v)
         if trail is not None:
             if trail.closed:
-                closed.append((Component(cid, dict.fromkeys(sorted(reached[:-1]), 2)), trail))
+                closed.append((cid, trail))
                 continue
             segs = (trail,)
         else:
@@ -259,8 +245,7 @@ def decompose_trails(view: BipartiteView, trail_eids: AbstractSet[int]) -> Trail
                         odd = None
             verts, eids = _euler_circuit({u: iter(walk[u]) for u in members}, used, v)
             if even:
-                degrees = {u: len(walk[u]) for u in members}
-                closed.append((Component(cid, degrees), Trail(tuple(verts), tuple(eids), closed=True)))
+                closed.append((cid, Trail(tuple(verts), tuple(eids), closed=True)))
                 continue
             segs = _split_at_dummies(verts, eids)
         for seg in segs:
@@ -283,18 +268,19 @@ def decompose_trails(view: BipartiteView, trail_eids: AbstractSet[int]) -> Trail
 def detect_bad_components(family: TrailFamily, view: BipartiteView,
                           pair: CoveringPair, k: int) -> tuple[int, ...]:
     """Ids, ascending, of the components that are 2k-regular with every outer
-    vertex a link end.  Such a component is even, and a layer without links
-    has none."""
+    vertex a link end.  Such a component is even, so its closed trail visits
+    each of its vertices k times, and a layer without links has none."""
     if not pair.links:
         return ()
     link_ends = pair.link_ends
     bad = []
-    for comp, _ in family.closed:
-        if any(deg != 2 * k for deg in comp.degrees.values()):
+    for cid, trail in family.closed:
+        visits = Counter(trail.vertices[:-1])
+        if any(count != k for count in visits.values()):
             continue
-        outer = [v for v in comp.degrees if view.side(v) == "outer"]
+        outer = [v for v in visits if view.side(v) == "outer"]
         if outer and all(v in link_ends for v in outer):
-            bad.append(comp.cid)
+            bad.append(cid)
     return tuple(bad)
 
 
@@ -312,39 +298,40 @@ def analyze_bad_components(view: BipartiteView, pair: CoveringPair,
                            parent_edge: dict[int, int], k: int) -> BadAnalysis:
     """Decompose the trail graph and work out which links are free (at least
     one end outside every bad component)."""
-    _, trail_eids = residual_edge_sets(view, pair, parent_edge)
-    family = decompose_trails(view, trail_eids)
+    family = decompose_trails(view, residual_edge_sets(view, pair, parent_edge))
     bad_cids = detect_bad_components(family, view, pair, k)
     bad_vertices: set[int] = set()
-    for comp, _ in family.closed:
-        if comp.cid in bad_cids:
-            bad_vertices.update(comp.degrees)
+    for cid, trail in family.closed:
+        if cid in bad_cids:
+            bad_vertices.update(trail.vertices)
     free = tuple(l for l in pair.links
                  if l.end_a not in bad_vertices or l.end_b not in bad_vertices)
     return BadAnalysis(family, bad_cids, frozenset(bad_vertices), free)
 
 
-def choose_closed_start(trail: Trail, component: Component, bad: bool,
+def choose_closed_start(trail: Trail, cid: int, bad: bool,
                         pair: CoveringPair, view: BipartiteView, k: int) -> tuple[int, str]:
-    """Start vertex and labeling case for a closed trail.
+    """Start vertex and labeling case for the closed trail of component `cid`.
 
     Bad components start at their lowest outer vertex ("bad", low labels
     first).  Otherwise prefer an outer vertex of low degree or one that is not
     a link end ("outer-high"), falling back to a low-degree inner vertex
-    ("inner-low"); one of the two always exists in a non-bad component.
+    ("inner-low"); one of the two always exists in a non-bad component.  The
+    trail visits each vertex half its trail degree times, so a degree of at
+    most 2k - 1 is fewer than k visits.
     """
-    verts = set(trail.vertices)
-    outer_verts = sorted(v for v in verts if view.side(v) == "outer")
+    visits = Counter(trail.vertices[:-1])
+    outer_verts = sorted(v for v in visits if view.side(v) == "outer")
     if bad:
         return outer_verts[0], "bad"
     for v in outer_verts:
-        if component.degrees[v] <= 2 * k - 1 or v not in pair.link_ends:
+        if visits[v] < k or v not in pair.link_ends:
             return v, "outer-high"
-    for v in sorted(verts - set(outer_verts)):
-        if component.degrees[v] <= 2 * k - 1:
+    for v in sorted(v for v in visits if view.side(v) == "inner"):
+        if visits[v] < k:
             return v, "inner-low"
     raise InternalInvariantError(
-        f"no valid start vertex for the closed trail of component {component.cid}")
+        f"no valid start vertex for the closed trail of component {cid}")
 
 
 def rotate_closed(trail: Trail, start: int) -> Trail:

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from antimagic import (BipartiteView, Graph, GraphFormatError, GraphShapeError, bfs_layering,
-                       format_edge_list, generate_regular, layer_view, parse_edge_list,
-                       validate_even_regular)
+                       format_edge_list, generate_regular, label_graph, layer_view,
+                       parse_edge_list, validate_even_regular)
 from antimagic.verify import stress_instances
 from corpus import (circulant, complete_bipartite, complete_graph, cycle_graph, petersen,
                     pipeline_corpus, shuffled_circulant, two_disjoint_k5)
@@ -98,8 +98,10 @@ class TestValidateEvenRegular:
             validate_even_regular(Graph(4, [(0, 1), (1, 2), (2, 3)]))
 
     def test_disconnected(self):
+        # connectivity is checked once, by the layering inside label_graph
+        assert validate_even_regular(two_disjoint_k5()) == 1
         with pytest.raises(GraphShapeError, match="disconnected"):
-            validate_even_regular(two_disjoint_k5())
+            label_graph(two_disjoint_k5())
 
 
 class TestLayering:

@@ -243,12 +243,53 @@ class TestPlanAgainstReference:
         self.assert_plans_match(complete_bipartite(a, a))
 
 
+class TestOpenTrailDirection:
+    """The labeling orients every open trail by its ends, so the direction in
+    which the trail stage emits one reaches no trail unit and no document:
+    reversing every open trail the stage returns changes neither."""
+
+    @staticmethod
+    def assert_direction_free(monkeypatch, graphs):
+        def outcome():
+            results = [label_graph(g) for g in graphs]
+            return ([render_document(res) for res in results],
+                    [[rec.events for rec in res.layers.values()] for res in results])
+
+        expected = outcome()
+        decompose = trails.decompose_trails
+        reversed_count = 0
+
+        def reversed_open(view, trail_eids):
+            nonlocal reversed_count
+            fam = decompose(view, trail_eids)
+            flipped = {}
+            for kind in ("open_inner", "open_outer", "open_mixed"):
+                flipped[kind] = tuple(t.reverse() for t in getattr(fam, kind))
+                reversed_count += len(flipped[kind])
+            return dataclasses.replace(fam, **flipped)
+
+        monkeypatch.setattr(trails, "decompose_trails", reversed_open)
+        assert outcome() == expected
+        assert reversed_count
+
+    def test_shuffled_deep_circulant(self, monkeypatch):
+        self.assert_direction_free(
+            monkeypatch, [shuffled_circulant(n, [1, 2], n) for n in (40, 103, 400)])
+
+    def test_complete_bipartite(self, monkeypatch):
+        self.assert_direction_free(monkeypatch, [complete_bipartite(a, a) for a in range(4, 41, 6)])
+
+    def test_stress_instances(self, monkeypatch):
+        self.assert_direction_free(
+            monkeypatch, [graph for *_, graph in stress_instances(100, 8, 60, [4, 6, 8], 0)])
+
+
 class TestRecordsHoldNoTrailFamilies:
     """A held result keeps each layer's trail units, bad component ids and
-    free links, but no trail family, component or bad-component analysis."""
+    free links, but no trail family or bad-component analysis."""
 
     def test_deep_circulant(self):
-        kinds = (trails.TrailFamily, trails.Component, trails.BadAnalysis)
+        kinds = (trails.TrailFamily, trails.BadAnalysis)
         res = label_graph(circulant(400, [1, 2]))
         gc.collect()
         assert res.layering.depth == 100

@@ -3,7 +3,7 @@ bad components, and trail orientation helpers."""
 
 import random
 from bisect import insort
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +30,12 @@ def assert_valid_walk(view, trail):
         assert trail.vertices[0] == trail.vertices[-1]
 
 
+def undirected(trails):
+    """Open trails with their direction left out: each read from its smaller
+    end (an open trail's two ends differ)."""
+    return [t if t.vertices[0] < t.vertices[-1] else t.reverse() for t in trails]
+
+
 class TestDecompose:
     def test_single_cycle(self):
         view = make_view([0, 1], [2, 3], [(0, 2), (0, 3), (1, 2), (1, 3)])
@@ -41,35 +47,31 @@ class TestDecompose:
         assert trail.vertices[0] == 0
         assert_valid_walk(view, trail)
 
-    # A path is oriented as the dummy circuit from its smallest vertex cuts
-    # it: the trail ends where that circuit takes the dummy joining its ends.
+    # The labeling orients every open trail by its ends, so an open trail's
+    # direction is left out: it is compared from its smaller end.
 
     def test_single_path_is_mixed(self):
-        # the dummy (1, -1) sorts before (1, 0), so 0 walks it first
         view = make_view([0], [1], [(0, 1)])
         fam = decompose_trails(view, frozenset([0]))
-        assert fam.open_mixed == (Trail((1, 0), (0,), closed=False),)
+        assert undirected(fam.open_mixed) == [Trail((0, 1), (0,), closed=False)]
 
     def test_inner_ended_path(self):
-        # 0 - 2 - 1: both odd-degree ends inner, two edges; 0's far end 1
-        # sorts before its neighbour 2, so the trail ends at 0
+        # 0 - 2 - 1: both odd-degree ends inner, two edges
         view = make_view([0, 1], [2], [(0, 2), (1, 2)])
         fam = decompose_trails(view, frozenset([0, 1]))
-        assert fam.open_inner == (Trail((1, 2, 0), (1, 0), closed=False),)
+        assert undirected(fam.open_inner) == [Trail((0, 2, 1), (0, 1), closed=False)]
 
     def test_inner_ended_path_from_the_smaller_end(self):
-        # 0 - 1 - 3: 0's neighbour 1 sorts before its far end 3, so the
-        # circuit walks the path first and the trail ends at 3
+        # 0 - 1 - 3: the path's smaller end 0 is its smallest vertex
         view = make_view([0, 3], [1], [(0, 1), (3, 1)])
         fam = decompose_trails(view, frozenset([0, 1]))
-        assert fam.open_inner == (Trail((0, 1, 3), (0, 1), closed=False),)
+        assert undirected(fam.open_inner) == [Trail((0, 1, 3), (0, 1), closed=False)]
 
     def test_outer_ended_path(self):
-        # 1 - 0 - 2: the smallest vertex 0 is inside the path, and the trail
-        # ends at 1, where 0's first entry leads
+        # 1 - 0 - 2: the smallest vertex 0 is inside the path
         view = make_view([0], [1, 2], [(0, 1), (0, 2)])
         fam = decompose_trails(view, frozenset([0, 1]))
-        assert fam.open_outer == (Trail((2, 0, 1), (1, 0), closed=False),)
+        assert undirected(fam.open_outer) == [Trail((1, 0, 2), (0, 1), closed=False)]
 
     def test_two_components(self):
         view = make_view([0, 1], [2, 3], [(0, 2), (1, 3)])
@@ -389,18 +391,20 @@ def shuffled_view_and_subset(seed):
 
 
 def assert_same_family(fam, ref):
-    """The family equals a reference family: its closed trails, each with a
-    record of its component, are the reference's closed trails with the
-    records of exactly the components that have no odd vertex."""
+    """The family equals a reference family: its closed trails, each with its
+    component's id, are exactly the reference's, one for each component that
+    has no odd vertex, and each visits every vertex of its component half
+    its degree times; its open trails are the reference's, in the same
+    order, up to direction."""
     even = [comp for comp in ref.components
             if all(deg % 2 == 0 for deg in comp.degrees.values())]
     assert [cid for cid, _ in ref.closed] == [comp.cid for comp in even]
-    assert ([(comp.cid, set(comp.vertices), comp.degrees, trail) for comp, trail in fam.closed]
-            == [(comp.cid, set(comp.vertices), comp.degrees, trail)
-                for comp, (_, trail) in zip(even, ref.closed)])
-    assert fam.open_inner == ref.open_inner
-    assert fam.open_outer == ref.open_outer
-    assert fam.open_mixed == ref.open_mixed
+    assert fam.closed == ref.closed
+    for comp, (_, trail) in zip(even, fam.closed):
+        assert Counter(trail.vertices[:-1]) == {v: deg // 2 for v, deg in comp.degrees.items()}
+    assert undirected(fam.open_inner) == undirected(ref.open_inner)
+    assert undirected(fam.open_outer) == undirected(ref.open_outer)
+    assert undirected(fam.open_mixed) == undirected(ref.open_mixed)
 
 
 def assert_same_analysis(view, pair, parent_edge, k):
@@ -416,11 +420,10 @@ def assert_same_analysis(view, pair, parent_edge, k):
     return analysis
 
 
-def unbranched_shape(view, trail_eids, comp):
-    """How the circuit from the smallest vertex v of a component without a
+def unbranched_shape(comp):
+    """How the walk from the smallest vertex v of a component without a
     branch vertex runs: around a cycle, along a one-edge path, or along a
-    longer path from v inside it or from v as an end, taking the dummy to
-    the far end first or its one neighbour first; None if the component
+    longer path from v inside it or from v as an end; None if the component
     branches."""
     if max(comp.degrees.values()) > 2:
         return None
@@ -431,10 +434,7 @@ def unbranched_shape(view, trail_eids, comp):
     v = min(comp.vertices)
     if comp.degrees[v] == 2:
         return "path from an inner vertex"
-    far = max(u for u in comp.vertices if comp.degrees[u] == 1)
-    (neighbour,) = {u for x, y, eid in view.edges if eid in trail_eids and v in (x, y)
-                    for u in (x, y) if u != v}
-    return "path, dummy first" if far <= neighbour else "path, neighbour first"
+    return "path from an end"
 
 
 class TestDecomposeDifferential:
@@ -450,7 +450,7 @@ class TestDecomposeDifferential:
         # the differential sees families with several components, even and
         # odd ones side by side, and view vertices left out of the trail
         # graph; and, among the components without a branch vertex, cycles
-        # and each way the circuit from a path's smallest vertex can run
+        # and each way the walk from a path's smallest vertex can run
         shapes = set()
         for seed in range(150):
             view, trail_eids = shuffled_view_and_subset(seed)
@@ -466,11 +466,10 @@ class TestDecomposeDifferential:
             if touched < set(view.inner) | set(view.outer):
                 shapes.add("isolated")
             for comp in ref.components:
-                shapes.add(unbranched_shape(view, trail_eids, comp))
+                shapes.add(unbranched_shape(comp))
         shapes.discard(None)
         assert shapes == {"several", "even and odd", "isolated", "one-edge path",
-                          "path from an inner vertex", "path, dummy first",
-                          "path, neighbour first", "cycle"}
+                          "path from an inner vertex", "path from an end", "cycle"}
 
 
 class TestAnalysisDifferential:
@@ -512,10 +511,19 @@ class TestAnalysisDifferential:
 
 class TestResidual:
     def test_gadget_split(self):
+        # every view edge is a parent edge, a link edge or a trail edge
         view, pair, parent = free_link_gadget()
-        residual, trail = residual_edge_sets(view, pair, parent)
-        assert len(residual) == view.edge_count - len(view.outer)
-        assert trail == residual - pair.link_edge_ids
+        trail = residual_edge_sets(view, pair, parent)
+        links = set(pair.link_edge_ids)
+        assert pair.links and len(links) == 2 * len(pair.links)
+        assert trail.isdisjoint(links) and trail.isdisjoint(parent.values())
+        assert trail | links | set(parent.values()) == set(view.edge_ends)
+        assert len(trail) == view.edge_count - len(view.outer) - len(links)
+
+    def test_without_links_only_parent_edges_go(self):
+        view = make_view([0, 1], [2, 3], [(0, 2), (0, 3), (1, 2), (1, 3)])
+        pair = CoveringPair(view, 3, [], [])
+        assert residual_edge_sets(view, pair, {2: 0, 3: 3}) == {1, 2}
 
 
 class TestBadComponents:
@@ -523,12 +531,26 @@ class TestBadComponents:
         view, pair, parent = free_link_gadget()
         analysis = analyze_bad_components(view, pair, parent, 1)
         assert len(analysis.bad_cids) == 2
-        components = {comp.cid: comp for comp, _ in analysis.family.closed}
+        closed = dict(analysis.family.closed)
         for cid in analysis.bad_cids:
-            comp = components[cid]
-            assert all(deg == 2 for deg in comp.degrees.values())
-            assert all(v in pair.link_ends for v in comp.vertices
-                       if view.side(v) == "outer")
+            # 2-regular: the closed trail visits each vertex once
+            visits = Counter(closed[cid].vertices[:-1])
+            assert set(visits.values()) == {1}
+            assert all(v in pair.link_ends for v in visits if view.side(v) == "outer")
+
+    def test_four_regular_component_is_bad_at_k2(self):
+        # K_{4,4} on inner 0..3 and outer 10..13, every outer vertex a link
+        # end: its closed trail visits each vertex twice, so it is bad at
+        # k = 2 only
+        pairs = [(x, y) for x in range(4) for y in (10, 11, 12, 13)]
+        view = make_view([0, 1, 2, 3, 4, 5], [10, 11, 12, 13],
+                         pairs + [(4, 10), (4, 11), (5, 12), (5, 13)])
+        pair = CoveringPair(view, 5, [Link.of(4, 10, 11), Link.of(5, 12, 13)], [])
+        fam = decompose_trails(view, frozenset(range(len(pairs))))
+        assert [cid for cid, _ in fam.closed] == [0]
+        assert detect_bad_components(fam, view, pair, 2) == (0,)
+        assert detect_bad_components(fam, view, pair, 1) == ()
+        assert choose_closed_start(fam.closed[0][1], 0, True, pair, view, 2) == (10, "bad")
 
     def test_cycle_with_non_link_outer_is_not_bad(self):
         view = make_view([0, 1], [2, 3], [(0, 2), (0, 3), (1, 2), (1, 3)])
@@ -566,18 +588,36 @@ class TestClosedStart:
     def test_bad_component_starts_at_lowest_outer(self):
         view, pair, parent = free_link_gadget()
         analysis = analyze_bad_components(view, pair, parent, 1)
-        closed = {comp.cid: (comp, trail) for comp, trail in analysis.family.closed}
+        closed = dict(analysis.family.closed)
         for cid in analysis.bad_cids:
-            comp, trail = closed[cid]
-            start, case = choose_closed_start(trail, comp, True, pair, view, 1)
+            trail = closed[cid]
+            start, case = choose_closed_start(trail, cid, True, pair, view, 1)
             assert case == "bad"
-            assert start == min(v for v in comp.vertices if view.side(v) == "outer")
+            assert start == min(v for v in trail.vertices if view.side(v) == "outer")
 
     def test_non_link_outer_gives_outer_high(self):
         view = make_view([0, 1], [2, 3], [(0, 2), (0, 3), (1, 2), (1, 3)])
         pair = CoveringPair(view, 3, [], [])
         fam = decompose_trails(view, frozenset(range(4)))
-        comp, trail = fam.closed[0]
-        start, case = choose_closed_start(trail, comp, False, pair, view, 1)
+        cid, trail = fam.closed[0]
+        start, case = choose_closed_start(trail, cid, False, pair, view, 1)
         assert case == "outer-high"
         assert start == 2
+
+    def test_visit_counts_at_k2(self):
+        # K_{4,2} on inner 0..3 and outer 10, 11, both link ends of center 4:
+        # the closed trail visits each outer vertex twice (degree 4) and each
+        # inner vertex once (degree 2), so at k = 2 no outer vertex can start
+        # and the lowest inner vertex starts "inner-low"
+        view = make_view([0, 1, 2, 3, 4], [10, 11],
+                         [(x, y) for x in range(5) for y in (10, 11)])
+        pair = CoveringPair(view, 5, [Link.of(4, 10, 11)], [])
+        fam = decompose_trails(view, frozenset(range(8)))
+        (cid, trail), = fam.closed
+        assert Counter(trail.vertices[:-1]) == {0: 1, 1: 1, 2: 1, 3: 1, 10: 2, 11: 2}
+        assert choose_closed_start(trail, cid, False, pair, view, 2) == (0, "inner-low")
+        assert detect_bad_components(fam, view, pair, 2) == ()
+        # at k = 3 the outer vertices' two visits are too few, so 10 starts
+        assert choose_closed_start(trail, cid, False, pair, view, 3) == (10, "outer-high")
+        with pytest.raises(InternalInvariantError, match=f"component {cid}"):
+            choose_closed_start(trail, cid, False, pair, view, 1)

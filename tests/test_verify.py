@@ -289,7 +289,7 @@ class TestReplayRecomputation:
     @staticmethod
     def assert_bad_components_agree(view, pair, parent_edge, k):
         ref = analyze_bad_components(view, pair, parent_edge, k)
-        _, trail_eids = residual_edge_sets(view, pair, parent_edge)
+        trail_eids = residual_edge_sets(view, pair, parent_edge)
         got = _bad_components(view, pair, trail_eids, k)
         assert got == (ref.bad_cids, ref.bad_vertices, ref.free_links)
         return ref
