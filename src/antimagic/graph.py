@@ -127,21 +127,20 @@ def validate_even_regular(graph: Graph) -> int:
 
 @dataclass(frozen=True)
 class Layering:
-    """Breadth-first distance classes from a root, plus per-edge classes.
+    """Breadth-first distance classes from a root, with each vertex's incidence
+    split by the search itself, so per-layer work never scans the whole graph.
 
-    Edge class i means the edge joins two layer-i vertices or a layer-i vertex
-    to a layer-(i-1) vertex.  class_edges[i] lists the ids of the class-i
-    edges in increasing order, so per-layer work never scans the whole graph.
     inward[v] and outward[v] are the graph's own sorted (neighbor, edge id)
-    entries at v toward layers layer_of[v] - 1 and layer_of[v] + 1, split
-    from its incidence by the search itself, so a layer view filters nothing.
+    entries at v toward layers layer_of[v] - 1 and layer_of[v] + 1, so a
+    layer view filters nothing; the rest of v's entries join two layer-i
+    vertices, and within_edges[i] lists the ids of those layer-i edges, each
+    once, sorted by their endpoints.
     """
 
     root: int
     layers: tuple[tuple[int, ...], ...]
     layer_of: tuple[int, ...]
-    edge_class: tuple[int, ...]
-    class_edges: tuple[tuple[int, ...], ...]
+    within_edges: tuple[tuple[int, ...], ...]
     inward: tuple[tuple[tuple[int, int], ...], ...]
     outward: tuple[tuple[tuple[int, int], ...], ...]
 
@@ -160,10 +159,14 @@ def bfs_layering(graph: Graph, root: int) -> Layering:
     queue = [root]
     inward: list[tuple[tuple[int, int], ...]] = [()] * n
     outward: list[tuple[tuple[int, int], ...]] = [()] * n
+    within: list[list[int]] = []
     # when v is dequeued, every vertex of its layer and of the one before is
     # known, so a neighbour not reached yet lies one layer out
     for v in queue:  # the queue grows while it is read
         dv = dist[v]
+        if dv == len(within):  # the first vertex of its layer
+            within.append([])
+        same = within[dv]
         d_next = dv + 1  # one int for all the vertices v discovers
         up = []
         down = []
@@ -178,27 +181,23 @@ def bfs_layering(graph: Graph, root: int) -> Layering:
                 up.append(entry)
             elif dw > dv:
                 down.append(entry)
+            elif w > v:  # a within-layer edge, kept at its smaller end
+                same.append(entry[1])
         inward[v] = tuple(up)
         outward[v] = tuple(down)
     if len(queue) < n:
         raise GraphShapeError("graph is disconnected")
-    depth = dist[queue[-1]]
-    layers: list[list[int]] = [[] for _ in range(depth + 1)]
+    layers: list[list[int]] = [[] for _ in within]
     for v, dv in enumerate(dist):
         layers[dv].append(v)
-    edge_class = []
-    class_edges: list[list[int]] = [[] for _ in range(depth + 1)]
-    for eid, (u, v) in enumerate(graph.edges):
-        du, dv = dist[u], dist[v]
-        cls = du if du > dv else dv
-        edge_class.append(cls)
-        class_edges[cls].append(eid)
+    by_ends = graph.edges.__getitem__
+    for eids in within:
+        eids.sort(key=by_ends)
     return Layering(
         root=root,
         layers=tuple(map(tuple, layers)),
         layer_of=tuple(dist),
-        edge_class=tuple(edge_class),
-        class_edges=tuple(map(tuple, class_edges)),
+        within_edges=tuple(map(tuple, within)),
         inward=tuple(inward),
         outward=tuple(outward),
     )

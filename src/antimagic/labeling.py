@@ -128,7 +128,7 @@ class _Cursor:
         self.lo = lo
         self.hi = hi
 
-    def deal(self, trails: tuple[Trail, ...], high_first: bool, labels: dict[int, int]) -> None:
+    def deal(self, trails: tuple[Trail, ...], high_first: bool, labels: list[int]) -> None:
         """Label the trails' edges in order, alternating between the two ends
         of the interval, from the high end first when `high_first`."""
         lo, hi = self.lo, self.hi
@@ -164,35 +164,28 @@ def assign_parent_edges(view: BipartiteView, pair: CoveringPair) -> dict[int, in
 def compute_interval_plan(layering: Layering, view: BipartiteView, pair: CoveringPair,
                           offset: int) -> LayerPlan:
     """The plan of layer `view.index`, stacked on the `offset` labels of the
-    layers outside it.  The layer's class edges are its within-layer edges
-    and the view's cross edges: one parent edge per outer vertex, two edges
-    per link, and the trail edges."""
+    layers outside it.  The layer's edges are its within-layer edges, as the
+    layering lists them, and the view's cross edges: one parent edge per
+    outer vertex, two edges per link, and the trail edges."""
     i = view.index
     layer_size = len(layering.layers[i])
     link_count = 2 * len(pair.links)
     return LayerPlan(
         index=i,
         layer_size=layer_size,
-        inner_count=len(layering.class_edges[i]) - view.edge_count,
+        inner_count=len(layering.within_edges[i]),
         trail_count=view.edge_count - layer_size - link_count,
         link_count=link_count,
         offset=offset,
     )
 
 
-def _assign_inner_labels(graph: Graph, layering: Layering, index: int,
-                         plan: LayerPlan, labels: dict[int, int]) -> None:
-    edges, layer_of = graph.edges, layering.layer_of
-    eids = []
-    for eid in layering.class_edges[index]:
-        u, v = edges[eid]
-        if layer_of[u] == layer_of[v]:
-            eids.append(eid)
-    eids.sort(key=edges.__getitem__)
-    lab = plan.inner_interval[0]
-    for eid in eids:
+def _assign_inner_labels(layering: Layering, index: int, plan: LayerPlan,
+                         labels: list[int]) -> None:
+    """Deal the inner interval over the layer's within-layer edges in the
+    layering's order, by their endpoints."""
+    for lab, eid in enumerate(layering.within_edges[index], start=plan.inner_interval[0]):
         labels[eid] = lab
-        lab += 1
 
 
 def _end_on(view: BipartiteView, trail: Trail, side: str) -> int:
@@ -201,7 +194,7 @@ def _end_on(view: BipartiteView, trail: Trail, side: str) -> int:
 
 
 def _assign_trail_labels(view: BipartiteView, pair: CoveringPair, analysis: BadAnalysis,
-                         plan: LayerPlan, labels: dict[int, int],
+                         plan: LayerPlan, labels: list[int],
                          k: int) -> tuple[TrailEvent, ...]:
     family = analysis.family
     cursor = _Cursor(*plan.trail_interval)
@@ -237,7 +230,7 @@ def _assign_trail_labels(view: BipartiteView, pair: CoveringPair, analysis: BadA
 
 
 def _assign_link_labels(pair: CoveringPair, analysis: BadAnalysis, plan: LayerPlan,
-                        labels: dict[int, int]) -> None:
+                        labels: list[int]) -> None:
     """Free links first: the i-th link's low end gets base + i and its high
     end base + c - i + 1; a free link with one end in a bad component puts
     its low label on that end."""
@@ -268,7 +261,7 @@ def label_graph(graph: Graph, root: int = 0) -> LabelingResult:
 
     plans: dict[int, LayerPlan] = {}
     records: dict[int, LayerRecord] = {}
-    labels: dict[int, int] = {}
+    labels = [0] * graph.m  # 0 until labeled; an edge left at 0 fails the bijection
     offset = 0
     for i in range(p, 0, -1):
         view = layer_view(graph, layering, i)
@@ -278,21 +271,20 @@ def label_graph(graph: Graph, root: int = 0) -> LabelingResult:
             pair, lambda pr: analyze_bad_components(view, pr, parent, k), k)
         plan = plans[i] = compute_interval_plan(layering, view, pair, offset)
         offset = plan.upper
-        _assign_inner_labels(graph, layering, i, plan, labels)
+        _assign_inner_labels(layering, i, plan, labels)
         events = _assign_trail_labels(view, pair, analysis, plan, labels, k)
         _assign_link_labels(pair, analysis, plan, labels)
 
-        # partial sums: incident labels but the parent edge's, within the
-        # layer's bound and above the next outer layer's (none outermost)
+        # partial sums: incident labels but the parent edge's, which is
+        # still 0, within the layer's bound and above the next outer
+        # layer's (none outermost)
         upper = plan.partial_sum_bound(k)
         lower = plans[i + 1].partial_sum_bound(k) if i < p else 0
         order = []
         for u in layering.layers[i]:
-            up = parent[u]
             s = 0
             for _, eid in graph.incident(u):
-                if eid != up:
-                    s += labels[eid]
+                s += labels[eid]
             if s > upper:
                 raise InternalInvariantError(
                     f"partial sum {s} of vertex {u} exceeds its layer bound {upper}")
@@ -306,7 +298,7 @@ def label_graph(graph: Graph, root: int = 0) -> LabelingResult:
         records[i] = LayerRecord(view, pair, parent, analysis.bad_cids, analysis.free_links,
                                  events)
 
-    label_seq = tuple(map(labels.__getitem__, range(graph.m)))
+    label_seq = tuple(labels)
 
     from .verify import verify_antimagic
 

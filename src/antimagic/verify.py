@@ -5,9 +5,10 @@ verify_antimagic recomputes everything from the edge labels alone; it never
 trusts sums cached by the engine.  check_construction replays the whole
 construction record and reports every violated invariant as a plain string,
 so tests can assert an empty list.  Like the labeling, the replay makes one
-pass from the outermost layer in: one scan of the graph splits each class's
-edges into within-layer and cross edges, and each layer is then replayed
-once, its partial sums computed once, so the issues come grouped by layer.
+pass from the outermost layer in: one scan of the graph files each edge,
+by its ends' layers, as a within-layer edge of their layer or a cross edge
+of the outer one, and each layer is then replayed once, its partial sums
+computed once, so the issues come grouped by layer.
 """
 
 from __future__ import annotations
@@ -299,9 +300,10 @@ def _replay_layer(result: LabelingResult, i: int, labels: Sequence[int], sums: S
     """Every check of layer i: the parent map, the trail units' coverage and
     cursor replay, their pair sums, bad components, the link labels, the
     partial-sum bounds and parent order, the covering pair, the cross-edge
-    count and the interval of each class edge.  `within` and `cross` are the
-    layer's class edge ids, split from the graph by the caller.  The layer's
-    link and bad-component counts and its slacks are folded into `stats`."""
+    count and the interval of each of the layer's edges.  `within` and
+    `cross` are its within-layer and cross edge ids, split from the graph by
+    the caller.  The layer's link and bad-component counts and its slacks
+    are folded into `stats`."""
     plan, rec, k = result.plans[i], result.layers[i], result.k
     view, pair, parent_edge = rec.view, rec.pair, rec.parent_edge
     link_eids = pair.link_edge_ids
@@ -461,8 +463,12 @@ def check_construction(result: LabelingResult) -> tuple[list[str], dict]:
     layer_of = lay.layer_of
     within: list[list[int]] = [[] for _ in range(lay.depth + 1)]
     cross: list[list[int]] = [[] for _ in range(lay.depth + 1)]
-    for eid, ((u, v), cls) in enumerate(zip(g.edges, lay.edge_class)):
-        (within if layer_of[u] == layer_of[v] else cross)[cls].append(eid)
+    for eid, (u, v) in enumerate(g.edges):
+        lu, lv = layer_of[u], layer_of[v]
+        if lu == lv:
+            within[lu].append(eid)
+        else:
+            cross[lu if lu > lv else lv].append(eid)  # cheaper than max()
 
     expected = 1
     for i in range(lay.depth, 0, -1):

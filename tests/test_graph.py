@@ -109,14 +109,16 @@ class TestLayering:
         lay = bfs_layering(complete_graph(5), 0)
         assert lay.layers == ((0,), (1, 2, 3, 4))
         assert lay.depth == 1
-        assert set(lay.edge_class) == {1}
+        # the edges among 1..4, ids 4..9 in combinations order
+        assert lay.within_edges == ((), (4, 5, 6, 7, 8, 9))
 
     def test_circulant_two_layers(self):
         g = circulant(7, [1, 2])
         lay = bfs_layering(g, 0)
         assert lay.layers == ((0,), (1, 2, 5, 6), (3, 4))
-        for eid, (u, v) in enumerate(g.edges):
-            assert lay.edge_class[eid] == max(lay.layer_of[u], lay.layer_of[v])
+        # (1, 2), (1, 6), (5, 6) in layer 1 and (3, 4) in layer 2
+        assert [[g.edges[eid] for eid in eids] for eids in lay.within_edges] == [
+            [], [(1, 2), (1, 6), (5, 6)], [(3, 4)]]
 
     def test_root_out_of_range(self):
         with pytest.raises(GraphShapeError):
@@ -147,9 +149,8 @@ class TestLayerView:
         for x, y, eid in view.edges:
             assert lay.layer_of[x] == 1 and lay.layer_of[y] == 2
             assert view.ends_of(eid) == (x, y)
-        assert view.edge_count == sum(1 for eid in range(g.m)
-                                      if lay.edge_class[eid] == 2
-                                      and lay.layer_of[g.edges[eid][0]] != lay.layer_of[g.edges[eid][1]])
+        assert view.edge_count == sum(1 for u, v in g.edges
+                                      if {lay.layer_of[u], lay.layer_of[v]} == {1, 2})
 
     def test_sides_and_lookup(self):
         g = complete_graph(5)
@@ -178,7 +179,7 @@ class TestLayerView:
         assert view == BipartiteView(1, (0, 1, 2), (3, 4, 5, 6), tuple(triples))
 
 
-def _bucketed_graphs():
+def _graphs_with_roots():
     """Random regular graphs, shuffled-id circulants and K_{a,a}, each with a root."""
     regular = st.builds(lambda n, d, seed: generate_regular(n, d, seed),
                         st.integers(10, 40), st.sampled_from([4, 6]), st.integers(0, 10_000))
@@ -189,17 +190,39 @@ def _bucketed_graphs():
         lambda g: st.tuples(st.just(g), st.integers(0, g.n - 1)))
 
 
-class TestClassEdges:
+class TestWithinEdges:
+    """The search files each entry of a vertex's incidence as inward, outward
+    or within its layer, and keeps each within-layer edge once per layer."""
+
     @settings(max_examples=60, deadline=None)
-    @given(_bucketed_graphs())
-    def test_buckets_partition_edge_ids_by_class(self, graph_and_root):
+    @given(_graphs_with_roots())
+    def test_each_layer_lists_its_within_layer_edges_by_endpoints(self, graph_and_root):
         g, root = graph_and_root
         lay = bfs_layering(g, root)
-        assert len(lay.class_edges) == lay.depth + 1
-        assert sorted(eid for bucket in lay.class_edges for eid in bucket) == list(range(g.m))
-        for cls, bucket in enumerate(lay.class_edges):
-            assert all(a < b for a, b in zip(bucket, bucket[1:]))
-            assert all(lay.edge_class[eid] == cls for eid in bucket)
+        layer_of = lay.layer_of
+        assert len(lay.within_edges) == lay.depth + 1
+        for i, eids in enumerate(lay.within_edges):
+            expected = [eid for eid, (u, v) in enumerate(g.edges) if layer_of[u] == layer_of[v] == i]
+            expected.sort(key=g.edges.__getitem__)
+            assert eids == tuple(expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_graphs_with_roots())
+    def test_inward_outward_and_within_partition_each_incidence(self, graph_and_root):
+        g, root = graph_and_root
+        lay = bfs_layering(g, root)
+        layer_of = lay.layer_of
+        within_at = {v: set() for v in range(g.n)}
+        for eids in lay.within_edges:
+            for eid in eids:
+                for x in g.edges[eid]:
+                    within_at[x].add(eid)
+        for v in range(g.n):
+            assert all(layer_of[w] == layer_of[v] - 1 for w, _ in lay.inward[v])
+            assert all(layer_of[w] == layer_of[v] + 1 for w, _ in lay.outward[v])
+            same = tuple(entry for entry in g.incident(v) if entry[1] in within_at[v])
+            assert len(same) == len(within_at[v])
+            assert sorted(lay.inward[v] + lay.outward[v] + same) == list(g.incident(v))
 
 
 def _full_scan_view(g, lay, index):

@@ -65,8 +65,7 @@ def with_events(res, i, pos, event):
 
 def within_eids(res, i):
     g, layer_of = res.graph, res.layering.layer_of
-    return [eid for eid in res.layering.class_edges[i]
-            if layer_of[g.edges[eid][0]] == layer_of[g.edges[eid][1]]]
+    return [eid for eid, (u, v) in enumerate(g.edges) if layer_of[u] == layer_of[v] == i]
 
 
 def trail_eids(res, i):
@@ -248,7 +247,10 @@ def _():
 @tamper("labels swapped across layers 3 and 1, R40")
 def _():
     res = labeled("R40")
-    return swapped(res, (trail_eids(res, 3)[0], res.layering.class_edges[1][0]))
+    g, layer_of = res.graph, res.layering.layer_of
+    # the lowest-id edge of layer 1, within it or out to the root
+    first = next(eid for eid, (u, v) in enumerate(g.edges) if max(layer_of[u], layer_of[v]) == 1)
+    return swapped(res, (trail_eids(res, 3)[0], first))
 
 
 @tamper("plan offset forged, R40 layer 2")
