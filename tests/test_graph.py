@@ -53,6 +53,15 @@ class TestParsing:
         assert g.edges == ((0, 1), (1, 2))
         assert g.n == 3
 
+    def test_indented_comment_crlf_and_tabs(self):
+        g = parse_edge_list("# header\r\n\r\n   # indented\r\n0\t1\r\n \t\r\n1\t2\r\n")
+        assert g.edges == ((0, 1), (1, 2))
+
+    def test_comment_after_pair_is_an_error(self):
+        # only a line whose first non-blank character is '#' is a comment
+        with pytest.raises(GraphFormatError, match=r"^line 1: expected two integers, got '0 1 # note'$"):
+            parse_edge_list("  0 1 # note\n")
+
     def test_vertex_count_from_max_id(self):
         assert parse_edge_list("0 7\n").n == 8
 
