@@ -3,17 +3,16 @@
 For each layer the cross edges minus parent edges form the residual graph;
 removing link edges as well leaves the trail graph.  Every component of the
 trail graph splits into edge-disjoint trails: one closed trail if all degrees
-are even, otherwise one open trail per pair of odd-degree vertices.  A
-component in which no vertex has degree above 2 is a cycle or a path, its own
-single trail, and is walked once; any other component pairs its odd vertices
-with dummy edges, is walked as an Euler circuit, and is cut at the dummies.
-Trails are emitted in the direction they were walked: the labeling orients
-each open trail by its ends and rotates each closed one to its start.
+are even, otherwise one open trail per pair of odd-degree vertices.  Each
+trail is walked from an end, or from the component's smallest vertex if it
+is closed, and the circuits of edges left unused are spliced in, as in
+Hierholzer's algorithm.  An open trail runs from its smaller end; the
+labeling orients each open trail by its ends and rotates each closed one to
+its start.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 from typing import AbstractSet, Iterator
@@ -54,7 +53,8 @@ class Trail:
 class TrailFamily:
     """All trails of one layer's trail graph, classified by end layers: one
     closed trail per even-degree component, paired with that component's id,
-    and open trails with both ends inner, both ends outer, or one of each.
+    and open trails with both ends inner, both ends outer, or one of each,
+    each running from its smaller end.
 
     Components are numbered over the whole trail graph by increasing smallest
     vertex.  A closed trail runs over its whole component, so its
@@ -86,113 +86,63 @@ def residual_edge_sets(view: BipartiteView, pair: CoveringPair,
     return residual - pair.link_edge_ids
 
 
-def _euler_circuit(todo: dict[int, Iterator[tuple[int, int]]], used: set[int],
-                   start: int) -> tuple[list[int], list[int]]:
-    """Iterative Hierholzer walk from `start` over its even-degree connected
-    edge set.  `todo` holds one iterator per vertex over its sorted list, so
+def _extend(todo: dict[int, Iterator[tuple[int, int]]], used: set[int],
+            verts: list[int], eids: list[int]) -> None:
+    """Walk on from `verts[-1]` until stuck, taking at each vertex its first
+    edge not yet used and appending the vertex and edge id reached to `verts`
+    and `eids`.  `todo` holds one iterator per vertex over its sorted list, so
     every entry is read once, and `used` the edges walked so far: an edge
     already walked from its other end is skipped there."""
-    stack_v = [start]
-    stack_e: list[int] = []
-    out_v: list[int] = []
-    out_e: list[int] = []
-    while stack_v:
-        for w, eid in todo[stack_v[-1]]:
+    u = verts[-1]
+    while True:
+        for w, eid in todo[u]:
             if eid not in used:
                 used.add(eid)
-                stack_v.append(w)
-                stack_e.append(eid)
+                verts.append(w)
+                eids.append(eid)
+                u = w
                 break
         else:
-            out_v.append(stack_v.pop())
-            if stack_e:
-                out_e.append(stack_e.pop())
+            return
+
+
+def _splice(todo: dict[int, Iterator[tuple[int, int]]], used: set[int],
+            verts: list[int], eids: list[int]) -> tuple[list[int], list[int]]:
+    """The walk `verts`, `eids` with every circuit of unused edges through its
+    vertices spliced in, as Hierholzer's loop does with the walk as its
+    stack: from the walk's far end back, each vertex that still has an
+    unused edge is walked on from until stuck, which is back at itself."""
+    out_v: list[int] = []
+    out_e: list[int] = []
+    while verts:
+        _extend(todo, used, verts, eids)
+        out_v.append(verts.pop())
+        if eids:
+            out_e.append(eids.pop())
     out_v.reverse()
     out_e.reverse()
     return out_v, out_e
-
-
-def _split_at_dummies(verts: list[int], eids: list[int]) -> list[Trail]:
-    """Cut a circuit at its negative (dummy) edge ids into open trails: one
-    after each dummy, in circuit order, the last one wrapping around the
-    circuit's start to its first dummy."""
-    cuts = []
-    for pos, eid in enumerate(eids):
-        if eid < 0:
-            cuts.append(pos)
-    trails = []
-    for a, b in zip(cuts, cuts[1:]):
-        trails.append(Trail(tuple(verts[a + 1:b + 1]), tuple(eids[a + 1:b]), closed=False))
-    first, last = cuts[0], cuts[-1]
-    trails.append(Trail(tuple(verts[last + 1:] + verts[1:first + 1]),
-                        tuple(eids[last + 1:] + eids[:first]), closed=False))
-    return trails
-
-
-def _follow(walk: dict[int, list[tuple[int, int]]], seen: set[int], v: int,
-            entry: tuple[int, int], verts: list[int], eids: list[int]) -> int:
-    """Walk on from `v` through `entry`, appending each vertex and edge id
-    reached to `verts` and `eids` and each vertex to `seen`, for as long as
-    the vertices reached have trail degree 2.  Returns the trail degree of
-    the vertex where it stops: 1 at a path's end, 2 back at `v`, which
-    closes a cycle, and more at a branch vertex."""
-    w, eid = entry
-    while True:
-        verts.append(w)
-        eids.append(eid)
-        if w == v:
-            return 2
-        seen.add(w)
-        lst = walk[w]
-        if len(lst) != 2:
-            return len(lst)
-        first, second = lst
-        w, eid = second if first[1] == eid else first
-
-
-def _unbranched_trail(walk: dict[int, list[tuple[int, int]]], seen: set[int],
-                      v: int) -> tuple[Trail | None, list[int]]:
-    """The single trail of the component whose smallest vertex is `v`, if
-    no vertex of it has trail degree above 2, and the vertices walked.
-
-    Such a component is a cycle or a path, emitted as walked: a cycle and a
-    path that ends at `v` run from `v` through its first entry, and a path
-    through `v` runs from the end its second entry leads to.  At a branch
-    vertex the walk stops, and the trail is None."""
-    entries = walk[v]
-    verts, eids = [v], []
-    if len(entries) > 2:
-        return None, verts
-    stop = _follow(walk, seen, v, entries[0], verts, eids)
-    if stop == 2:
-        return Trail(tuple(verts), tuple(eids), closed=True), verts
-    if stop > 2:
-        return None, verts
-    if len(entries) == 1:
-        return Trail(tuple(verts), tuple(eids), closed=False), verts
-    # v is inside the path, which ends where its first entry leads
-    back_v, back_e = [v], []
-    if _follow(walk, seen, v, entries[1], back_v, back_e) > 2:
-        return None, verts + back_v[1:]
-    back_v.reverse()
-    back_e.reverse()
-    return Trail(tuple(back_v + verts[1:]), tuple(back_e + eids), closed=False), verts
 
 
 def decompose_trails(view: BipartiteView, trail_eids: AbstractSet[int]) -> TrailFamily:
     """Split the trail graph into components and decompose each into trails.
 
     The trail adjacency filters the view's incidence lists, which are already
-    sorted.  Components are taken in order of their smallest vertex and
-    walked from it.  A component in which no vertex has trail degree above 2
-    is a path or a cycle, its own single trail, and is emitted as walked.
-    Any other component is completed by a depth-first search, pairs its odd
-    vertices in order with dummy edges inserted at their sorted positions,
-    and is walked as an Euler circuit, one iterator per list; the circuit is
-    cut at its dummies into open trails, each running as the circuit does.
-    A component without odd vertices is one closed trail, kept with its id."""
+    sorted, and each vertex gets one iterator over its list.  Components are
+    found by a depth-first search from their smallest vertex, in increasing
+    order.  In a component with odd vertices, a walk starts at each odd
+    vertex, in increasing order, that no earlier walk ended at, and takes
+    unused edges until it is stuck, which is at a larger odd vertex.  Only
+    then, once every odd vertex is an end, is each walk spliced with the
+    circuits left over through its vertices (spliced sooner, a circuit could
+    end at an odd vertex); each becomes one open trail, from its smaller end.
+    A component without odd vertices is walked from its smallest vertex back
+    to it, spliced, and kept as one closed trail with the component's id.
+    Walks that took every edge of their component, as on a path or a cycle,
+    have nothing to splice and are their trails as walked."""
     incident = view.incident
     walk: dict[int, list[tuple[int, int]]] = {}
+    todo: dict[int, Iterator[tuple[int, int]]] = {}
     for v in (*view.inner, *view.outer):
         lst = []
         for pair in incident(v):
@@ -200,10 +150,10 @@ def decompose_trails(view: BipartiteView, trail_eids: AbstractSet[int]) -> Trail
                 lst.append(pair)
         if lst:
             walk[v] = lst
+            todo[v] = iter(lst)
 
     seen: set[int] = set()
     used: set[int] = set()
-    dummy_next = -1
     closed: list[tuple[int, Trail]] = []
     open_inner: list[Trail] = []
     open_outer: list[Trail] = []
@@ -215,47 +165,44 @@ def decompose_trails(view: BipartiteView, trail_eids: AbstractSet[int]) -> Trail
             continue
         cid += 1
         seen.add(v)
-        trail, reached = _unbranched_trail(walk, seen, v)
-        if trail is not None:
-            if trail.closed:
+        stack = [v]
+        odd = []
+        degree_sum = 0
+        while stack:
+            u = stack.pop()
+            lst = walk[u]
+            degree_sum += len(lst)
+            if len(lst) % 2:
+                odd.append(u)
+            for w, _eid in lst:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        odd.sort()
+        walks = []
+        ends = set()
+        left = degree_sum // 2  # edges of the component no walk has taken
+        for s in odd or (v,):
+            if s not in ends:
+                verts, eids = [s], []
+                _extend(todo, used, verts, eids)
+                ends.add(verts[-1])
+                left -= len(eids)
+                walks.append((verts, eids))
+        for verts, eids in walks:
+            if left:
+                verts, eids = _splice(todo, used, verts, eids)
+            trail = Trail(tuple(verts), tuple(eids), closed=not odd)
+            if not odd:
                 closed.append((cid, trail))
                 continue
-            segs = (trail,)
-        else:
-            members = []
-            while reached:
-                u = reached.pop()
-                members.append(u)
-                for w, _eid in walk[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        reached.append(w)
-            members.sort()
-            odd = None  # the odd vertex waiting for its partner
-            even = True
-            for u in members:
-                if len(walk[u]) % 2:
-                    even = False
-                    if odd is None:
-                        odd = u
-                    else:
-                        insort(walk[odd], (u, dummy_next))
-                        insort(walk[u], (odd, dummy_next))
-                        dummy_next -= 1
-                        odd = None
-            verts, eids = _euler_circuit({u: iter(walk[u]) for u in members}, used, v)
-            if even:
-                closed.append((cid, Trail(tuple(verts), tuple(eids), closed=True)))
-                continue
-            segs = _split_at_dummies(verts, eids)
-        for seg in segs:
-            first, last = side(seg.vertices[0]), side(seg.vertices[-1])
+            first, last = side(trail.vertices[0]), side(trail.vertices[-1])
             if first != last:
-                open_mixed.append(seg)
+                open_mixed.append(trail)
             elif first == "inner":
-                open_inner.append(seg)
+                open_inner.append(trail)
             else:
-                open_outer.append(seg)
+                open_outer.append(trail)
 
     return TrailFamily(
         closed=tuple(closed),

@@ -1,5 +1,10 @@
-"""Trail decomposition: Euler circuits, dummy splitting, classification,
-bad components, and trail orientation helpers."""
+"""Trail decomposition: walks from odd vertices with circuits spliced in,
+classification, bad components, and trail orientation helpers.
+
+The differential tests hold the trail builder to three references: two
+builders that pair odd vertices with dummy edges and cut an Euler circuit at
+them, which fix the closed trails and what each component's open trails
+cover, and a plain walk-and-splice builder, which fixes the open trails."""
 
 import random
 from bisect import insort
@@ -10,9 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from antimagic import BipartiteView, InternalInvariantError, label_graph
 from antimagic.covering import CoveringPair, Link, maximize_free_links
-from antimagic.trails import (Trail, _split_at_dummies, analyze_bad_components,
-                              choose_closed_start, decompose_trails, detect_bad_components,
-                              orient_open, residual_edge_sets, rotate_closed)
+from antimagic.trails import (Trail, analyze_bad_components, choose_closed_start,
+                              decompose_trails, detect_bad_components, orient_open,
+                              residual_edge_sets, rotate_closed)
 from corpus import complete_bipartite, free_link_gadget, random_bounded_bipartite
 
 
@@ -30,12 +35,6 @@ def assert_valid_walk(view, trail):
         assert trail.vertices[0] == trail.vertices[-1]
 
 
-def undirected(trails):
-    """Open trails with their direction left out: each read from its smaller
-    end (an open trail's two ends differ)."""
-    return [t if t.vertices[0] < t.vertices[-1] else t.reverse() for t in trails]
-
-
 class TestDecompose:
     def test_single_cycle(self):
         view = make_view([0, 1], [2, 3], [(0, 2), (0, 3), (1, 2), (1, 3)])
@@ -47,31 +46,38 @@ class TestDecompose:
         assert trail.vertices[0] == 0
         assert_valid_walk(view, trail)
 
-    # The labeling orients every open trail by its ends, so an open trail's
-    # direction is left out: it is compared from its smaller end.
-
     def test_single_path_is_mixed(self):
         view = make_view([0], [1], [(0, 1)])
         fam = decompose_trails(view, frozenset([0]))
-        assert undirected(fam.open_mixed) == [Trail((0, 1), (0,), closed=False)]
+        assert fam.open_mixed == (Trail((0, 1), (0,), closed=False),)
 
     def test_inner_ended_path(self):
         # 0 - 2 - 1: both odd-degree ends inner, two edges
         view = make_view([0, 1], [2], [(0, 2), (1, 2)])
         fam = decompose_trails(view, frozenset([0, 1]))
-        assert undirected(fam.open_inner) == [Trail((0, 2, 1), (0, 1), closed=False)]
+        assert fam.open_inner == (Trail((0, 2, 1), (0, 1), closed=False),)
 
     def test_inner_ended_path_from_the_smaller_end(self):
         # 0 - 1 - 3: the path's smaller end 0 is its smallest vertex
         view = make_view([0, 3], [1], [(0, 1), (3, 1)])
         fam = decompose_trails(view, frozenset([0, 1]))
-        assert undirected(fam.open_inner) == [Trail((0, 1, 3), (0, 1), closed=False)]
+        assert fam.open_inner == (Trail((0, 1, 3), (0, 1), closed=False),)
 
     def test_outer_ended_path(self):
         # 1 - 0 - 2: the smallest vertex 0 is inside the path
         view = make_view([0], [1, 2], [(0, 1), (0, 2)])
         fam = decompose_trails(view, frozenset([0, 1]))
-        assert undirected(fam.open_outer) == [Trail((1, 0, 2), (0, 1), closed=False)]
+        assert fam.open_outer == (Trail((1, 0, 2), (0, 1), closed=False),)
+
+    def test_walk_stuck_early_gets_the_cycle_spliced(self):
+        # the path 0 - 1 - 2 between the odd vertices 0 and 2, and the cycle
+        # 1 - 4 - 3 - 6 - 1: the walk from 0 takes 1's smallest neighbour 2
+        # and is stuck there, so the cycle is spliced in at 1
+        view = make_view([0, 2, 4, 6], [1, 3],
+                         [(0, 1), (2, 1), (4, 1), (4, 3), (6, 3), (6, 1)])
+        fam = decompose_trails(view, frozenset(range(6)))
+        assert fam.closed == () and fam.open_outer == () and fam.open_mixed == ()
+        assert fam.open_inner == (Trail((0, 1, 4, 3, 6, 1, 2), (0, 2, 3, 4, 5, 1), closed=False),)
 
     def test_two_components(self):
         view = make_view([0, 1], [2, 3], [(0, 2), (1, 3)])
@@ -103,6 +109,9 @@ class TestDecompose:
             assert all(view.side(v) == "outer" for v in trail.ends)
         for trail in fam.open_mixed:
             assert trail.edge_count % 2 == 1
+        # every open trail runs from its smaller end
+        for trail in (*fam.open_inner, *fam.open_outer, *fam.open_mixed):
+            assert trail.vertices[0] < trail.vertices[-1]
         # odd-degree vertices are trail ends exactly once
         degree = {}
         for x, y, eid in view.edges:
@@ -143,28 +152,6 @@ def reference_split_at_dummies(verts, eids):
     return trails
 
 
-@st.composite
-def circuits_with_dummies(draw):
-    """A closed walk's vertex and edge lists with at least one dummy edge and
-    no two dummies next to each other, cyclically."""
-    length = draw(st.integers(2, 30))
-    dummy = [False] * length
-    for pos in draw(st.lists(st.integers(0, length - 1), min_size=1, max_size=length)):
-        if not dummy[pos - 1] and not dummy[(pos + 1) % length]:
-            dummy[pos] = True
-    verts = draw(st.lists(st.integers(0, 9), min_size=length, max_size=length))
-    eids = [-1 - pos if is_dummy else pos for pos, is_dummy in enumerate(dummy)]
-    return verts + verts[:1], eids
-
-
-class TestSplitAtDummies:
-    @settings(max_examples=200, deadline=None)
-    @given(circuits_with_dummies())
-    def test_same_trails_in_the_same_order_as_the_reference(self, circuit):
-        verts, eids = circuit
-        assert _split_at_dummies(verts, eids) == reference_split_at_dummies(verts, eids)
-
-
 def reference_euler_circuit(adj, start):
     """The Hierholzer walk as first written: a pointer per vertex of `adj`,
     advanced past each edge already used."""
@@ -196,7 +183,7 @@ def reference_euler_circuit(adj, start):
     return out_v, out_e
 
 
-# The family shape both reference builders return: a record for every
+# The family shape the reference builders return: a record for every
 # component of the trail graph, and each closed trail with its component id.
 ReferenceComponent = namedtuple("ReferenceComponent", "cid vertices degrees")
 ReferenceFamily = namedtuple("ReferenceFamily",
@@ -252,7 +239,7 @@ def reference_decompose_trails(view, trail_eids):
         for lst in aug.values():
             lst.sort()
         verts, eids = reference_euler_circuit(aug, min(members))
-        for seg in _split_at_dummies(verts, eids):
+        for seg in reference_split_at_dummies(verts, eids):
             sides = {view.side(seg.vertices[0]), view.side(seg.vertices[-1])}
             if sides == {"inner"}:
                 open_inner.append(seg)
@@ -346,12 +333,101 @@ def every_component_decompose_trails(view, trail_eids):
                            tuple(open_outer), tuple(open_mixed))
 
 
+def walk_and_splice_decompose_trails(view, trail_eids):
+    """The trail builder's rule, written plainly: adjacency rebuilt from the
+    edge list and sorted, a pointer per vertex to its first entry not yet
+    passed over, and one component at a time.  A component with odd
+    vertices gets a walk from each odd vertex, in increasing order, that no
+    earlier walk ended at; one without gets a walk from its smallest vertex.
+    Each walk takes the first unused edge until it is stuck.  Then each walk
+    in turn is spliced, by Hierholzer's loop with the walk as its stack.
+    Returns the family and the ids of the components whose walks left edges
+    to splice."""
+    adj = {}
+    for x, y, eid in view.edges:
+        if eid in trail_eids:
+            adj.setdefault(x, []).append((y, eid))
+            adj.setdefault(y, []).append((x, eid))
+    for lst in adj.values():
+        lst.sort()
+    ptr = dict.fromkeys(adj, 0)
+    used = set()
+
+    def next_edge(u):
+        while ptr[u] < len(adj[u]):
+            w, eid = adj[u][ptr[u]]
+            ptr[u] += 1
+            if eid not in used:
+                used.add(eid)
+                return w, eid
+        return None
+
+    components, closed, open_inner, open_outer, open_mixed = [], [], [], [], []
+    spliced = set()
+    for v in sorted(adj):
+        if any(v in comp.vertices for comp in components):
+            continue
+        cid = len(components)
+        members = {v}
+        stack = [v]
+        while stack:
+            for w, _eid in adj[stack.pop()]:
+                if w not in members:
+                    members.add(w)
+                    stack.append(w)
+        degrees = {u: len(adj[u]) for u in members}
+        components.append(ReferenceComponent(cid, frozenset(members), degrees))
+        odd = sorted(u for u in members if degrees[u] % 2)
+        walks, ended = [], set()
+        for start in odd or [v]:
+            if start in ended:
+                continue
+            verts, eids = [start], []
+            while (step := next_edge(verts[-1])) is not None:
+                verts.append(step[0])
+                eids.append(step[1])
+            ended.add(verts[-1])
+            walks.append((verts, eids))
+        if sum(len(eids) for _, eids in walks) < sum(degrees.values()) // 2:
+            spliced.add(cid)
+        for verts, eids in walks:
+            out_v, out_e = [], []
+            while verts:
+                step = next_edge(verts[-1])
+                if step is not None:
+                    verts.append(step[0])
+                    eids.append(step[1])
+                    continue
+                out_v.append(verts.pop())
+                if eids:
+                    out_e.append(eids.pop())
+            trail = Trail(tuple(reversed(out_v)), tuple(reversed(out_e)), closed=not odd)
+            sides = {view.side(trail.vertices[0]), view.side(trail.vertices[-1])}
+            if not odd:
+                closed.append((cid, trail))
+            elif sides == {"inner"}:
+                open_inner.append(trail)
+            elif sides == {"outer"}:
+                open_outer.append(trail)
+            else:
+                open_mixed.append(trail)
+    family = ReferenceFamily(tuple(components), tuple(closed), tuple(open_inner),
+                             tuple(open_outer), tuple(open_mixed))
+    return family, spliced
+
+
+def reference_trail_eids(view, pair, parent_edge):
+    """Trail edge ids as the trail stage computed them before: residual sets
+    as frozensets."""
+    residual = frozenset(view.edge_ends.keys() - parent_edge.values())
+    return frozenset(residual - set(pair.link_edge_ids))
+
+
 def reference_analyze_bad_components(view, pair, parent_edge, k):
     """(family, bad component ids, their vertices, free links) as the trail
-    stage computed them before: residual sets as frozensets, and every
-    component, even or odd, screened for badness."""
-    residual = frozenset(view.edge_ends.keys() - parent_edge.values())
-    family = every_component_decompose_trails(view, frozenset(residual - set(pair.link_edge_ids)))
+    stage computed them before: every component, even or odd, screened for
+    badness."""
+    family = every_component_decompose_trails(view, reference_trail_eids(view, pair, parent_edge))
     bad = set()
     for comp in family.components:
         if any(deg != 2 * k for deg in comp.degrees.values()):
@@ -390,21 +466,68 @@ def shuffled_view_and_subset(seed):
     return view, frozenset(eid for _, _, eid in ring).union(rest)
 
 
-def assert_same_family(fam, ref):
-    """The family equals a reference family: its closed trails, each with its
-    component's id, are exactly the reference's, one for each component that
-    has no odd vertex, and each visits every vertex of its component half
-    its degree times; its open trails are the reference's, in the same
-    order, up to direction."""
+def shuffled_even_view(seed):
+    """A view whose edges are a few random cycles, each alternating between
+    inner and outer vertices, with no vertex twice and no edge of an earlier
+    cycle, on shuffled vertex ids and in shuffled edge order, and all its
+    edges as trail edges: every degree is even, and a walk from a
+    component's smallest vertex often returns to it before every edge is
+    taken."""
+    rng = random.Random(seed)
+    ni, no = rng.randrange(2, 9), rng.randrange(2, 9)
+    ids = list(range(ni + no))
+    rng.shuffle(ids)
+    inner, outer = ids[:ni], ids[ni:]
+    pairs = []
+    for _ in range(rng.randrange(1, 6)):
+        r = rng.randrange(2, min(ni, no) + 1)
+        xs, ys = rng.sample(inner, r), rng.sample(outer, r)
+        cycle = [(xs[i], ys[i]) for i in range(r)] + [(xs[(i + 1) % r], ys[i]) for i in range(r)]
+        if not set(cycle) & set(pairs):
+            pairs.extend(cycle)
+    edges = [(x, y, eid) for eid, (x, y) in enumerate(pairs)]
+    rng.shuffle(edges)
+    view = BipartiteView(1, tuple(inner), tuple(outer), tuple(edges))
+    return view, frozenset(range(len(edges)))
+
+
+def open_trails_by_component(family, components):
+    """Each component's open trails, found by their first vertex."""
+    cid_of = {v: comp.cid for comp in components for v in comp.vertices}
+    out = {}
+    for trail in (*family.open_inner, *family.open_outer, *family.open_mixed):
+        out.setdefault(cid_of[trail.vertices[0]], []).append(trail)
+    return out
+
+
+def assert_same_family(fam, ref, walked):
+    """The family is exactly `walked`, the walk-and-splice reference's, and
+    agrees with `ref`, a reference that cuts a circuit at dummy edges, up to
+    how odd vertices are paired: its closed trails, each with its
+    component's id, are exactly `ref`'s, one for each component that has no
+    odd vertex, and each visits every vertex of its component half its
+    degree times; and in each component with odd vertices, its open trails
+    and `ref`'s take the same edges, number half the odd vertices, and have
+    each odd vertex as an end exactly once."""
     even = [comp for comp in ref.components
             if all(deg % 2 == 0 for deg in comp.degrees.values())]
     assert [cid for cid, _ in ref.closed] == [comp.cid for comp in even]
-    assert fam.closed == ref.closed
+    assert fam.closed == ref.closed == walked.closed
     for comp, (_, trail) in zip(even, fam.closed):
         assert Counter(trail.vertices[:-1]) == {v: deg // 2 for v, deg in comp.degrees.items()}
-    assert undirected(fam.open_inner) == undirected(ref.open_inner)
-    assert undirected(fam.open_outer) == undirected(ref.open_outer)
-    assert undirected(fam.open_mixed) == undirected(ref.open_mixed)
+    assert fam.open_inner == walked.open_inner
+    assert fam.open_outer == walked.open_outer
+    assert fam.open_mixed == walked.open_mixed
+    ours = open_trails_by_component(fam, ref.components)
+    theirs = open_trails_by_component(ref, ref.components)
+    assert ours.keys() == theirs.keys()
+    for cid, trails in ours.items():
+        odd = sorted(v for v, deg in ref.components[cid].degrees.items() if deg % 2)
+        for family_trails in (trails, theirs[cid]):
+            assert len(family_trails) == len(odd) // 2
+            assert sorted(v for t in family_trails for v in t.ends) == odd
+        assert (sorted(e for t in trails for e in t.edges)
+                == sorted(e for t in theirs[cid] for e in t.edges))
 
 
 def assert_same_analysis(view, pair, parent_edge, k):
@@ -413,7 +536,9 @@ def assert_same_analysis(view, pair, parent_edge, k):
     analysis = analyze_bad_components(view, pair, parent_edge, k)
     ref_family, ref_bad, ref_vertices, ref_free = reference_analyze_bad_components(
         view, pair, parent_edge, k)
-    assert_same_family(analysis.family, ref_family)
+    walked, _ = walk_and_splice_decompose_trails(
+        view, reference_trail_eids(view, pair, parent_edge))
+    assert_same_family(analysis.family, ref_family, walked)
     assert analysis.bad_cids == tuple(sorted(ref_bad))
     assert analysis.bad_vertices == ref_vertices
     assert analysis.free_links == ref_free
@@ -421,10 +546,9 @@ def assert_same_analysis(view, pair, parent_edge, k):
 
 
 def unbranched_shape(comp):
-    """How the walk from the smallest vertex v of a component without a
-    branch vertex runs: around a cycle, along a one-edge path, or along a
-    longer path from v inside it or from v as an end; None if the component
-    branches."""
+    """What a component without a branch vertex is: a cycle, a one-edge path,
+    or a longer path with its smallest vertex inside it or at an end; None
+    if the component branches."""
     if max(comp.degrees.values()) > 2:
         return None
     if min(comp.degrees.values()) == 2:
@@ -433,8 +557,8 @@ def unbranched_shape(comp):
         return "one-edge path"
     v = min(comp.vertices)
     if comp.degrees[v] == 2:
-        return "path from an inner vertex"
-    return "path from an end"
+        return "path with its smallest vertex inside"
+    return "path with its smallest vertex at an end"
 
 
 class TestDecomposeDifferential:
@@ -443,20 +567,32 @@ class TestDecomposeDifferential:
     def test_same_family_as_the_reference(self, seed):
         view, trail_eids = shuffled_view_and_subset(seed)
         fam = decompose_trails(view, trail_eids)
-        assert_same_family(fam, reference_decompose_trails(view, trail_eids))
-        assert_same_family(fam, every_component_decompose_trails(view, trail_eids))
+        walked, _ = walk_and_splice_decompose_trails(view, trail_eids)
+        assert_same_family(fam, reference_decompose_trails(view, trail_eids), walked)
+        assert_same_family(fam, every_component_decompose_trails(view, trail_eids), walked)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_same_closed_trails_on_even_views(self, seed):
+        view, trail_eids = shuffled_even_view(seed)
+        fam = decompose_trails(view, trail_eids)
+        walked, _ = walk_and_splice_decompose_trails(view, trail_eids)
+        assert_same_family(fam, reference_decompose_trails(view, trail_eids), walked)
+        assert_same_family(fam, every_component_decompose_trails(view, trail_eids), walked)
 
     def test_fixed_seeds_reach_every_shape(self):
         # the differential sees families with several components, even and
-        # odd ones side by side, and view vertices left out of the trail
-        # graph; and, among the components without a branch vertex, cycles
-        # and each way the walk from a path's smallest vertex can run
+        # odd ones side by side, view vertices left out of the trail graph,
+        # and even and odd components whose walks leave circuits to splice;
+        # and, among the components without a branch vertex, cycles and
+        # paths with their smallest vertex inside and at an end
         shapes = set()
-        for seed in range(150):
-            view, trail_eids = shuffled_view_and_subset(seed)
+        views = [shuffled_view_and_subset(seed) for seed in range(150)]
+        for view, trail_eids in views + [shuffled_even_view(seed) for seed in range(30)]:
             fam = decompose_trails(view, trail_eids)
             ref = reference_decompose_trails(view, trail_eids)
-            assert_same_family(fam, ref)
+            walked, spliced = walk_and_splice_decompose_trails(view, trail_eids)
+            assert_same_family(fam, ref, walked)
             touched = set().union(*(c.vertices for c in ref.components))
             assert touched == {v for t in fam.all_trails() for v in t.vertices}
             if len(ref.components) >= 2:
@@ -467,9 +603,13 @@ class TestDecomposeDifferential:
                 shapes.add("isolated")
             for comp in ref.components:
                 shapes.add(unbranched_shape(comp))
+                if comp.cid in spliced:
+                    odd = any(deg % 2 for deg in comp.degrees.values())
+                    shapes.add("odd spliced" if odd else "even spliced")
         shapes.discard(None)
-        assert shapes == {"several", "even and odd", "isolated", "one-edge path",
-                          "path from an inner vertex", "path from an end", "cycle"}
+        assert shapes == {"several", "even and odd", "isolated", "odd spliced", "even spliced",
+                          "one-edge path", "path with its smallest vertex inside",
+                          "path with its smallest vertex at an end", "cycle"}
 
 
 class TestAnalysisDifferential:
