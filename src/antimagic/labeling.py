@@ -23,7 +23,6 @@ from .trails import (
     Trail,
     analyze_bad_components,
     choose_closed_start,
-    orient_open,
     rotate_closed,
 )
 
@@ -79,7 +78,7 @@ class LayerPlan:
 class LayerRecord:
     """What the replay reads of one layer, built in the one labeling pass once
     the layer is labeled; its trail family and bad-component analysis are
-    dropped with the layer."""
+    dropped with the layer.  A bad component's id is its smallest vertex."""
 
     view: BipartiteView
     pair: CoveringPair
@@ -188,14 +187,12 @@ def _assign_inner_labels(layering: Layering, index: int, plan: LayerPlan,
         labels[eid] = lab
 
 
-def _end_on(view: BipartiteView, trail: Trail, side: str) -> int:
-    """The end of a mixed trail on the given side of the view."""
-    return trail.vertices[0] if view.side(trail.vertices[0]) == side else trail.vertices[-1]
-
-
 def _assign_trail_labels(view: BipartiteView, pair: CoveringPair, analysis: BadAnalysis,
                          plan: LayerPlan, labels: list[int],
                          k: int) -> tuple[TrailEvent, ...]:
+    """Deal the trail interval over the layer's trails: closed trails by
+    their smallest edge id, each rotated to its start, then the open trails
+    exactly as the trail stage gives them, mixed ones two to a unit."""
     family = analysis.family
     cursor = _Cursor(*plan.trail_interval)
     events: list[TrailEvent] = []
@@ -204,25 +201,22 @@ def _assign_trail_labels(view: BipartiteView, pair: CoveringPair, analysis: BadA
         cursor.deal(trails, high_first, labels)
         events.append(TrailEvent(kind, trails, case))
 
-    for cid, trail in sorted(family.closed, key=lambda ct: min(ct[1].edges)):
-        start, case = choose_closed_start(trail, cid, cid in analysis.bad_cids, pair, view, k)
-        oriented = rotate_closed(trail, start)
-        emit("closed", (oriented,), case, case == "outer-high")
+    for trail in sorted(family.closed, key=lambda t: min(t.edges)):
+        start, case = choose_closed_start(trail, trail.vertices[0] in analysis.bad_cids,
+                                          pair, view, k)
+        emit("closed", (rotate_closed(trail, start),), case, case == "outer-high")
 
     for trail in family.open_inner:
-        emit("open-inner", (orient_open(trail, min(trail.ends)),), None, False)
+        emit("open-inner", (trail,), None, False)
 
     for trail in family.open_outer:
-        emit("open-outer", (orient_open(trail, min(trail.ends)),), None, True)
+        emit("open-outer", (trail,), None, True)
 
     mixed = family.open_mixed
-    for first, second in zip(mixed[0::2], mixed[1::2]):
-        a = orient_open(first, _end_on(view, first, "inner"))
-        b = orient_open(second, _end_on(view, second, "outer"))
-        emit("mixed-pair", (a, b), None, False)
+    for two in zip(mixed[0::2], mixed[1::2]):
+        emit("mixed-pair", two, None, False)
     if len(mixed) % 2:
-        last = mixed[-1]
-        emit("mixed-last", (orient_open(last, _end_on(view, last, "inner")),), None, False)
+        emit("mixed-last", mixed[-1:], None, False)
 
     if cursor.lo != cursor.hi + 1:
         raise InternalInvariantError(f"trail interval of layer {plan.index} not exactly consumed")

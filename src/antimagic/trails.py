@@ -6,9 +6,9 @@ trail graph splits into edge-disjoint trails: one closed trail if all degrees
 are even, otherwise one open trail per pair of odd-degree vertices.  Each
 trail is walked from an end, or from the component's smallest vertex if it
 is closed, and the circuits of edges left unused are spliced in, as in
-Hierholzer's algorithm.  An open trail runs from its smaller end; the
-labeling orients each open trail by its ends and rotates each closed one to
-its start.
+Hierholzer's algorithm.  The stage emits each open trail in the order and
+direction the labeling deals it; the labeling only rotates each closed trail
+to its start.
 """
 
 from __future__ import annotations
@@ -45,31 +45,30 @@ class Trail:
     def ends(self) -> tuple[int, int]:
         return (self.vertices[0], self.vertices[-1])
 
-    def reverse(self) -> "Trail":
-        return Trail(self.vertices[::-1], self.edges[::-1], self.closed)
-
 
 @dataclass(frozen=True, slots=True)
 class TrailFamily:
     """All trails of one layer's trail graph, classified by end layers: one
-    closed trail per even-degree component, paired with that component's id,
-    and open trails with both ends inner, both ends outer, or one of each,
-    each running from its smaller end.
+    closed trail per even-degree component, and open trails with both ends
+    inner, both ends outer, or one of each, each in the order and direction
+    the labeling deals it.
 
-    Components are numbered over the whole trail graph by increasing smallest
-    vertex.  A closed trail runs over its whole component, so its
-    `vertices[:-1]` lists each vertex half its trail degree times: that is
-    all closed-trail starts and bad-component detection read of a component,
-    and a bad component is 2k-regular, so it is even."""
+    A component's id is its smallest vertex, which is where its closed trail
+    starts, and closed trails come by increasing id.  Open-inner and
+    open-outer trails run from their smaller end; mixed ones run inner end
+    first at even positions of `open_mixed` and outer end first at odd ones.
+    A closed trail runs over its whole component, so its `vertices[:-1]`
+    lists each vertex half its trail degree times: that is all closed-trail
+    starts and bad-component detection read of a component, and a bad
+    component is 2k-regular, so it is even."""
 
-    closed: tuple[tuple[int, Trail], ...]
+    closed: tuple[Trail, ...]
     open_inner: tuple[Trail, ...]
     open_outer: tuple[Trail, ...]
     open_mixed: tuple[Trail, ...]
 
     def all_trails(self):
-        for _, t in self.closed:
-            yield t
+        yield from self.closed
         yield from self.open_inner
         yield from self.open_outer
         yield from self.open_mixed
@@ -125,84 +124,75 @@ def _splice(todo: dict[int, Iterator[tuple[int, int]]], used: set[int],
 
 
 def decompose_trails(view: BipartiteView, trail_eids: AbstractSet[int]) -> TrailFamily:
-    """Split the trail graph into components and decompose each into trails.
+    """Decompose the trail graph into trails, one walk per trail.
 
     The trail adjacency filters the view's incidence lists, which are already
-    sorted, and each vertex gets one iterator over its list.  Components are
-    found by a depth-first search from their smallest vertex, in increasing
-    order.  In a component with odd vertices, a walk starts at each odd
-    vertex, in increasing order, that no earlier walk ended at, and takes
-    unused edges until it is stuck, which is at a larger odd vertex.  Only
-    then, once every odd vertex is an end, is each walk spliced with the
-    circuits left over through its vertices (spliced sooner, a circuit could
-    end at an odd vertex); each becomes one open trail, from its smaller end.
-    A component without odd vertices is walked from its smallest vertex back
-    to it, spliced, and kept as one closed trail with the component's id.
-    Walks that took every edge of their component, as on a path or a cycle,
-    have nothing to splice and are their trails as walked."""
+    sorted, and each vertex gets one iterator over its list; the same loop
+    notes the odd vertices.  A walk starts at each odd vertex, in increasing
+    order over the whole layer, that no earlier walk ended at, and takes
+    unused edges until it is stuck, which is at a larger odd vertex of its
+    component.  Only then, once every odd vertex is an end, and only while
+    edges are left, is each walk spliced with the circuits left over through
+    its vertices (spliced sooner, a circuit could end at an odd vertex); each
+    becomes one open trail.  Walks in different components share no edge, so
+    each component gets the same trails whatever walks come between its own.
+    The edges still left form the components without odd vertices: a walk
+    from each vertex in increasing order, while edges remain, finds each such
+    component at its smallest vertex, walks back to it, and is spliced into
+    the component's closed trail.  Open trails are kept in the direction
+    `TrailFamily` gives, each walk's lists reversed in place if need be."""
     incident = view.incident
-    walk: dict[int, list[tuple[int, int]]] = {}
     todo: dict[int, Iterator[tuple[int, int]]] = {}
+    odd: list[int] = []
     for v in (*view.inner, *view.outer):
         lst = []
         for pair in incident(v):
             if pair[1] in trail_eids:
                 lst.append(pair)
         if lst:
-            walk[v] = lst
             todo[v] = iter(lst)
+            if len(lst) % 2:
+                odd.append(v)
+    odd.sort()
 
-    seen: set[int] = set()
-    used: set[int] = set()
-    closed: list[tuple[int, Trail]] = []
+    used: set[int] = set()  # edges the walks took
+    total = len(trail_eids)
+    walks = []
+    ends = set()
+    for s in odd:
+        if s not in ends:
+            verts, eids = [s], []
+            _extend(todo, used, verts, eids)
+            ends.add(verts[-1])
+            walks.append((verts, eids))
+
     open_inner: list[Trail] = []
     open_outer: list[Trail] = []
     open_mixed: list[Trail] = []
     side = view.side
-    cid = -1
-    for v in sorted(walk):
-        if v in seen:
-            continue
-        cid += 1
-        seen.add(v)
-        stack = [v]
-        odd = []
-        degree_sum = 0
-        while stack:
-            u = stack.pop()
-            lst = walk[u]
-            degree_sum += len(lst)
-            if len(lst) % 2:
-                odd.append(u)
-            for w, _eid in lst:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        odd.sort()
-        walks = []
-        ends = set()
-        left = degree_sum // 2  # edges of the component no walk has taken
-        for s in odd or (v,):
-            if s not in ends:
-                verts, eids = [s], []
-                _extend(todo, used, verts, eids)
-                ends.add(verts[-1])
-                left -= len(eids)
-                walks.append((verts, eids))
-        for verts, eids in walks:
-            if left:
-                verts, eids = _splice(todo, used, verts, eids)
-            trail = Trail(tuple(verts), tuple(eids), closed=not odd)
-            if not odd:
-                closed.append((cid, trail))
-                continue
-            first, last = side(trail.vertices[0]), side(trail.vertices[-1])
-            if first != last:
-                open_mixed.append(trail)
-            elif first == "inner":
-                open_inner.append(trail)
-            else:
-                open_outer.append(trail)
+    for verts, eids in walks:
+        if len(used) < total:
+            verts, eids = _splice(todo, used, verts, eids)
+        first, last = side(verts[0]), side(verts[-1])
+        if first != last:
+            # dealt inner end first at even positions, outer end first at odd
+            if (first == "inner") != (len(open_mixed) % 2 == 0):
+                verts.reverse()
+                eids.reverse()
+            open_mixed.append(Trail(tuple(verts), tuple(eids), closed=False))
+        elif first == "inner":
+            open_inner.append(Trail(tuple(verts), tuple(eids), closed=False))
+        else:
+            open_outer.append(Trail(tuple(verts), tuple(eids), closed=False))
+
+    closed: list[Trail] = []
+    if len(used) < total:
+        for v in sorted(todo):
+            if len(used) == total:
+                break
+            verts, eids = _splice(todo, used, [v], [])
+            if eids:
+                closed.append(Trail(tuple(verts), tuple(eids), closed=True))
 
     return TrailFamily(
         closed=tuple(closed),
@@ -214,20 +204,21 @@ def decompose_trails(view: BipartiteView, trail_eids: AbstractSet[int]) -> Trail
 
 def detect_bad_components(family: TrailFamily, view: BipartiteView,
                           pair: CoveringPair, k: int) -> tuple[int, ...]:
-    """Ids, ascending, of the components that are 2k-regular with every outer
-    vertex a link end.  Such a component is even, so its closed trail visits
-    each of its vertices k times, and a layer without links has none."""
+    """Ids (smallest vertices), ascending, of the components that are
+    2k-regular with every outer vertex a link end.  Such a component is even,
+    so its closed trail, which starts at its id, visits each of its vertices
+    k times, and a layer without links has none."""
     if not pair.links:
         return ()
     link_ends = pair.link_ends
     bad = []
-    for cid, trail in family.closed:
+    for trail in family.closed:
         visits = Counter(trail.vertices[:-1])
         if any(count != k for count in visits.values()):
             continue
         outer = [v for v in visits if view.side(v) == "outer"]
         if outer and all(v in link_ends for v in outer):
-            bad.append(cid)
+            bad.append(trail.vertices[0])
     return tuple(bad)
 
 
@@ -248,17 +239,17 @@ def analyze_bad_components(view: BipartiteView, pair: CoveringPair,
     family = decompose_trails(view, residual_edge_sets(view, pair, parent_edge))
     bad_cids = detect_bad_components(family, view, pair, k)
     bad_vertices: set[int] = set()
-    for cid, trail in family.closed:
-        if cid in bad_cids:
+    for trail in family.closed:
+        if trail.vertices[0] in bad_cids:
             bad_vertices.update(trail.vertices)
     free = tuple(l for l in pair.links
                  if l.end_a not in bad_vertices or l.end_b not in bad_vertices)
     return BadAnalysis(family, bad_cids, frozenset(bad_vertices), free)
 
 
-def choose_closed_start(trail: Trail, cid: int, bad: bool,
-                        pair: CoveringPair, view: BipartiteView, k: int) -> tuple[int, str]:
-    """Start vertex and labeling case for the closed trail of component `cid`.
+def choose_closed_start(trail: Trail, bad: bool, pair: CoveringPair,
+                        view: BipartiteView, k: int) -> tuple[int, str]:
+    """Start vertex and labeling case for the closed trail of a component.
 
     Bad components start at their lowest outer vertex ("bad", low labels
     first).  Otherwise prefer an outer vertex of low degree or one that is not
@@ -278,7 +269,7 @@ def choose_closed_start(trail: Trail, cid: int, bad: bool,
         if visits[v] < k:
             return v, "inner-low"
     raise InternalInvariantError(
-        f"no valid start vertex for the closed trail of component {cid}")
+        f"no valid start vertex for the closed trail of component {trail.vertices[0]}")
 
 
 def rotate_closed(trail: Trail, start: int) -> Trail:
@@ -291,16 +282,6 @@ def rotate_closed(trail: Trail, start: int) -> Trail:
     j = cyc.index(start)
     verts = cyc[j:] + cyc[:j] + (start,)
     eids = trail.edges[j:] + trail.edges[:j]
-    rotated = Trail(verts, eids, closed=True)
-    if rotated.edges[0] > rotated.edges[-1]:
-        rotated = rotated.reverse()
-    return rotated
-
-
-def orient_open(trail: Trail, start: int) -> Trail:
-    """Return the trail running from the given end vertex."""
-    if trail.vertices[0] == start:
-        return trail
-    if trail.vertices[-1] == start:
-        return trail.reverse()
-    raise InternalInvariantError(f"vertex {start} is not an end of the trail")
+    if eids[0] > eids[-1]:
+        verts, eids = verts[::-1], eids[::-1]
+    return Trail(verts, eids, closed=True)

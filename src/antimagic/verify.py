@@ -251,11 +251,11 @@ def _bad_components(view: BipartiteView, pair: CoveringPair, trail_eids: Abstrac
     """(bad component ids ascending, their vertices, free links) of a layer's trail
     graph, read off its connected components without walking any trail.
 
-    Components are numbered by increasing smallest vertex, the order in which
-    the trail builder numbers them.  A component is bad when every degree is
-    2k and every outer vertex is a link end, so a layer without links has
-    none; a link is free when at least one end lies outside every bad
-    component."""
+    A component's id is its smallest vertex, as in the trail builder, and
+    the search starts each component there.  A component is bad when every
+    degree is 2k and every outer vertex is a link end, so a layer without
+    links has none; a link is free when at least one end lies outside every
+    bad component."""
     if not pair.links:
         return (), frozenset(), ()
     adj: dict[int, list[int]] = {}
@@ -270,7 +270,6 @@ def _bad_components(view: BipartiteView, pair: CoveringPair, trail_eids: Abstrac
     bad_cids: list[int] = []
     bad_vertices: set[int] = set()
     seen: set[int] = set()
-    cid = 0
     for v in sorted(adj):
         if v in seen:
             continue
@@ -287,9 +286,8 @@ def _bad_components(view: BipartiteView, pair: CoveringPair, trail_eids: Abstrac
         outer_members = [u for u in members if u in outer]
         if (all(len(adj[u]) == 2 * k for u in members) and outer_members
                 and all(u in link_ends for u in outer_members)):
-            bad_cids.append(cid)
+            bad_cids.append(v)
             bad_vertices.update(members)
-        cid += 1
     free = tuple(l for l in pair.links
                  if l.end_a not in bad_vertices or l.end_b not in bad_vertices)
     return tuple(bad_cids), frozenset(bad_vertices), free

@@ -7,13 +7,15 @@ of the example graphs before the engine produced them, and are frozen here.
 import dataclasses
 import gc
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from antimagic import (GraphShapeError, InternalInvariantError, check_construction,
-                       format_edge_list, generate_regular, label_graph, trails, verify_antimagic)
+                       format_edge_list, generate_regular, label_graph, labeling, trails,
+                       verify_antimagic)
 from antimagic.cli import main
 from antimagic.documents import render_document
 from antimagic.labeling import LayerPlan
@@ -235,45 +237,62 @@ class TestPlanAgainstReference:
         self.assert_plans_match(complete_bipartite(a, a))
 
 
-class TestOpenTrailDirection:
-    """The labeling orients every open trail by its ends, so the direction in
-    which the trail stage emits one reaches no trail unit and no document:
-    reversing every open trail the stage returns changes neither."""
+class TestTrailsDealtAsGiven:
+    """The labeling deals the open trails exactly as the trail stage gives
+    them: each open-kind unit holds the family's own trails, in family
+    order, so the stage alone decides their direction.  Open-inner and
+    open-outer trails start at their smaller end; a mixed pair runs inner
+    end first, then outer end first, and a mixed-last trail inner end
+    first."""
 
     @staticmethod
-    def assert_direction_free(monkeypatch, graphs):
-        def outcome():
-            results = [label_graph(g) for g in graphs]
-            return ([render_document(res) for res in results],
-                    [[rec.events for rec in res.layers.values()] for res in results])
+    def assert_dealt_as_given(monkeypatch, graphs):
+        assign = labeling._assign_trail_labels
+        layers = []
 
-        expected = outcome()
-        decompose = trails.decompose_trails
-        reversed_count = 0
+        def recording(view, pair, analysis, plan, labels, k):
+            events = assign(view, pair, analysis, plan, labels, k)
+            layers.append((view, analysis.family, events))
+            return events
 
-        def reversed_open(view, trail_eids):
-            nonlocal reversed_count
-            fam = decompose(view, trail_eids)
-            flipped = {}
-            for kind in ("open_inner", "open_outer", "open_mixed"):
-                flipped[kind] = tuple(t.reverse() for t in getattr(fam, kind))
-                reversed_count += len(flipped[kind])
-            return dataclasses.replace(fam, **flipped)
-
-        monkeypatch.setattr(trails, "decompose_trails", reversed_open)
-        assert outcome() == expected
-        assert reversed_count
+        monkeypatch.setattr(labeling, "_assign_trail_labels", recording)
+        for g in graphs:
+            label_graph(g)
+        kinds = Counter()
+        for view, family, events in layers:
+            units = [ev for ev in events if ev.kind != "closed"]
+            mixed = len(family.open_mixed)
+            assert [ev.kind for ev in units] == (
+                ["open-inner"] * len(family.open_inner) + ["open-outer"] * len(family.open_outer)
+                + ["mixed-pair"] * (mixed // 2) + ["mixed-last"] * (mixed % 2))
+            dealt = [t for ev in units for t in ev.trails]
+            given = [*family.open_inner, *family.open_outer, *family.open_mixed]
+            assert len(dealt) == len(given)
+            assert all(a is b for a, b in zip(dealt, given))
+            for ev in units:
+                kinds[ev.kind] += 1
+                if ev.kind in ("open-inner", "open-outer"):
+                    trail, = ev.trails
+                    assert trail.vertices[0] < trail.vertices[-1]
+                    continue
+                for trail, first in zip(ev.trails, ("inner", "outer")):
+                    assert view.side(trail.vertices[0]) == first != view.side(trail.vertices[-1])
+        return kinds
 
     def test_shuffled_deep_circulant(self, monkeypatch):
-        self.assert_direction_free(
+        kinds = self.assert_dealt_as_given(
             monkeypatch, [shuffled_circulant(n, [1, 2], n) for n in (40, 103, 400)])
+        assert kinds["mixed-pair"] and kinds["mixed-last"]
 
     def test_complete_bipartite(self, monkeypatch):
-        self.assert_direction_free(monkeypatch, [complete_bipartite(a, a) for a in range(4, 41, 6)])
+        kinds = self.assert_dealt_as_given(
+            monkeypatch, [complete_bipartite(a, a) for a in range(4, 41, 6)])
+        assert kinds["open-outer"] and kinds["mixed-last"]
 
     def test_stress_instances(self, monkeypatch):
-        self.assert_direction_free(
+        kinds = self.assert_dealt_as_given(
             monkeypatch, [graph for *_, graph in stress_instances(100, 8, 60, [4, 6, 8], 0)])
+        assert set(kinds) == {"open-inner", "open-outer", "mixed-pair", "mixed-last"}
 
 
 class TestRecordsHoldNoTrailFamilies:

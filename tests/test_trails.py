@@ -1,10 +1,12 @@
 """Trail decomposition: walks from odd vertices with circuits spliced in,
-classification, bad components, and trail orientation helpers.
+classification, bad components, and closed-trail rotation.
 
 The differential tests hold the trail builder to three references: two
 builders that pair odd vertices with dummy edges and cut an Euler circuit at
 them, which fix the closed trails and what each component's open trails
-cover, and a plain walk-and-splice builder, which fixes the open trails."""
+cover, and a plain walk-and-splice builder, which fixes the open trails, their
+order and their direction.  All three name a component by its smallest
+vertex."""
 
 import random
 from bisect import insort
@@ -16,8 +18,9 @@ from hypothesis import given, settings, strategies as st
 from antimagic import BipartiteView, InternalInvariantError, label_graph
 from antimagic.covering import CoveringPair, Link, maximize_free_links
 from antimagic.trails import (Trail, analyze_bad_components, choose_closed_start,
-                              decompose_trails, detect_bad_components, orient_open,
-                              residual_edge_sets, rotate_closed)
+                              decompose_trails, detect_bad_components, residual_edge_sets,
+                              rotate_closed)
+from antimagic.verify import _bad_components
 from corpus import complete_bipartite, free_link_gadget, random_bounded_bipartite
 
 
@@ -41,7 +44,7 @@ class TestDecompose:
         fam = decompose_trails(view, frozenset(range(4)))
         assert len(fam.closed) == 1
         assert not fam.open_inner and not fam.open_outer and not fam.open_mixed
-        cid, trail = fam.closed[0]
+        trail = fam.closed[0]
         assert trail.closed and trail.edge_count == 4
         assert trail.vertices[0] == 0
         assert_valid_walk(view, trail)
@@ -80,10 +83,39 @@ class TestDecompose:
         assert fam.open_inner == (Trail((0, 1, 4, 3, 6, 1, 2), (0, 2, 3, 4, 5, 1), closed=False),)
 
     def test_two_components(self):
+        # two mixed trails: the first is dealt inner end first, the second
+        # outer end first
         view = make_view([0, 1], [2, 3], [(0, 2), (1, 3)])
         fam = decompose_trails(view, frozenset([0, 1]))
         assert fam.closed == ()
-        assert [t.edges for t in fam.open_mixed] == [(0,), (1,)]
+        assert fam.open_mixed == (Trail((0, 2), (0,), closed=False),
+                                  Trail((3, 1), (1,), closed=False))
+
+    def test_open_trails_follow_their_walks_across_components(self):
+        # the component 0 - 10 - 3 - 13 with the branch 3 - 14 has odd
+        # vertices 0, 3, 13, 14, and the edge 1 - 12 is a component of its
+        # own: walks start at 0, 1 and 3, in that order, so the edge comes
+        # between the first component's two trails and is dealt outer end
+        # first
+        view = make_view([0, 1, 3], [10, 12, 13, 14],
+                         [(0, 10), (3, 10), (3, 13), (3, 14), (1, 12)])
+        fam = decompose_trails(view, frozenset(range(5)))
+        assert fam.closed == fam.open_inner == fam.open_outer == ()
+        assert fam.open_mixed == (Trail((0, 10, 3, 13), (0, 1, 2), closed=False),
+                                  Trail((12, 1), (4,), closed=False),
+                                  Trail((3, 14), (3,), closed=False))
+
+    def test_closed_trails_start_at_their_smallest_vertex(self):
+        # the 4-cycles 1 - 5 - 3 - 7 and 0 - 6 - 2 - 8, beside the path
+        # 4 - 9 - 11: each closed trail starts at its component's smallest
+        # vertex, by increasing id
+        view = make_view([0, 1, 2, 3, 4, 11], [5, 6, 7, 8, 9],
+                         [(1, 5), (3, 5), (3, 7), (1, 7), (0, 6), (2, 6), (2, 8), (0, 8),
+                          (4, 9), (11, 9)])
+        fam = decompose_trails(view, frozenset(range(10)))
+        assert fam.closed == (Trail((0, 6, 2, 8, 0), (4, 5, 6, 7), closed=True),
+                              Trail((1, 5, 3, 7, 1), (0, 1, 2, 3), closed=True))
+        assert fam.open_inner == (Trail((4, 9, 11), (8, 9), closed=False),)
 
     def test_empty(self):
         view = make_view([0], [1], [(0, 1)])
@@ -109,9 +141,13 @@ class TestDecompose:
             assert all(view.side(v) == "outer" for v in trail.ends)
         for trail in fam.open_mixed:
             assert trail.edge_count % 2 == 1
-        # every open trail runs from its smaller end
-        for trail in (*fam.open_inner, *fam.open_outer, *fam.open_mixed):
+        # open-inner and open-outer trails run from their smaller end, mixed
+        # ones from their inner end at even positions, outer end at odd ones
+        for trail in (*fam.open_inner, *fam.open_outer):
             assert trail.vertices[0] < trail.vertices[-1]
+        for pos, trail in enumerate(fam.open_mixed):
+            first = ("inner", "outer")[pos % 2]
+            assert view.side(trail.vertices[0]) == first != view.side(trail.vertices[-1])
         # odd-degree vertices are trail ends exactly once
         degree = {}
         for x, y, eid in view.edges:
@@ -184,7 +220,7 @@ def reference_euler_circuit(adj, start):
 
 
 # The family shape the reference builders return: a record for every
-# component of the trail graph, and each closed trail with its component id.
+# component of the trail graph, named by its smallest vertex, and the trails.
 ReferenceComponent = namedtuple("ReferenceComponent", "cid vertices degrees")
 ReferenceFamily = namedtuple("ReferenceFamily",
                              "components closed open_inner open_outer open_mixed")
@@ -203,32 +239,31 @@ def reference_decompose_trails(view, trail_eids):
         lst.sort()
 
     comp_members = []
-    comp_of = {}
+    seen = set()
     for v in sorted(adj):
-        if v in comp_of:
+        if v in seen:
             continue
-        cid = len(comp_members)
         stack = [v]
-        comp_of[v] = cid
+        seen.add(v)
         members = []
         while stack:
             u = stack.pop()
             members.append(u)
             for w, _eid in adj[u]:
-                if w not in comp_of:
-                    comp_of[w] = cid
+                if w not in seen:
+                    seen.add(w)
                     stack.append(w)
         comp_members.append(sorted(members))
 
     components, closed, open_inner, open_outer, open_mixed = [], [], [], [], []
     dummy_next = -1
-    for cid, members in enumerate(comp_members):
+    for members in comp_members:
         degrees = {v: len(adj[v]) for v in members}
-        components.append(ReferenceComponent(cid, frozenset(members), degrees))
+        components.append(ReferenceComponent(members[0], frozenset(members), degrees))
         odd = sorted(v for v in members if degrees[v] % 2)
         if not odd:
             verts, eids = reference_euler_circuit({v: adj[v] for v in members}, min(members))
-            closed.append((cid, Trail(tuple(verts), tuple(eids), closed=True)))
+            closed.append(Trail(tuple(verts), tuple(eids), closed=True))
             continue
         aug = {v: list(adj[v]) for v in members}
         for i in range(0, len(odd), 2):
@@ -288,29 +323,28 @@ def every_component_decompose_trails(view, trail_eids):
             walk[v] = lst
 
     comp_members = []
-    comp_of = {}
+    seen = set()
     for v in sorted(walk):
-        if v in comp_of:
+        if v in seen:
             continue
-        cid = len(comp_members)
         stack = [v]
-        comp_of[v] = cid
+        seen.add(v)
         members = []
         while stack:
             u = stack.pop()
             members.append(u)
             for w, _eid in walk[u]:
-                if w not in comp_of:
-                    comp_of[w] = cid
+                if w not in seen:
+                    seen.add(w)
                     stack.append(w)
         members.sort()
         comp_members.append(members)
 
     components, closed, open_inner, open_outer, open_mixed = [], [], [], [], []
     dummy_next = -1
-    for cid, members in enumerate(comp_members):
+    for members in comp_members:
         degrees = {v: len(walk[v]) for v in members}
-        components.append(ReferenceComponent(cid, frozenset(members), degrees))
+        components.append(ReferenceComponent(members[0], frozenset(members), degrees))
         odd = [v for v in members if degrees[v] % 2]
         for i in range(0, len(odd), 2):
             a, b = odd[i], odd[i + 1]
@@ -319,7 +353,7 @@ def every_component_decompose_trails(view, trail_eids):
             dummy_next -= 1
         verts, eids = per_component_euler_circuit(walk, members)
         if not odd:
-            closed.append((cid, Trail(tuple(verts), tuple(eids), closed=True)))
+            closed.append(Trail(tuple(verts), tuple(eids), closed=True))
             continue
         for seg in reference_split_at_dummies(verts, eids):
             first, last = view.side(seg.vertices[0]), view.side(seg.vertices[-1])
@@ -335,14 +369,17 @@ def every_component_decompose_trails(view, trail_eids):
 
 def walk_and_splice_decompose_trails(view, trail_eids):
     """The trail builder's rule, written plainly: adjacency rebuilt from the
-    edge list and sorted, a pointer per vertex to its first entry not yet
-    passed over, and one component at a time.  A component with odd
-    vertices gets a walk from each odd vertex, in increasing order, that no
-    earlier walk ended at; one without gets a walk from its smallest vertex.
-    Each walk takes the first unused edge until it is stuck.  Then each walk
-    in turn is spliced, by Hierholzer's loop with the walk as its stack.
-    Returns the family and the ids of the components whose walks left edges
-    to splice."""
+    edge list and sorted, and a pointer per vertex to its first entry not yet
+    passed over.  A walk starts at each odd vertex of the whole trail graph,
+    in increasing order, that no earlier walk ended at, and takes the first
+    unused edge until it is stuck.  Then each walk in turn is spliced, by
+    Hierholzer's loop with the walk as its stack, into an open trail; a mixed
+    one is turned to start at its inner end at even positions of the mixed
+    trails and at its outer end at odd ones.  The edges left are walked from
+    each vertex in increasing order, and each walk that takes an edge is
+    spliced into a closed trail.  Returns the family, whose components are
+    named by their smallest vertex, and the names of the components whose
+    walks left edges to splice."""
     adj = {}
     for x, y, eid in view.edges:
         if eid in trail_eids:
@@ -362,12 +399,30 @@ def walk_and_splice_decompose_trails(view, trail_eids):
                 return w, eid
         return None
 
-    components, closed, open_inner, open_outer, open_mixed = [], [], [], [], []
-    spliced = set()
+    def walk(start):
+        verts, eids = [start], []
+        while (step := next_edge(verts[-1])) is not None:
+            verts.append(step[0])
+            eids.append(step[1])
+        return verts, eids
+
+    def splice(verts, eids):
+        out_v, out_e = [], []
+        while verts:
+            step = next_edge(verts[-1])
+            if step is not None:
+                verts.append(step[0])
+                eids.append(step[1])
+                continue
+            out_v.append(verts.pop())
+            if eids:
+                out_e.append(eids.pop())
+        return out_v[::-1], out_e[::-1]
+
+    components = []
     for v in sorted(adj):
         if any(v in comp.vertices for comp in components):
             continue
-        cid = len(components)
         members = {v}
         stack = [v]
         while stack:
@@ -375,42 +430,43 @@ def walk_and_splice_decompose_trails(view, trail_eids):
                 if w not in members:
                     members.add(w)
                     stack.append(w)
-        degrees = {u: len(adj[u]) for u in members}
-        components.append(ReferenceComponent(cid, frozenset(members), degrees))
-        odd = sorted(u for u in members if degrees[u] % 2)
-        walks, ended = [], set()
-        for start in odd or [v]:
-            if start in ended:
-                continue
-            verts, eids = [start], []
-            while (step := next_edge(verts[-1])) is not None:
-                verts.append(step[0])
-                eids.append(step[1])
+        components.append(
+            ReferenceComponent(v, frozenset(members), {u: len(adj[u]) for u in members}))
+    comp_of = {u: comp for comp in components for u in comp.vertices}
+
+    def edge_count(comp):
+        return sum(comp.degrees.values()) // 2
+
+    walks, ended = [], set()
+    for start in sorted(u for u in adj if len(adj[u]) % 2):
+        if start not in ended:
+            verts, eids = walk(start)
             ended.add(verts[-1])
             walks.append((verts, eids))
-        if sum(len(eids) for _, eids in walks) < sum(degrees.values()) // 2:
-            spliced.add(cid)
-        for verts, eids in walks:
-            out_v, out_e = [], []
-            while verts:
-                step = next_edge(verts[-1])
-                if step is not None:
-                    verts.append(step[0])
-                    eids.append(step[1])
-                    continue
-                out_v.append(verts.pop())
-                if eids:
-                    out_e.append(eids.pop())
-            trail = Trail(tuple(reversed(out_v)), tuple(reversed(out_e)), closed=not odd)
-            sides = {view.side(trail.vertices[0]), view.side(trail.vertices[-1])}
-            if not odd:
-                closed.append((cid, trail))
-            elif sides == {"inner"}:
-                open_inner.append(trail)
-            elif sides == {"outer"}:
-                open_outer.append(trail)
-            else:
-                open_mixed.append(trail)
+    taken = Counter()
+    for verts, eids in walks:
+        taken[comp_of[verts[0]].cid] += len(eids)
+    spliced = {cid for cid, count in taken.items() if count < edge_count(comp_of[cid])}
+
+    closed, open_inner, open_outer, open_mixed = [], [], [], []
+    for verts, eids in walks:
+        verts, eids = splice(verts, eids)
+        sides = (view.side(verts[0]), view.side(verts[-1]))
+        if sides == ("inner", "inner"):
+            open_inner.append(Trail(tuple(verts), tuple(eids), closed=False))
+        elif sides == ("outer", "outer"):
+            open_outer.append(Trail(tuple(verts), tuple(eids), closed=False))
+        else:
+            if sides[0] != ("inner", "outer")[len(open_mixed) % 2]:
+                verts, eids = verts[::-1], eids[::-1]
+            open_mixed.append(Trail(tuple(verts), tuple(eids), closed=False))
+    for v in sorted(adj):
+        verts, eids = walk(v)
+        if eids:
+            if len(eids) < edge_count(comp_of[v]):
+                spliced.add(v)
+            verts, eids = splice(verts, eids)
+            closed.append(Trail(tuple(verts), tuple(eids), closed=True))
     family = ReferenceFamily(tuple(components), tuple(closed), tuple(open_inner),
                              tuple(open_outer), tuple(open_mixed))
     return family, spliced
@@ -436,8 +492,9 @@ def reference_analyze_bad_components(view, pair, parent_edge, k):
         if outer and all(v in pair.link_ends for v in outer):
             bad.add(comp.cid)
     bad_vertices = set()
-    for cid in bad:
-        bad_vertices.update(family.components[cid].vertices)
+    for comp in family.components:
+        if comp.cid in bad:
+            bad_vertices.update(comp.vertices)
     free = tuple(l for l in pair.links
                  if l.end_a not in bad_vertices or l.end_b not in bad_vertices)
     return family, frozenset(bad), frozenset(bad_vertices), free
@@ -492,7 +549,8 @@ def shuffled_even_view(seed):
 
 
 def open_trails_by_component(family, components):
-    """Each component's open trails, found by their first vertex."""
+    """Each component's open trails, found by their first vertex and keyed by
+    the component's smallest vertex."""
     cid_of = {v: comp.cid for comp in components for v in comp.vertices}
     out = {}
     for trail in (*family.open_inner, *family.open_outer, *family.open_mixed):
@@ -502,18 +560,21 @@ def open_trails_by_component(family, components):
 
 def assert_same_family(fam, ref, walked):
     """The family is exactly `walked`, the walk-and-splice reference's, and
-    agrees with `ref`, a reference that cuts a circuit at dummy edges, up to
-    how odd vertices are paired: its closed trails, each with its
-    component's id, are exactly `ref`'s, one for each component that has no
-    odd vertex, and each visits every vertex of its component half its
-    degree times; and in each component with odd vertices, its open trails
-    and `ref`'s take the same edges, number half the odd vertices, and have
-    each odd vertex as an end exactly once."""
+    agrees with `ref`, a reference that cuts a circuit at dummy edges, per
+    component, each keyed by its smallest vertex, up to how odd vertices are
+    paired and in what order and direction open trails come: its closed
+    trails are exactly `ref`'s, one for each component that has no odd
+    vertex, each starting at the component's smallest vertex, and each
+    visits every vertex of its component half its degree times; and in each
+    component with odd vertices, its open trails and `ref`'s take the same
+    edges, number half the odd vertices, and have each odd vertex as an end
+    exactly once."""
     even = [comp for comp in ref.components
             if all(deg % 2 == 0 for deg in comp.degrees.values())]
-    assert [cid for cid, _ in ref.closed] == [comp.cid for comp in even]
+    assert [t.vertices[0] for t in ref.closed] == [comp.cid for comp in even]
+    assert [comp.cid for comp in ref.components] == [min(c.vertices) for c in ref.components]
     assert fam.closed == ref.closed == walked.closed
-    for comp, (_, trail) in zip(even, fam.closed):
+    for comp, trail in zip(even, fam.closed):
         assert Counter(trail.vertices[:-1]) == {v: deg // 2 for v, deg in comp.degrees.items()}
     assert fam.open_inner == walked.open_inner
     assert fam.open_outer == walked.open_outer
@@ -521,8 +582,9 @@ def assert_same_family(fam, ref, walked):
     ours = open_trails_by_component(fam, ref.components)
     theirs = open_trails_by_component(ref, ref.components)
     assert ours.keys() == theirs.keys()
+    degrees = {comp.cid: comp.degrees for comp in ref.components}
     for cid, trails in ours.items():
-        odd = sorted(v for v, deg in ref.components[cid].degrees.items() if deg % 2)
+        odd = sorted(v for v, deg in degrees[cid].items() if deg % 2)
         for family_trails in (trails, theirs[cid]):
             assert len(family_trails) == len(odd) // 2
             assert sorted(v for t in family_trails for v in t.ends) == odd
@@ -583,9 +645,10 @@ class TestDecomposeDifferential:
     def test_fixed_seeds_reach_every_shape(self):
         # the differential sees families with several components, even and
         # odd ones side by side, view vertices left out of the trail graph,
-        # and even and odd components whose walks leave circuits to splice;
-        # and, among the components without a branch vertex, cycles and
-        # paths with their smallest vertex inside and at an end
+        # even and odd components whose walks leave circuits to splice, and
+        # open trails of one kind whose components interleave; and, among
+        # the components without a branch vertex, cycles and paths with their
+        # smallest vertex inside and at an end
         shapes = set()
         views = [shuffled_view_and_subset(seed) for seed in range(150)]
         for view, trail_eids in views + [shuffled_even_view(seed) for seed in range(30)]:
@@ -601,6 +664,12 @@ class TestDecomposeDifferential:
                 shapes.add("even and odd")
             if touched < set(view.inner) | set(view.outer):
                 shapes.add("isolated")
+            cid_of = {v: comp.cid for comp in ref.components for v in comp.vertices}
+            for trails in (fam.open_inner, fam.open_outer, fam.open_mixed):
+                cids = [cid_of[t.vertices[0]] for t in trails]
+                runs = [cid for pos, cid in enumerate(cids) if pos == 0 or cids[pos - 1] != cid]
+                if len(runs) > len(set(runs)):
+                    shapes.add("interleaved")
             for comp in ref.components:
                 shapes.add(unbranched_shape(comp))
                 if comp.cid in spliced:
@@ -608,7 +677,7 @@ class TestDecomposeDifferential:
                     shapes.add("odd spliced" if odd else "even spliced")
         shapes.discard(None)
         assert shapes == {"several", "even and odd", "isolated", "odd spliced", "even spliced",
-                          "one-edge path", "path with its smallest vertex inside",
+                          "interleaved", "one-edge path", "path with its smallest vertex inside",
                           "path with its smallest vertex at an end", "cycle"}
 
 
@@ -636,6 +705,44 @@ class TestAnalysisDifferential:
         analysis = assert_same_analysis(view, exchanged, parent, 1)
         assert analysis.bad_cids and analysis.free_links
 
+    @staticmethod
+    def assert_named_alike(view, pair, parent_edge, k):
+        """The trail stage and the replay's own search give the same bad
+        component ids and free links, and each id is the smallest vertex of
+        its component; returns the analysis."""
+        analysis = analyze_bad_components(view, pair, parent_edge, k)
+        trail_eids = residual_edge_sets(view, pair, parent_edge)
+        bad_cids, _, free_links = _bad_components(view, pair, trail_eids, k)
+        assert (bad_cids, free_links) == (analysis.bad_cids, analysis.free_links)
+        closed = {t.vertices[0]: t for t in analysis.family.closed}
+        for cid in bad_cids:
+            assert cid == min(closed[cid].vertices)
+        return analysis
+
+    def test_replay_names_components_alike(self):
+        views = 0
+        for a in range(4, 41, 2):
+            g = complete_bipartite(a, a)
+            for root in (0, g.n - 1):
+                res = label_graph(g, root)
+                rec = res.layers[2]
+                self.assert_named_alike(rec.view, rec.pair, rec.parent_edge, res.k)
+                views += 1
+        view, pair, parent = free_link_gadget()
+        # the 4-cycles 12-0-14-1 and 13-4-15-5, named by their smallest
+        # vertices, not by their places (0 and 3) among the four components
+        assert self.assert_named_alike(view, pair, parent, 1).bad_cids == (0, 4)
+
+        def analyze(p):
+            nonlocal views
+            views += 1
+            return self.assert_named_alike(view, p, parent, 1)
+
+        exchanged, _ = maximize_free_links(pair, analyze, 1)
+        analysis = self.assert_named_alike(view, exchanged, parent, 1)
+        assert analysis.bad_cids == (4,)
+        assert views > 40
+
     def test_regular_component_with_a_non_link_outer_vertex(self):
         # the 4-cycle 0-10-1-11 is 2-regular and holds link end 10, but its
         # outer vertex 11 is no link end, so it is not bad
@@ -645,7 +752,7 @@ class TestAnalysisDifferential:
         pair = CoveringPair(view, 3, [Link.of(2, 10, 12)], [6, 7, 8])
         parent = {y: pair.matching_edge(y) for y in view.outer}
         analysis = assert_same_analysis(view, pair, parent, 1)
-        assert [t.edges for _, t in analysis.family.closed] == [(0, 2, 3, 1)]
+        assert [t.edges for t in analysis.family.closed] == [(0, 2, 3, 1)]
         assert analysis.bad_cids == () and analysis.free_links == pair.links
 
 
@@ -670,8 +777,9 @@ class TestBadComponents:
     def test_gadget_has_two_bad_cycles(self):
         view, pair, parent = free_link_gadget()
         analysis = analyze_bad_components(view, pair, parent, 1)
-        assert len(analysis.bad_cids) == 2
-        closed = dict(analysis.family.closed)
+        # the 4-cycles 12-0-14-1 and 13-4-15-5, named by their smallest vertex
+        assert analysis.bad_cids == (0, 4)
+        closed = {t.vertices[0]: t for t in analysis.family.closed}
         for cid in analysis.bad_cids:
             # 2-regular: the closed trail visits each vertex once
             visits = Counter(closed[cid].vertices[:-1])
@@ -687,10 +795,10 @@ class TestBadComponents:
                          pairs + [(4, 10), (4, 11), (5, 12), (5, 13)])
         pair = CoveringPair(view, 5, [Link.of(4, 10, 11), Link.of(5, 12, 13)], [])
         fam = decompose_trails(view, frozenset(range(len(pairs))))
-        assert [cid for cid, _ in fam.closed] == [0]
+        assert [t.vertices[0] for t in fam.closed] == [0]
         assert detect_bad_components(fam, view, pair, 2) == (0,)
         assert detect_bad_components(fam, view, pair, 1) == ()
-        assert choose_closed_start(fam.closed[0][1], 0, True, pair, view, 2) == (10, "bad")
+        assert choose_closed_start(fam.closed[0], True, pair, view, 2) == (10, "bad")
 
     def test_cycle_with_non_link_outer_is_not_bad(self):
         view = make_view([0, 1], [2, 3], [(0, 2), (0, 3), (1, 2), (1, 3)])
@@ -703,7 +811,7 @@ class TestOrientation:
     def test_rotate_to_start(self):
         view = make_view([0, 1], [2, 3], [(0, 2), (0, 3), (1, 2), (1, 3)])
         fam = decompose_trails(view, frozenset(range(4)))
-        _, trail = fam.closed[0]
+        trail = fam.closed[0]
         for start in (0, 1, 2, 3):
             rot = rotate_closed(trail, start)
             assert rot.vertices[0] == start and rot.vertices[-1] == start
@@ -715,23 +823,15 @@ class TestOrientation:
         with pytest.raises(InternalInvariantError):
             rotate_closed(Trail((0, 1), (5,), closed=False), 0)
 
-    def test_orient_open(self):
-        t = Trail((0, 5, 1), (3, 4), closed=False)
-        assert orient_open(t, 0) is t
-        rev = orient_open(t, 1)
-        assert rev.vertices == (1, 5, 0) and rev.edges == (4, 3)
-        with pytest.raises(InternalInvariantError):
-            orient_open(t, 5)
-
 
 class TestClosedStart:
     def test_bad_component_starts_at_lowest_outer(self):
         view, pair, parent = free_link_gadget()
         analysis = analyze_bad_components(view, pair, parent, 1)
-        closed = dict(analysis.family.closed)
+        closed = {t.vertices[0]: t for t in analysis.family.closed}
         for cid in analysis.bad_cids:
             trail = closed[cid]
-            start, case = choose_closed_start(trail, cid, True, pair, view, 1)
+            start, case = choose_closed_start(trail, True, pair, view, 1)
             assert case == "bad"
             assert start == min(v for v in trail.vertices if view.side(v) == "outer")
 
@@ -739,8 +839,8 @@ class TestClosedStart:
         view = make_view([0, 1], [2, 3], [(0, 2), (0, 3), (1, 2), (1, 3)])
         pair = CoveringPair(view, 3, [], [])
         fam = decompose_trails(view, frozenset(range(4)))
-        cid, trail = fam.closed[0]
-        start, case = choose_closed_start(trail, cid, False, pair, view, 1)
+        trail = fam.closed[0]
+        start, case = choose_closed_start(trail, False, pair, view, 1)
         assert case == "outer-high"
         assert start == 2
 
@@ -753,11 +853,11 @@ class TestClosedStart:
                          [(x, y) for x in range(5) for y in (10, 11)])
         pair = CoveringPair(view, 5, [Link.of(4, 10, 11)], [])
         fam = decompose_trails(view, frozenset(range(8)))
-        (cid, trail), = fam.closed
+        trail, = fam.closed
         assert Counter(trail.vertices[:-1]) == {0: 1, 1: 1, 2: 1, 3: 1, 10: 2, 11: 2}
-        assert choose_closed_start(trail, cid, False, pair, view, 2) == (0, "inner-low")
+        assert choose_closed_start(trail, False, pair, view, 2) == (0, "inner-low")
         assert detect_bad_components(fam, view, pair, 2) == ()
         # at k = 3 the outer vertices' two visits are too few, so 10 starts
-        assert choose_closed_start(trail, cid, False, pair, view, 3) == (10, "outer-high")
-        with pytest.raises(InternalInvariantError, match=f"component {cid}"):
-            choose_closed_start(trail, cid, False, pair, view, 1)
+        assert choose_closed_start(trail, False, pair, view, 3) == (10, "outer-high")
+        with pytest.raises(InternalInvariantError, match="component 0$"):
+            choose_closed_start(trail, False, pair, view, 1)
