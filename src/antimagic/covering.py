@@ -5,11 +5,13 @@ of length two) plus a matching, such that every inner vertex of full degree d
 is covered by exactly one of them.  The construction tries a plain
 augmenting-path matching first: when one covers every full-degree inner vertex,
 the pair with no links is already irreducible.  Links are needed only where
-Hall's condition fails.  Then the view is padded to (d, d+1)-biregular, a link
-family is grown until every uncovered outer vertex is blocked, the remaining
-inner vertices are covered by a matching, and the pair is restricted back to
-the original view and reduced to the irreducible form the labeling stage
-relies on.
+Hall's condition fails.  Then the view is padded to (d, d+1)-biregular by two
+round-robin deals of fresh vertices, a link family is grown until every
+uncovered outer vertex is blocked, the remaining inner vertices are covered by
+a matching, and the pair is restricted back to the original view and reduced,
+in one pass that keeps its matched set and link ends, to the irreducible form
+the labeling stage relies on.  Free-link exchanges then read candidate pairs
+from one ordered stream.
 """
 
 from __future__ import annotations
@@ -368,13 +370,23 @@ def hall_matching(view: BipartiteView, d: int, forbidden: frozenset[int] = froze
 def pad_to_biregular(view: BipartiteView, d: int) -> BipartiteView:
     """Embed the view into a (d, d+1)-biregular host as an induced subgraph.
 
-    Fresh outer vertices absorb inner deficiencies round-robin; the remaining
-    outer-side demand, topped up by filler outer vertices until it is divisible
-    by d and large enough, is realized against fresh inner vertices by the
-    greedy largest-demand-to-largest-capacity rule.  All fresh vertices and
-    edges receive ids above the existing ones, so the view's vertices and
-    edges keep their ids: its inner, outer and edges are prefixes of the
-    padded view's.
+    Fresh private outer vertices absorb inner deficiencies round-robin.  The
+    remaining outer-side demand, topped up by filler outer vertices until it
+    is divisible by d and large enough, is dealt round-robin too: the demands
+    are listed by decreasing need, ties to the smaller id, each demand's
+    slots consecutively, and slot t goes to fresh inner vertex t mod M, where
+    M is the slot count over d.  That is the greedy rule that serves each
+    demand, largest first, from the vertices with the most capacity left,
+    ties to the smaller id: every need is at most d + 1 <= M, so before each
+    demand the fresh capacities take at most two values, the higher starting
+    at the deal's cyclic pointer, and the next `need` vertices from the
+    pointer are the ones the rule picks, in its order.  For the same reason
+    no vertex gets two edges to one fresh vertex.
+
+    All fresh vertices and edges receive ids above the existing ones, so the
+    view's vertices and edges keep their ids: its inner, outer and edges are
+    prefixes of the padded view's.  A view with no deficiency, the empty one
+    included, is returned as it is.
     """
     if d < 3:
         raise GraphShapeError(f"padding requires degree bound >= 3, got {d}")
@@ -385,54 +397,27 @@ def pad_to_biregular(view: BipartiteView, d: int) -> BipartiteView:
         if view.degree(y) > d + 1:
             raise GraphShapeError(f"outer vertex {y} has degree {view.degree(y)} > {d + 1}")
 
-    if not view.inner and not view.outer:
-        gadget_inner = tuple(range(d + 1))
-        gadget_outer = tuple(range(d + 1, 2 * d + 1))
-        edges = []
-        eid = 0
-        for x in gadget_inner:
-            for y in gadget_outer:
-                edges.append((x, y, eid))
-                eid += 1
-        return BipartiteView(view.index, gadget_inner, gadget_outer, tuple(edges))
-
     inner_def = {x: d - view.degree(x) for x in view.inner if view.degree(x) < d}
-    outer_def = {y: d + 1 - view.degree(y) for y in view.outer if view.degree(y) < d + 1}
-    if not inner_def and not outer_def:
+    need = {y: d + 1 - view.degree(y) for y in view.outer if view.degree(y) < d + 1}
+    if not inner_def and not need:
         return view
 
-    next_v = max(list(view.inner) + list(view.outer)) + 1
+    next_v = max(itertools.chain(view.inner, view.outer)) + 1
     next_e = max(view.edge_ends, default=-1) + 1
     new_edges: list[tuple[int, int, int]] = []
 
-    privates: list[int] = []
-    load: dict[int, int] = {}
-    total_inner_def = sum(inner_def.values())
-    if total_inner_def:
-        b1 = max(max(inner_def.values()), -(-total_inner_def // (d + 1)))
-        privates = list(range(next_v, next_v + b1))
-        next_v += b1
-        load = {pv: 0 for pv in privates}
-        t = 0
-        for x in sorted(inner_def):
-            for _ in range(inner_def[x]):
-                pv = privates[t % b1]
-                new_edges.append((x, pv, next_e))
-                next_e += 1
-                load[pv] += 1
-                t += 1
+    missing = [x for x in sorted(inner_def) for _ in range(inner_def[x])]
+    b1 = max(max(inner_def.values(), default=0), -(-len(missing) // (d + 1)))
+    privates = list(range(next_v, next_v + b1))
+    next_v += b1
+    need.update(dict.fromkeys(privates, d + 1))
+    for t, x in enumerate(missing):
+        pv = privates[t % b1]
+        new_edges.append((x, pv, next_e))
+        next_e += 1
+        need[pv] -= 1
 
-    demands: list[list[int]] = []
-    for y in sorted(outer_def):
-        demands.append([y, outer_def[y]])
-    for pv in privates:
-        need = d + 1 - load[pv]
-        if need < 0:
-            raise InternalInvariantError(f"padding overloaded fresh outer vertex {pv}")
-        if need:
-            demands.append([pv, need])
-
-    total = sum(amount for _, amount in demands)
+    total = sum(need.values())
     fillers: list[int] = []
     fresh_inner: list[int] = []
     if total:
@@ -441,24 +426,13 @@ def pad_to_biregular(view: BipartiteView, d: int) -> BipartiteView:
             j += d
         fillers = list(range(next_v, next_v + j))
         next_v += j
-        for f in fillers:
-            demands.append([f, d + 1])
+        need.update(dict.fromkeys(fillers, d + 1))
         m_fresh = (total + j * (d + 1)) // d
         fresh_inner = list(range(next_v, next_v + m_fresh))
-        next_v += m_fresh
-        cap = {x: d for x in fresh_inner}
-        while demands:
-            demands.sort(key=lambda item: (-item[1], item[0]))
-            y, need = demands.pop(0)
-            donors = sorted(cap, key=lambda x: (-cap[x], x))[:need]
-            if len(donors) < need or any(cap[x] == 0 for x in donors):
-                raise InternalInvariantError("padding demand exceeds remaining fresh capacity")
-            for x in donors:
-                new_edges.append((x, y, next_e))
-                next_e += 1
-                cap[x] -= 1
-        if any(cap.values()):
-            raise InternalInvariantError("padding left unused fresh inner capacity")
+        slots = [y for y in sorted(need, key=lambda y: (-need[y], y)) for _ in range(need[y])]
+        for t, y in enumerate(slots):
+            new_edges.append((fresh_inner[t % m_fresh], y, next_e))
+            next_e += 1
 
     padded = BipartiteView(
         index=view.index,
@@ -486,48 +460,43 @@ def restrict_and_reduce(view: BipartiteView, d: int, links: Iterable[Link],
     R4 replace a link whose center has an unmatched neighbor that is no link
        end by the matching edge to that neighbor.
 
-    Each rule removes a link, so the loop terminates.  R4 guarantees that every
-    neighbor of a center is matched or a link end, which later link exchanges
-    depend on.
+    After each rule the scan restarts from the first remaining link.  The
+    matched vertices and the link ends are kept up to date as rules fire, not
+    rebuilt: a dropped link's ends stop being link ends, and a rewire matches
+    its center and target.  Each rule removes a link, so the loop terminates.
+    R4 guarantees that every neighbor of a center is matched or a link end,
+    which later link exchanges depend on.
     """
     vids = set(view.inner) | set(view.outer)
     view_eids = view.edge_ends.keys()
     m_set = {eid for eid in matching if eid in view_eids}
     f_list = sorted(l for l in links
                     if l.center in vids and l.end_a in vids and l.end_b in vids)
+    matched = {v for eid in m_set for v in view.ends_of(eid)}
+    link_ends = {end for l in f_list for end in l.ends}
 
     while True:
-        matched: set[int] = set()
-        for eid in m_set:
-            matched.update(view.ends_of(eid))
-        link_ends = {end for l in f_list for end in l.ends}
-        action = None
         for l in f_list:
-            if view.degree(l.center) < d:
-                action = ("drop", l, None)
+            if view.degree(l.center) < d or l.center in matched:  # R1, R2
+                target = None
                 break
-            if l.center in matched:
-                action = ("drop", l, None)
+            target = min((end for end in l.ends if end not in matched), default=None)  # R3
+            if target is None:  # R4
+                target = min((w for w in view.neighbors(l.center)
+                              if w not in matched and w not in link_ends), default=None)
+            if target is not None:
                 break
-            unmatched_ends = [end for end in l.ends if end not in matched]
-            if unmatched_ends:
-                action = ("rewire", l, min(unmatched_ends))
-                break
-            loose = [w for w in view.neighbors(l.center)
-                     if w not in matched and w not in link_ends]
-            if loose:
-                action = ("rewire", l, min(loose))
-                break
-        if action is None:
+        else:
             break
-        what, l, target = action
         f_list.remove(l)
-        if what == "rewire":
+        link_ends.difference_update(l.ends)
+        if target is not None:
             eid = view.edge_between(l.center, target)
             if eid is None:
                 raise InternalInvariantError(
                     f"reduction target edge ({l.center}, {target}) missing from the view")
             m_set.add(eid)
+            matched.update((l.center, target))
 
     return CoveringPair(view, d, f_list, m_set)
 
@@ -537,8 +506,11 @@ def build_covering_pair(view: BipartiteView, d: int) -> CoveringPair:
 
     A matching of the view that covers every full-degree inner vertex is,
     with no links, already an irreducible pair; it is tried unless there are
-    visibly too few outer vertices for it.  Otherwise the pair comes from the
-    link search (`_link_search_pair`).  Either way the pair is validated.
+    visibly too few outer vertices for it.  It needs no validation:
+    `hall_matching` raises for any uncovered full-degree inner vertex and
+    `CoveringPair` for matching edges that share a vertex, which is all
+    `validate_covering_pair` checks of a pair without links.  Otherwise the
+    pair comes from the link search (`_link_search_pair`), which validates it.
     """
     if d < 3:
         raise GraphShapeError(f"covering pairs need degree bound >= 3, got {d}")
@@ -548,9 +520,7 @@ def build_covering_pair(view: BipartiteView, d: int) -> CoveringPair:
         except InternalInvariantError:
             pass  # Hall's condition fails on some set of full-degree inner vertices
         else:
-            pair = CoveringPair(view, d, [], matching)
-            validate_covering_pair(pair)
-            return pair
+            return CoveringPair(view, d, [], matching)
     return _link_search_pair(view, d)
 
 
@@ -565,6 +535,20 @@ def _link_search_pair(view: BipartiteView, d: int) -> CoveringPair:
     return pair
 
 
+def _exchanges(pair: CoveringPair) -> Iterator[CoveringPair]:
+    """The pairs one exchange away, in order: link by link, each end moved
+    out in turn (end_a first), to each neighbor of the center, in incidence
+    order, that is no link end."""
+    link_ends, matching = pair.link_ends, pair.matching
+    for link in pair.links:
+        for keep in (link.end_b, link.end_a):
+            for w in pair.view.neighbors(link.center):
+                if w not in link_ends:
+                    new_links = [Link.of(l.center, keep, w) if l == link else l
+                                 for l in pair.links]
+                    yield CoveringPair(pair.view, pair.d, new_links, matching)
+
+
 def maximize_free_links(pair: CoveringPair, analyze: Callable[[CoveringPair], "object"],
                         k: int):
     """Exchange link ends to raise the number of free links while bad components
@@ -576,37 +560,21 @@ def maximize_free_links(pair: CoveringPair, analyze: Callable[[CoveringPair], "o
     parent-edge map stays valid unchanged: the neighbor's parent edge is its
     matching edge, whose other end is never the unmatched center, so no
     parent edge becomes a link edge.
-    Exchanges are accepted only when the recomputed free-link count strictly
-    increases.  At a local optimum with bad components still present, fewer
-    than k free links is an implementation bug.
+    Each step analyzes the candidates of `_exchanges` in order and accepts
+    the first whose free-link count strictly exceeds the current one; the
+    loop stops when none does.  At a local optimum with bad components still
+    present, fewer than k free links is an implementation bug.
     """
     analysis = analyze(pair)
     guard = len(pair.links) + 1
     for _ in range(guard):
         if not analysis.bad_cids:
             break
-        improved = None
-        link_ends = pair.link_ends
-        for link in pair.links:
-            for out_end in sorted(link.ends):
-                keep = link.end_b if out_end == link.end_a else link.end_a
-                for w in pair.view.neighbors(link.center):
-                    if w == keep or w == out_end or w in link_ends:
-                        continue
-                    new_links = [Link.of(l.center, keep, w) if l == link else l
-                                 for l in pair.links]
-                    cand = CoveringPair(pair.view, pair.d, new_links, pair.matching)
-                    cand_analysis = analyze(cand)
-                    if len(cand_analysis.free_links) > len(analysis.free_links):
-                        improved = (cand, cand_analysis)
-                        break
-                if improved:
-                    break
-            if improved:
-                break
-        if improved is None:
+        scored = ((cand, analyze(cand)) for cand in _exchanges(pair))
+        better = next((s for s in scored if len(s[1].free_links) > len(analysis.free_links)), None)
+        if better is None:
             break
-        pair, analysis = improved
+        pair, analysis = better
     if analysis.bad_cids and len(analysis.free_links) < k:
         raise InternalInvariantError(
             f"bad components remain with {len(analysis.free_links)} free links, "

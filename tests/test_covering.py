@@ -12,7 +12,7 @@ from antimagic import (BipartiteView, GraphShapeError, InternalInvariantError,
                        validate_covering_pair)
 from antimagic.covering import (CoveringPair, Link, _candidate_moves, _link_search_pair, _LinkSearch,
                                 _potential, hall_matching, maximize_free_links,
-                                maximize_link_family, pad_to_biregular)
+                                maximize_link_family, pad_to_biregular, restrict_and_reduce)
 from antimagic.trails import analyze_bad_components
 from antimagic.verify import stress_instances
 from corpus import (complete_bipartite, complete_graph, free_link_gadget, padded_layer_two,
@@ -157,12 +157,11 @@ class TestPadding:
         assert padded.outer[:len(view.outer)] == tuple(view.outer)
         assert padded.edges[:view.edge_count] == tuple(view.edges)
 
-    def test_empty_view_becomes_gadget(self):
+    def test_empty_view_unchanged(self):
+        # no deficiency to pad; `build_covering_pair` matches an empty view
+        # first, so it never reaches the padding
         view = BipartiteView(1, (), (), ())
-        padded = pad_to_biregular(view, 3)
-        self.assert_extends(view, padded)
-        assert all(padded.degree(x) == 3 for x in padded.inner)
-        assert all(padded.degree(y) == 4 for y in padded.outer)
+        assert pad_to_biregular(view, 3) is view
 
     def test_single_edge_worked_example(self):
         view = make_view([0], [1], [(0, 1)])
@@ -203,6 +202,147 @@ class TestPadding:
             old = set(view.inner) | set(view.outer)
             for x, y, eid in padded.edges[view.edge_count:]:
                 assert not (x in old and y in old)
+            # simple: no inner-outer pair is joined twice
+            assert len({(x, y) for x, y, _ in padded.edges}) == padded.edge_count
+
+
+def reference_pad_to_biregular(view: BipartiteView, d: int) -> BipartiteView:
+    """The padding as first written: greedy, largest demand to the fresh
+    inner vertices with the most capacity left, re-sorting both before every
+    demand."""
+    if d < 3:
+        raise GraphShapeError(f"padding requires degree bound >= 3, got {d}")
+    for x in view.inner:
+        if view.degree(x) > d:
+            raise GraphShapeError(f"inner vertex {x} has degree {view.degree(x)} > {d}")
+    for y in view.outer:
+        if view.degree(y) > d + 1:
+            raise GraphShapeError(f"outer vertex {y} has degree {view.degree(y)} > {d + 1}")
+
+    if not view.inner and not view.outer:
+        gadget_inner = tuple(range(d + 1))
+        gadget_outer = tuple(range(d + 1, 2 * d + 1))
+        edges = []
+        eid = 0
+        for x in gadget_inner:
+            for y in gadget_outer:
+                edges.append((x, y, eid))
+                eid += 1
+        return BipartiteView(view.index, gadget_inner, gadget_outer, tuple(edges))
+
+    inner_def = {x: d - view.degree(x) for x in view.inner if view.degree(x) < d}
+    outer_def = {y: d + 1 - view.degree(y) for y in view.outer if view.degree(y) < d + 1}
+    if not inner_def and not outer_def:
+        return view
+
+    next_v = max(list(view.inner) + list(view.outer)) + 1
+    next_e = max(view.edge_ends, default=-1) + 1
+    new_edges: list[tuple[int, int, int]] = []
+
+    privates: list[int] = []
+    load: dict[int, int] = {}
+    total_inner_def = sum(inner_def.values())
+    if total_inner_def:
+        b1 = max(max(inner_def.values()), -(-total_inner_def // (d + 1)))
+        privates = list(range(next_v, next_v + b1))
+        next_v += b1
+        load = {pv: 0 for pv in privates}
+        t = 0
+        for x in sorted(inner_def):
+            for _ in range(inner_def[x]):
+                pv = privates[t % b1]
+                new_edges.append((x, pv, next_e))
+                next_e += 1
+                load[pv] += 1
+                t += 1
+
+    demands: list[list[int]] = []
+    for y in sorted(outer_def):
+        demands.append([y, outer_def[y]])
+    for pv in privates:
+        need = d + 1 - load[pv]
+        if need < 0:
+            raise InternalInvariantError(f"padding overloaded fresh outer vertex {pv}")
+        if need:
+            demands.append([pv, need])
+
+    total = sum(amount for _, amount in demands)
+    fillers: list[int] = []
+    fresh_inner: list[int] = []
+    if total:
+        j = (-total) % d
+        while (total + j * (d + 1)) // d < d + 1:
+            j += d
+        fillers = list(range(next_v, next_v + j))
+        next_v += j
+        for f in fillers:
+            demands.append([f, d + 1])
+        m_fresh = (total + j * (d + 1)) // d
+        fresh_inner = list(range(next_v, next_v + m_fresh))
+        next_v += m_fresh
+        cap = {x: d for x in fresh_inner}
+        while demands:
+            demands.sort(key=lambda item: (-item[1], item[0]))
+            y, need = demands.pop(0)
+            donors = sorted(cap, key=lambda x: (-cap[x], x))[:need]
+            if len(donors) < need or any(cap[x] == 0 for x in donors):
+                raise InternalInvariantError("padding demand exceeds remaining fresh capacity")
+            for x in donors:
+                new_edges.append((x, y, next_e))
+                next_e += 1
+                cap[x] -= 1
+        if any(cap.values()):
+            raise InternalInvariantError("padding left unused fresh inner capacity")
+
+    padded = BipartiteView(
+        index=view.index,
+        inner=tuple(view.inner) + tuple(fresh_inner),
+        outer=tuple(view.outer) + tuple(privates) + tuple(fillers),
+        edges=view.edges + tuple(new_edges),
+    )
+    for x in padded.inner:
+        if padded.degree(x) != d:
+            raise InternalInvariantError(f"padded inner vertex {x} has degree {padded.degree(x)}")
+    for y in padded.outer:
+        if padded.degree(y) != d + 1:
+            raise InternalInvariantError(f"padded outer vertex {y} has degree {padded.degree(y)}")
+    return padded
+
+
+
+
+def padding_cases(view, padded, d):
+    """The corners of the deal a padded view shows: a private outer vertex
+    that the inner deficiencies fill alone (need 0), a filler outer vertex
+    (no view neighbor), and a demand dealt past the last fresh inner vertex
+    (its edges, consecutive in id order, step back to a smaller one)."""
+    old_inner = set(view.inner)
+    cases = set()
+    for y in padded.outer[len(view.outer):]:
+        from_view = sum(1 for x in padded.neighbors(y) if x in old_inner)
+        if from_view == d + 1:
+            cases.add("need 0")
+        elif from_view == 0:
+            cases.add("filler")
+    dealt = [(x, y) for x, y, _ in padded.edges[view.edge_count:] if x not in old_inner]
+    for (x1, y1), (x2, y2) in zip(dealt, dealt[1:]):
+        if y1 == y2 and x2 < x1:
+            cases.add("wrap")
+    return cases
+
+
+class TestPaddingDifferential:
+    def test_random_views_same_padding_as_the_reference(self):
+        cases = set()
+        for seed in range(600):
+            rng = random.Random(seed)
+            d = rng.choice([3, 5, 7])
+            view = random_bounded_bipartite(rng, d, max_inner=16, max_outer=20)
+            padded, ref = pad_to_biregular(view, d), reference_pad_to_biregular(view, d)
+            assert (padded.inner, padded.outer, padded.edges) == (ref.inner, ref.outer, ref.edges), \
+                f"seed {seed}"
+            cases |= padding_cases(view, ref, d)
+        assert cases == {"need 0", "filler", "wrap"}
 
 
 class TestLinkFamily:
@@ -421,6 +561,90 @@ class TestBuildCoveringPair:
         assert covering_pair_exists(view, d)
 
 
+def reference_restrict_and_reduce(view, d, links, matching, fired):
+    """The reduction as first written, rebuilding the matched set and the
+    link ends after every rule; verbatim but for the rule name each action
+    carries, appended to `fired`."""
+    vids = set(view.inner) | set(view.outer)
+    view_eids = view.edge_ends.keys()
+    m_set = {eid for eid in matching if eid in view_eids}
+    f_list = sorted(l for l in links
+                    if l.center in vids and l.end_a in vids and l.end_b in vids)
+
+    while True:
+        matched: set[int] = set()
+        for eid in m_set:
+            matched.update(view.ends_of(eid))
+        link_ends = {end for l in f_list for end in l.ends}
+        action = None
+        for l in f_list:
+            if view.degree(l.center) < d:
+                action = ("drop", l, None, "R1")
+                break
+            if l.center in matched:
+                action = ("drop", l, None, "R2")
+                break
+            unmatched_ends = [end for end in l.ends if end not in matched]
+            if unmatched_ends:
+                action = ("rewire", l, min(unmatched_ends), "R3")
+                break
+            loose = [w for w in view.neighbors(l.center)
+                     if w not in matched and w not in link_ends]
+            if loose:
+                action = ("rewire", l, min(loose), "R4")
+                break
+        if action is None:
+            break
+        what, l, target, rule = action
+        fired.append(rule)
+        f_list.remove(l)
+        if what == "rewire":
+            eid = view.edge_between(l.center, target)
+            if eid is None:
+                raise InternalInvariantError(
+                    f"reduction target edge ({l.center}, {target}) missing from the view")
+            m_set.add(eid)
+
+    return CoveringPair(view, d, f_list, m_set)
+
+
+
+
+def seeded_reduction_inputs(seed):
+    """A padded random view's links and matching as `_link_search_pair` makes
+    them, with the matching kept, thinned, or extended at some link centers
+    by view edges to unmatched outer vertices, as the seed picks."""
+    rng = random.Random(seed)
+    d = rng.choice([3, 5, 7])
+    view = random_bounded_bipartite(rng, d, max_inner=12, max_outer=14)
+    padded = pad_to_biregular(view, d)
+    links = maximize_link_family(padded, d)
+    matching = set(hall_matching(padded, d, forbidden=frozenset(l.center for l in links)))
+    if seed % 3 == 1:
+        matching = {eid for eid in sorted(matching) if rng.random() < 0.7}
+    elif seed % 3 == 2:
+        matched = {v for eid in matching for v in padded.ends_of(eid)}
+        for l in links:
+            free = [(y, eid) for y, eid in view.incident(l.center)
+                    if y not in matched] if l.center in view.inner else []
+            if free and rng.random() < 0.5:
+                y, eid = rng.choice(free)
+                matching.add(eid)
+                matched.update((l.center, y))
+    return view, d, links, matching
+
+
+class TestReductionDifferential:
+    def test_random_pairs_same_reduction_as_the_reference(self):
+        fired = []
+        for seed in range(450):
+            view, d, links, matching = seeded_reduction_inputs(seed)
+            pair = restrict_and_reduce(view, d, links, matching)
+            ref = reference_restrict_and_reduce(view, d, links, matching, fired)
+            assert (pair.links, pair.matching) == (ref.links, ref.matching), f"seed {seed}"
+        assert set(fired) == {"R1", "R2", "R3", "R4"}
+
+
 class TestMatchingFirstDifferential:
     def test_stress_views_both_ways(self):
         # every layer view of the acceptance stress suite, built matching
@@ -473,3 +697,26 @@ class TestFreeLinkExchange:
 
         new_pair, _ = maximize_free_links(pair, analyze, k=1)
         assert not set(parent.values()) & new_pair.link_edge_ids
+
+    def test_exchange_candidates_in_order(self):
+        # every pair analyzed, in call order: the start, the first candidate
+        # (end 12 moved to 16), accepted because it frees both links, then
+        # the four candidates of the exchanged pair, none of which frees more
+        view, pair, parent = free_link_gadget()
+        analyzed = []
+
+        def analyze(p):
+            analyzed.append([(l.center, l.end_a, l.end_b) for l in p.links])
+            return analyze_bad_components(view, p, parent, 1)
+
+        new_pair, analysis = maximize_free_links(pair, analyze, k=1)
+        assert analyzed == [
+            [(2, 12, 13), (3, 14, 15)],
+            [(2, 13, 16), (3, 14, 15)],
+            [(2, 12, 16), (3, 14, 15)],
+            [(2, 12, 13), (3, 14, 15)],
+            [(2, 13, 16), (3, 15, 17)],
+            [(2, 13, 16), (3, 14, 17)],
+        ]
+        assert new_pair.links == (Link(2, 13, 16), Link(3, 14, 15))
+        assert len(analysis.free_links) == 2
