@@ -48,12 +48,11 @@ class Link:
 class CoveringPair:
     """Immutable covering pair: links, matching edge ids, and derived lookups.
 
-    It keeps three maps: link end -> link, link edge id -> link end, and
-    matched vertex -> matching edge id.  The link ends, link edge ids,
-    centers and matching are read off them, so a pair without links holds
-    three empty dicts and no sets."""
+    It keeps two maps, link end -> link and matched vertex -> matching edge
+    id, and the set of link edge ids.  The link ends, centers and matching
+    are read off the maps."""
 
-    __slots__ = ("view", "d", "links", "_link_of", "_link_end", "_match_of")
+    __slots__ = ("view", "d", "links", "_link_of", "link_edge_ids", "_match_of")
 
     def __init__(self, view: BipartiteView, d: int, links: Iterable[Link], matching: Iterable[int]):
         self.view = view
@@ -78,15 +77,15 @@ class CoveringPair:
             match_of[y] = eid
         self._match_of = match_of
 
-        link_end: dict[int, int] = {}
+        link_eids: list[int] = []
         for l in self.links:
             for end in l.ends:
                 eid = view.edge_between(l.center, end)
                 if eid is None:
                     raise InternalInvariantError(
                         f"link edge ({l.center}, {end}) is not an edge of the view")
-                link_end[eid] = end
-        self._link_end = link_end
+                link_eids.append(eid)
+        self.link_edge_ids = frozenset(link_eids)
 
     @property
     def matching(self) -> frozenset[int]:
@@ -99,10 +98,6 @@ class CoveringPair:
     @property
     def link_ends(self) -> KeysView[int]:
         return self._link_of.keys()
-
-    @property
-    def link_edge_ids(self) -> KeysView[int]:
-        return self._link_end.keys()
 
     def is_matched(self, v: int) -> bool:
         return v in self._match_of

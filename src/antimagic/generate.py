@@ -16,8 +16,7 @@ from .graph import Graph
 DEFAULT_ATTEMPTS = 200
 
 
-def generate_regular(n: int, degree: int, seed: int,
-                     max_attempts: int = DEFAULT_ATTEMPTS) -> Graph:
+def generate_regular(n: int, degree: int, seed: int) -> Graph:
     """Return a connected degree-regular simple graph on vertices 0..n-1."""
     if n <= 0:
         raise GraphShapeError("need at least one vertex")
@@ -28,7 +27,7 @@ def generate_regular(n: int, degree: int, seed: int,
     if (n * degree) % 2:
         raise GraphShapeError(f"no {degree}-regular graph on {n} vertices: odd stub count")
     rng = random.Random(seed)
-    for _ in range(max_attempts):
+    for _ in range(DEFAULT_ATTEMPTS):
         edges = _try_pairing(rng, n, degree)
         if edges is None:
             continue
@@ -37,7 +36,7 @@ def generate_regular(n: int, degree: int, seed: int,
             return graph
     raise GenerationBudgetError(
         f"gave up generating a connected {degree}-regular graph on {n} vertices "
-        f"after {max_attempts} attempts")
+        f"after {DEFAULT_ATTEMPTS} attempts")
 
 
 def _try_pairing(rng: random.Random, n: int, degree: int):

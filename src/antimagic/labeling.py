@@ -5,7 +5,7 @@ covering pair, parent edges and trail decomposition are built, its label
 block is stacked on the labels the layers outside it used, and its edges are
 labeled.  Within a layer the order is: edges inside the layer, trail edges,
 link edges, parent edges.
-Trail labels are drawn from both ends of the layer's trail interval so that
+Trail and link intervals are dealt by one two-ended rule (`_deal`), so that
 consecutive trail edges meeting at an inner vertex sum high and those meeting
 at an outer vertex sum low; parent edges are labeled in increasing order of
 the partial sums they complete, which is what makes all vertex sums distinct.
@@ -64,7 +64,7 @@ class LayerPlan:
 
     @property
     def target_pair_sum(self) -> int:
-        """Invariant value of low-cursor + high-cursor while trail labels are dealt."""
+        """Invariant value of low end + high end while trail labels are dealt."""
         return 2 * (self.offset + self.inner_count) + self.trail_count + 1
 
     def partial_sum_bound(self, k: int) -> int:
@@ -92,7 +92,7 @@ class LayerRecord:
 class TrailEvent:
     """One labeling unit: a single trail or a pair of mixed trails, oriented
     as labeled.  The labels themselves are read from the labeling; the unit's
-    place in the cursor sequence follows from the plan's trail interval."""
+    place in the deal follows from the plan's trail interval."""
 
     kind: str  # closed | open-inner | open-outer | mixed-pair | mixed-last
     trails: tuple[Trail, ...]
@@ -118,29 +118,21 @@ class LabelingResult:
     labeling: Labeling
 
 
-class _Cursor:
-    """Two-ended label dispenser over one trail interval."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo: int, hi: int):
-        self.lo = lo
-        self.hi = hi
-
-    def deal(self, trails: tuple[Trail, ...], high_first: bool, labels: list[int]) -> None:
-        """Label the trails' edges in order, alternating between the two ends
-        of the interval, from the high end first when `high_first`."""
-        lo, hi = self.lo, self.hi
-        for trail in trails:
-            for eid in trail.edges:
-                if high_first:
+def _deal(units, lo: int, hi: int, labels: list[int]) -> tuple[int, int]:
+    """Deal [lo, hi] over `units`, each a (starts high, runs of edge ids)
+    pair: a unit's edges take labels alternately from the two ends, from
+    the high end first when it starts high.  Return the ends not dealt."""
+    for high, runs in units:
+        for run in runs:
+            for eid in run:
+                if high:
                     labels[eid] = hi
                     hi -= 1
                 else:
                     labels[eid] = lo
                     lo += 1
-                high_first = not high_first
-        self.lo, self.hi = lo, hi
+                high = not high
+    return lo, hi
 
 
 def assign_parent_edges(view: BipartiteView, pair: CoveringPair) -> dict[int, int]:
@@ -179,14 +171,6 @@ def compute_interval_plan(layering: Layering, view: BipartiteView, pair: Coverin
     )
 
 
-def _assign_inner_labels(layering: Layering, index: int, plan: LayerPlan,
-                         labels: list[int]) -> None:
-    """Deal the inner interval over the layer's within-layer edges in the
-    layering's order, by their endpoints."""
-    for lab, eid in enumerate(layering.within_edges[index], start=plan.inner_interval[0]):
-        labels[eid] = lab
-
-
 def _assign_trail_labels(view: BipartiteView, pair: CoveringPair, analysis: BadAnalysis,
                          plan: LayerPlan, labels: list[int],
                          k: int) -> tuple[TrailEvent, ...]:
@@ -194,55 +178,45 @@ def _assign_trail_labels(view: BipartiteView, pair: CoveringPair, analysis: BadA
     their smallest edge id, each rotated to its start, then the open trails
     exactly as the trail stage gives them, mixed ones two to a unit."""
     family = analysis.family
-    cursor = _Cursor(*plan.trail_interval)
     events: list[TrailEvent] = []
-
-    def emit(kind: str, trails: tuple[Trail, ...], case: str | None, high_first: bool) -> None:
-        cursor.deal(trails, high_first, labels)
-        events.append(TrailEvent(kind, trails, case))
-
     for trail in sorted(family.closed, key=lambda t: min(t.edges)):
         start, case = choose_closed_start(trail, trail.vertices[0] in analysis.bad_cids,
                                           pair, view, k)
-        emit("closed", (rotate_closed(trail, start),), case, case == "outer-high")
-
+        events.append(TrailEvent("closed", (rotate_closed(trail, start),), case))
     for trail in family.open_inner:
-        emit("open-inner", (trail,), None, False)
-
+        events.append(TrailEvent("open-inner", (trail,), None))
     for trail in family.open_outer:
-        emit("open-outer", (trail,), None, True)
-
+        events.append(TrailEvent("open-outer", (trail,), None))
     mixed = family.open_mixed
     for two in zip(mixed[0::2], mixed[1::2]):
-        emit("mixed-pair", two, None, False)
+        events.append(TrailEvent("mixed-pair", two, None))
     if len(mixed) % 2:
-        emit("mixed-last", mixed[-1:], None, False)
+        events.append(TrailEvent("mixed-last", mixed[-1:], None))
 
-    if cursor.lo != cursor.hi + 1:
+    lo, hi = _deal([(ev.kind == "open-outer" or ev.case == "outer-high",
+                     [t.edges for t in ev.trails]) for ev in events],
+                   *plan.trail_interval, labels)
+    if lo != hi + 1:
         raise InternalInvariantError(f"trail interval of layer {plan.index} not exactly consumed")
     return tuple(events)
 
 
 def _assign_link_labels(pair: CoveringPair, analysis: BadAnalysis, plan: LayerPlan,
                         labels: list[int]) -> None:
-    """Free links first: the i-th link's low end gets base + i and its high
-    end base + c - i + 1; a free link with one end in a bad component puts
-    its low label on that end."""
-    base = plan.offset + plan.inner_count + plan.trail_count
-    c = plan.link_count
+    """Free links first, each dealt as one unit (low end, high end) that
+    starts low; a free link with one end in a bad component has that end as
+    its low end, and any other link its smaller end."""
     free_set = set(analysis.free_links)
     ordered = list(analysis.free_links) + [l for l in pair.links if l not in free_set]
-    for idx, link in enumerate(ordered, start=1):
+    units = []
+    for link in ordered:
         in_bad = [e for e in link.ends if e in analysis.bad_vertices]
-        if link in free_set and len(in_bad) == 1:
-            u_low = in_bad[0]
-        else:
-            u_low = min(link.ends)
+        u_low = in_bad[0] if link in free_set and len(in_bad) == 1 else min(link.ends)
         u_high = link.end_b if u_low == link.end_a else link.end_a
-        e_low = pair.view.edge_between(link.center, u_low)
-        e_high = pair.view.edge_between(link.center, u_high)
-        labels[e_low] = base + idx
-        labels[e_high] = base + c - idx + 1
+        run = (pair.view.edge_between(link.center, u_low),
+               pair.view.edge_between(link.center, u_high))
+        units.append((False, (run,)))
+    _deal(units, *plan.link_interval, labels)
 
 
 def label_graph(graph: Graph, root: int = 0) -> LabelingResult:
@@ -265,7 +239,8 @@ def label_graph(graph: Graph, root: int = 0) -> LabelingResult:
             pair, lambda pr: analyze_bad_components(view, pr, parent, k), k)
         plan = plans[i] = compute_interval_plan(layering, view, pair, offset)
         offset = plan.upper
-        _assign_inner_labels(layering, i, plan, labels)
+        for lab, eid in enumerate(layering.within_edges[i], start=plan.inner_interval[0]):
+            labels[eid] = lab
         events = _assign_trail_labels(view, pair, analysis, plan, labels, k)
         _assign_link_labels(pair, analysis, plan, labels)
 

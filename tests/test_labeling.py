@@ -113,6 +113,26 @@ class TestDeepGolden:
         assert render_document(res) == golden.read_text()
 
 
+class TestClosedUnitGolden:
+    """A random 4-regular graph on ten vertices whose layer 3 holds one
+    closed outer-high unit, frozen in tests/golden: the trail stage walks
+    the component from its smallest vertex, and the rotation to the start
+    turns the walk around."""
+
+    def test_document(self):
+        res = label_graph(generate_regular(10, 4, 21))
+        rec = res.layers[3]
+        unit, = rec.events
+        assert (unit.kind, unit.case) == ("closed", "outer-high")
+        walked, = trails.analyze_bad_components(rec.view, rec.pair, rec.parent_edge,
+                                                res.k).family.closed
+        turned = walked.edges[::-1]
+        dealt = unit.trails[0].edges
+        assert dealt in {turned[j:] + turned[:j] for j in range(len(turned))}
+        golden = Path(__file__).parent / "golden" / "g10_4_21.txt"
+        assert render_document(res) == golden.read_text()
+
+
 class _CountingTuple(tuple):
     """Tuple that counts the elements read through iteration or indexing."""
 
