@@ -10,8 +10,8 @@ from .covering import CoveringPair, Link, build_covering_pair, validate_covering
 from .errors import (GenerationBudgetError, GraphFormatError, GraphShapeError,
                      InternalInvariantError, OracleBudgetError, StressFailure)
 from .generate import generate_regular
-from .graph import (BipartiteView, Graph, Layering, bfs_layering, format_edge_list,
-                    layer_view, parse_edge_list, validate_even_regular)
+from .graph import (BipartiteView, Graph, Layering, bfs_layering, bipartite_view,
+                    format_edge_list, layer_view, parse_edge_list, validate_even_regular)
 from .labeling import LabelingResult, label_graph
 from .oracle import brute_force_antimagic
 from .trails import decompose_trails
@@ -36,6 +36,7 @@ __all__ = [
     "StressSummary",
     "VerificationReport",
     "bfs_layering",
+    "bipartite_view",
     "brute_force_antimagic",
     "build_covering_pair",
     "check_construction",

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, KeysView
 
 from .errors import GraphShapeError, InternalInvariantError
-from .graph import BipartiteView
+from .graph import BipartiteView, bipartite_view
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -429,12 +429,9 @@ def pad_to_biregular(view: BipartiteView, d: int) -> BipartiteView:
             new_edges.append((fresh_inner[t % m_fresh], y, next_e))
             next_e += 1
 
-    padded = BipartiteView(
-        index=view.index,
-        inner=tuple(view.inner) + tuple(fresh_inner),
-        outer=tuple(view.outer) + tuple(privates) + tuple(fillers),
-        edges=view.edges + tuple(new_edges),
-    )
+    padded = bipartite_view(view.index, tuple(view.inner) + tuple(fresh_inner),
+                            tuple(view.outer) + tuple(privates) + tuple(fillers),
+                            view.edges + tuple(new_edges))
     for x in padded.inner:
         if padded.degree(x) != d:
             raise InternalInvariantError(f"padded inner vertex {x} has degree {padded.degree(x)}")
@@ -544,8 +541,7 @@ def _exchanges(pair: CoveringPair) -> Iterator[CoveringPair]:
                     yield CoveringPair(pair.view, pair.d, new_links, matching)
 
 
-def maximize_free_links(pair: CoveringPair, analyze: Callable[[CoveringPair], "object"],
-                        k: int):
+def maximize_free_links(pair: CoveringPair, analyze: Callable[[CoveringPair], "object"]):
     """Exchange link ends to raise the number of free links while bad components
     exist.
 
@@ -558,7 +554,8 @@ def maximize_free_links(pair: CoveringPair, analyze: Callable[[CoveringPair], "o
     Each step analyzes the candidates of `_exchanges` in order and accepts
     the first whose free-link count strictly exceeds the current one; the
     loop stops when none does.  At a local optimum with bad components still
-    present, fewer than k free links is an implementation bug.
+    present, fewer than k free links, for the pair's degree bound d = 2k + 1,
+    is an implementation bug.
     """
     analysis = analyze(pair)
     guard = len(pair.links) + 1
@@ -570,6 +567,7 @@ def maximize_free_links(pair: CoveringPair, analyze: Callable[[CoveringPair], "o
         if better is None:
             break
         pair, analysis = better
+    k = pair.d // 2
     if analysis.bad_cids and len(analysis.free_links) < k:
         raise InternalInvariantError(
             f"bad components remain with {len(analysis.free_links)} free links, "

@@ -233,42 +233,33 @@ class BipartiteView:
     """The bipartite graph of cross edges between two consecutive layers.
 
     Inner vertices sit in the layer closer to the root; outer vertices in the
-    layer farther out. Edge ids are the ids of the underlying graph.  Each
-    edge's ends are kept once, in the id -> (inner, outer) map `edge_ends`,
-    filled outer vertex by outer vertex from their sorted incidence; `edges`
-    lists them as (inner, outer, edge id) triples in edge id order.
+    layer farther out. Edge ids are the ids of the underlying graph.
 
-    Built from its edge list, the view checks that no vertex is on both
-    sides and that every edge crosses them, and sorts each vertex's
-    incidence.  That is the constructor for padded and hand-built views,
-    whose vertices and edges belong to no graph; `layer_view` builds the
-    views of a layered graph by filtering the graph's sorted incidence, which
-    needs neither the checks nor the sort.
+    Every view is built by this one constructor from each vertex's sorted
+    (neighbor, edge id) tuple, given as `adj`, a map of every vertex, inner
+    then outer.  Each edge's ends are kept once, in the id -> (inner, outer)
+    map `edge_ends`, filled outer vertex by outer vertex from their
+    incidence; `edges` lists them as (inner, outer, edge id) triples in edge
+    id order.  The constructor checks nothing: `layer_view` passes a
+    layering's split of the graph's incidence, and `bipartite_view` checks
+    and sorts an edge list first.
     """
 
     __slots__ = ("index", "inner", "outer", "_side", "_adj", "_ends")
 
     def __init__(self, index: int, inner: tuple[int, ...], outer: tuple[int, ...],
-                 edges: tuple[tuple[int, int, int], ...]):
-        side = {v: "inner" for v in inner}
-        for v in outer:
-            if v in side:
-                raise GraphShapeError(f"vertex {v} on both sides of a bipartite view")
-            side[v] = "outer"
-        adj: dict[int, list[tuple[int, int]]] = {v: [] for v in side}
-        for x, y, eid in edges:
-            if side.get(x) != "inner" or side.get(y) != "outer":
-                raise GraphShapeError(f"view edge ({x}, {y}) does not cross the two sides")
-            adj[x].append((y, eid))
-            adj[y].append((x, eid))
-        for lst in adj.values():
-            lst.sort()
-        ends = {eid: (x, y) for y in outer for x, eid in adj[y]}
+                 adj: dict[int, tuple[tuple[int, int], ...]]):
+        side = dict.fromkeys(inner, "inner")
+        ends = {}
+        for y in outer:
+            side[y] = "outer"
+            for x, eid in adj[y]:
+                ends[eid] = (x, y)
         self.index = index
         self.inner = inner
         self.outer = outer
         self._side = side
-        self._adj = {v: tuple(lst) for v, lst in adj.items()}
+        self._adj = adj
         self._ends = ends
 
     def __eq__(self, other):
@@ -320,6 +311,26 @@ class BipartiteView:
         return None
 
 
+def bipartite_view(index: int, inner: tuple[int, ...], outer: tuple[int, ...],
+                   edges: tuple[tuple[int, int, int], ...]) -> BipartiteView:
+    """The view of (inner, outer, edge id) triples, for padded and hand-built
+    views, whose vertices and edges belong to no graph: it checks that no
+    vertex is on both sides and that every edge crosses them, and sorts each
+    vertex's incidence."""
+    side = {v: "inner" for v in inner}
+    for v in outer:
+        if v in side:
+            raise GraphShapeError(f"vertex {v} on both sides of a bipartite view")
+        side[v] = "outer"
+    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in side}
+    for x, y, eid in edges:
+        if side.get(x) != "inner" or side.get(y) != "outer":
+            raise GraphShapeError(f"view edge ({x}, {y}) does not cross the two sides")
+        adj[x].append((y, eid))
+        adj[y].append((x, eid))
+    return BipartiteView(index, inner, outer, {v: tuple(sorted(lst)) for v, lst in adj.items()})
+
+
 def layer_view(graph: Graph, layering: Layering, index: int) -> BipartiteView:
     """Bipartite view between layers index-1 and index; inner side may include
     vertices with no cross edges, the outer side never does (by BFS).
@@ -327,29 +338,17 @@ def layer_view(graph: Graph, layering: Layering, index: int) -> BipartiteView:
     The view's incidence is the layering's split of the graph's: an inner
     vertex keeps its outward entries, an outer vertex its inward ones.
     These are the graph's own (neighbor, edge id) tuples, already sorted,
-    and the ends map is filled from the outer lists, as the constructor
-    fills it, so the view equals BipartiteView(index, inner, outer, edges)
-    and iterates its maps in the same order.  The constructor's checks hold
-    by construction: the layers are the classes of layer_of, so no vertex
-    is on both sides and every kept edge crosses them.
-    Everything read comes from the layering; `graph` is the graph it was
-    built from.
+    and `bipartite_view`'s checks hold by construction: the layers are the
+    classes of layer_of, so no vertex is on both sides and every kept edge
+    crosses them.  Everything read comes from the layering; `graph` is the
+    graph it was built from.
     """
     if not (1 <= index <= layering.depth):
         raise GraphShapeError(f"layer index {index} out of range 1..{layering.depth}")
     inner = layering.layers[index - 1]
     outer = layering.layers[index]
     outward, inward = layering.outward, layering.inward
-    side = dict.fromkeys(inner, "inner")
     adj = {x: outward[x] for x in inner}
-    ends = {}
     for y in outer:
-        side[y] = "outer"
-        adj[y] = entries = inward[y]
-        for x, eid in entries:
-            ends[eid] = (x, y)
-    # set the fields directly: the constructor would re-check and re-sort them
-    view = object.__new__(BipartiteView)
-    view.index, view.inner, view.outer = index, inner, outer
-    view._side, view._adj, view._ends = side, adj, ends
-    return view
+        adj[y] = inward[y]
+    return BipartiteView(index, inner, outer, adj)

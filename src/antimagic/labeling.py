@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .covering import CoveringPair, Link, build_covering_pair, maximize_free_links
 from .errors import InternalInvariantError
-from .graph import BipartiteView, Graph, Layering, bfs_layering, layer_view, validate_even_regular
+from .graph import Graph, Layering, bfs_layering, layer_view, validate_even_regular
 from .trails import (
     BadAnalysis,
     Trail,
@@ -78,9 +78,9 @@ class LayerPlan:
 class LayerRecord:
     """What the replay reads of one layer, built in the one labeling pass once
     the layer is labeled; its trail family and bad-component analysis are
-    dropped with the layer.  A bad component's id is its smallest vertex."""
+    dropped with the layer.  The layer's view is `pair.view`.  A bad
+    component's id is its smallest vertex."""
 
-    view: BipartiteView
     pair: CoveringPair
     parent_edge: dict[int, int]
     bad_cids: tuple[int, ...]
@@ -135,10 +135,10 @@ def _deal(units, lo: int, hi: int, labels: list[int]) -> tuple[int, int]:
     return lo, hi
 
 
-def assign_parent_edges(view: BipartiteView, pair: CoveringPair) -> dict[int, int]:
+def assign_parent_edges(pair: CoveringPair) -> dict[int, int]:
     """Pick each outer vertex's parent edge: its matching edge when matched,
     otherwise its lowest-id cross edge that is not a link edge."""
-    link_eids = pair.link_edge_ids
+    view, link_eids = pair.view, pair.link_edge_ids
     parent: dict[int, int] = {}
     for u in view.outer:
         eid = pair.matching_edge(u)
@@ -152,12 +152,12 @@ def assign_parent_edges(view: BipartiteView, pair: CoveringPair) -> dict[int, in
     return parent
 
 
-def compute_interval_plan(layering: Layering, view: BipartiteView, pair: CoveringPair,
-                          offset: int) -> LayerPlan:
-    """The plan of layer `view.index`, stacked on the `offset` labels of the
+def compute_interval_plan(layering: Layering, pair: CoveringPair, offset: int) -> LayerPlan:
+    """The plan of the pair's layer, stacked on the `offset` labels of the
     layers outside it.  The layer's edges are its within-layer edges, as the
     layering lists them, and the view's cross edges: one parent edge per
     outer vertex, two edges per link, and the trail edges."""
+    view = pair.view
     i = view.index
     layer_size = len(layering.layers[i])
     link_count = 2 * len(pair.links)
@@ -171,17 +171,15 @@ def compute_interval_plan(layering: Layering, view: BipartiteView, pair: Coverin
     )
 
 
-def _assign_trail_labels(view: BipartiteView, pair: CoveringPair, analysis: BadAnalysis,
-                         plan: LayerPlan, labels: list[int],
-                         k: int) -> tuple[TrailEvent, ...]:
+def _assign_trail_labels(pair: CoveringPair, analysis: BadAnalysis, plan: LayerPlan,
+                         labels: list[int]) -> tuple[TrailEvent, ...]:
     """Deal the trail interval over the layer's trails: closed trails by
     their smallest edge id, each rotated to its start, then the open trails
     exactly as the trail stage gives them, mixed ones two to a unit."""
     family = analysis.family
     events: list[TrailEvent] = []
     for trail in sorted(family.closed, key=lambda t: min(t.edges)):
-        start, case = choose_closed_start(trail, trail.vertices[0] in analysis.bad_cids,
-                                          pair, view, k)
+        start, case = choose_closed_start(trail, trail.vertices[0] in analysis.bad_cids, pair)
         events.append(TrailEvent("closed", (rotate_closed(trail, start),), case))
     for trail in family.open_inner:
         events.append(TrailEvent("open-inner", (trail,), None))
@@ -232,16 +230,15 @@ def label_graph(graph: Graph, root: int = 0) -> LabelingResult:
     labels = [0] * graph.m  # 0 until labeled; an edge left at 0 fails the bijection
     offset = 0
     for i in range(p, 0, -1):
-        view = layer_view(graph, layering, i)
-        pair = build_covering_pair(view, d)
-        parent = assign_parent_edges(view, pair)
+        pair = build_covering_pair(layer_view(graph, layering, i), d)
+        parent = assign_parent_edges(pair)
         pair, analysis = maximize_free_links(
-            pair, lambda pr: analyze_bad_components(view, pr, parent, k), k)
-        plan = plans[i] = compute_interval_plan(layering, view, pair, offset)
+            pair, lambda pr: analyze_bad_components(pr, parent))
+        plan = plans[i] = compute_interval_plan(layering, pair, offset)
         offset = plan.upper
         for lab, eid in enumerate(layering.within_edges[i], start=plan.inner_interval[0]):
             labels[eid] = lab
-        events = _assign_trail_labels(view, pair, analysis, plan, labels, k)
+        events = _assign_trail_labels(pair, analysis, plan, labels)
         _assign_link_labels(pair, analysis, plan, labels)
 
         # partial sums: incident labels but the parent edge's, which is
@@ -264,8 +261,7 @@ def label_graph(graph: Graph, root: int = 0) -> LabelingResult:
         order.sort()
         for lab, (_, u) in enumerate(order, start=plan.parent_interval[0]):
             labels[parent[u]] = lab
-        records[i] = LayerRecord(view, pair, parent, analysis.bad_cids, analysis.free_links,
-                                 events)
+        records[i] = LayerRecord(pair, parent, analysis.bad_cids, analysis.free_links, events)
 
     label_seq = tuple(labels)
 

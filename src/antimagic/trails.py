@@ -74,12 +74,11 @@ class TrailFamily:
         yield from self.open_mixed
 
 
-def residual_edge_sets(view: BipartiteView, pair: CoveringPair,
-                       parent_edge: dict[int, int]) -> AbstractSet[int]:
-    """Trail edge ids: the view's edges minus parent edges and link edges.
-    On a layer without links the residual set is returned as it is, with no
-    copy; no caller mutates it."""
-    residual = view.edge_ends.keys() - parent_edge.values()
+def residual_edge_sets(pair: CoveringPair, parent_edge: dict[int, int]) -> AbstractSet[int]:
+    """Trail edge ids: the pair's view's edges minus parent edges and link
+    edges.  On a layer without links the residual set is returned as it is,
+    with no copy; no caller mutates it."""
+    residual = pair.view.edge_ends.keys() - parent_edge.values()
     if not pair.links:
         return residual
     return residual - pair.link_edge_ids
@@ -202,15 +201,15 @@ def decompose_trails(view: BipartiteView, trail_eids: AbstractSet[int]) -> Trail
     )
 
 
-def detect_bad_components(family: TrailFamily, view: BipartiteView,
-                          pair: CoveringPair, k: int) -> tuple[int, ...]:
+def detect_bad_components(family: TrailFamily, pair: CoveringPair) -> tuple[int, ...]:
     """Ids (smallest vertices), ascending, of the components that are
-    2k-regular with every outer vertex a link end.  Such a component is even,
-    so its closed trail, which starts at its id, visits each of its vertices
-    k times, and a layer without links has none."""
+    2k-regular, for the pair's degree bound d = 2k + 1, with every outer
+    vertex a link end.  Such a component is even, so its closed trail, which
+    starts at its id, visits each of its vertices k times, and a layer
+    without links has none."""
     if not pair.links:
         return ()
-    link_ends = pair.link_ends
+    view, k, link_ends = pair.view, pair.d // 2, pair.link_ends
     bad = []
     for trail in family.closed:
         visits = Counter(trail.vertices[:-1])
@@ -232,12 +231,11 @@ class BadAnalysis:
     free_links: tuple[Link, ...]
 
 
-def analyze_bad_components(view: BipartiteView, pair: CoveringPair,
-                           parent_edge: dict[int, int], k: int) -> BadAnalysis:
-    """Decompose the trail graph and work out which links are free (at least
-    one end outside every bad component)."""
-    family = decompose_trails(view, residual_edge_sets(view, pair, parent_edge))
-    bad_cids = detect_bad_components(family, view, pair, k)
+def analyze_bad_components(pair: CoveringPair, parent_edge: dict[int, int]) -> BadAnalysis:
+    """Decompose the trail graph of the pair's view and work out which links
+    are free (at least one end outside every bad component)."""
+    family = decompose_trails(pair.view, residual_edge_sets(pair, parent_edge))
+    bad_cids = detect_bad_components(family, pair)
     bad_vertices: set[int] = set()
     for trail in family.closed:
         if trail.vertices[0] in bad_cids:
@@ -247,8 +245,7 @@ def analyze_bad_components(view: BipartiteView, pair: CoveringPair,
     return BadAnalysis(family, bad_cids, frozenset(bad_vertices), free)
 
 
-def choose_closed_start(trail: Trail, bad: bool, pair: CoveringPair,
-                        view: BipartiteView, k: int) -> tuple[int, str]:
+def choose_closed_start(trail: Trail, bad: bool, pair: CoveringPair) -> tuple[int, str]:
     """Start vertex and labeling case for the closed trail of a component.
 
     Bad components start at their lowest outer vertex ("bad", low labels
@@ -256,8 +253,9 @@ def choose_closed_start(trail: Trail, bad: bool, pair: CoveringPair,
     a link end ("outer-high"), falling back to a low-degree inner vertex
     ("inner-low"); one of the two always exists in a non-bad component.  The
     trail visits each vertex half its trail degree times, so a degree of at
-    most 2k - 1 is fewer than k visits.
+    most 2k - 1 is fewer than k visits, for the pair's degree bound 2k + 1.
     """
+    view, k = pair.view, pair.d // 2
     visits = Counter(trail.vertices[:-1])
     outer_verts = sorted(v for v in visits if view.side(v) == "outer")
     if bad:

@@ -21,7 +21,7 @@ from typing import AbstractSet, Iterator, Mapping, Sequence
 from .covering import CoveringPair, Link, validate_covering_pair
 from .errors import InternalInvariantError, StressFailure
 from .generate import generate_regular
-from .graph import BipartiteView, Graph, Layering, format_edge_list
+from .graph import Graph, Layering, format_edge_list
 from .labeling import LabelingResult, LayerPlan, LayerRecord, label_graph
 # Not called here: the replay finds bad components itself (_bad_components).
 # The benchmark's tracer (perfbench/tracer.py) patches this module attribute,
@@ -180,7 +180,7 @@ def _layer_pair_sums(i: int, plan: LayerPlan, rec: LayerRecord,
     edges, each between the trail vertices on either side of it, and a
     closed one must have an edge to wrap around; a layer where one does not
     gets that one issue instead, and its sums are not read."""
-    ends = rec.view.edge_ends
+    ends = rec.pair.view.edge_ends
     target = plan.target_pair_sum
     anchor = plan.offset + plan.inner_count
     issues: list[str] = []
@@ -246,10 +246,11 @@ def _walk_issue(i: int, rec: LayerRecord, vertex: int, m: int) -> str:
     return f"layer {i}: trail unit does not walk its edges at vertex {vertex}"
 
 
-def _bad_components(view: BipartiteView, pair: CoveringPair, trail_eids: AbstractSet[int],
+def _bad_components(pair: CoveringPair, trail_eids: AbstractSet[int],
                     k: int) -> tuple[tuple[int, ...], frozenset[int], tuple[Link, ...]]:
-    """(bad component ids ascending, their vertices, free links) of a layer's trail
-    graph, read off its connected components without walking any trail.
+    """(bad component ids ascending, their vertices, free links) of the trail
+    graph of the pair's view, read off its connected components without
+    walking any trail.
 
     A component's id is its smallest vertex, as in the trail builder, and
     the search starts each component there.  A component is bad when every
@@ -260,7 +261,7 @@ def _bad_components(view: BipartiteView, pair: CoveringPair, trail_eids: Abstrac
         return (), frozenset(), ()
     adj: dict[int, list[int]] = {}
     outer: set[int] = set()
-    ends = view.edge_ends
+    ends = pair.view.edge_ends
     for eid in trail_eids:
         x, y = ends[eid]
         adj.setdefault(x, []).append(y)
@@ -297,13 +298,13 @@ def _replay_layer(result: LabelingResult, i: int, labels: Sequence[int], sums: S
                   within: Sequence[int], cross: Sequence[int], stats: dict) -> list[str]:
     """Every check of layer i: the parent map, the trail units' coverage and
     cursor replay, their pair sums, bad components, the link labels, the
-    partial-sum bounds and parent order, the covering pair, the cross-edge
-    count and the interval of each of the layer's edges.  `within` and
-    `cross` are its within-layer and cross edge ids, split from the graph by
-    the caller.  The layer's link and bad-component counts and its slacks
-    are folded into `stats`."""
+    partial-sum bounds and parent order, the covering pair and its degree
+    bound against 2k + 1, the cross-edge count and the interval of each of
+    the layer's edges.  `within` and `cross` are its within-layer and cross
+    edge ids, split from the graph by the caller.  The layer's link and
+    bad-component counts and its slacks are folded into `stats`."""
     plan, rec, k = result.plans[i], result.layers[i], result.k
-    view, pair, parent_edge = rec.view, rec.pair, rec.parent_edge
+    pair, parent_edge, view = rec.pair, rec.parent_edge, rec.pair.view
     link_eids = pair.link_edge_ids
     issues: list[str] = []
 
@@ -351,7 +352,7 @@ def _replay_layer(result: LabelingResult, i: int, labels: Sequence[int], sums: S
         issues.append(f"layer {i}: trail units do not cover the trail graph exactly")
     issues += _layer_pair_sums(i, plan, rec, labels)
 
-    bad_cids, bad_vertices, free_links = _bad_components(view, pair, trail_eids, k)
+    bad_cids, bad_vertices, free_links = _bad_components(pair, trail_eids, k)
     if bad_cids != rec.bad_cids or free_links != rec.free_links:
         issues.append(f"layer {i}: recomputed bad components disagree with the record")
     if bad_cids:
@@ -398,6 +399,8 @@ def _replay_layer(result: LabelingResult, i: int, labels: Sequence[int], sums: S
                 issues.append(f"layer {i}: parent edge of vertex {u} carries "
                               f"label {labels[parent_edge[u]]}, expected {lab}")
 
+    if pair.d != 2 * k + 1:
+        issues.append(f"layer {i}: covering pair degree bound {pair.d}, expected {2 * k + 1}")
     try:
         validate_covering_pair(pair)
     except InternalInvariantError as exc:

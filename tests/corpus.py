@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from antimagic import BipartiteView, Graph, bfs_layering, layer_view
+from antimagic import BipartiteView, Graph, bfs_layering, bipartite_view, layer_view
 from antimagic.covering import CoveringPair, Link, pad_to_biregular
 
 
@@ -119,7 +119,7 @@ def random_bounded_bipartite(rng: random.Random, d: int, max_inner: int = 8,
             edges.append((x, y, len(edges)))
             deg[x] += 1
             deg[y] += 1
-    return BipartiteView(1, inner, outer, tuple(edges))
+    return bipartite_view(1, inner, outer, tuple(edges))
 
 
 def padded_layer_two(a: int) -> BipartiteView:
@@ -162,7 +162,7 @@ def free_link_gadget():
     for x, y in matching_pairs:
         matching_eids.append(len(triples))
         add(x, y)
-    view = BipartiteView(1, tuple(range(12)), tuple(range(12, 18)), tuple(triples))
+    view = bipartite_view(1, tuple(range(12)), tuple(range(12, 18)), tuple(triples))
     pair = CoveringPair(view, 3, [Link.of(2, 12, 13), Link.of(3, 14, 15)], matching_eids)
     parent_edge = {y: pair.matching_edge(y) for y in view.outer}
     return view, pair, parent_edge

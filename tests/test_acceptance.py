@@ -69,9 +69,8 @@ def test_criterion_4_bad_component_bounds(stress_summary):
     from antimagic.covering import maximize_free_links
     from antimagic.trails import analyze_bad_components
 
-    view, pair, parent = free_link_gadget()
-    new_pair, analysis = maximize_free_links(
-        pair, lambda p: analyze_bad_components(view, p, parent, 1), 1)
+    _, pair, parent = free_link_gadget()
+    new_pair, analysis = maximize_free_links(pair, lambda p: analyze_bad_components(p, parent))
     assert analysis.bad_cids and len(analysis.free_links) >= 1
     print(f"criterion 4: PASS (suite clean; gadget reaches "
           f"{len(analysis.free_links)} free links with a bad component present)")

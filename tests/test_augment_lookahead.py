@@ -86,7 +86,8 @@ class CountingView(BipartiteView):
     __slots__ = ("read",)
 
     def __init__(self, view: BipartiteView):
-        super().__init__(view.index, view.inner, view.outer, view.edges)
+        super().__init__(view.index, view.inner, view.outer,
+                         {v: view.incident(v) for v in (*view.inner, *view.outer)})
         self.read = 0
 
     def incident(self, v):

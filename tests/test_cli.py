@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from antimagic import (InternalInvariantError, format_edge_list, generate_regular, label_graph,
-                       verify_antimagic)
+from antimagic import (InternalInvariantError, check_construction, format_edge_list,
+                       generate_regular, label_graph, verify_antimagic)
 from antimagic.cli import main
+from antimagic.verify import stress_instances
 from antimagic.documents import HEADER, render_document
 from corpus import complete_graph, cycle_graph, two_disjoint_k5
 from test_documents import mutated_documents
@@ -196,6 +197,43 @@ class TestGenAndStress:
     def test_stress_single_degree(self, capsys):
         assert main(["stress", "--count", "4", "--n", "16", "--degree", "4"]) == 0
         assert "4/4 passed" in capsys.readouterr().out
+
+    STRESS_ARGS = ["stress", "--count", "4", "--n", "16", "--seed", "1"]
+
+    @staticmethod
+    def assert_failure_reported(capsys, message):
+        # the verb's own instance stream: n-min 8, degrees 4, 6, 8
+        _, n, degree, gseed, graph = list(stress_instances(4, 8, 16, [4, 6, 8], 1))[2]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"stress failure: instance 2 (n={n}, degree={degree}, seed={gseed}): {message}\n"
+            f"# n={n} degree={degree} seed={gseed}\n{format_edge_list(graph)}")
+
+    def test_stress_labeling_failure_exits_2(self, monkeypatch, capsys):
+        calls = []
+
+        def failing(graph, root=0):
+            calls.append(graph)
+            if len(calls) == 3:
+                raise InternalInvariantError("forged failure")
+            return label_graph(graph, root)
+
+        monkeypatch.setattr("antimagic.verify.label_graph", failing)
+        assert main(self.STRESS_ARGS) == 2
+        self.assert_failure_reported(capsys, "forged failure")
+
+    def test_stress_replay_issue_exits_2(self, monkeypatch, capsys):
+        calls = []
+
+        def reporting(result):
+            calls.append(result)
+            issues, stats = check_construction(result)
+            return (["forged issue"] if len(calls) == 3 else issues), stats
+
+        monkeypatch.setattr("antimagic.verify.check_construction", reporting)
+        assert main(self.STRESS_ARGS) == 2
+        self.assert_failure_reported(capsys, "forged issue")
 
 
 class TestUsage:

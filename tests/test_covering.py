@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from antimagic import (BipartiteView, GraphShapeError, InternalInvariantError,
-                       bfs_layering, build_covering_pair, covering, layer_view,
-                       validate_covering_pair)
+                       bfs_layering, bipartite_view, build_covering_pair, covering,
+                       layer_view, validate_covering_pair)
 from antimagic.covering import (CoveringPair, Link, _candidate_moves, _link_search_pair, _LinkSearch,
                                 _potential, hall_matching, maximize_free_links,
                                 maximize_link_family, pad_to_biregular, restrict_and_reduce)
@@ -21,7 +21,7 @@ from corpus import (complete_bipartite, complete_graph, free_link_gadget, padded
 
 def make_view(inner, outer, pairs):
     triples = tuple((x, y, eid) for eid, (x, y) in enumerate(pairs))
-    return BipartiteView(1, tuple(inner), tuple(outer), triples)
+    return bipartite_view(1, tuple(inner), tuple(outer), triples)
 
 
 def covering_pair_exists(view: BipartiteView, d: int) -> bool:
@@ -160,7 +160,7 @@ class TestPadding:
     def test_empty_view_unchanged(self):
         # no deficiency to pad; `build_covering_pair` matches an empty view
         # first, so it never reaches the padding
-        view = BipartiteView(1, (), (), ())
+        view = bipartite_view(1, (), (), ())
         assert pad_to_biregular(view, 3) is view
 
     def test_single_edge_worked_example(self):
@@ -228,7 +228,7 @@ def reference_pad_to_biregular(view: BipartiteView, d: int) -> BipartiteView:
             for y in gadget_outer:
                 edges.append((x, y, eid))
                 eid += 1
-        return BipartiteView(view.index, gadget_inner, gadget_outer, tuple(edges))
+        return bipartite_view(view.index, gadget_inner, gadget_outer, tuple(edges))
 
     inner_def = {x: d - view.degree(x) for x in view.inner if view.degree(x) < d}
     outer_def = {y: d + 1 - view.degree(y) for y in view.outer if view.degree(y) < d + 1}
@@ -294,7 +294,7 @@ def reference_pad_to_biregular(view: BipartiteView, d: int) -> BipartiteView:
         if any(cap.values()):
             raise InternalInvariantError("padding left unused fresh inner capacity")
 
-    padded = BipartiteView(
+    padded = bipartite_view(
         index=view.index,
         inner=tuple(view.inner) + tuple(fresh_inner),
         outer=tuple(view.outer) + tuple(privates) + tuple(fillers),
@@ -547,6 +547,32 @@ class TestBuildCoveringPair:
         pair = build_covering_pair(view, 5)
         assert forbidden_sets == [pair.centers]
 
+    def test_hall_fails_behind_the_count_guard(self, monkeypatch):
+        # six full-degree inner vertices face six outer vertices, so the
+        # plain matching is tried; but inner 0..5 share the five outer
+        # vertices 10..14, so it fails at inner vertex 5 and the link
+        # search gives the pair
+        view = make_view(range(7), range(10, 16),
+                         [(x, y) for x in range(6) for y in range(10, 15)] + [(6, 15)])
+        with pytest.raises(InternalInvariantError, match="inner vertex 5$"):
+            hall_matching(view, 5)
+        forbidden_sets = []
+
+        def spy(v, d, forbidden=frozenset()):
+            forbidden_sets.append(forbidden)
+            return hall_matching(v, d, forbidden)
+
+        monkeypatch.setattr(covering, "hall_matching", spy)
+        pair = build_covering_pair(view, 5)
+        # the plain matching first, then the link search's on the padded view
+        plain, padded = forbidden_sets
+        assert plain == frozenset() and pair.centers <= padded
+        assert pair.links == (Link(0, 10, 11),)
+        assert pair.matching == {5, 11, 17, 23, 29}
+        validate_covering_pair(pair)
+        searched = _link_search_pair(view, 5)
+        assert (searched.links, searched.matching) == (pair.links, pair.matching)
+
     def test_small_degree_rejected(self):
         view = make_view([0], [1], [(0, 1)])
         with pytest.raises(GraphShapeError):
@@ -669,19 +695,19 @@ class TestMatchingFirstDifferential:
 
 class TestFreeLinkExchange:
     def test_gadget_starts_with_no_free_links(self):
-        view, pair, parent = free_link_gadget()
+        _, pair, parent = free_link_gadget()
         validate_covering_pair(pair)
-        analysis = analyze_bad_components(view, pair, parent, k=1)
+        analysis = analyze_bad_components(pair, parent)
         assert len(analysis.bad_cids) == 2
         assert len(analysis.free_links) == 0
 
     def test_exchange_reaches_required_free_links(self):
-        view, pair, parent = free_link_gadget()
+        _, pair, parent = free_link_gadget()
 
         def analyze(p):
-            return analyze_bad_components(view, p, parent, 1)
+            return analyze_bad_components(p, parent)
 
-        new_pair, analysis = maximize_free_links(pair, analyze, k=1)
+        new_pair, analysis = maximize_free_links(pair, analyze)
         validate_covering_pair(new_pair)
         assert analysis.bad_cids  # one bad 4-cycle survives the exchange
         assert len(analysis.free_links) >= 1
@@ -690,26 +716,26 @@ class TestFreeLinkExchange:
         assert new_pair.matching == pair.matching
 
     def test_exchange_preserves_parent_edges(self):
-        view, pair, parent = free_link_gadget()
+        _, pair, parent = free_link_gadget()
 
         def analyze(p):
-            return analyze_bad_components(view, p, parent, 1)
+            return analyze_bad_components(p, parent)
 
-        new_pair, _ = maximize_free_links(pair, analyze, k=1)
+        new_pair, _ = maximize_free_links(pair, analyze)
         assert not set(parent.values()) & new_pair.link_edge_ids
 
     def test_exchange_candidates_in_order(self):
         # every pair analyzed, in call order: the start, the first candidate
         # (end 12 moved to 16), accepted because it frees both links, then
         # the four candidates of the exchanged pair, none of which frees more
-        view, pair, parent = free_link_gadget()
+        _, pair, parent = free_link_gadget()
         analyzed = []
 
         def analyze(p):
             analyzed.append([(l.center, l.end_a, l.end_b) for l in p.links])
-            return analyze_bad_components(view, p, parent, 1)
+            return analyze_bad_components(p, parent)
 
-        new_pair, analysis = maximize_free_links(pair, analyze, k=1)
+        new_pair, analysis = maximize_free_links(pair, analyze)
         assert analyzed == [
             [(2, 12, 13), (3, 14, 15)],
             [(2, 13, 16), (3, 14, 15)],

@@ -14,7 +14,7 @@ import pytest
 from antimagic import generate_regular, label_graph, labeling
 from antimagic.covering import CoveringPair, Link, maximize_free_links
 from antimagic.errors import InternalInvariantError
-from antimagic.graph import BipartiteView
+from antimagic.graph import BipartiteView, bipartite_view
 from antimagic.labeling import LayerPlan, TrailEvent
 from antimagic.trails import analyze_bad_components, choose_closed_start, rotate_closed
 from antimagic.verify import stress_instances
@@ -59,8 +59,7 @@ def reference_assign_trail_labels(view, pair, analysis, plan, labels, k):
         events.append(TrailEvent(kind, trails, case))
 
     for trail in sorted(family.closed, key=lambda t: min(t.edges)):
-        start, case = choose_closed_start(trail, trail.vertices[0] in analysis.bad_cids,
-                                          pair, view, k)
+        start, case = choose_closed_start(trail, trail.vertices[0] in analysis.bad_cids, pair)
         emit("closed", (rotate_closed(trail, start),), case, case == "outer-high")
 
     for trail in family.open_inner:
@@ -101,14 +100,15 @@ def reference_assign_link_labels(pair, analysis, plan, labels):
         labels[e_high] = base + c - idx + 1
 
 
-def assert_dealt_alike(view, pair, analysis, plan, m, k, seen: Counter,
+def assert_dealt_alike(pair, analysis, plan, m, seen: Counter,
                        assign=labeling._assign_trail_labels) -> None:
     """Deal one layer's trail and link intervals both ways on fresh label
     lists of length m, the trail interval by `assign`; count the layer's
     units by (kind, case) and its links."""
     ref_labels, labels = [0] * m, [0] * m
-    ref_events = reference_assign_trail_labels(view, pair, analysis, plan, ref_labels, k)
-    events = assign(view, pair, analysis, plan, labels, k)
+    ref_events = reference_assign_trail_labels(pair.view, pair, analysis, plan, ref_labels,
+                                               pair.d // 2)
+    events = assign(pair, analysis, plan, labels)
     assert events == ref_events
     assert labels == ref_labels
     reference_assign_link_labels(pair, analysis, plan, ref_labels)
@@ -124,9 +124,9 @@ def dealt_alike(monkeypatch, graphs) -> list[Counter]:
     assign = labeling._assign_trail_labels
     seen = Counter()
 
-    def comparing(view, pair, analysis, plan, labels, k):
-        assert_dealt_alike(view, pair, analysis, plan, len(labels), k, seen, assign)
-        return assign(view, pair, analysis, plan, labels, k)
+    def comparing(pair, analysis, plan, labels):
+        assert_dealt_alike(pair, analysis, plan, len(labels), seen, assign)
+        return assign(pair, analysis, plan, labels)
 
     monkeypatch.setattr(labeling, "_assign_trail_labels", comparing)
     counts = []
@@ -155,7 +155,7 @@ def inner_low_view():
     Outer: 7 and 8."""
     triples = [(x, y, 2 * x + y - 7) for x in range(4) for y in (7, 8)]
     triples += [(4, 7, 8), (4, 8, 9), (5, 7, 10), (6, 8, 11)]
-    view = BipartiteView(1, tuple(range(7)), (7, 8), tuple(triples))
+    view = bipartite_view(1, tuple(range(7)), (7, 8), tuple(triples))
     pair = CoveringPair(view, 5, [Link.of(4, 7, 8)], [10, 11])
     return view, pair, {7: 10, 8: 11}
 
@@ -195,29 +195,28 @@ class TestDealtAlikeOnGadgets:
         view, pair, parent = free_link_gadget()
 
         def analyze(p):
-            return analyze_bad_components(view, p, parent, 1)
+            return analyze_bad_components(p, parent)
 
         seen = Counter()
         analysis = analyze(pair)
         assert len(analysis.bad_cids) == 2 and not analysis.free_links
-        assert_dealt_alike(view, pair, analysis, plan_of(view, pair), view.edge_count, 1, seen)
+        assert_dealt_alike(pair, analysis, plan_of(view, pair), view.edge_count, seen)
         assert seen[("closed", "bad")] == 2
 
         seen.clear()
-        exchanged, analysis = maximize_free_links(pair, analyze, 1)
+        exchanged, analysis = maximize_free_links(pair, analyze)
         assert len(analysis.bad_cids) == 1
         # a free link with one end in the surviving bad component, which is
         # its low end although it is the link's larger end
         assert any(link.end_b in analysis.bad_vertices and link.end_a not in analysis.bad_vertices
                    for link in analysis.free_links)
-        assert_dealt_alike(view, exchanged, analysis, plan_of(view, exchanged),
-                           view.edge_count, 1, seen)
+        assert_dealt_alike(exchanged, analysis, plan_of(view, exchanged), view.edge_count, seen)
         assert seen[("closed", "bad")] == 1
 
     def test_inner_low_start(self):
         view, pair, parent = inner_low_view()
-        analysis = analyze_bad_components(view, pair, parent, 2)
+        analysis = analyze_bad_components(pair, parent)
         assert not analysis.bad_cids
         seen = Counter()
-        assert_dealt_alike(view, pair, analysis, plan_of(view, pair), view.edge_count, 2, seen)
+        assert_dealt_alike(pair, analysis, plan_of(view, pair), view.edge_count, seen)
         assert seen == Counter({("closed", "inner-low"): 1, "links": 1})

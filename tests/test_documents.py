@@ -262,6 +262,12 @@ class TestMatching:
         with pytest.raises(GraphFormatError, match="declares 3 vertices"):
             labels_for_graph(g, doc)
 
+    def test_declared_edge_count_checked(self):
+        g = parse_edge_list("0 1\n1 2\n0 2\n")
+        doc = parse_document(f"{HEADER}\ngraph 3 2\nedge 0 1 1\nedge 1 2 2\nedge 0 2 3\n")
+        with pytest.raises(GraphFormatError, match="declares 2 edges, graph has 3"):
+            labels_for_graph(g, doc)
+
     def test_first_missing_edge_is_named(self):
         g = parse_edge_list("0 1\n1 2\n2 3\n")
         doc = parse_document(f"{HEADER}\nedge 0 1 1\nedge 1 3 2\nedge 0 3 3\n")

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from antimagic import (BipartiteView, Graph, GraphFormatError, GraphShapeError, bfs_layering,
+from antimagic import (Graph, GraphFormatError, GraphShapeError, bfs_layering, bipartite_view,
                        format_edge_list, generate_regular, label_graph, layer_view,
                        parse_edge_list, validate_even_regular)
 from antimagic.verify import stress_instances
@@ -113,6 +113,17 @@ class TestValidateEvenRegular:
             label_graph(two_disjoint_k5())
 
 
+class TestGenerateRegular:
+    @pytest.mark.parametrize("n, degree, message", [
+        (0, 4, "need at least one vertex"),
+        (5, 0, "degree must be positive"),
+        (7, 3, "no 3-regular graph on 7 vertices: odd stub count"),
+    ])
+    def test_impossible_requests_rejected(self, n, degree, message):
+        with pytest.raises(GraphShapeError, match=message):
+            generate_regular(n, degree, 0)
+
+
 class TestLayering:
     def test_k5_single_layer(self):
         lay = bfs_layering(complete_graph(5), 0)
@@ -183,9 +194,18 @@ class TestLayerView:
         shuffled = list(triples)
         random.Random(5).shuffle(shuffled)
         assert shuffled != triples
-        view = BipartiteView(1, (0, 1, 2), (3, 4, 5, 6), tuple(shuffled))
+        view = bipartite_view(1, (0, 1, 2), (3, 4, 5, 6), tuple(shuffled))
         assert view.edges == tuple(triples)
-        assert view == BipartiteView(1, (0, 1, 2), (3, 4, 5, 6), tuple(triples))
+        assert view == bipartite_view(1, (0, 1, 2), (3, 4, 5, 6), tuple(triples))
+
+    def test_vertex_on_both_sides_rejected(self):
+        with pytest.raises(GraphShapeError, match="vertex 1 on both sides"):
+            bipartite_view(1, (0, 1), (1, 2), ((0, 2, 0),))
+
+    def test_edge_that_does_not_cross_rejected(self):
+        # an edge must run from an inner vertex to an outer one, in that order
+        with pytest.raises(GraphShapeError, match=r"view edge \(2, 0\) does not cross"):
+            bipartite_view(1, (0, 1), (2, 3), ((0, 2, 0), (2, 0, 1)))
 
 
 def _graphs_with_roots():
@@ -247,8 +267,8 @@ def _full_scan_view(g, lay, index):
 
 
 class TestLayerViewMatchesFullScan:
-    """layer_view filters the graph's sorted incidence; the constructor builds
-    a view from its edge list.  On a full scan's edges both must give the
+    """layer_view passes the layering's split of the graph's sorted incidence;
+    bipartite_view builds a view from its edge list.  On a full scan's edges both must give the
     same view, dict order included, since later stages iterate those dicts."""
 
     def _assert_all_layers(self, g):
@@ -256,7 +276,7 @@ class TestLayerViewMatchesFullScan:
             lay = bfs_layering(g, root)
             for i in range(1, lay.depth + 1):
                 view = layer_view(g, lay, i)
-                ref = BipartiteView(i, *_full_scan_view(g, lay, i))
+                ref = bipartite_view(i, *_full_scan_view(g, lay, i))
                 assert view == ref
                 for name in ("_side", "_adj", "_ends"):
                     assert list(getattr(view, name).items()) == list(getattr(ref, name).items())

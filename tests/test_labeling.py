@@ -124,8 +124,7 @@ class TestClosedUnitGolden:
         rec = res.layers[3]
         unit, = rec.events
         assert (unit.kind, unit.case) == ("closed", "outer-high")
-        walked, = trails.analyze_bad_components(rec.view, rec.pair, rec.parent_edge,
-                                                res.k).family.closed
+        walked, = trails.analyze_bad_components(rec.pair, rec.parent_edge).family.closed
         turned = walked.edges[::-1]
         dealt = unit.trails[0].edges
         assert dealt in {turned[j:] + turned[:j] for j in range(len(turned))}
@@ -270,9 +269,9 @@ class TestTrailsDealtAsGiven:
         assign = labeling._assign_trail_labels
         layers = []
 
-        def recording(view, pair, analysis, plan, labels, k):
-            events = assign(view, pair, analysis, plan, labels, k)
-            layers.append((view, analysis.family, events))
+        def recording(pair, analysis, plan, labels):
+            events = assign(pair, analysis, plan, labels)
+            layers.append((pair.view, analysis.family, events))
             return events
 
         monkeypatch.setattr(labeling, "_assign_trail_labels", recording)

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from antimagic import check_construction, generate_regular, label_graph, verify_antimagic
+from antimagic.covering import CoveringPair
 from antimagic.labeling import TrailEvent
 from antimagic.trails import Trail
 from corpus import circulant, complete_bipartite, complete_graph, hypercube, shuffled_circulant
@@ -32,6 +33,8 @@ GRAPHS = {
     "Q4": lambda: hypercube(4),
     # three layers: layer 3 has trail edges, layer 2 within-layer edges
     "R40": lambda: generate_regular(40, 6, 3),
+    # k = 2; layer 3's pair is one matching edge, 56, of inner vertex 51
+    "R60": lambda: generate_regular(60, 6, 1),
 }
 
 
@@ -74,14 +77,14 @@ def trail_eids(res, i):
 
 def parent_pair(res, i):
     rec = res.layers[i]
-    u, w = rec.view.outer[:2]
+    u, w = rec.pair.view.outer[:2]
     return rec.parent_edge[u], rec.parent_edge[w]
 
 
 def link_pair(res, i):
     rec = res.layers[i]
     link = rec.pair.links[0]
-    return tuple(rec.view.edge_between(link.center, end) for end in link.ends)
+    return tuple(rec.pair.view.edge_between(link.center, end) for end in link.ends)
 
 
 TAMPERS = {}
@@ -120,7 +123,7 @@ def _():
 def _():
     res = labeled("R40")
     rec = res.layers[2]
-    a, b = rec.view.outer[:2]
+    a, b = rec.pair.view.outer[:2]
     return with_layer(res, 2, parent_edge={**rec.parent_edge, a: rec.parent_edge[b]})
 
 
@@ -130,7 +133,7 @@ def _():
     # end's parent edge any more
     res = labeled("R40")
     rec = res.layers[2]
-    a, b = rec.view.outer[:2]
+    a, b = rec.pair.view.outer[:2]
     return with_layer(res, 2, parent_edge={**rec.parent_edge, a: rec.parent_edge[b],
                                            b: rec.parent_edge[a]})
 
@@ -139,7 +142,7 @@ def _():
 def _():
     res = labeled("R40")
     rec = res.layers[2]
-    a = rec.view.outer[0]
+    a = rec.pair.view.outer[0]
     return with_layer(res, 2, parent_edge={u: e for u, e in rec.parent_edge.items() if u != a})
 
 
@@ -168,7 +171,7 @@ for _vertex in (10 ** 6, 3, 1):
 def _():
     res = labeled("R40")
     rec = res.layers[3]
-    v = rec.view.inner[0]
+    v = rec.pair.view.inner[0]
     empty = TrailEvent("closed", (Trail((v,), (), closed=True),), "inner-low")
     return with_layer(res, 3, events=rec.events + (empty,))
 
@@ -210,7 +213,7 @@ def _():
     res = labeled("K6,6")
     rec = res.layers[2]
     link = rec.pair.links[0]
-    eid = rec.view.edge_between(link.center, link.end_a)
+    eid = rec.pair.view.edge_between(link.center, link.end_a)
     return with_layer(res, 2, parent_edge={**rec.parent_edge, link.end_a: eid})
 
 
@@ -258,6 +261,15 @@ def _():
     res = labeled("R40")
     plan = dataclasses.replace(res.plans[2], offset=res.plans[2].offset + 1)
     return dataclasses.replace(res, plans={**res.plans, 2: plan})
+
+
+@tamper("covering pair degree bound forged, R60 layer 3")
+def _():
+    # without edge 56, full-degree inner vertex 51 is uncovered at d = 5; at
+    # d = 7 no inner vertex has full degree, so only the bound shows it
+    res = labeled("R60")
+    pair = res.layers[3].pair
+    return with_layer(res, 3, pair=CoveringPair(pair.view, 7, pair.links, pair.matching - {56}))
 
 
 @tamper("parent labels swapped in layers 3 and 1, R40")

@@ -15,7 +15,7 @@ from collections import Counter, namedtuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from antimagic import BipartiteView, InternalInvariantError, label_graph
+from antimagic import InternalInvariantError, bipartite_view, label_graph
 from antimagic.covering import CoveringPair, Link, maximize_free_links
 from antimagic.trails import (Trail, analyze_bad_components, choose_closed_start,
                               decompose_trails, detect_bad_components, residual_edge_sets,
@@ -26,7 +26,7 @@ from corpus import complete_bipartite, free_link_gadget, random_bounded_bipartit
 
 def make_view(inner, outer, pairs):
     triples = tuple((x, y, eid) for eid, (x, y) in enumerate(pairs))
-    return BipartiteView(1, tuple(inner), tuple(outer), triples)
+    return bipartite_view(1, tuple(inner), tuple(outer), triples)
 
 
 def assert_valid_walk(view, trail):
@@ -517,7 +517,7 @@ def shuffled_view_and_subset(seed):
     edges = list(base.edges) + ring
     for seq in (inner, outer, edges):
         rng.shuffle(seq)
-    view = BipartiteView(1, tuple(inner), tuple(outer), tuple(edges))
+    view = bipartite_view(1, tuple(inner), tuple(outer), tuple(edges))
     keep = rng.random()
     rest = (eid for _, _, eid in base.edges if rng.random() < keep)
     return view, frozenset(eid for _, _, eid in ring).union(rest)
@@ -544,7 +544,7 @@ def shuffled_even_view(seed):
             pairs.extend(cycle)
     edges = [(x, y, eid) for eid, (x, y) in enumerate(pairs)]
     rng.shuffle(edges)
-    view = BipartiteView(1, tuple(inner), tuple(outer), tuple(edges))
+    view = bipartite_view(1, tuple(inner), tuple(outer), tuple(edges))
     return view, frozenset(range(len(edges)))
 
 
@@ -592,10 +592,11 @@ def assert_same_family(fam, ref, walked):
                 == sorted(e for t in theirs[cid] for e in t.edges))
 
 
-def assert_same_analysis(view, pair, parent_edge, k):
+def assert_same_analysis(pair, parent_edge):
     """analyze_bad_components gives the reference analysis's family, bad
     component ids, bad vertices and free links; returns the analysis."""
-    analysis = analyze_bad_components(view, pair, parent_edge, k)
+    view, k = pair.view, pair.d // 2
+    analysis = analyze_bad_components(pair, parent_edge)
     ref_family, ref_bad, ref_vertices, ref_free = reference_analyze_bad_components(
         view, pair, parent_edge, k)
     walked, _ = walk_and_splice_decompose_trails(
@@ -693,26 +694,25 @@ class TestAnalysisDifferential:
             res = label_graph(g, root)
             rec = res.layers[2]
             assert rec.pair.links
-            analysis = assert_same_analysis(rec.view, rec.pair, rec.parent_edge, res.k)
+            analysis = assert_same_analysis(rec.pair, rec.parent_edge)
             assert analysis.free_links == rec.free_links
 
     def test_free_link_gadget_before_and_after_exchange(self):
-        view, pair, parent = free_link_gadget()
-        analysis = assert_same_analysis(view, pair, parent, 1)
+        _, pair, parent = free_link_gadget()
+        analysis = assert_same_analysis(pair, parent)
         assert len(analysis.bad_cids) == 2 and not analysis.free_links
-        exchanged, _ = maximize_free_links(
-            pair, lambda p: assert_same_analysis(view, p, parent, 1), 1)
-        analysis = assert_same_analysis(view, exchanged, parent, 1)
+        exchanged, _ = maximize_free_links(pair, lambda p: assert_same_analysis(p, parent))
+        analysis = assert_same_analysis(exchanged, parent)
         assert analysis.bad_cids and analysis.free_links
 
     @staticmethod
-    def assert_named_alike(view, pair, parent_edge, k):
-        """The trail stage and the replay's own search give the same bad
-        component ids and free links, and each id is the smallest vertex of
-        its component; returns the analysis."""
-        analysis = analyze_bad_components(view, pair, parent_edge, k)
-        trail_eids = residual_edge_sets(view, pair, parent_edge)
-        bad_cids, _, free_links = _bad_components(view, pair, trail_eids, k)
+    def assert_named_alike(pair, parent_edge, k):
+        """The trail stage and the replay's own search, at the replay's k, give
+        the same bad component ids and free links, and each id is the
+        smallest vertex of its component; returns the analysis."""
+        analysis = analyze_bad_components(pair, parent_edge)
+        trail_eids = residual_edge_sets(pair, parent_edge)
+        bad_cids, _, free_links = _bad_components(pair, trail_eids, k)
         assert (bad_cids, free_links) == (analysis.bad_cids, analysis.free_links)
         closed = {t.vertices[0]: t for t in analysis.family.closed}
         for cid in bad_cids:
@@ -726,20 +726,20 @@ class TestAnalysisDifferential:
             for root in (0, g.n - 1):
                 res = label_graph(g, root)
                 rec = res.layers[2]
-                self.assert_named_alike(rec.view, rec.pair, rec.parent_edge, res.k)
+                self.assert_named_alike(rec.pair, rec.parent_edge, res.k)
                 views += 1
-        view, pair, parent = free_link_gadget()
+        _, pair, parent = free_link_gadget()
         # the 4-cycles 12-0-14-1 and 13-4-15-5, named by their smallest
         # vertices, not by their places (0 and 3) among the four components
-        assert self.assert_named_alike(view, pair, parent, 1).bad_cids == (0, 4)
+        assert self.assert_named_alike(pair, parent, 1).bad_cids == (0, 4)
 
         def analyze(p):
             nonlocal views
             views += 1
-            return self.assert_named_alike(view, p, parent, 1)
+            return self.assert_named_alike(p, parent, 1)
 
-        exchanged, _ = maximize_free_links(pair, analyze, 1)
-        analysis = self.assert_named_alike(view, exchanged, parent, 1)
+        exchanged, _ = maximize_free_links(pair, analyze)
+        analysis = self.assert_named_alike(exchanged, parent, 1)
         assert analysis.bad_cids == (4,)
         assert views > 40
 
@@ -751,7 +751,7 @@ class TestAnalysisDifferential:
                           (6, 10), (7, 11), (8, 12)])
         pair = CoveringPair(view, 3, [Link.of(2, 10, 12)], [6, 7, 8])
         parent = {y: pair.matching_edge(y) for y in view.outer}
-        analysis = assert_same_analysis(view, pair, parent, 1)
+        analysis = assert_same_analysis(pair, parent)
         assert [t.edges for t in analysis.family.closed] == [(0, 2, 3, 1)]
         assert analysis.bad_cids == () and analysis.free_links == pair.links
 
@@ -760,7 +760,7 @@ class TestResidual:
     def test_gadget_split(self):
         # every view edge is a parent edge, a link edge or a trail edge
         view, pair, parent = free_link_gadget()
-        trail = residual_edge_sets(view, pair, parent)
+        trail = residual_edge_sets(pair, parent)
         links = set(pair.link_edge_ids)
         assert pair.links and len(links) == 2 * len(pair.links)
         assert trail.isdisjoint(links) and trail.isdisjoint(parent.values())
@@ -770,13 +770,13 @@ class TestResidual:
     def test_without_links_only_parent_edges_go(self):
         view = make_view([0, 1], [2, 3], [(0, 2), (0, 3), (1, 2), (1, 3)])
         pair = CoveringPair(view, 3, [], [])
-        assert residual_edge_sets(view, pair, {2: 0, 3: 3}) == {1, 2}
+        assert residual_edge_sets(pair, {2: 0, 3: 3}) == {1, 2}
 
 
 class TestBadComponents:
     def test_gadget_has_two_bad_cycles(self):
         view, pair, parent = free_link_gadget()
-        analysis = analyze_bad_components(view, pair, parent, 1)
+        analysis = analyze_bad_components(pair, parent)
         # the 4-cycles 12-0-14-1 and 13-4-15-5, named by their smallest vertex
         assert analysis.bad_cids == (0, 4)
         closed = {t.vertices[0]: t for t in analysis.family.closed}
@@ -789,22 +789,23 @@ class TestBadComponents:
     def test_four_regular_component_is_bad_at_k2(self):
         # K_{4,4} on inner 0..3 and outer 10..13, every outer vertex a link
         # end: its closed trail visits each vertex twice, so it is bad at
-        # k = 2 only
+        # k = 2 (d = 5) only
         pairs = [(x, y) for x in range(4) for y in (10, 11, 12, 13)]
         view = make_view([0, 1, 2, 3, 4, 5], [10, 11, 12, 13],
                          pairs + [(4, 10), (4, 11), (5, 12), (5, 13)])
-        pair = CoveringPair(view, 5, [Link.of(4, 10, 11), Link.of(5, 12, 13)], [])
+        links = [Link.of(4, 10, 11), Link.of(5, 12, 13)]
+        pair = CoveringPair(view, 5, links, [])
         fam = decompose_trails(view, frozenset(range(len(pairs))))
         assert [t.vertices[0] for t in fam.closed] == [0]
-        assert detect_bad_components(fam, view, pair, 2) == (0,)
-        assert detect_bad_components(fam, view, pair, 1) == ()
-        assert choose_closed_start(fam.closed[0], True, pair, view, 2) == (10, "bad")
+        assert detect_bad_components(fam, pair) == (0,)
+        assert detect_bad_components(fam, CoveringPair(view, 3, links, [])) == ()
+        assert choose_closed_start(fam.closed[0], True, pair) == (10, "bad")
 
     def test_cycle_with_non_link_outer_is_not_bad(self):
         view = make_view([0, 1], [2, 3], [(0, 2), (0, 3), (1, 2), (1, 3)])
         pair = CoveringPair(view, 3, [], [])
         fam = decompose_trails(view, frozenset(range(4)))
-        assert detect_bad_components(fam, view, pair, 1) == ()
+        assert detect_bad_components(fam, pair) == ()
 
 
 class TestOrientation:
@@ -827,11 +828,11 @@ class TestOrientation:
 class TestClosedStart:
     def test_bad_component_starts_at_lowest_outer(self):
         view, pair, parent = free_link_gadget()
-        analysis = analyze_bad_components(view, pair, parent, 1)
+        analysis = analyze_bad_components(pair, parent)
         closed = {t.vertices[0]: t for t in analysis.family.closed}
         for cid in analysis.bad_cids:
             trail = closed[cid]
-            start, case = choose_closed_start(trail, True, pair, view, 1)
+            start, case = choose_closed_start(trail, True, pair)
             assert case == "bad"
             assert start == min(v for v in trail.vertices if view.side(v) == "outer")
 
@@ -840,24 +841,26 @@ class TestClosedStart:
         pair = CoveringPair(view, 3, [], [])
         fam = decompose_trails(view, frozenset(range(4)))
         trail = fam.closed[0]
-        start, case = choose_closed_start(trail, False, pair, view, 1)
+        start, case = choose_closed_start(trail, False, pair)
         assert case == "outer-high"
         assert start == 2
 
     def test_visit_counts_at_k2(self):
         # K_{4,2} on inner 0..3 and outer 10, 11, both link ends of center 4:
         # the closed trail visits each outer vertex twice (degree 4) and each
-        # inner vertex once (degree 2), so at k = 2 no outer vertex can start
-        # and the lowest inner vertex starts "inner-low"
+        # inner vertex once (degree 2), so at k = 2 (d = 5) no outer vertex
+        # can start and the lowest inner vertex starts "inner-low"
         view = make_view([0, 1, 2, 3, 4], [10, 11],
                          [(x, y) for x in range(5) for y in (10, 11)])
-        pair = CoveringPair(view, 5, [Link.of(4, 10, 11)], [])
+        links = [Link.of(4, 10, 11)]
+        pair = CoveringPair(view, 5, links, [])
         fam = decompose_trails(view, frozenset(range(8)))
         trail, = fam.closed
         assert Counter(trail.vertices[:-1]) == {0: 1, 1: 1, 2: 1, 3: 1, 10: 2, 11: 2}
-        assert choose_closed_start(trail, False, pair, view, 2) == (0, "inner-low")
-        assert detect_bad_components(fam, view, pair, 2) == ()
-        # at k = 3 the outer vertices' two visits are too few, so 10 starts
-        assert choose_closed_start(trail, False, pair, view, 3) == (10, "outer-high")
+        assert choose_closed_start(trail, False, pair) == (0, "inner-low")
+        assert detect_bad_components(fam, pair) == ()
+        # at k = 3 (d = 7) the outer vertices' two visits are too few, so 10 starts
+        assert choose_closed_start(trail, False, CoveringPair(view, 7, links, [])) == (
+            10, "outer-high")
         with pytest.raises(InternalInvariantError, match="component 0$"):
-            choose_closed_start(trail, False, pair, view, 1)
+            choose_closed_start(trail, False, CoveringPair(view, 3, links, []))

@@ -132,7 +132,7 @@ class TestCheckConstruction:
     def test_foreign_parent_edge_is_reported_not_raised(self):
         res = label_graph(generate_regular(40, 6, 3))
         rec = res.layers[2]
-        a, b = rec.view.outer[0], rec.view.outer[1]
+        a, b = rec.pair.view.outer[0], rec.pair.view.outer[1]
         broken = with_layer(res, 2, parent_edge={**rec.parent_edge, a: rec.parent_edge[b]})
         issues, _ = check_construction(broken)
         assert any(f"vertex {a} has an invalid parent edge" in issue for issue in issues)
@@ -141,7 +141,7 @@ class TestCheckConstruction:
     def test_missing_parent_edge_is_reported_not_raised(self):
         res = label_graph(generate_regular(40, 6, 3))
         rec = res.layers[2]
-        a = rec.view.outer[0]
+        a = rec.pair.view.outer[0]
         broken = with_layer(res, 2, parent_edge={u: e for u, e in rec.parent_edge.items()
                                                  if u != a})
         issues, _ = check_construction(broken)
@@ -155,7 +155,7 @@ class TestCheckConstruction:
         # partial sum, so the other parent labels are not judged against it
         res = label_graph(generate_regular(40, 6, 3))
         rec = res.layers[2]
-        a = rec.view.outer[0]
+        a = rec.pair.view.outer[0]
         broken = with_layer(res, 2, parent_edge={u: e for u, e in rec.parent_edge.items()
                                                  if u != a})
         issues, _ = check_construction(broken)
@@ -204,7 +204,7 @@ class TestCheckConstruction:
         # edges; only the wrap pair of a closed trail reads its edges
         res = label_graph(generate_regular(40, 6, 3))
         rec = res.layers[3]
-        v = rec.view.inner[0]
+        v = rec.pair.view.inner[0]
         empty = TrailEvent("closed", (Trail((v,), (), closed=True),), "inner-low")
         broken = with_layer(res, 3, events=rec.events + (empty,))
         empty_issue = f"layer 3: closed trail unit at vertex {v} has no edges"
@@ -250,7 +250,7 @@ class TestCheckConstruction:
 
     def test_swapped_link_labels_are_reported(self):
         res = label_graph(complete_bipartite(6, 6))
-        view = res.layers[2].view
+        view = res.layers[2].pair.view
         link = res.layers[2].pair.links[0]
         a, b = (view.edge_between(link.center, end) for end in link.ends)
         issues, _ = check_construction(self.with_swapped_labels(res, a, b))
@@ -260,7 +260,7 @@ class TestCheckConstruction:
     def test_swapped_parent_labels_are_reported(self):
         res = label_graph(complete_bipartite(6, 6))
         rec = res.layers[2]
-        u, w = rec.view.outer[:2]
+        u, w = rec.pair.view.outer[:2]
         a, b = rec.parent_edge[u], rec.parent_edge[w]
         labels = res.labeling.labels
         issues, _ = check_construction(self.with_swapped_labels(res, a, b))
@@ -287,10 +287,10 @@ class TestReplayRecomputation:
     the trail builder and a re-sum of incident labels."""
 
     @staticmethod
-    def assert_bad_components_agree(view, pair, parent_edge, k):
-        ref = analyze_bad_components(view, pair, parent_edge, k)
-        trail_eids = residual_edge_sets(view, pair, parent_edge)
-        got = _bad_components(view, pair, trail_eids, k)
+    def assert_bad_components_agree(pair, parent_edge, k):
+        ref = analyze_bad_components(pair, parent_edge)
+        trail_eids = residual_edge_sets(pair, parent_edge)
+        got = _bad_components(pair, trail_eids, k)
         assert got == (ref.bad_cids, ref.bad_vertices, ref.free_links)
         return ref
 
@@ -300,21 +300,21 @@ class TestReplayRecomputation:
             labels = res.labeling.labels
             sums = recompute_vertex_sums(graph, labels)
             for i, rec in res.layers.items():
-                self.assert_bad_components_agree(rec.view, rec.pair, rec.parent_edge, res.k)
+                self.assert_bad_components_agree(rec.pair, rec.parent_edge, res.k)
                 resummed = {u: sum(labels[eid] for _, eid in graph.incident(u))
                             - labels[rec.parent_edge[u]] for u in res.layering.layers[i]}
                 assert _partial_sums_from_labels(res, labels, sums, i) == resummed
 
     def test_free_link_gadget_before_and_after_exchange(self):
-        view, pair, parent = free_link_gadget()
-        ref = self.assert_bad_components_agree(view, pair, parent, 1)
+        _, pair, parent = free_link_gadget()
+        ref = self.assert_bad_components_agree(pair, parent, 1)
         assert len(ref.bad_cids) == 2 and not ref.free_links
 
         def analyze(p):
-            return analyze_bad_components(view, p, parent, 1)
+            return analyze_bad_components(p, parent)
 
-        exchanged, _ = maximize_free_links(pair, analyze, k=1)
-        ref = self.assert_bad_components_agree(view, exchanged, parent, 1)
+        exchanged, _ = maximize_free_links(pair, analyze)
+        ref = self.assert_bad_components_agree(exchanged, parent, 1)
         assert ref.bad_cids and ref.free_links
 
 
