@@ -102,9 +102,11 @@ def parse_edge_list(text: str) -> Graph:
     non-negative integers, each anything `int()` accepts as one
     whitespace-separated field.  Blank lines, and lines whose first non-blank
     character is '#', are skipped; '#' after a pair is an error.  The vertex
-    count is the largest id + 1.  Errors that need a line number
-    (GraphFormatError) are raised here; Graph rejects a duplicate edge
-    (GraphShapeError)."""
+    count is the largest id + 1.  m edges touch at most 2m vertices, so a
+    largest id above 2m leaves two vertices without an edge, two sums of 0:
+    that is an error before any vertex is allocated.  Errors that need a
+    line number (GraphFormatError) are raised here; Graph rejects a
+    duplicate edge (GraphShapeError)."""
     edges: list[tuple[int, int]] = []
     max_id = -1
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -129,6 +131,9 @@ def parse_edge_list(text: str) -> Graph:
         edges.append((u, v))
     if max_id < 0:
         raise GraphFormatError("no edges in input")
+    if max_id > 2 * len(edges):
+        raise GraphFormatError(f"largest vertex id {max_id} is above twice the edge count, "
+                               f"{2 * len(edges)}: two or more vertices have no edge")
     return Graph(max_id + 1, edges)
 
 

@@ -1,10 +1,11 @@
 """Independent verification: the antimagic predicate, deep structural checks
 of a constructed labeling, and a randomized stress harness.
 
-verify_antimagic recomputes everything from the edge labels alone; it never
-trusts sums cached by the engine.  check_construction replays the whole
-construction record and reports every violated invariant as a plain string,
-so tests can assert an empty list.  Like the labeling, the replay makes one
+verify_antimagic judges a labeling from the edge labels alone; it never
+trusts sums cached by the engine and reads no construction record.
+check_construction is the one judge of a record: it replays the whole
+construction and reports every violated invariant as a plain string, so
+tests can assert an empty list.  Like the labeling, the replay makes one
 pass from the outermost layer in: one scan of the graph files each edge,
 by its ends' layers, as a within-layer edge of their layer or a cross edge
 of the outer one, and each layer is then replayed once, its partial sums
@@ -31,22 +32,19 @@ from .trails import analyze_bad_components  # noqa: F401
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of the independent checks; fields are None when the check was
-    not applicable (no layering or construction record supplied)."""
+    """Outcome of the checks on the labels; layer_monotone_ok is None when
+    no layering was supplied."""
 
     bijection_ok: bool
     distinct_sums_ok: bool
     layer_monotone_ok: bool | None
-    inequality_ok: bool | None
-    pair_sum_ok: bool | None
     vertex_sums: tuple[int, ...]
     first_failure: str | None
 
     @property
     def passed(self) -> bool:
-        checks = (self.bijection_ok, self.distinct_sums_ok, self.layer_monotone_ok,
-                  self.inequality_ok, self.pair_sum_ok)
-        return all(c is not False for c in checks)
+        return (self.bijection_ok and self.distinct_sums_ok
+                and self.layer_monotone_ok is not False)
 
 
 def _normalize_labels(graph: Graph, labels) -> list[int]:
@@ -74,8 +72,10 @@ def recompute_vertex_sums(graph: Graph, labels: Sequence[int]) -> list[int]:
 def verify_antimagic(graph: Graph, labels, layering: Layering | None = None,
                      result: LabelingResult | None = None) -> VerificationReport:
     """Check the labeling is a bijection with pairwise distinct vertex sums;
-    with a layering also check layer monotonicity, and with a full construction
-    record also recheck the partial-sum inequalities and trail pair sums."""
+    with a layering also check layer monotonicity.  Only the labels are
+    judged: check_construction judges a construction record.  `result` is
+    not read; it is kept only because the benchmark's pipeline
+    (perfbench/pipeline.py) passes a result as the fourth argument."""
     labels = _normalize_labels(graph, labels)
     first_failure = None
 
@@ -108,70 +108,13 @@ def verify_antimagic(graph: Graph, labels, layering: Layering | None = None,
                                      f"layer {i - 1} minimum {lo}")
                 break
 
-    inequality_ok = None
-    pair_sum_ok = None
-    if result is not None:
-        ineq_issues: list[str] = []
-        pair_issues: list[str] = []
-        for i in range(1, result.layering.depth + 1):
-            partial = _partial_sums_from_labels(result, labels, sums, i)
-            ineq_issues += _layer_bounds(result, i, partial)[0]
-            pair_issues += _layer_pair_sums(i, result.plans[i], result.layers[i], labels)
-        inequality_ok = not ineq_issues
-        pair_sum_ok = not pair_issues
-        if first_failure is None and ineq_issues:
-            first_failure = ineq_issues[0]
-        if first_failure is None and pair_issues:
-            first_failure = pair_issues[0]
-
     return VerificationReport(
         bijection_ok=bijection_ok,
         distinct_sums_ok=distinct_ok,
         layer_monotone_ok=monotone_ok,
-        inequality_ok=inequality_ok,
-        pair_sum_ok=pair_sum_ok,
         vertex_sums=tuple(sums),
         first_failure=first_failure,
     )
-
-
-def _partial_sums_from_labels(result: LabelingResult, labels: Sequence[int],
-                              sums: Sequence[int], index: int) -> dict[int, int]:
-    """Partial sums of layer `index`: each vertex sum, recomputed from the
-    labels by the caller, minus the label of the vertex's parent edge.
-    Vertices whose record names no edge id as parent edge are left out."""
-    parent_edge = result.layers[index].parent_edge
-    out = {}
-    for u in result.layering.layers[index]:
-        eid = parent_edge.get(u)
-        if eid is not None and 0 <= eid < len(labels):
-            out[u] = sums[u] - labels[eid]
-    return out
-
-
-def _layer_bounds(result: LabelingResult, i: int,
-                  partial: Mapping[int, int]) -> tuple[list[str], int | None, int | None]:
-    """The partial-sum bound issues of layer i, given its partial sums, and
-    the layer's smallest upper and lower slacks: each partial sum must be at
-    most the layer's bound and at least the next outer layer's.  A slack is
-    None when the layer has no partial sum, or no outer layer."""
-    issues = [f"layer {i}: vertex {u} has no valid parent edge for its partial sum"
-              for u in result.layering.layers[i] if u not in partial]
-    if not partial:
-        return issues, None, None
-    bound = result.plans[i].partial_sum_bound(result.k)
-    hi_slack = bound - max(partial.values())
-    if hi_slack < 0:
-        issues += [f"layer {i}: partial sum {s} of vertex {u} exceeds bound {bound}"
-                   for u, s in sorted(partial.items()) if s > bound]
-    if i == result.layering.depth:
-        return issues, hi_slack, None
-    lower = result.plans[i + 1].partial_sum_bound(result.k)
-    lo_slack = min(partial.values()) - lower
-    if lo_slack < 0:
-        issues += [f"layer {i}: partial sum {s} of vertex {u} below outer bound {lower}"
-                   for u, s in sorted(partial.items()) if s < lower]
-    return issues, hi_slack, lo_slack
 
 
 def _layer_pair_sums(i: int, plan: LayerPlan, rec: LayerRecord,
@@ -384,14 +327,33 @@ def _replay_layer(result: LabelingResult, i: int, labels: Sequence[int], sums: S
                         issues.append(f"layer {i}: link edge into a bad component has "
                                       f"label {lab}, above {base + c - k}")
 
-    partial = _partial_sums_from_labels(result, labels, sums, i)
-    bound_issues, hi_slack, lo_slack = _layer_bounds(result, i, partial)
-    issues += bound_issues
+    # partial sums: each vertex sum less its parent label, at most the
+    # layer's bound and at least the next outer layer's (none outermost);
+    # a slack is the layer's smallest margin to one of them
+    partial = {}
+    for u in result.layering.layers[i]:
+        eid = parent_edge.get(u)
+        if eid is not None and 0 <= eid < len(labels):
+            partial[u] = sums[u] - labels[eid]
+        else:
+            issues.append(f"layer {i}: vertex {u} has no valid parent edge for its partial sum")
+    hi_slack = lo_slack = None
+    if partial:
+        upper = plan.partial_sum_bound(k)
+        hi_slack = upper - max(partial.values())
+        if hi_slack < 0:
+            issues += [f"layer {i}: partial sum {s} of vertex {u} exceeds bound {upper}"
+                       for u, s in sorted(partial.items()) if s > upper]
+        if i < result.layering.depth:
+            lower = result.plans[i + 1].partial_sum_bound(k)
+            lo_slack = min(partial.values()) - lower
+            if lo_slack < 0:
+                issues += [f"layer {i}: partial sum {s} of vertex {u} below outer bound {lower}"
+                           for u, s in sorted(partial.items()) if s < lower]
     for key, slack in (("min_upper_slack", hi_slack), ("min_lower_slack", lo_slack)):
         if slack is not None and (stats[key] is None or slack < stats[key]):
             stats[key] = slack
-    # a missing partial sum is reported by _layer_bounds; without it the
-    # parent order cannot be recomputed
+    # without every partial sum the parent order cannot be recomputed
     if len(partial) == len(view.outer):
         parent_order = sorted(partial, key=lambda u: (partial[u], u))
         for lab, u in enumerate(parent_order, start=plan.parent_interval[0]):
@@ -440,11 +402,11 @@ def check_construction(result: LabelingResult) -> tuple[list[str], dict]:
     """Replay the whole construction record, one layer at a time from the
     outermost in.  Returns the list of violated invariants (empty when clean),
     grouped by layer, and summary statistics, including the bijection,
-    distinct-sums and layer-monotone flags of the independent check.  The
-    replay covers every check of verify_antimagic(..., result), so an empty
-    list means that passes too.  A label sequence that is not one label per
-    edge is one issue; only the plan's intervals are checked then, since
-    every other check reads labels by edge id."""
+    distinct-sums and layer-monotone flags of verify_antimagic, whose first
+    failure, if any, is the first issue.  It is the one judge of a record;
+    verify_antimagic reads none.  A label sequence that is not one label
+    per edge is one issue; only the plan's intervals are checked then,
+    since every other check reads labels by edge id."""
     labels = list(result.labeling.labels)
     g, lay = result.graph, result.layering
     issues: list[str] = []
@@ -455,7 +417,7 @@ def check_construction(result: LabelingResult) -> tuple[list[str], dict]:
     if len(labels) == g.m:
         report = verify_antimagic(g, labels, layering=lay)
         if not report.passed:
-            issues.append(report.first_failure or "verification failed")
+            issues.append(report.first_failure)
         if tuple(report.vertex_sums) != result.labeling.vertex_sums:
             issues.append("cached vertex sums disagree with recomputation")
     else:

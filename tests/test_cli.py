@@ -1,12 +1,16 @@
 """Command-line surface: subcommands, exit codes, and output discipline."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import antimagic
 from antimagic import (InternalInvariantError, check_construction, format_edge_list,
                        generate_regular, label_graph, verify_antimagic)
 from antimagic.cli import main
@@ -62,7 +66,7 @@ class TestLabel:
         assert main(["label", k5_file, "--check"]) == 2
         err = capsys.readouterr().err.splitlines()
         res = swapped(complete_graph(5))
-        report = verify_antimagic(res.graph, res.labeling.labels, res.layering, res)
+        report = verify_antimagic(res.graph, res.labeling.labels, res.layering)
         ok = {True: "ok", False: "FAIL"}
         assert err[0] == (f"check: bijection={ok[report.bijection_ok]} "
                           f"distinct-sums={ok[report.distinct_sums_ok]} "
@@ -317,3 +321,22 @@ class TestFuzz:
     @given(_graphs_and_documents())
     def test_verify(self, texts):
         assert _run("verify", *texts) in (0, 1, 2)
+
+    # a child process whose address space is capped at 200 MB
+    _CAPPED = ("import resource, sys; "
+               "resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20)); "
+               "from antimagic.cli import main; sys.exit(main(sys.argv[1:]))")
+
+    @pytest.mark.parametrize("text", ["0 10000000\n", "0 1_000_000_000\n",
+                                      "0 1\n1 2\n2 0\n10000000 20000000\n"],
+                             ids=["one-edge", "spelled", "apart"])
+    def test_label_huge_ids_fail_fast(self, tmp_path, text):
+        # the largest id is above 2m, so the graph is rejected before any
+        # vertex is allocated, and a capped address space never fills
+        path = write(tmp_path, "huge.txt", text)
+        env = {**os.environ, "PYTHONPATH": str(Path(antimagic.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", self._CAPPED, "label", path],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr

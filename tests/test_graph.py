@@ -63,7 +63,7 @@ class TestParsing:
             parse_edge_list("  0 1 # note\n")
 
     def test_vertex_count_from_max_id(self):
-        assert parse_edge_list("0 7\n").n == 8
+        assert parse_edge_list("0 2\n").n == 3
 
     def test_malformed_line(self):
         with pytest.raises(GraphFormatError, match="line 2"):

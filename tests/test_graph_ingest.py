@@ -3,10 +3,10 @@ when each edge was read three times.
 
 `reference_parse` and `reference_graph` are the reader and the constructor
 as they were before each took one pass per edge, kept verbatim but for
-returning fields instead of a `Graph`.  On any text or edge list, the
-current code must give a graph equal to theirs field by field (`n`, `edges`,
-every `incident(v)`), or raise the same exception type with the same
-message.
+returning fields instead of a `Graph` and for the reader's bound on the
+largest id.  On any text or edge list, the current code must give a graph
+equal to theirs field by field (`n`, `edges`, every `incident(v)`), or
+raise the same exception type with the same message.
 """
 
 import pytest
@@ -63,6 +63,9 @@ def reference_parse(text: str):
         edges.append((u, v))
     if max_id < 0:
         raise GraphFormatError("no edges in input")
+    if max_id > 2 * len(edges):
+        raise GraphFormatError(f"largest vertex id {max_id} is above twice the edge count, "
+                               f"{2 * len(edges)}: two or more vertices have no edge")
     return reference_graph(max_id + 1, edges)
 
 
@@ -134,13 +137,18 @@ def _lines(draw, _kinds) -> str:
 # line ends: every one of these ends a line for str.splitlines
 _ends = st.sampled_from(["\n", "\n", "\r\n", "\r", "\f", "\x0b", "\x1c", "\u2028"])
 
+# A largest id above 2m is an error, and drawn ids reach 30 on a few
+# edges; half the texts end in this path on ids 31..62, which no drawn
+# pair touches, so that a text without a bad line mostly still gives a graph.
+_PATH = "".join(f"{v} {v + 1}\n" for v in range(31, 62))
+
 
 @st.composite
 def _texts(draw) -> str:
     # half the texts have no bad line, so most of those end in a graph
     kinds = _FINE + draw(st.sampled_from([[], _BAD]))
     lines = draw(st.lists(_lines(kinds), max_size=14))
-    text = "".join(line + draw(_ends) for line in lines)
+    text = "".join(line + draw(_ends) for line in lines) + draw(st.sampled_from(["", _PATH]))
     return text + draw(st.sampled_from(["", "0 1", "  # no end"]))
 
 
@@ -154,7 +162,9 @@ class TestReaderDifferential:
         "0 1\r\n1 2\r\n0 2\r\n",
         "# header\n\n  # indented\n0\t1\n\f1  2\r2 0\n",
         "+1 007\n1_0 2\n",
+        "+1 003\n0_1 2\n",
         "٣ ١\n",
+        "٣ ١\n٢ ١\n",
         "0 1 # note\n",
         "0 1\n1 2 3\n",
         "0 x\n",

@@ -1,14 +1,16 @@
 """The deep replay on a corpus of tampered construction records.
 
 For each tamper, golden/replay_issues.json holds the sorted issues and the
-stats of `check_construction`, and the report of
-`verify_antimagic(..., result)`.  Regenerate it with
+stats of `check_construction`, the one judge of a record, and the report of
+`verify_antimagic` on the labels and layering (none when the labels are not
+one per edge).  Regenerate it with
 
     PYTHONPATH=src python tests/test_replay_golden.py
 
 only when an issue string, a stat or a report is meant to change.
 """
 
+import ast
 import dataclasses
 import functools
 import json
@@ -21,6 +23,7 @@ from antimagic import check_construction, generate_regular, label_graph, verify_
 from antimagic.covering import CoveringPair
 from antimagic.labeling import TrailEvent
 from antimagic.trails import Trail
+from antimagic.verify import __file__ as VERIFY_PY
 from corpus import circulant, complete_bipartite, complete_graph, hypercube, shuffled_circulant
 
 GOLDEN = Path(__file__).parent / "golden" / "replay_issues.json"
@@ -278,12 +281,90 @@ def _():
     return swapped(res, parent_pair(res, 3), parent_pair(res, 1))
 
 
+@tamper("mixed-last unit relabeled open-outer, R40 layer 2")
+def _():
+    # the unit's one edge carries label 87, which is both ends of what the
+    # open-outer unit before it leaves, so only the cursor identity shows it
+    res = labeled("R40")
+    ev = res.layers[2].events[1]
+    assert ev.kind == "mixed-last"
+    return with_events(res, 2, 1, dataclasses.replace(ev, kind="open-outer"))
+
+
+@tamper("last unit dropped, R40 layer 2")
+def _():
+    res = labeled("R40")
+    return with_layer(res, 2, events=res.layers[2].events[:-1])
+
+
+@tamper("parent labels swapped across layers 6 and 5, C48(1,2)")
+def _():
+    # vertex 17's parent edge in layer 5 runs to vertex 24 of layer 4; with
+    # layer 6's parent label 55 in place of 63 it leaves 24's partial sum
+    # one below the outer bound
+    res = labeled("C48(1,2)")
+    return swapped(res, (res.layers[5].parent_edge[17], res.layers[6].parent_edge[38]))
+
+
+@tamper("closed unit's last label swapped with a parent label, Q4 layer 3")
+def _():
+    # the outer-high unit's wrap pair then sums to 12 + 16, above 24
+    res = labeled("Q4")
+    ev = res.layers[3].events[0]
+    assert ev.case == "outer-high"
+    return swapped(res, (ev.trails[0].edges[-1], res.layers[3].parent_edge[7]))
+
+
+@tamper("closed trail case flipped and its first label swapped with label 1, Q4")
+def _():
+    # as an inner-low unit its wrap pair 1 + 7 falls below the floor 10
+    res = labeled("Q4")
+    ev = res.layers[3].events[0]
+    res = with_events(res, 3, 0, dataclasses.replace(ev, case="inner-low"))
+    return swapped(res, (ev.trails[0].edges[0], res.labeling.labels.index(1)))
+
+
+@tamper("covering pair without matching edge 56, R60 layer 3")
+def _():
+    # the degree bound stays 5, at which full-degree inner vertex 51 is
+    # uncovered without edge 56
+    res = labeled("R60")
+    pair = res.layers[3].pair
+    return with_layer(res, 3, pair=CoveringPair(pair.view, pair.d, pair.links,
+                                                pair.matching - {56}))
+
+
+def with_plan(res, i, **changes):
+    return dataclasses.replace(res, plans={**res.plans, i: dataclasses.replace(res.plans[i],
+                                                                               **changes)})
+
+
+@tamper("plan layer size one too large, R40 layer 2")
+def _():
+    res = labeled("R40")
+    return with_plan(res, 2, layer_size=res.plans[2].layer_size + 1)
+
+
+@tamper("plan layer size one too large, C10(1,2) layer 1")
+def _():
+    # the innermost parent interval then ends at m + 1
+    res = labeled("C10(1,2)")
+    return with_plan(res, 1, layer_size=res.plans[1].layer_size + 1)
+
+
+@tamper("one label short, C10(1,2)")
+def _():
+    res = labeled("C10(1,2)")
+    return with_labels(res, res.labeling.labels[:-1])
+
+
 def observe(res):
     """What the golden file records of one record, as JSON reads it back."""
     issues, stats = check_construction(res)
-    report = verify_antimagic(res.graph, res.labeling.labels, res.layering, res)
-    return json.loads(json.dumps({"issues": sorted(issues), "stats": stats,
-                                  "report": dataclasses.asdict(report)}))
+    labels = res.labeling.labels
+    report = (dataclasses.asdict(verify_antimagic(res.graph, labels, res.layering))
+              if len(labels) == res.graph.m else None)
+    return json.loads(json.dumps({"issues": sorted(issues), "stats": stats, "report": report}))
 
 
 @functools.cache
@@ -311,6 +392,59 @@ def test_issues_come_outermost_layer_first():
               if (m := LAYER_OF_ISSUE.search(issue))]
     assert {3, 1} <= set(layers)
     assert layers == sorted(layers, reverse=True)
+
+
+# No corpus graph has a bad component, so these checks have no tamper yet;
+# they wait for graphs whose layers reach bad components.
+AWAITING_BAD_COMPONENTS = {
+    "layer {}: outer meet at {} in a bad component sums to {}, expected exactly {}",
+    "layer {}: wrap pair of a bad trail at {} sums to {}, above {}",
+    "layer {}: only {} free links with bad components present, need {}",
+    "layer {}: link edge into a bad component has label {}, above {}",
+}
+
+
+def issue_templates():
+    """Every issue template of verify.py, each formatted value written {}:
+    the strings it appends or adds to an issue list, returns in a list or
+    from an `_issue` helper, or sets as verify_antimagic's first failure."""
+    def strings(node):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+        elif isinstance(node, ast.JoinedStr):
+            yield "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in node.values)
+        elif isinstance(node, ast.List):
+            for elt in node.elts:
+                yield from strings(elt)
+        elif isinstance(node, ast.ListComp):
+            yield from strings(node.elt)
+
+    found = set()
+    for fn in ast.parse(Path(VERIFY_PY).read_text()).body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "append" and ast.unparse(node.func.value) == "issues"):
+                found.update(strings(node.args[0]))
+            elif isinstance(node, ast.AugAssign) and ast.unparse(node.target) == "issues":
+                found.update(strings(node.value))
+            elif isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "first_failure":
+                found.update(strings(node.value))
+            elif isinstance(node, ast.Return) and node.value is not None and (
+                    fn.name.endswith("_issue") or isinstance(node.value, ast.List)):
+                found.update(strings(node.value))
+    return found
+
+
+def test_every_issue_template_has_a_tamper():
+    issues = [issue for entry in golden().values() for issue in entry["issues"]]
+    unreached = set()
+    for template in issue_templates():
+        pattern = re.compile("(.+)".join(map(re.escape, template.split("{}"))))
+        if not any(pattern.fullmatch(issue) for issue in issues):
+            unreached.add(template)
+    assert unreached == AWAITING_BAD_COMPONENTS
 
 
 if __name__ == "__main__":
