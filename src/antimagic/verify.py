@@ -8,8 +8,10 @@ construction and reports every violated invariant as a plain string, so
 tests can assert an empty list.  Like the labeling, the replay makes one
 pass from the outermost layer in: one scan of the graph files each edge,
 by its ends' layers, as a within-layer edge of their layer or a cross edge
-of the outer one, and each layer is then replayed once, its partial sums
-computed once, so the issues come grouped by layer.
+of the outer one with its (inner, outer) ends.  Each layer's edges, ends
+and plan counts come from that scan, its link edges from the graph's
+incidence; the record's view is read only by the covering pair's checks.
+Each layer is replayed once, so the issues come grouped by layer.
 """
 
 from __future__ import annotations
@@ -98,15 +100,17 @@ def verify_antimagic(graph: Graph, labels, layering: Layering | None = None,
     if layering is not None:
         monotone_ok = True
         at = sums.__getitem__
-        for i in range(1, layering.depth + 1):
-            hi = max(map(at, layering.layers[i]))
-            lo = min(map(at, layering.layers[i - 1]))
-            if hi >= lo:
+        lo = float("inf")  # no layer before layer 0
+        for i, layer in enumerate(layering.layers):
+            hi = max(map(at, layer), default=None)  # None: empty, never so in a BFS layering
+            if hi is None or hi >= lo:
                 monotone_ok = False
                 if first_failure is None:
-                    first_failure = (f"layer {i} reaches vertex sum {hi}, not below "
+                    first_failure = (f"layer {i} is empty" if hi is None else
+                                     f"layer {i} reaches vertex sum {hi}, not below "
                                      f"layer {i - 1} minimum {lo}")
                 break
+            lo = min(map(at, layer))
 
     return VerificationReport(
         bijection_ok=bijection_ok,
@@ -118,12 +122,11 @@ def verify_antimagic(graph: Graph, labels, layering: Layering | None = None,
 
 
 def _layer_pair_sums(i: int, plan: LayerPlan, rec: LayerRecord,
-                     labels: Sequence[int]) -> list[str]:
-    """The pair-sum issues of layer i.  Each unit's trail must walk view
-    edges, each between the trail vertices on either side of it, and a
-    closed one must have an edge to wrap around; a layer where one does not
-    gets that one issue instead, and its sums are not read."""
-    ends = rec.pair.view.edge_ends
+                     ends: Mapping[int, tuple[int, int]], labels: Sequence[int]) -> list[str]:
+    """The pair-sum issues of layer i.  Each unit's trail must walk cross
+    edges, by their `ends`, each between the trail vertices on either side of
+    it, and a closed one must have an edge to wrap around; a layer where one
+    does not gets that one issue instead, and its sums are not read."""
     target = plan.target_pair_sum
     anchor = plan.offset + plan.inner_count
     issues: list[str] = []
@@ -180,7 +183,7 @@ def _layer_pair_sums(i: int, plan: LayerPlan, rec: LayerRecord,
 
 def _walk_issue(i: int, rec: LayerRecord, vertex: int, m: int) -> str:
     """The one issue of layer i, whose units leave their edges at `vertex`.
-    An edge id outside 0..m-1 is never a view edge, so a unit naming one
+    An edge id outside 0..m-1 is never a cross edge, so a unit naming one
     leaves its edges there or earlier, and is reported by that id."""
     stray = [eid for ev in rec.events for trail in ev.trails for eid in trail.edges
              if not 0 <= eid < m]
@@ -189,11 +192,12 @@ def _walk_issue(i: int, rec: LayerRecord, vertex: int, m: int) -> str:
     return f"layer {i}: trail unit does not walk its edges at vertex {vertex}"
 
 
-def _bad_components(pair: CoveringPair, trail_eids: AbstractSet[int],
+def _bad_components(pair: CoveringPair, ends: Mapping[int, tuple[int, int]],
+                    trail_eids: AbstractSet[int],
                     k: int) -> tuple[tuple[int, ...], frozenset[int], tuple[Link, ...]]:
     """(bad component ids ascending, their vertices, free links) of the trail
-    graph of the pair's view, read off its connected components without
-    walking any trail.
+    graph on `trail_eids`, by their `ends`, read off its connected components
+    without walking any trail.
 
     A component's id is its smallest vertex, as in the trail builder, and
     the search starts each component there.  A component is bad when every
@@ -204,7 +208,6 @@ def _bad_components(pair: CoveringPair, trail_eids: AbstractSet[int],
         return (), frozenset(), ()
     adj: dict[int, list[int]] = {}
     outer: set[int] = set()
-    ends = pair.view.edge_ends
     for eid in trail_eids:
         x, y = ends[eid]
         adj.setdefault(x, []).append(y)
@@ -238,35 +241,40 @@ def _bad_components(pair: CoveringPair, trail_eids: AbstractSet[int],
 
 
 def _replay_layer(result: LabelingResult, i: int, labels: Sequence[int], sums: Sequence[int],
-                  within: Sequence[int], cross: Sequence[int], stats: dict) -> list[str]:
-    """Every check of layer i: the parent map, the trail units' coverage and
-    cursor replay, their pair sums, bad components, the link labels, the
-    partial-sum bounds and parent order, the covering pair and its degree
-    bound against 2k + 1, the cross-edge count and the interval of each of
-    the layer's edges.  `within` and `cross` are its within-layer and cross
-    edge ids, split from the graph by the caller.  The layer's link and
-    bad-component counts and its slacks are folded into `stats`."""
+                  within: Sequence[int], ends: Mapping[int, tuple[int, int]],
+                  stats: dict) -> list[str]:
+    """Every check of layer i past its plan, on its share of the caller's
+    scan: link edges, parent map, trail coverage, cursor and pair sums, bad
+    components, link labels, partial sums and parent order, the covering
+    pair, and each within-layer edge's interval.  Parent order, link labels
+    and cursor pin every cross-edge label.  Counts and slacks go to `stats`."""
     plan, rec, k = result.plans[i], result.layers[i], result.k
-    pair, parent_edge, view = rec.pair, rec.parent_edge, rec.pair.view
-    link_eids = pair.link_edge_ids
+    pair, parent_edge, layer = rec.pair, rec.parent_edge, result.layering.layers[i]
     issues: list[str] = []
 
-    view_eids = view.edge_ends.keys()
+    # a link edge is the graph's edge from the center to an end; it must cross the layer
+    link_edge: dict[tuple[int, int], int] = {}
+    for link in pair.links:
+        for end in link.ends:
+            eid = next((e for w, e in result.graph.incident(link.center) if w == end), None)
+            if ends.get(eid) != (link.center, end):
+                return [f"layer {i}: link at center {link.center} has no cross edge to {end}"]
+            link_edge[link.center, end] = eid
+    link_eids = set(link_edge.values())
+
     sigma_eids = set(parent_edge.values())
-    valid_parents = []
-    for u in view.outer:
+    for u in layer:
         eid = parent_edge.get(u)
-        if eid is None or eid not in view_eids or view.ends_of(eid)[1] != u:
+        if eid is None or ends.get(eid, (None, None))[1] != u:
             issues.append(f"layer {i}: vertex {u} has an invalid parent edge {eid}")
             continue
-        valid_parents.append(eid)
         if pair.is_matched(u) and eid != pair.matching_edge(u):
             issues.append(f"layer {i}: matched vertex {u} does not use its matching edge")
         if eid in link_eids:
             issues.append(f"layer {i}: parent edge of vertex {u} is a link edge")
-    if len(sigma_eids) != len(view.outer):
+    if len(sigma_eids) != len(layer):
         issues.append(f"layer {i}: parent edges are not distinct")
-    trail_eids = view_eids - sigma_eids - link_eids
+    trail_eids = ends.keys() - sigma_eids - link_eids
 
     # the two-ended cursor from the trail interval, over the units in order
     lo, hi = plan.trail_interval
@@ -293,9 +301,9 @@ def _replay_layer(result: LabelingResult, i: int, labels: Sequence[int], sums: S
         issues.append(f"layer {i}: trail interval not exactly consumed (cursor {(lo, hi)})")
     if sorted(unit_eids) != sorted(trail_eids):
         issues.append(f"layer {i}: trail units do not cover the trail graph exactly")
-    issues += _layer_pair_sums(i, plan, rec, labels)
+    issues += _layer_pair_sums(i, plan, rec, ends, labels)
 
-    bad_cids, bad_vertices, free_links = _bad_components(pair, trail_eids, k)
+    bad_cids, bad_vertices, free_links = _bad_components(pair, ends, trail_eids, k)
     if bad_cids != rec.bad_cids or free_links != rec.free_links:
         issues.append(f"layer {i}: recomputed bad components disagree with the record")
     if bad_cids:
@@ -314,38 +322,39 @@ def _replay_layer(result: LabelingResult, i: int, labels: Sequence[int], sums: S
         in_bad = [e for e in link.ends if e in bad_vertices]
         u_low = in_bad[0] if (link in free_set and len(in_bad) == 1) else min(link.ends)
         u_high = link.end_b if u_low == link.end_a else link.end_a
-        if labels[view.edge_between(link.center, u_low)] != base + idx:
+        if labels[link_edge[link.center, u_low]] != base + idx:
             issues.append(f"layer {i}: low link edge of center {link.center} mislabeled")
-        if labels[view.edge_between(link.center, u_high)] != base + c - idx + 1:
+        if labels[link_edge[link.center, u_high]] != base + c - idx + 1:
             issues.append(f"layer {i}: high link edge of center {link.center} mislabeled")
     if bad_cids:
         for link in pair.links:
             for end in link.ends:
                 if end in bad_vertices:
-                    lab = labels[view.edge_between(link.center, end)]
+                    lab = labels[link_edge[link.center, end]]
                     if lab > base + c - k:
                         issues.append(f"layer {i}: link edge into a bad component has "
                                       f"label {lab}, above {base + c - k}")
 
     # partial sums: each vertex sum less its parent label, at most the
-    # layer's bound and at least the next outer layer's (none outermost);
-    # a slack is the layer's smallest margin to one of them
+    # layer's bound and at least the next outer layer's (none outermost or
+    # unplanned); a slack is the layer's smallest margin to one of them
     partial = {}
-    for u in result.layering.layers[i]:
+    for u in layer:
         eid = parent_edge.get(u)
         if eid is not None and 0 <= eid < len(labels):
             partial[u] = sums[u] - labels[eid]
         else:
             issues.append(f"layer {i}: vertex {u} has no valid parent edge for its partial sum")
     hi_slack = lo_slack = None
+    outer_plan = result.plans.get(i + 1) if i < result.layering.depth else None
     if partial:
         upper = plan.partial_sum_bound(k)
         hi_slack = upper - max(partial.values())
         if hi_slack < 0:
             issues += [f"layer {i}: partial sum {s} of vertex {u} exceeds bound {upper}"
                        for u, s in sorted(partial.items()) if s > upper]
-        if i < result.layering.depth:
-            lower = result.plans[i + 1].partial_sum_bound(k)
+        if outer_plan is not None:
+            lower = outer_plan.partial_sum_bound(k)
             lo_slack = min(partial.values()) - lower
             if lo_slack < 0:
                 issues += [f"layer {i}: partial sum {s} of vertex {u} below outer bound {lower}"
@@ -354,7 +363,7 @@ def _replay_layer(result: LabelingResult, i: int, labels: Sequence[int], sums: S
         if slack is not None and (stats[key] is None or slack < stats[key]):
             stats[key] = slack
     # without every partial sum the parent order cannot be recomputed
-    if len(partial) == len(view.outer):
+    if len(partial) == len(layer):
         parent_order = sorted(partial, key=lambda u: (partial[u], u))
         for lab, u in enumerate(parent_order, start=plan.parent_interval[0]):
             if labels[parent_edge[u]] != lab:
@@ -368,34 +377,10 @@ def _replay_layer(result: LabelingResult, i: int, labels: Sequence[int], sums: S
     except InternalInvariantError as exc:
         issues.append(f"layer {i}: covering pair invalid: {exc}")
 
-    if len(cross) != plan.layer_size + plan.trail_count + plan.link_count:
-        issues.append(f"layer {i}: cross-edge count disagrees with the plan")
-
-    # A cross edge is a parent edge when it is the record's parent edge of
-    # its own outer end.  Those valid parent edges are values of the map,
-    # so when there are as many of them as values they are all of them.
-    parents = sigma_eids if len(valid_parents) == len(sigma_eids) else set(valid_parents)
     lo, hi = plan.inner_interval
-    for eid in within:
-        if not lo <= labels[eid] <= hi:
-            issues.append(_interval_issue(i, eid, "within-layer", labels[eid], lo, hi))
-    parent_span, link_span, trail_span = (plan.parent_interval, plan.link_interval,
-                                          plan.trail_interval)
-    for eid in cross:
-        if eid in parents:
-            bucket, (lo, hi) = "parent", parent_span
-        elif eid in link_eids:
-            bucket, (lo, hi) = "link", link_span
-        else:
-            bucket, (lo, hi) = "trail", trail_span
-        if not lo <= labels[eid] <= hi:
-            issues.append(_interval_issue(i, eid, bucket, labels[eid], lo, hi))
+    issues += [f"edge {eid} is a within-layer edge of layer {i} but carries label {labels[eid]} "
+               f"outside [{lo}, {hi}]" for eid in within if not lo <= labels[eid] <= hi]
     return issues
-
-
-def _interval_issue(i: int, eid: int, bucket: str, label: int, lo: int, hi: int) -> str:
-    return (f"edge {eid} is a {bucket} edge of layer {i} but carries "
-            f"label {label} outside [{lo}, {hi}]")
 
 
 def check_construction(result: LabelingResult) -> tuple[list[str], dict]:
@@ -404,9 +389,11 @@ def check_construction(result: LabelingResult) -> tuple[list[str], dict]:
     grouped by layer, and summary statistics, including the bijection,
     distinct-sums and layer-monotone flags of verify_antimagic, whose first
     failure, if any, is the first issue.  It is the one judge of a record;
-    verify_antimagic reads none.  A label sequence that is not one label
-    per edge is one issue; only the plan's intervals are checked then,
-    since every other check reads labels by edge id."""
+    verify_antimagic reads none.  A layer whose plan differs, field by
+    field, from its own counts and the labels of the layers outside it, or
+    that has no plan or layer record, gets that one issue.  A label sequence
+    that is not one label per edge is one issue; only the plans are checked
+    then, since every other check reads labels by edge id."""
     labels = list(result.labeling.labels)
     g, lay = result.graph, result.layering
     issues: list[str] = []
@@ -425,27 +412,39 @@ def check_construction(result: LabelingResult) -> tuple[list[str], dict]:
 
     layer_of = lay.layer_of
     within: list[list[int]] = [[] for _ in range(lay.depth + 1)]
-    cross: list[list[int]] = [[] for _ in range(lay.depth + 1)]
-    for eid, (u, v) in enumerate(g.edges):
+    cross: list[dict[int, tuple[int, int]]] = [{} for _ in range(lay.depth + 1)]
+    for eid, e in enumerate(g.edges):
+        u, v = e
         lu, lv = layer_of[u], layer_of[v]
         if lu == lv:
             within[lu].append(eid)
+        elif lu < lv:  # the graph's own (inner, outer) tuple
+            cross[lv][eid] = e
         else:
-            cross[lu if lu > lv else lv].append(eid)  # cheaper than max()
+            cross[lu][eid] = (v, u)
 
-    expected = 1
+    offset = 0  # how many labels the layers outside layer i use
     for i in range(lay.depth, 0, -1):
-        plan = result.plans[i]
-        for lo, hi in (plan.inner_interval, plan.trail_interval,
-                       plan.link_interval, plan.parent_interval):
-            if lo != expected:
-                issues.append(f"layer {i}: interval starts at {lo}, expected {expected}")
-            expected = max(expected, hi + 1)
-        if report is not None:
-            issues += _replay_layer(result, i, labels, report.vertex_sums, within[i], cross[i],
-                                    stats)
-    if expected != g.m + 1:
-        issues.append("intervals do not partition the label range")
+        plan, rec = result.plans.get(i), result.layers.get(i)
+        if plan is None or rec is None:
+            missing = "plan" if plan is None else "layer record"
+            issues.append(f"layer {i}: the record has no {missing}")
+        else:
+            size, links = len(lay.layers[i]), 2 * len(rec.pair.links)
+            counts = (i, size, len(within[i]), len(cross[i]) - size - links, links, offset)
+            recorded = (plan.index, plan.layer_size, plan.inner_count, plan.trail_count,
+                        plan.link_count, plan.offset)
+            if recorded != counts:
+                issues.append(f"layer {i}: plan (index, layer size, inner, trail, link, "
+                              f"offset) {recorded}, the layer's counts give {counts}")
+            elif report is not None:
+                issues += _replay_layer(result, i, labels, report.vertex_sums, within[i],
+                                        cross[i], stats)
+        offset += len(within[i]) + len(cross[i])
+    # with the root alone in layer 0, which holds no within-layer edge, the
+    # stacked plans cover every label once
+    if lay.layers[0] != (result.root,):
+        issues.append(f"layer 0: holds {lay.layers[0]}, not the root {result.root} alone")
 
     if report is None:  # not one label per edge: no bijection, sums unchecked
         stats.update(bijection_ok=False, distinct_sums_ok=None, layer_monotone_ok=None)

@@ -20,10 +20,12 @@ from pathlib import Path
 import pytest
 
 from antimagic import check_construction, generate_regular, label_graph, verify_antimagic
-from antimagic.covering import CoveringPair
-from antimagic.labeling import TrailEvent
+from antimagic.covering import CoveringPair, Link
+from antimagic.graph import BipartiteView
+from antimagic.labeling import Labeling, TrailEvent
 from antimagic.trails import Trail
 from antimagic.verify import __file__ as VERIFY_PY
+from antimagic.verify import recompute_vertex_sums
 from corpus import circulant, complete_bipartite, complete_graph, hypercube, shuffled_circulant
 
 GOLDEN = Path(__file__).parent / "golden" / "replay_issues.json"
@@ -38,6 +40,8 @@ GRAPHS = {
     "R40": lambda: generate_regular(40, 6, 3),
     # k = 2; layer 3's pair is one matching edge, 56, of inner vertex 51
     "R60": lambda: generate_regular(60, 6, 1),
+    # layer 4's first unit is one closed trail over edges 15, 58, 38, 37
+    "R30": lambda: generate_regular(30, 4, 1),
 }
 
 
@@ -61,6 +65,39 @@ def swapped(res, *pairs):
     for a, b in pairs:
         labels[a], labels[b] = labels[b], labels[a]
     return with_labels(res, labels)
+
+
+def with_view(res, i, view, **changes):
+    """The record with layer i's pair rebuilt on `view`, its links and
+    matching as `changes` give them (the record's own by default)."""
+    pair = res.layers[i].pair
+    fields = {"links": pair.links, "matching": pair.matching, **changes}
+    return with_layer(res, i, pair=CoveringPair(view, pair.d, fields["links"],
+                                                fields["matching"]))
+
+
+def ids_swapped(res, i, a, b):
+    """The record with edge ids a and b of layer i swapped in its view,
+    matching, parent map and trail units, and their labels swapped, with
+    the cached sums recomputed: every fact the record holds of the two
+    edges agrees with the swap, and only the graph tells them apart."""
+    swap = {a: b, b: a}
+    f = lambda eid: swap.get(eid, eid)  # noqa: E731
+    rec = res.layers[i]
+    view = rec.pair.view
+    view = BipartiteView(view.index, view.inner, view.outer,
+                         {v: tuple(sorted((w, f(eid)) for w, eid in view.incident(v)))
+                          for v in view.inner + view.outer})
+    res = with_view(res, i, view, matching=map(f, rec.pair.matching))
+    events = tuple(dataclasses.replace(ev, trails=tuple(
+        dataclasses.replace(t, edges=tuple(map(f, t.edges))) for t in ev.trails))
+        for ev in rec.events)
+    res = with_layer(res, i, events=events,
+                     parent_edge={u: f(eid) for u, eid in rec.parent_edge.items()})
+    labels = list(res.labeling.labels)
+    labels[a], labels[b] = labels[b], labels[a]
+    return dataclasses.replace(res, labeling=Labeling(
+        tuple(labels), tuple(recompute_vertex_sums(res.graph, labels))))
 
 
 def with_events(res, i, pos, event):
@@ -352,6 +389,52 @@ def _():
     return with_plan(res, 1, layer_size=res.plans[1].layer_size + 1)
 
 
+@tamper("plan 2 dropped, R40")
+def _():
+    res = labeled("R40")
+    return dataclasses.replace(res, plans={i: p for i, p in res.plans.items() if i != 2})
+
+
+@tamper("layer record 2 dropped, R40")
+def _():
+    res = labeled("R40")
+    return dataclasses.replace(res, layers={i: r for i, r in res.layers.items() if i != 2})
+
+
+@tamper("layer 2 emptied in the layering, R40")
+def _():
+    res = labeled("R40")
+    layers = res.layering.layers
+    return dataclasses.replace(res, layering=dataclasses.replace(
+        res.layering, layers=layers[:2] + ((),) + layers[3:]))
+
+
+@tamper("root replaced by 17, R30")
+def _():
+    return dataclasses.replace(labeled("R30"), root=17)
+
+
+@tamper("trail edge ids 15 = (3, 23) and 58 = (23, 24) swapped in the record, R30 layer 4")
+def _():
+    # the labeling still verifies and the record agrees with itself; only
+    # the graph's ends of the two edges show the forgery
+    return ids_swapped(labeled("R30"), 4, 15, 58)
+
+
+@tamper("link end moved to the root, K6,6 layer 2")
+def _():
+    # link 1 - 6 - 2 becomes 0 - 6 - 2 on a view given edge (0, 6) of
+    # layer 1, so its edge to the root is not a cross edge of layer 2
+    res = labeled("K6,6")
+    view = res.layers[2].pair.view
+    adj = {v: view.incident(v) for v in view.inner + view.outer}
+    root_edge = next(eid for w, eid in res.graph.incident(6) if w == 0)
+    adj[6] = ((0, root_edge),) + adj[6]
+    adj[0] = ((6, root_edge),)
+    view = BipartiteView(2, view.inner, view.outer + (0,), adj)
+    return with_view(res, 2, view, links=[Link(6, 0, 2)])
+
+
 @tamper("one label short, C10(1,2)")
 def _():
     res = labeled("C10(1,2)")
@@ -418,6 +501,9 @@ def issue_templates():
                 yield from strings(elt)
         elif isinstance(node, ast.ListComp):
             yield from strings(node.elt)
+        elif isinstance(node, ast.IfExp):
+            yield from strings(node.body)
+            yield from strings(node.orelse)
 
     found = set()
     for fn in ast.parse(Path(VERIFY_PY).read_text()).body:
@@ -445,6 +531,32 @@ def test_every_issue_template_has_a_tamper():
         if not any(pattern.fullmatch(issue) for issue in issues):
             unreached.add(template)
     assert unreached == AWAITING_BAD_COMPONENTS
+
+
+def test_replay_reads_no_view_edges():
+    """The replay takes each layer's edges, their ends and its link edges
+    from its own scan of the graph; the record's view is read only by the
+    covering pair's checks."""
+    tree = ast.parse(Path(VERIFY_PY).read_text())
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not read & {"edge_ends", "ends_of", "edge_between", "link_edge_ids", "view"}
+
+
+def test_trail_id_swap_forgeries_are_flagged():
+    """Every forgery that swaps the ids of two consecutive edges of one
+    trail in the record, as ids_swapped does, and whose labels still verify
+    as antimagic, is reported."""
+    forgeries = 0
+    for seed in range(1, 30):
+        res = label_graph(generate_regular(30, 4, seed))
+        for i, rec in res.layers.items():
+            for a, b in [pair for ev in rec.events for t in ev.trails
+                         for pair in zip(t.edges, t.edges[1:])]:
+                forged = ids_swapped(res, i, a, b)
+                if verify_antimagic(forged.graph, forged.labeling.labels, forged.layering).passed:
+                    forgeries += 1
+                    assert check_construction(forged)[0], (seed, i, a, b)
+    assert forgeries == 104
 
 
 if __name__ == "__main__":

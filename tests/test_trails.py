@@ -712,7 +712,7 @@ class TestAnalysisDifferential:
         smallest vertex of its component; returns the analysis."""
         analysis = analyze_bad_components(pair, parent_edge)
         trail_eids = residual_edge_sets(pair, parent_edge)
-        bad_cids, _, free_links = _bad_components(pair, trail_eids, k)
+        bad_cids, _, free_links = _bad_components(pair, pair.view.edge_ends, trail_eids, k)
         assert (bad_cids, free_links) == (analysis.bad_cids, analysis.free_links)
         closed = {t.vertices[0]: t for t in analysis.family.closed}
         for cid in bad_cids:

@@ -278,7 +278,7 @@ class TestReplayRecomputation:
     def assert_bad_components_agree(pair, parent_edge, k):
         ref = analyze_bad_components(pair, parent_edge)
         trail_eids = residual_edge_sets(pair, parent_edge)
-        got = _bad_components(pair, trail_eids, k)
+        got = _bad_components(pair, pair.view.edge_ends, trail_eids, k)
         assert got == (ref.bad_cids, ref.bad_vertices, ref.free_links)
         return ref
 
