@@ -10,8 +10,9 @@ pass from the outermost layer in: one scan of the graph files each edge,
 by its ends' layers, as a within-layer edge of their layer or a cross edge
 of the outer one with its (inner, outer) ends.  Each layer's edges, ends
 and plan counts come from that scan, its link edges from the graph's
-incidence; the record's view is read only by the covering pair's checks.
-Each layer is replayed once, so the issues come grouped by layer.
+incidence; the record's view must agree with the scan in every fact the
+covering pair's checks read of it.  Each layer is replayed once, so the
+issues come grouped by layer.
 """
 
 from __future__ import annotations
@@ -51,12 +52,10 @@ class VerificationReport:
 
 def _normalize_labels(graph: Graph, labels) -> list[int]:
     if isinstance(labels, Mapping):
-        out = []
-        for eid in range(graph.m):
-            if eid not in labels:
-                raise ValueError(f"edge {eid} has no label")
-            out.append(labels[eid])
-        return out
+        missing = [eid for eid in range(graph.m) if eid not in labels]
+        if missing:
+            raise ValueError(f"edge {missing[0]} has no label")
+        return [labels[eid] for eid in range(graph.m)]
     seq = list(labels)
     if len(seq) != graph.m:
         raise ValueError(f"{len(seq)} labels for {graph.m} edges")
@@ -242,21 +241,23 @@ def _bad_components(pair: CoveringPair, ends: Mapping[int, tuple[int, int]],
 
 def _replay_layer(result: LabelingResult, i: int, labels: Sequence[int], sums: Sequence[int],
                   within: Sequence[int], ends: Mapping[int, tuple[int, int]],
-                  stats: dict) -> list[str]:
+                  outdeg: Sequence[int], stats: dict) -> list[str]:
     """Every check of layer i past its plan, on its share of the caller's
     scan: link edges, parent map, trail coverage, cursor and pair sums, bad
-    components, link labels, partial sums and parent order, the covering
-    pair, and each within-layer edge's interval.  Parent order, link labels
-    and cursor pin every cross-edge label.  Counts and slacks go to `stats`."""
-    plan, rec, k = result.plans[i], result.layers[i], result.k
+    components, link labels, partial sums and parent order, the covering pair
+    and its view's agreement with the scan, and each within-layer edge's
+    interval.  Parent order, link labels and cursor pin every cross-edge
+    label.  Counts and slacks go to `stats`."""
+    plan, rec, k, g = result.plans[i], result.layers[i], result.k, result.graph
     pair, parent_edge, layer = rec.pair, rec.parent_edge, result.layering.layers[i]
     issues: list[str] = []
 
     # a link edge is the graph's edge from the center to an end; it must cross the layer
     link_edge: dict[tuple[int, int], int] = {}
     for link in pair.links:
+        at = g.incident(link.center) if 0 <= link.center < g.n else ()
         for end in link.ends:
-            eid = next((e for w, e in result.graph.incident(link.center) if w == end), None)
+            eid = next((e for w, e in at if w == end), None)
             if ends.get(eid) != (link.center, end):
                 return [f"layer {i}: link at center {link.center} has no cross edge to {end}"]
             link_edge[link.center, end] = eid
@@ -372,6 +373,13 @@ def _replay_layer(result: LabelingResult, i: int, labels: Sequence[int], sums: S
 
     if pair.d != 2 * k + 1:
         issues.append(f"layer {i}: covering pair degree bound {pair.d}, expected {2 * k + 1}")
+    # the pair's checks read its view's sides, edge ends, inner degrees and centers' edges
+    view, inner, layer_of = pair.view, result.layering.layers[i - 1], result.layering.layer_of
+    if ((view.inner, view.outer) != (inner, layer) or view.edge_ends != ends
+            or list(map(view.degree, inner)) != list(map(outdeg.__getitem__, inner))
+            or any(view.incident(l.center) != tuple([e for e in g.incident(l.center)
+                                                     if layer_of[e[0]] == i]) for l in pair.links)):
+        issues.append(f"layer {i}: covering pair's view is not the graph's view of the layer")
     try:
         validate_covering_pair(pair)
     except InternalInvariantError as exc:
@@ -413,6 +421,7 @@ def check_construction(result: LabelingResult) -> tuple[list[str], dict]:
     layer_of = lay.layer_of
     within: list[list[int]] = [[] for _ in range(lay.depth + 1)]
     cross: list[dict[int, tuple[int, int]]] = [{} for _ in range(lay.depth + 1)]
+    outdeg = [0] * g.n  # how many cross edges join each vertex to the next layer out
     for eid, e in enumerate(g.edges):
         u, v = e
         lu, lv = layer_of[u], layer_of[v]
@@ -420,8 +429,10 @@ def check_construction(result: LabelingResult) -> tuple[list[str], dict]:
             within[lu].append(eid)
         elif lu < lv:  # the graph's own (inner, outer) tuple
             cross[lv][eid] = e
+            outdeg[u] += 1
         else:
             cross[lu][eid] = (v, u)
+            outdeg[v] += 1
 
     offset = 0  # how many labels the layers outside layer i use
     for i in range(lay.depth, 0, -1):
@@ -439,7 +450,7 @@ def check_construction(result: LabelingResult) -> tuple[list[str], dict]:
                               f"offset) {recorded}, the layer's counts give {counts}")
             elif report is not None:
                 issues += _replay_layer(result, i, labels, report.vertex_sums, within[i],
-                                        cross[i], stats)
+                                        cross[i], outdeg, stats)
         offset += len(within[i]) + len(cross[i])
     # with the root alone in layer 0, which holds no within-layer edge, the
     # stacked plans cover every label once
@@ -487,8 +498,7 @@ def stress_instances(count: int, n_min: int, n_max: int, degrees: Sequence[int],
     for idx in range(count):
         degree = degrees[idx % len(degrees)]
         lo = max(degree + 1, n_min)
-        hi = max(lo, n_max)
-        n = rng.randrange(lo, hi + 1)
+        n = rng.randrange(lo, max(lo, n_max) + 1)
         gseed = rng.randrange(1 << 30)
         yield idx, n, degree, gseed, generate_regular(n, degree, gseed)
 
@@ -502,11 +512,7 @@ def stress(count: int, n_min: int, n_max: int, degrees: Sequence[int], seed: int
     if count < 0:
         raise ValueError("count must be nonnegative")
     t0 = time.monotonic()
-    passed = 0
-    min_hi: int | None = None
-    min_lo: int | None = None
-    bad_instances = 0
-    link_instances = 0
+    runs = []  # each instance's replay statistics
     for idx, n, degree, gseed, graph in stress_instances(count, n_min, n_max, degrees, seed):
         info = f"instance {idx} (n={n}, degree={degree}, seed={gseed})"
         try:
@@ -518,21 +524,15 @@ def stress(count: int, n_min: int, n_max: int, degrees: Sequence[int], seed: int
         if issues:
             raise StressFailure(f"{info}: {issues[0]}",
                                 _serialize_instance(graph, n, degree, gseed))
-        passed += 1
-        if stats["min_upper_slack"] is not None:
-            min_hi = stats["min_upper_slack"] if min_hi is None else min(min_hi, stats["min_upper_slack"])
-        if stats["min_lower_slack"] is not None:
-            min_lo = stats["min_lower_slack"] if min_lo is None else min(min_lo, stats["min_lower_slack"])
-        if stats["bad_layers"]:
-            bad_instances += 1
-        if stats["links_total"]:
-            link_instances += 1
+        runs.append(stats)
+    tightest = {key: min((s[key] for s in runs if s[key] is not None), default=None)
+                for key in ("min_upper_slack", "min_lower_slack")}
     return StressSummary(
         count=count,
-        passed=passed,
+        passed=len(runs),
         seconds=time.monotonic() - t0,
-        min_upper_slack=min_hi,
-        min_lower_slack=min_lo,
-        bad_component_instances=bad_instances,
-        instances_with_links=link_instances,
+        min_upper_slack=tightest["min_upper_slack"],
+        min_lower_slack=tightest["min_lower_slack"],
+        bad_component_instances=sum(bool(s["bad_layers"]) for s in runs),
+        instances_with_links=sum(bool(s["links_total"]) for s in runs),
     )
