@@ -10,9 +10,8 @@ pass from the outermost layer in: one scan of the graph files each edge,
 by its ends' layers, as a within-layer edge of their layer or a cross edge
 of the outer one with its (inner, outer) ends.  Each layer's edges, ends
 and plan counts come from that scan, its link edges from the graph's
-incidence; the record's view must agree with the scan in every fact the
-covering pair's checks read of it.  Each layer is replayed once, so the
-issues come grouped by layer.
+incidence; the record's view must agree with the scan before the covering
+pair's checks read it.  Layers replay once each, so issues group by layer.
 """
 
 from __future__ import annotations
@@ -52,10 +51,12 @@ class VerificationReport:
 
 def _normalize_labels(graph: Graph, labels) -> list[int]:
     if isinstance(labels, Mapping):
-        missing = [eid for eid in range(graph.m) if eid not in labels]
-        if missing:
-            raise ValueError(f"edge {missing[0]} has no label")
-        return [labels[eid] for eid in range(graph.m)]
+        out = []
+        for eid in range(graph.m):
+            if eid not in labels:
+                raise ValueError(f"edge {eid} has no label")
+            out.append(labels[eid])
+        return out
     seq = list(labels)
     if len(seq) != graph.m:
         raise ValueError(f"{len(seq)} labels for {graph.m} edges")
@@ -244,10 +245,9 @@ def _replay_layer(result: LabelingResult, i: int, labels: Sequence[int], sums: S
                   outdeg: Sequence[int], stats: dict) -> list[str]:
     """Every check of layer i past its plan, on its share of the caller's
     scan: link edges, parent map, trail coverage, cursor and pair sums, bad
-    components, link labels, partial sums and parent order, the covering pair
-    and its view's agreement with the scan, and each within-layer edge's
-    interval.  Parent order, link labels and cursor pin every cross-edge
-    label.  Counts and slacks go to `stats`."""
+    components, link labels, partial sums and parent order, the covering
+    pair and its view, and each within-layer edge's interval.  Parent order,
+    link labels and cursor pin every cross-edge label; tallies go to `stats`."""
     plan, rec, k, g = result.plans[i], result.layers[i], result.k, result.graph
     pair, parent_edge, layer = rec.pair, rec.parent_edge, result.layering.layers[i]
     issues: list[str] = []
