@@ -110,19 +110,16 @@ def validate_covering_pair(pair: CoveringPair) -> None:
     """Check every structural invariant of the irreducible form; raise on any gap.
 
     Together with the checks of CoveringPair (link ends unique, matching
-    edges disjoint, link edges in the view) these make every component of
-    matching plus links a single matching edge or a W-shape: one unmatched
-    center whose two ends each carry their own matching edge.  No link edge
-    is a matching edge, since that edge would match its center."""
+    edges disjoint, link edges in the view, so an inner center's ends are
+    outer) these make every component of matching plus links a single
+    matching edge or a W-shape: one unmatched center whose two ends each
+    carry their own matching edge.  No link edge is a matching edge, since
+    that edge would match its center."""
     view, d = pair.view, pair.d
-    link_ends = pair.link_ends
     seen: set[int] = set()
     for l in pair.links:
         if view.side(l.center) != "inner":
             raise InternalInvariantError(f"link center {l.center} is not an inner vertex")
-        for end in l.ends:
-            if view.side(end) != "outer":
-                raise InternalInvariantError(f"link end {end} is not an outer vertex")
         for v in (l.center, l.end_a, l.end_b):
             if v in seen:
                 raise InternalInvariantError(f"links share vertex {v}")
@@ -137,14 +134,12 @@ def validate_covering_pair(pair: CoveringPair) -> None:
                 raise InternalInvariantError(f"link end {end} is unmatched")
         # every neighbor of a center must be usable as a parent edge elsewhere
         for w in view.neighbors(l.center):
-            if not pair.is_matched(w) and w not in link_ends:
+            if not pair.is_matched(w) and w not in pair.link_ends:
                 raise InternalInvariantError(
                     f"neighbor {w} of center {l.center} is neither matched nor a link end")
     # `seen` holds every link vertex; an inner one is a center
     for x in view.inner:
-        if view.degree(x) != d:
-            continue
-        if not (pair.is_matched(x) or x in seen):
+        if view.degree(x) == d and not (pair.is_matched(x) or x in seen):
             raise InternalInvariantError(f"full-degree inner vertex {x} is uncovered")
 
 

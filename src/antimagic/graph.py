@@ -60,9 +60,6 @@ class Graph:
         """(neighbor, edge id) pairs at v, sorted."""
         return self._adj[v]
 
-    def neighbors(self, v: int) -> list[int]:
-        return [w for w, _ in self._adj[v]]
-
     def is_connected(self) -> bool:
         if self.n == 1:
             return True

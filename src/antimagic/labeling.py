@@ -77,11 +77,12 @@ class LayerPlan:
 @dataclass(frozen=True, slots=True)
 class LayerRecord:
     """What the replay reads of one layer, built in the one labeling pass once
-    the layer is labeled; its trail family and bad-component analysis are
-    dropped with the layer.  The layer's view is `pair.view`.  A bad
-    component's id is its smallest vertex."""
+    the layer is labeled: of its covering pair only the links and matching
+    edge ids.  The pair, its view, trail family and bad-component analysis
+    are dropped with the layer.  A bad component's id is its smallest vertex."""
 
-    pair: CoveringPair
+    links: tuple[Link, ...]
+    matching: frozenset[int]
     parent_edge: dict[int, int]
     bad_cids: tuple[int, ...]
     free_links: tuple[Link, ...]
@@ -261,7 +262,8 @@ def label_graph(graph: Graph, root: int = 0) -> LabelingResult:
         order.sort()
         for lab, (_, u) in enumerate(order, start=plan.parent_interval[0]):
             labels[parent[u]] = lab
-        records[i] = LayerRecord(pair, parent, analysis.bad_cids, analysis.free_links, events)
+        records[i] = LayerRecord(pair.links, pair.matching, parent, analysis.bad_cids,
+                                 analysis.free_links, events)
 
     label_seq = tuple(labels)
 

@@ -67,12 +67,6 @@ class TrailFamily:
     open_outer: tuple[Trail, ...]
     open_mixed: tuple[Trail, ...]
 
-    def all_trails(self):
-        yield from self.closed
-        yield from self.open_inner
-        yield from self.open_outer
-        yield from self.open_mixed
-
 
 def residual_edge_sets(pair: CoveringPair, parent_edge: dict[int, int]) -> AbstractSet[int]:
     """Trail edge ids: the pair's view's edges minus parent edges and link

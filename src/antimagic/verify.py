@@ -10,8 +10,8 @@ pass from the outermost layer in: one scan of the graph files each edge,
 by its ends' layers, as a within-layer edge of their layer or a cross edge
 of the outer one with its (inner, outer) ends.  Each layer's edges, ends
 and plan counts come from that scan, its link edges from the graph's
-incidence; the record's view must agree with the scan before the covering
-pair's checks read it.  Layers replay once each, so issues group by layer.
+incidence, and the covering pair's links and matching are judged on the
+scan's facts, with no view.  Layers replay once each, so issues group by layer.
 """
 
 from __future__ import annotations
@@ -21,14 +21,15 @@ import time
 from dataclasses import dataclass
 from typing import AbstractSet, Iterator, Mapping, Sequence
 
-from .covering import CoveringPair, Link, validate_covering_pair
+from .covering import Link
 from .errors import InternalInvariantError, StressFailure
 from .generate import generate_regular
 from .graph import Graph, Layering, format_edge_list
 from .labeling import LabelingResult, LayerPlan, LayerRecord, label_graph
-# Not called here: the replay finds bad components itself (_bad_components).
-# The benchmark's tracer (perfbench/tracer.py) patches this module attribute,
-# so the name stays until the tracer drops that patch.
+# Not called here: the replay checks the covering pair and finds bad components
+# itself.  The benchmark's tracer (perfbench/tracer.py) patches these module
+# attributes, so the names stay until the tracer drops those patches.
+from .covering import validate_covering_pair  # noqa: F401
 from .trails import analyze_bad_components  # noqa: F401
 
 
@@ -192,8 +193,8 @@ def _walk_issue(i: int, rec: LayerRecord, vertex: int, m: int) -> str:
     return f"layer {i}: trail unit does not walk its edges at vertex {vertex}"
 
 
-def _bad_components(pair: CoveringPair, ends: Mapping[int, tuple[int, int]],
-                    trail_eids: AbstractSet[int],
+def _bad_components(links: Sequence[Link], link_ends: AbstractSet[int],
+                    ends: Mapping[int, tuple[int, int]], trail_eids: AbstractSet[int],
                     k: int) -> tuple[tuple[int, ...], frozenset[int], tuple[Link, ...]]:
     """(bad component ids ascending, their vertices, free links) of the trail
     graph on `trail_eids`, by their `ends`, read off its connected components
@@ -201,10 +202,10 @@ def _bad_components(pair: CoveringPair, ends: Mapping[int, tuple[int, int]],
 
     A component's id is its smallest vertex, as in the trail builder, and
     the search starts each component there.  A component is bad when every
-    degree is 2k and every outer vertex is a link end, so a layer without
-    links has none; a link is free when at least one end lies outside every
-    bad component."""
-    if not pair.links:
+    degree is 2k and every outer vertex is one of the `link_ends`, so a
+    layer without links has none; a link is free when at least one end lies
+    outside every bad component."""
+    if not links:
         return (), frozenset(), ()
     adj: dict[int, list[int]] = {}
     outer: set[int] = set()
@@ -213,7 +214,6 @@ def _bad_components(pair: CoveringPair, ends: Mapping[int, tuple[int, int]],
         adj.setdefault(x, []).append(y)
         adj.setdefault(y, []).append(x)
         outer.add(y)
-    link_ends = pair.link_ends
     bad_cids: list[int] = []
     bad_vertices: set[int] = set()
     seen: set[int] = set()
@@ -235,8 +235,7 @@ def _bad_components(pair: CoveringPair, ends: Mapping[int, tuple[int, int]],
                 and all(u in link_ends for u in outer_members)):
             bad_cids.append(v)
             bad_vertices.update(members)
-    free = tuple(l for l in pair.links
-                 if l.end_a not in bad_vertices or l.end_b not in bad_vertices)
+    free = tuple(l for l in links if l.end_a not in bad_vertices or l.end_b not in bad_vertices)
     return tuple(bad_cids), frozenset(bad_vertices), free
 
 
@@ -244,23 +243,46 @@ def _replay_layer(result: LabelingResult, i: int, labels: Sequence[int], sums: S
                   within: Sequence[int], ends: Mapping[int, tuple[int, int]],
                   outdeg: Sequence[int], stats: dict) -> list[str]:
     """Every check of layer i past its plan, on its share of the caller's
-    scan: link edges, parent map, trail coverage, cursor and pair sums, bad
-    components, link labels, partial sums and parent order, the covering
-    pair and its view, and each within-layer edge's interval.  Parent order,
-    link labels and cursor pin every cross-edge label; tallies go to `stats`."""
+    scan: link edges, the covering pair, parent map, trail coverage, cursor
+    and pair sums, bad components, link labels, partial sums and parent
+    order, and each within-layer edge's interval.  Parent order, link labels
+    and cursor pin every cross-edge label; tallies go to `stats`."""
     plan, rec, k, g = result.plans[i], result.layers[i], result.k, result.graph
-    pair, parent_edge, layer = rec.pair, rec.parent_edge, result.layering.layers[i]
+    links, parent_edge, layer = rec.links, rec.parent_edge, result.layering.layers[i]
+    d = 2 * k + 1
     issues: list[str] = []
 
-    # a link edge is the graph's edge from the center to an end; it must cross the layer
+    # the covering pair's invariants (validate_covering_pair) on the scan's facts
+    match_of: dict[int, int] = {}
+    for eid in sorted(rec.matching):
+        x, y = ends.get(eid, (None, None))
+        if x is None:
+            issues.append(f"layer {i}: matching edge {eid} is not a cross edge of the layer")
+        elif x in match_of or y in match_of:
+            issues.append(f"layer {i}: matching edges share a vertex at edge {eid}")
+        else:
+            match_of[x] = match_of[y] = eid
     link_edge: dict[tuple[int, int], int] = {}
-    for link in pair.links:
-        at = g.incident(link.center) if 0 <= link.center < g.n else ()
+    for link in links:
+        c = link.center
+        at = g.incident(c) if 0 <= c < g.n else ()
         for end in link.ends:
             eid = next((e for w, e in at if w == end), None)
-            if ends.get(eid) != (link.center, end):
-                return [f"layer {i}: link at center {link.center} has no cross edge to {end}"]
-            link_edge[link.center, end] = eid
+            if ends.get(eid) != (c, end):
+                return [f"layer {i}: link at center {c} has no cross edge to {end}"]
+            link_edge[c, end] = eid
+        if outdeg[c] != d:
+            issues.append(f"layer {i}: link center {c} has {outdeg[c]} outward edges, not {d}")
+        if c in match_of:
+            issues.append(f"layer {i}: link center {c} is also matched")
+        issues += [f"layer {i}: neighbor {w} of link center {c} is unmatched"
+                   for w, eid in at if eid in ends and w not in match_of]
+    centers, link_ends = {c for c, _ in link_edge}, {end for _, end in link_edge}
+    if len(centers) + len(link_ends) != 3 * len(links):
+        issues.append(f"layer {i}: links share a vertex")
+    issues += [f"layer {i}: full-degree inner vertex {x} is uncovered"
+               for x in result.layering.layers[i - 1]
+               if outdeg[x] == d and x not in match_of and x not in centers]
     link_eids = set(link_edge.values())
 
     sigma_eids = set(parent_edge.values())
@@ -269,7 +291,7 @@ def _replay_layer(result: LabelingResult, i: int, labels: Sequence[int], sums: S
         if eid is None or ends.get(eid, (None, None))[1] != u:
             issues.append(f"layer {i}: vertex {u} has an invalid parent edge {eid}")
             continue
-        if pair.is_matched(u) and eid != pair.matching_edge(u):
+        if u in match_of and eid != match_of[u]:
             issues.append(f"layer {i}: matched vertex {u} does not use its matching edge")
         if eid in link_eids:
             issues.append(f"layer {i}: parent edge of vertex {u} is a link edge")
@@ -304,7 +326,7 @@ def _replay_layer(result: LabelingResult, i: int, labels: Sequence[int], sums: S
         issues.append(f"layer {i}: trail units do not cover the trail graph exactly")
     issues += _layer_pair_sums(i, plan, rec, ends, labels)
 
-    bad_cids, bad_vertices, free_links = _bad_components(pair, ends, trail_eids, k)
+    bad_cids, bad_vertices, free_links = _bad_components(links, link_ends, ends, trail_eids, k)
     if bad_cids != rec.bad_cids or free_links != rec.free_links:
         issues.append(f"layer {i}: recomputed bad components disagree with the record")
     if bad_cids:
@@ -312,13 +334,13 @@ def _replay_layer(result: LabelingResult, i: int, labels: Sequence[int], sums: S
         if len(free_links) < k:
             issues.append(f"layer {i}: only {len(free_links)} free links with bad "
                           f"components present, need {k}")
-    stats["links_total"] += len(pair.links)
+    stats["links_total"] += len(links)
     stats["free_links_total"] += len(free_links)
 
     base = plan.offset + plan.inner_count + plan.trail_count
     c = plan.link_count
     free_set = set(free_links)
-    link_order = list(free_links) + [l for l in pair.links if l not in free_set]
+    link_order = list(free_links) + [l for l in links if l not in free_set]
     for idx, link in enumerate(link_order, start=1):
         in_bad = [e for e in link.ends if e in bad_vertices]
         u_low = in_bad[0] if (link in free_set and len(in_bad) == 1) else min(link.ends)
@@ -328,7 +350,7 @@ def _replay_layer(result: LabelingResult, i: int, labels: Sequence[int], sums: S
         if labels[link_edge[link.center, u_high]] != base + c - idx + 1:
             issues.append(f"layer {i}: high link edge of center {link.center} mislabeled")
     if bad_cids:
-        for link in pair.links:
+        for link in links:
             for end in link.ends:
                 if end in bad_vertices:
                     lab = labels[link_edge[link.center, end]]
@@ -371,20 +393,6 @@ def _replay_layer(result: LabelingResult, i: int, labels: Sequence[int], sums: S
                 issues.append(f"layer {i}: parent edge of vertex {u} carries "
                               f"label {labels[parent_edge[u]]}, expected {lab}")
 
-    if pair.d != 2 * k + 1:
-        issues.append(f"layer {i}: covering pair degree bound {pair.d}, expected {2 * k + 1}")
-    # the pair's checks read its view's sides, edge ends, inner degrees and centers' edges
-    view, inner, layer_of = pair.view, result.layering.layers[i - 1], result.layering.layer_of
-    if ((view.inner, view.outer) != (inner, layer) or view.edge_ends != ends
-            or list(map(view.degree, inner)) != list(map(outdeg.__getitem__, inner))
-            or any(view.incident(l.center) != tuple([e for e in g.incident(l.center)
-                                                     if layer_of[e[0]] == i]) for l in pair.links)):
-        issues.append(f"layer {i}: covering pair's view is not the graph's view of the layer")
-    try:
-        validate_covering_pair(pair)
-    except InternalInvariantError as exc:
-        issues.append(f"layer {i}: covering pair invalid: {exc}")
-
     lo, hi = plan.inner_interval
     issues += [f"edge {eid} is a within-layer edge of layer {i} but carries label {labels[eid]} "
                f"outside [{lo}, {hi}]" for eid in within if not lo <= labels[eid] <= hi]
@@ -396,17 +404,25 @@ def check_construction(result: LabelingResult) -> tuple[list[str], dict]:
     outermost in.  Returns the list of violated invariants (empty when clean),
     grouped by layer, and summary statistics, including the bijection,
     distinct-sums and layer-monotone flags of verify_antimagic, whose first
-    failure, if any, is the first issue.  It is the one judge of a record;
-    verify_antimagic reads none.  A layer whose plan differs, field by
-    field, from its own counts and the labels of the layers outside it, or
-    that has no plan or layer record, gets that one issue.  A label sequence
-    that is not one label per edge is one issue; only the plans are checked
-    then, since every other check reads labels by edge id."""
+    failure, if any, is the first issue; a misplaced vertex in the layering
+    is the one issue, and unchecked flags are None.  A layer whose plan
+    differs, field by field, from its own counts and the labels of the layers
+    outside it, or that has no plan or layer record, gets that one issue.  A
+    label sequence that is not one label per edge is one issue; only the
+    plans are checked then, since every other check reads labels by edge id."""
     labels = list(result.labeling.labels)
     g, lay = result.graph, result.layering
     issues: list[str] = []
     stats = {"bad_layers": 0, "links_total": 0, "free_links_total": 0,
              "min_upper_slack": None, "min_lower_slack": None}
+
+    # each vertex listed once, in its layer_of layer: with the root check, the
+    # parent edges and no edge skipping a layer, the layers are BFS distances
+    listed = {v: i for i, layer in enumerate(lay.layers) for v in layer}
+    if (not len(listed) == sum(map(len, lay.layers)) == g.n
+            or listed != dict(enumerate(lay.layer_of))):
+        stats.update(bijection_ok=None, distinct_sums_ok=None, layer_monotone_ok=None)
+        return ["the layering does not list each vertex once, in its layer_of layer"], stats
 
     report = None
     if len(labels) == g.m:
@@ -427,12 +443,14 @@ def check_construction(result: LabelingResult) -> tuple[list[str], dict]:
         lu, lv = layer_of[u], layer_of[v]
         if lu == lv:
             within[lu].append(eid)
-        elif lu < lv:  # the graph's own (inner, outer) tuple
+        elif lu + 1 == lv:  # the graph's own (inner, outer) tuple
             cross[lv][eid] = e
             outdeg[u] += 1
-        else:
+        elif lv + 1 == lu:
             cross[lu][eid] = (v, u)
             outdeg[v] += 1
+        else:
+            issues.append(f"edge {eid} joins layers {lu} and {lv}, which are not adjacent")
 
     offset = 0  # how many labels the layers outside layer i use
     for i in range(lay.depth, 0, -1):
@@ -441,7 +459,7 @@ def check_construction(result: LabelingResult) -> tuple[list[str], dict]:
             missing = "plan" if plan is None else "layer record"
             issues.append(f"layer {i}: the record has no {missing}")
         else:
-            size, links = len(lay.layers[i]), 2 * len(rec.pair.links)
+            size, links = len(lay.layers[i]), 2 * len(rec.links)
             counts = (i, size, len(within[i]), len(cross[i]) - size - links, links, offset)
             recorded = (plan.index, plan.layer_size, plan.inner_count, plan.trail_count,
                         plan.link_count, plan.offset)

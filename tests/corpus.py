@@ -122,6 +122,14 @@ def random_bounded_bipartite(rng: random.Random, d: int, max_inner: int = 8,
     return bipartite_view(1, inner, outer, tuple(edges))
 
 
+def record_pair(res, i: int) -> CoveringPair:
+    """The covering pair the engine built for layer i of a labeling result,
+    rebuilt on the layer's view from the links and matching its record keeps."""
+    rec = res.layers[i]
+    return CoveringPair(layer_view(res.graph, res.layering, i), 2 * res.k + 1, rec.links,
+                        rec.matching)
+
+
 def padded_layer_two(a: int) -> BipartiteView:
     """The layer-2 view of K_{a,a}, padded: a inner vertices of degree a - 1
     over a - 1 outer ones, where Hall's condition fails."""

@@ -19,7 +19,7 @@ class TestGraph:
         assert g.n == 5
         assert g.m == 10
         assert all(g.degree(v) == 4 for v in range(5))
-        assert g.neighbors(0) == [1, 2, 3, 4]
+        assert [w for w, _ in g.incident(0)] == [1, 2, 3, 4]
         assert sorted(eid for _, eid in g.incident(2)) == [1, 4, 7, 8]
         assert g.is_connected()
 

@@ -13,15 +13,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from antimagic import (GraphShapeError, InternalInvariantError, check_construction,
-                       format_edge_list, generate_regular, label_graph, labeling, trails,
-                       verify_antimagic)
+from antimagic import (BipartiteView, CoveringPair, GraphShapeError, InternalInvariantError,
+                       Link, check_construction, format_edge_list, generate_regular,
+                       label_graph, labeling, trails, verify_antimagic)
 from antimagic.cli import main
 from antimagic.documents import render_document
 from antimagic.labeling import LayerPlan
 from antimagic.verify import stress_instances
 from corpus import (circulant, complete_bipartite, complete_graph, cycle_graph,
-                    hypercube, octahedron, shuffled_circulant, torus_grid)
+                    hypercube, octahedron, record_pair, shuffled_circulant, torus_grid)
 
 
 class TestGoldenK5:
@@ -87,7 +87,7 @@ class TestLinksEndToEnd:
     def test_k66_has_a_link_and_passes(self):
         res = label_graph(complete_bipartite(6, 6))
         assert res.k == 2
-        assert len(res.layers[2].pair.links) >= 1
+        assert len(res.layers[2].links) >= 1
         issues, stats = check_construction(res)
         assert issues == []
         assert stats["links_total"] >= 1
@@ -100,7 +100,7 @@ class TestLinkSearchGoldens:
     @pytest.mark.parametrize("a", [6, 8])
     def test_document(self, a):
         res = label_graph(complete_bipartite(a, a))
-        assert len(res.layers[2].pair.links) == 1
+        assert len(res.layers[2].links) == 1
         golden = Path(__file__).parent / "golden" / f"k{a}_{a}.txt"
         assert render_document(res) == golden.read_text()
 
@@ -126,7 +126,8 @@ class TestClosedUnitGolden:
         rec = res.layers[3]
         unit, = rec.events
         assert (unit.kind, unit.case) == ("closed", "outer-high")
-        walked, = trails.analyze_bad_components(rec.pair, rec.parent_edge).family.closed
+        walked, = trails.analyze_bad_components(record_pair(res, 3),
+                                                 rec.parent_edge).family.closed
         turned = walked.edges[::-1]
         dealt = unit.trails[0].edges
         assert dealt in {turned[j:] + turned[:j] for j in range(len(turned))}
@@ -242,7 +243,7 @@ class TestPlanAgainstReference:
         res = label_graph(graph, root)
         trail_counts = {i: sum(len(t.edges) for ev in rec.events for t in ev.trails)
                         for i, rec in res.layers.items()}
-        link_counts = {i: 2 * len(rec.pair.links) for i, rec in res.layers.items()}
+        link_counts = {i: 2 * len(rec.links) for i, rec in res.layers.items()}
         assert res.plans == reference_interval_plan(graph, res.layering, trail_counts,
                                                     link_counts)
 
@@ -328,14 +329,38 @@ class TestRecordsHoldNoTrailFamilies:
         assert [type(obj).__name__ for obj in gc.get_objects() if isinstance(obj, kinds)] == []
 
 
+class TestRecordsHoldNoView:
+    """A held result keeps of each covering pair only its links and matching
+    edge ids: nothing it refers to, however indirectly, is a layer view or a
+    covering pair."""
+
+    @pytest.mark.parametrize("graph", [complete_bipartite(6, 6), generate_regular(60, 6, 1)],
+                             ids=["K6,6", "R60"])
+    def test_no_view_or_pair_is_reachable(self, graph):
+        res = label_graph(graph)
+        seen, stack, kinds = {id(res)}, [res], Counter()
+        while stack:
+            obj = stack.pop()
+            kinds[type(obj).__name__] += 1
+            # a class is not held data, and through its module reaches everything
+            for ref in gc.get_referents(obj):
+                if not isinstance(ref, type) and id(ref) not in seen:
+                    seen.add(id(ref))
+                    stack.append(ref)
+        assert kinds[BipartiteView.__name__] == kinds[CoveringPair.__name__] == 0
+        # the walk reaches the records: every link object, recorded or free
+        assert kinds[Link.__name__] == len({id(link) for rec in res.layers.values()
+                                            for link in rec.links + rec.free_links})
+
+
 class TestHeldMemory:
     """Bytes per edge that a held result of a deep graph keeps: each of its
-    thousand layers keeps a view, a covering pair, a parent map, its trail
-    units and its plan.  The result measured 502 bytes per edge on Python
-    3.11 when the bound was set at that plus 10 % (544 before the layering
-    kept each layer's within-layer edges in place of every edge's class)."""
+    thousand layers keeps its links and matching, a parent map, its trail
+    units and its plan.  The result measured 311 bytes per edge on Python
+    3.11 (502 when each layer also kept its view and covering pair); the
+    bound is the held-memory target of ROADMAP direction 9."""
 
-    BYTES_PER_EDGE = 552
+    BYTES_PER_EDGE = 380
 
     def test_deep_circulant(self):
         g = circulant(4000, [1, 2])

@@ -21,8 +21,7 @@ from pathlib import Path
 import pytest
 
 from antimagic import check_construction, generate_regular, label_graph, verify_antimagic
-from antimagic.covering import CoveringPair, Link
-from antimagic.graph import BipartiteView
+from antimagic.covering import Link
 from antimagic.labeling import Labeling, TrailEvent
 from antimagic.trails import Trail
 from antimagic.verify import __file__ as VERIFY_PY
@@ -68,32 +67,32 @@ def swapped(res, *pairs):
     return with_labels(res, labels)
 
 
-def with_view(res, i, view, **changes):
-    """The record with layer i's pair rebuilt on `view`, its links and
-    matching as `changes` give them (the record's own by default)."""
-    pair = res.layers[i].pair
-    fields = {"links": pair.links, "matching": pair.matching, **changes}
-    return with_layer(res, i, pair=CoveringPair(view, pair.d, fields["links"],
-                                                fields["matching"]))
+def with_plan(res, i, **changes):
+    return dataclasses.replace(res, plans={**res.plans, i: dataclasses.replace(res.plans[i],
+                                                                               **changes)})
+
+
+def with_links(res, i, links):
+    """The record with layer i's links replaced, and its plan's link and
+    trail counts moved to match them, so the replay reads the layer."""
+    plan, extra = res.plans[i], 2 * (len(links) - len(res.layers[i].links))
+    res = with_plan(res, i, link_count=plan.link_count + extra,
+                    trail_count=plan.trail_count - extra)
+    return with_layer(res, i, links=tuple(links))
 
 
 def ids_swapped(res, i, a, b):
-    """The record with edge ids a and b of layer i swapped in its view,
-    matching, parent map and trail units, and their labels swapped, with
-    the cached sums recomputed: every fact the record holds of the two
-    edges agrees with the swap, and only the graph tells them apart."""
+    """The record with edge ids a and b of layer i swapped in its matching,
+    parent map and trail units, and their labels swapped, with the cached
+    sums recomputed: every fact the record holds of the two edges agrees
+    with the swap, and only the graph tells them apart."""
     swap = {a: b, b: a}
     f = lambda eid: swap.get(eid, eid)  # noqa: E731
     rec = res.layers[i]
-    view = rec.pair.view
-    view = BipartiteView(view.index, view.inner, view.outer,
-                         {v: tuple(sorted((w, f(eid)) for w, eid in view.incident(v)))
-                          for v in view.inner + view.outer})
-    res = with_view(res, i, view, matching=map(f, rec.pair.matching))
     events = tuple(dataclasses.replace(ev, trails=tuple(
         dataclasses.replace(t, edges=tuple(map(f, t.edges))) for t in ev.trails))
         for ev in rec.events)
-    res = with_layer(res, i, events=events,
+    res = with_layer(res, i, matching=frozenset(map(f, rec.matching)), events=events,
                      parent_edge={u: f(eid) for u, eid in rec.parent_edge.items()})
     labels = list(res.labeling.labels)
     labels[a], labels[b] = labels[b], labels[a]
@@ -118,14 +117,15 @@ def trail_eids(res, i):
 
 def parent_pair(res, i):
     rec = res.layers[i]
-    u, w = rec.pair.view.outer[:2]
+    u, w = res.layering.layers[i][:2]
     return rec.parent_edge[u], rec.parent_edge[w]
 
 
-def link_pair(res, i):
-    rec = res.layers[i]
-    link = rec.pair.links[0]
-    return tuple(rec.pair.view.edge_between(link.center, end) for end in link.ends)
+def link_edges(res, i):
+    """The two edges of layer i's first link, from its center to each end."""
+    link = res.layers[i].links[0]
+    at = dict(res.graph.incident(link.center))
+    return tuple(at[end] for end in link.ends)
 
 
 TAMPERS = {}
@@ -164,7 +164,7 @@ def _():
 def _():
     res = labeled("R40")
     rec = res.layers[2]
-    a, b = rec.pair.view.outer[:2]
+    a, b = res.layering.layers[2][:2]
     return with_layer(res, 2, parent_edge={**rec.parent_edge, a: rec.parent_edge[b]})
 
 
@@ -174,7 +174,7 @@ def _():
     # end's parent edge any more
     res = labeled("R40")
     rec = res.layers[2]
-    a, b = rec.pair.view.outer[:2]
+    a, b = res.layering.layers[2][:2]
     return with_layer(res, 2, parent_edge={**rec.parent_edge, a: rec.parent_edge[b],
                                            b: rec.parent_edge[a]})
 
@@ -183,7 +183,7 @@ def _():
 def _():
     res = labeled("R40")
     rec = res.layers[2]
-    a = rec.pair.view.outer[0]
+    a = res.layering.layers[2][0]
     return with_layer(res, 2, parent_edge={u: e for u, e in rec.parent_edge.items() if u != a})
 
 
@@ -212,7 +212,7 @@ for _vertex in (10 ** 6, 3, 1):
 def _():
     res = labeled("R40")
     rec = res.layers[3]
-    v = rec.pair.view.inner[0]
+    v = res.layering.layers[2][0]
     empty = TrailEvent("closed", (Trail((v,), (), closed=True),), "inner-low")
     return with_layer(res, 3, events=rec.events + (empty,))
 
@@ -240,7 +240,7 @@ def _():
 @tamper("link labels swapped, K6,6 layer 2")
 def _():
     res = labeled("K6,6")
-    return swapped(res, link_pair(res, 2))
+    return swapped(res, link_edges(res, 2))
 
 
 @tamper("parent labels swapped, K6,6 layer 2")
@@ -253,9 +253,8 @@ def _():
 def _():
     res = labeled("K6,6")
     rec = res.layers[2]
-    link = rec.pair.links[0]
-    eid = rec.pair.view.edge_between(link.center, link.end_a)
-    return with_layer(res, 2, parent_edge={**rec.parent_edge, link.end_a: eid})
+    eid = link_edges(res, 2)[0]
+    return with_layer(res, 2, parent_edge={**rec.parent_edge, rec.links[0].end_a: eid})
 
 
 @tamper("record claims a bad component, K6,6 layer 2")
@@ -300,17 +299,7 @@ def _():
 @tamper("plan offset forged, R40 layer 2")
 def _():
     res = labeled("R40")
-    plan = dataclasses.replace(res.plans[2], offset=res.plans[2].offset + 1)
-    return dataclasses.replace(res, plans={**res.plans, 2: plan})
-
-
-@tamper("covering pair degree bound forged, R60 layer 3")
-def _():
-    # without edge 56, full-degree inner vertex 51 is uncovered at d = 5; at
-    # d = 7 no inner vertex has full degree, so only the bound shows it
-    res = labeled("R60")
-    pair = res.layers[3].pair
-    return with_layer(res, 3, pair=CoveringPair(pair.view, 7, pair.links, pair.matching - {56}))
+    return with_plan(res, 2, offset=res.plans[2].offset + 1)
 
 
 @tamper("parent labels swapped in layers 3 and 1, R40")
@@ -364,76 +353,64 @@ def _():
 
 @tamper("covering pair without matching edge 56, R60 layer 3")
 def _():
-    # the degree bound stays 5, at which full-degree inner vertex 51 is
-    # uncovered without edge 56
+    # 56 = (51, 10) is the layer's one matching edge, and inner vertex 51,
+    # with five outward edges, is left uncovered without it
     res = labeled("R60")
-    pair = res.layers[3].pair
-    return with_layer(res, 3, pair=CoveringPair(pair.view, pair.d, pair.links,
-                                                pair.matching - {56}))
+    return with_layer(res, 3, matching=res.layers[3].matching - {56})
 
 
-@tamper("covering pair on a view without edge 56, R60 layer 3")
+@tamper("matching gains within-layer edge 6, R60 layer 3")
 def _():
-    # on its own view inner vertex 51 then has degree 4, below d = 5, so
-    # only the view's disagreement with the graph shows it uncovered
     res = labeled("R60")
-    view = res.layers[3].pair.view
-    adj = {v: tuple(e for e in view.incident(v) if e[1] != 56) for v in view.inner + view.outer}
-    return with_view(res, 3, BipartiteView(3, view.inner, view.outer, adj),
-                     matching=res.layers[3].pair.matching - {56})
+    return with_layer(res, 3, matching=res.layers[3].matching | {6})
 
 
-@tamper("edge 56 left out of inner vertex 51's view edges, R60 layer 3")
+@tamper("matching gains edge 102 = (51, 20), R60 layer 3")
 def _():
-    # outer vertex 10 keeps edge 56, so the view's edge ends are the graph's,
-    # and only 51's degree of 4 in the view, not 5, shows it uncovered
+    # edge 56 already matches inner vertex 51
     res = labeled("R60")
-    view = res.layers[3].pair.view
-    adj = {v: view.incident(v) for v in view.inner + view.outer}
-    adj[51] = tuple(e for e in adj[51] if e[1] != 56)
-    return with_view(res, 3, BipartiteView(3, view.inner, view.outer, adj),
-                     matching=res.layers[3].pair.matching - {56})
+    return with_layer(res, 3, matching=res.layers[3].matching | {102})
 
 
-@tamper("inner vertex 51 left off the view's inner side, R60 layer 3")
+@tamper("link 4 - 9 - 49 at inner vertex 9 of three outward edges, R60 layer 3")
 def _():
-    # the covering pair's checks then never ask whether 51 is covered
-    res = labeled("R60")
-    view = res.layers[3].pair.view
-    adj = {v: view.incident(v) for v in view.inner + view.outer}
-    inner = tuple(x for x in view.inner if x != 51)
-    return with_view(res, 3, BipartiteView(3, inner, view.outer, adj),
-                     matching=res.layers[3].pair.matching - {56})
+    # 9's outward neighbors 4, 49 and 59 are all unmatched; the plan's link
+    # and trail counts are forged to match the extra link
+    return with_links(labeled("R60"), 3, [Link(9, 4, 49)])
 
 
-@tamper("link center's view edge to 3 given id m, K6,6 layer 2")
+@tamper("second link at center 6, K6,6 layer 2")
 def _():
-    # center 6 keeps its degree and the view's edge ends stay the graph's;
-    # only the center's own edges in the view differ from the graph's
+    # link 1 - 6 - 2 and link 3 - 6 - 4 share their center; the plan's
+    # link and trail counts are forged to match the extra link
+    return with_links(labeled("K6,6"), 2, [Link(6, 1, 2), Link(6, 3, 4)])
+
+
+@tamper("link center 6 matched to link end 1 by edge 6, K6,6 layer 2")
+def _():
+    # edge 6 = (1, 6) takes end 1 from its matching edge 7 = (1, 7)
     res = labeled("K6,6")
-    view = res.layers[2].pair.view
-    adj = {v: view.incident(v) for v in view.inner + view.outer}
-    adj[6] = tuple((w, res.graph.m) if w == 3 else (w, eid) for w, eid in adj[6])
-    return with_view(res, 2, BipartiteView(2, view.inner, view.outer, adj))
+    return with_layer(res, 2, matching=res.layers[2].matching - {7} | {6})
+
+
+@tamper("link end 1 unmatched, K6,6 layer 2")
+def _():
+    res = labeled("K6,6")
+    return with_layer(res, 2, matching=res.layers[2].matching - {7})
+
+
+@tamper("center 6's neighbor 3 unmatched, K6,6 layer 2")
+def _():
+    # 3 is no link end, and matching edge 21 = (3, 9) is dropped
+    res = labeled("K6,6")
+    return with_layer(res, 2, matching=res.layers[2].matching - {21})
 
 
 @tamper("link center outside the graph, K6,6 layer 2")
 def _():
-    # link 1 - 6 - 2 becomes 1 - 12 - 2 on a view given vertex 12 = n, with
-    # edges of ids past m; the graph has no vertex 12 to look up
+    # link 1 - 6 - 2 becomes 1 - 12 - 2; the graph has no vertex 12 = n
     res = labeled("K6,6")
-    g, view = res.graph, res.layers[2].pair.view
-    adj = {v: view.incident(v) for v in view.inner + view.outer}
-    adj[g.n] = ((1, g.m), (2, g.m + 1))
-    adj[1] += ((g.n, g.m),)
-    adj[2] += ((g.n, g.m + 1),)
-    view = BipartiteView(2, view.inner + (g.n,), view.outer, adj)
-    return with_view(res, 2, view, links=[Link(g.n, 1, 2)])
-
-
-def with_plan(res, i, **changes):
-    return dataclasses.replace(res, plans={**res.plans, i: dataclasses.replace(res.plans[i],
-                                                                               **changes)})
+    return with_layer(res, 2, links=(Link(res.graph.n, 1, 2),))
 
 
 @tamper("plan layer size one too large, R40 layer 2")
@@ -469,6 +446,47 @@ def _():
         res.layering, layers=layers[:2] + ((),) + layers[3:]))
 
 
+def with_layering(res, layers, layer_of):
+    return dataclasses.replace(res, layering=dataclasses.replace(
+        res.layering, layers=layers, layer_of=layer_of))
+
+
+@tamper("layer_of[5] = 99, R30")
+def _():
+    res = labeled("R30")
+    layer_of = list(res.layering.layer_of)
+    layer_of[5] = 99
+    return with_layering(res, res.layering.layers, tuple(layer_of))
+
+
+@tamper("layer_of one entry short, R30")
+def _():
+    res = labeled("R30")
+    return with_layering(res, res.layering.layers, res.layering.layer_of[:-1])
+
+
+@tamper("vertex 12 moved from layer 1 to layer 2, R30")
+def _():
+    # listed once, in the layer its layer_of names, but its edge to the
+    # root then joins layers 0 and 2
+    res = labeled("R30")
+    layers = list(res.layering.layers)
+    layers[1] = tuple(v for v in layers[1] if v != 12)
+    layers[2] = tuple(sorted(layers[2] + (12,)))
+    layer_of = list(res.layering.layer_of)
+    layer_of[12] = 2
+    return with_layering(res, tuple(layers), tuple(layer_of))
+
+
+@tamper("empty layer inserted as layer 2, R30")
+def _():
+    # each vertex is still listed once, in the layer its layer_of names
+    res = labeled("R30")
+    layers = res.layering.layers
+    layer_of = tuple(j + (j >= 2) for j in res.layering.layer_of)
+    return with_layering(res, layers[:2] + ((),) + layers[2:], layer_of)
+
+
 @tamper("root replaced by 17, R30")
 def _():
     return dataclasses.replace(labeled("R30"), root=17)
@@ -483,16 +501,9 @@ def _():
 
 @tamper("link end moved to the root, K6,6 layer 2")
 def _():
-    # link 1 - 6 - 2 becomes 0 - 6 - 2 on a view given edge (0, 6) of
-    # layer 1, so its edge to the root is not a cross edge of layer 2
-    res = labeled("K6,6")
-    view = res.layers[2].pair.view
-    adj = {v: view.incident(v) for v in view.inner + view.outer}
-    root_edge = next(eid for w, eid in res.graph.incident(6) if w == 0)
-    adj[6] = ((0, root_edge),) + adj[6]
-    adj[0] = ((6, root_edge),)
-    view = BipartiteView(2, view.inner, view.outer + (0,), adj)
-    return with_view(res, 2, view, links=[Link(6, 0, 2)])
+    # link 1 - 6 - 2 becomes 0 - 6 - 2, whose edge to the root is no cross
+    # edge of layer 2
+    return with_layer(labeled("K6,6"), 2, links=(Link(6, 0, 2),))
 
 
 @tamper("one label short, C10(1,2)")
@@ -595,22 +606,20 @@ def test_every_issue_template_has_a_tamper():
 
 def test_replay_reads_no_view_edges():
     """The replay takes each layer's edges, their ends and its link edges
-    from its own scan of the graph.  It reads the record's view once, to
-    compare it, its edge ends among its facts, with the scan before the
-    covering pair's checks read it."""
+    from its own scan of the graph, and judges the covering pair's links
+    and matching on them: it reads no view and no pair's edge lookups."""
     tree = ast.parse(Path(VERIFY_PY).read_text())
     read = collections.Counter(node.attr for node in ast.walk(tree)
                                if isinstance(node, ast.Attribute))
     assert {name: read[name] for name in
             ("edge_ends", "ends_of", "edge_between", "link_edge_ids", "view")} == {
-        "edge_ends": 1, "ends_of": 0, "edge_between": 0, "link_edge_ids": 0, "view": 1}
+        "edge_ends": 0, "ends_of": 0, "edge_between": 0, "link_edge_ids": 0, "view": 0}
 
 
 def test_trail_id_swap_forgeries_are_flagged():
     """Every forgery that swaps the ids of two consecutive edges of one
     trail in the record, as ids_swapped does, and whose labels still verify
-    as antimagic, is reported, and not only because its view disagrees with
-    the graph: the replay's own ends show it too."""
+    as antimagic, is reported: the replay's own ends show it."""
     forgeries = 0
     for seed in range(1, 30):
         res = label_graph(generate_regular(30, 4, seed))
@@ -620,9 +629,7 @@ def test_trail_id_swap_forgeries_are_flagged():
                 forged = ids_swapped(res, i, a, b)
                 if verify_antimagic(forged.graph, forged.labeling.labels, forged.layering).passed:
                     forgeries += 1
-                    issues = check_construction(forged)[0]
-                    assert [issue for issue in issues if "covering pair's view" not in issue], \
-                        (seed, i, a, b)
+                    assert check_construction(forged)[0], (seed, i, a, b)
     assert forgeries == 104
 
 

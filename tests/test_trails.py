@@ -21,7 +21,11 @@ from antimagic.trails import (Trail, analyze_bad_components, choose_closed_start
                               decompose_trails, detect_bad_components, residual_edge_sets,
                               rotate_closed)
 from antimagic.verify import _bad_components
-from corpus import complete_bipartite, free_link_gadget, random_bounded_bipartite
+from corpus import complete_bipartite, free_link_gadget, random_bounded_bipartite, record_pair
+
+
+def all_trails(fam):
+    return fam.closed + fam.open_inner + fam.open_outer + fam.open_mixed
 
 
 def make_view(inner, outer, pairs):
@@ -120,7 +124,7 @@ class TestDecompose:
     def test_empty(self):
         view = make_view([0], [1], [(0, 1)])
         fam = decompose_trails(view, frozenset())
-        assert fam.closed == () and list(fam.all_trails()) == []
+        assert fam.closed == () and list(all_trails(fam)) == []
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 100_000))
@@ -129,7 +133,7 @@ class TestDecompose:
         eids = frozenset(eid for _, _, eid in view.edges)
         fam = decompose_trails(view, eids)
         seen = []
-        for trail in fam.all_trails():
+        for trail in all_trails(fam):
             assert_valid_walk(view, trail)
             seen.extend(trail.edges)
         assert sorted(seen) == sorted(eids)
@@ -154,7 +158,7 @@ class TestDecompose:
             degree[x] = degree.get(x, 0) + 1
             degree[y] = degree.get(y, 0) + 1
         end_count = {}
-        for trail in fam.all_trails():
+        for trail in all_trails(fam):
             if not trail.closed:
                 for v in trail.ends:
                     end_count[v] = end_count.get(v, 0) + 1
@@ -166,7 +170,7 @@ class TestDecompose:
         eids = frozenset(eid for _, _, eid in view.edges)
         fam1 = decompose_trails(view, eids)
         fam2 = decompose_trails(view, eids)
-        assert [t.edges for t in fam1.all_trails()] == [t.edges for t in fam2.all_trails()]
+        assert [t.edges for t in all_trails(fam1)] == [t.edges for t in all_trails(fam2)]
 
 
 def reference_split_at_dummies(verts, eids):
@@ -658,7 +662,7 @@ class TestDecomposeDifferential:
             walked, spliced = walk_and_splice_decompose_trails(view, trail_eids)
             assert_same_family(fam, ref, walked)
             touched = set().union(*(c.vertices for c in ref.components))
-            assert touched == {v for t in fam.all_trails() for v in t.vertices}
+            assert touched == {v for t in all_trails(fam) for v in t.vertices}
             if len(ref.components) >= 2:
                 shapes.add("several")
             if fam.closed and (fam.open_inner or fam.open_outer or fam.open_mixed):
@@ -693,8 +697,8 @@ class TestAnalysisDifferential:
         for root in (0, g.n - 1):
             res = label_graph(g, root)
             rec = res.layers[2]
-            assert rec.pair.links
-            analysis = assert_same_analysis(rec.pair, rec.parent_edge)
+            assert rec.links
+            analysis = assert_same_analysis(record_pair(res, 2), rec.parent_edge)
             assert analysis.free_links == rec.free_links
 
     def test_free_link_gadget_before_and_after_exchange(self):
@@ -712,7 +716,8 @@ class TestAnalysisDifferential:
         smallest vertex of its component; returns the analysis."""
         analysis = analyze_bad_components(pair, parent_edge)
         trail_eids = residual_edge_sets(pair, parent_edge)
-        bad_cids, _, free_links = _bad_components(pair, pair.view.edge_ends, trail_eids, k)
+        bad_cids, _, free_links = _bad_components(pair.links, pair.link_ends,
+                                                  pair.view.edge_ends, trail_eids, k)
         assert (bad_cids, free_links) == (analysis.bad_cids, analysis.free_links)
         closed = {t.vertices[0]: t for t in analysis.family.closed}
         for cid in bad_cids:
@@ -726,7 +731,7 @@ class TestAnalysisDifferential:
             for root in (0, g.n - 1):
                 res = label_graph(g, root)
                 rec = res.layers[2]
-                self.assert_named_alike(rec.pair, rec.parent_edge, res.k)
+                self.assert_named_alike(record_pair(res, 2), rec.parent_edge, res.k)
                 views += 1
         _, pair, parent = free_link_gadget()
         # the 4-cycles 12-0-14-1 and 13-4-15-5, named by their smallest

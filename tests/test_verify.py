@@ -11,7 +11,7 @@ from antimagic.labeling import TrailEvent
 from antimagic.trails import Trail, analyze_bad_components, residual_edge_sets
 from antimagic.verify import _bad_components, recompute_vertex_sums, stress_instances
 from corpus import (circulant, complete_bipartite, complete_graph, cycle_graph,
-                    free_link_gadget, hypercube, shuffled_circulant)
+                    free_link_gadget, hypercube, record_pair, shuffled_circulant)
 
 
 def with_layer(res, i, **changes):
@@ -132,7 +132,7 @@ class TestCheckConstruction:
     def test_foreign_parent_edge_is_reported_not_raised(self):
         res = label_graph(generate_regular(40, 6, 3))
         rec = res.layers[2]
-        a, b = rec.pair.view.outer[0], rec.pair.view.outer[1]
+        a, b = res.layering.layers[2][:2]
         broken = with_layer(res, 2, parent_edge={**rec.parent_edge, a: rec.parent_edge[b]})
         issues, _ = check_construction(broken)
         assert any(f"vertex {a} has an invalid parent edge" in issue for issue in issues)
@@ -141,7 +141,7 @@ class TestCheckConstruction:
     def test_missing_parent_edge_is_reported_not_raised(self):
         res = label_graph(generate_regular(40, 6, 3))
         rec = res.layers[2]
-        a = rec.pair.view.outer[0]
+        a = res.layering.layers[2][0]
         broken = with_layer(res, 2, parent_edge={u: e for u, e in rec.parent_edge.items()
                                                  if u != a})
         issues, _ = check_construction(broken)
@@ -152,7 +152,7 @@ class TestCheckConstruction:
         # partial sum, so the other parent labels are not judged against it
         res = label_graph(generate_regular(40, 6, 3))
         rec = res.layers[2]
-        a = rec.pair.view.outer[0]
+        a = res.layering.layers[2][0]
         broken = with_layer(res, 2, parent_edge={u: e for u, e in rec.parent_edge.items()
                                                  if u != a})
         issues, _ = check_construction(broken)
@@ -195,7 +195,7 @@ class TestCheckConstruction:
         # edges; only the wrap pair of a closed trail reads its edges
         res = label_graph(generate_regular(40, 6, 3))
         rec = res.layers[3]
-        v = rec.pair.view.inner[0]
+        v = res.layering.layers[2][0]
         empty = TrailEvent("closed", (Trail((v,), (), closed=True),), "inner-low")
         broken = with_layer(res, 3, events=rec.events + (empty,))
         empty_issue = f"layer 3: closed trail unit at vertex {v} has no edges"
@@ -238,8 +238,8 @@ class TestCheckConstruction:
 
     def test_swapped_link_labels_are_reported(self):
         res = label_graph(complete_bipartite(6, 6))
-        view = res.layers[2].pair.view
-        link = res.layers[2].pair.links[0]
+        pair = record_pair(res, 2)
+        view, link = pair.view, pair.links[0]
         a, b = (view.edge_between(link.center, end) for end in link.ends)
         issues, _ = check_construction(self.with_swapped_labels(res, a, b))
         assert f"layer 2: low link edge of center {link.center} mislabeled" in issues
@@ -248,7 +248,7 @@ class TestCheckConstruction:
     def test_swapped_parent_labels_are_reported(self):
         res = label_graph(complete_bipartite(6, 6))
         rec = res.layers[2]
-        u, w = rec.pair.view.outer[:2]
+        u, w = res.layering.layers[2][:2]
         a, b = rec.parent_edge[u], rec.parent_edge[w]
         labels = res.labeling.labels
         issues, _ = check_construction(self.with_swapped_labels(res, a, b))
@@ -278,7 +278,7 @@ class TestReplayRecomputation:
     def assert_bad_components_agree(pair, parent_edge, k):
         ref = analyze_bad_components(pair, parent_edge)
         trail_eids = residual_edge_sets(pair, parent_edge)
-        got = _bad_components(pair, pair.view.edge_ends, trail_eids, k)
+        got = _bad_components(pair.links, pair.link_ends, pair.view.edge_ends, trail_eids, k)
         assert got == (ref.bad_cids, ref.bad_vertices, ref.free_links)
         return ref
 
@@ -288,7 +288,7 @@ class TestReplayRecomputation:
             labels = res.labeling.labels
             upper, lower = [], []
             for i, rec in res.layers.items():
-                self.assert_bad_components_agree(rec.pair, rec.parent_edge, res.k)
+                self.assert_bad_components_agree(record_pair(res, i), rec.parent_edge, res.k)
                 resummed = [sum(labels[eid] for _, eid in graph.incident(u))
                             - labels[rec.parent_edge[u]] for u in res.layering.layers[i]]
                 upper.append(res.plans[i].partial_sum_bound(res.k) - max(resummed))
