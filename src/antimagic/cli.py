@@ -90,8 +90,9 @@ def _cmd_oracle(args) -> int:
     graph = parse_edge_list(_read(args.graph))
     found, labels = brute_force_antimagic(graph, args.max_perms)
     if found:
-        for (u, v), eid in sorted((graph.edges[eid], eid) for eid in range(graph.m)):
-            print(f"edge {u} {v} {labels[eid]}")
+        # edges are distinct, so this sorts by endpoints alone
+        for (u, v), label in sorted(zip(graph.edges, labels)):
+            print(f"edge {u} {v} {label}")
         print("antimagic")
     else:
         print("not antimagic")

@@ -6,7 +6,8 @@ deterministic: identical inputs produce byte-identical documents.  Parsing
 accepts any document with the right header and edge lines and cross-checks
 nothing: `labels_for_graph` checks the `graph` record against the graph, the
 `verify` command checks the `sum` records against the recomputed sums, and
-the other records are informative.
+the other records are informative: `root`, `degree`, `layers` and `layer`
+records must hold integer fields, but their values are not kept.
 """
 
 from __future__ import annotations
@@ -27,10 +28,6 @@ class LabelingDocument:
     labels: dict[tuple[int, int], int]
     n: int | None = None
     m: int | None = None
-    root: int | None = None
-    degree: int | None = None
-    depth: int | None = None
-    layer_of: dict[int, int] = field(default_factory=dict)
     sums: dict[int, int] = field(default_factory=dict)
 
 
@@ -38,7 +35,7 @@ def render_document(result: LabelingResult) -> str:
     g = result.graph
     lines = [HEADER,
              f"graph {g.n} {g.m}",
-             f"root {result.root}",
+             f"root {result.layering.root}",
              f"degree {2 * result.k + 2}",
              f"layers {result.layering.depth}"]
     for i in range(result.layering.depth, 0, -1):
@@ -69,9 +66,8 @@ def parse_document(text: str) -> LabelingDocument:
     if not lines or lines[0].strip() != HEADER:
         raise GraphFormatError(f"labeling document must start with '{HEADER}'")
     labels: dict[tuple[int, int], int] = {}
-    layer_of: dict[int, int] = {}
     sums: dict[int, int] = {}
-    doc = LabelingDocument(labels=labels, layer_of=layer_of, sums=sums)
+    doc = LabelingDocument(labels=labels, sums=sums)
     for lineno, line in enumerate(lines[1:], start=2):
         # one split per line: the first field tells blank, comment and record
         # kind apart, and the hot records (edge, layer, sum) convert inline
@@ -102,20 +98,14 @@ def parse_document(text: str) -> LabelingDocument:
                 v, x = int(parts[1]), int(parts[2])
             except ValueError as exc:
                 raise GraphFormatError(f"line {lineno}: non-integer field") from exc
-            if kind == "layer":
-                layer_of[v] = x
-            else:
+            if kind == "sum":
                 sums[v] = x
         elif kind[0] == "#" or kind == "plan":
             continue  # plans are informative; the verifier recomputes them when needed
         elif kind == "graph":
             doc.n, doc.m = _int_fields(parts[1:], 2, lineno)
-        elif kind == "root":
-            (doc.root,) = _int_fields(parts[1:], 1, lineno)
-        elif kind == "degree":
-            (doc.degree,) = _int_fields(parts[1:], 1, lineno)
-        elif kind == "layers":
-            (doc.depth,) = _int_fields(parts[1:], 1, lineno)
+        elif kind == "root" or kind == "degree" or kind == "layers":
+            _int_fields(parts[1:], 1, lineno)
         else:
             raise GraphFormatError(f"line {lineno}: unknown record '{kind}'")
     if not labels:

@@ -77,15 +77,13 @@ class LayerPlan:
 @dataclass(frozen=True, slots=True)
 class LayerRecord:
     """What the replay reads of one layer, built in the one labeling pass once
-    the layer is labeled: of its covering pair only the links and matching
-    edge ids.  The pair, its view, trail family and bad-component analysis
-    are dropped with the layer.  A bad component's id is its smallest vertex."""
+    the layer is labeled: the choices the construction leaves open, of its
+    covering pair only the links and matching edge ids.  The pair, its view,
+    trail family and bad-component analysis are dropped with the layer."""
 
     links: tuple[Link, ...]
     matching: frozenset[int]
     parent_edge: dict[int, int]
-    bad_cids: tuple[int, ...]
-    free_links: tuple[Link, ...]
     events: tuple["TrailEvent", ...]
 
 
@@ -111,7 +109,6 @@ class Labeling:
 @dataclass(frozen=True, slots=True)
 class LabelingResult:
     graph: Graph
-    root: int
     k: int
     layering: Layering
     plans: dict[int, LayerPlan]
@@ -262,8 +259,7 @@ def label_graph(graph: Graph, root: int = 0) -> LabelingResult:
         order.sort()
         for lab, (_, u) in enumerate(order, start=plan.parent_interval[0]):
             labels[parent[u]] = lab
-        records[i] = LayerRecord(pair.links, pair.matching, parent, analysis.bad_cids,
-                                 analysis.free_links, events)
+        records[i] = LayerRecord(pair.links, pair.matching, parent, events)
 
     label_seq = tuple(labels)
 
@@ -273,4 +269,4 @@ def label_graph(graph: Graph, root: int = 0) -> LabelingResult:
     if not report.passed:
         raise InternalInvariantError(f"final verification failed: {report.first_failure}")
     labeling = Labeling(labels=label_seq, vertex_sums=report.vertex_sums)
-    return LabelingResult(graph, root, k, layering, plans, records, labeling)
+    return LabelingResult(graph, k, layering, plans, records, labeling)

@@ -3,28 +3,31 @@ any bijective edge labeling gives pairwise distinct vertex sums.
 
 Edges are assigned in an order that finalizes vertex sums as early as
 possible, so duplicate sums prune whole subtrees.  Completely independent of
-the constructive engine; used to cross-check it on tiny instances.
+the constructive engine; used to cross-check it on tiny instances.  A found
+labeling is judged by the independent verifier before it is returned.
 """
 
 from __future__ import annotations
 
-from .errors import OracleBudgetError
+from .errors import InternalInvariantError, OracleBudgetError
 from .graph import Graph
+from .verify import verify_antimagic
 
 DEFAULT_NODE_BUDGET = 5_000_000
 
 
 def brute_force_antimagic(graph: Graph, max_perms: int | None = None):
-    """Return (found, labels) where labels maps edge id to label when a valid
-    assignment exists, else (False, None).  Raises OracleBudgetError after
-    exploring max_perms search nodes (default 5,000,000)."""
+    """Return (found, labels) where labels lists the label of each edge id
+    when a valid assignment exists, else (False, None).  Raises
+    OracleBudgetError after exploring max_perms search nodes (default
+    5,000,000)."""
     budget = DEFAULT_NODE_BUDGET if max_perms is None else max_perms
     if budget <= 0:
         raise ValueError("search budget must be positive")
     m = graph.m
     n = graph.n
     if m == 0:
-        return (n <= 1, {})
+        return (True, []) if n <= 1 else (False, None)
 
     # Assign edges sorted by their endpoint pair so that once every edge at a
     # vertex is placed, all earlier vertices are finalized too.
@@ -83,12 +86,11 @@ def brute_force_antimagic(graph: Graph, max_perms: int | None = None):
     if pos < 0:
         return False, None
 
-    labels = dict(sorted(zip(order, chosen)))
-    check = [0] * n
-    for eid, lab in labels.items():
-        a, b = graph.edges[eid]
-        check[a] += lab
-        check[b] += lab
-    if sorted(labels.values()) != list(range(1, m + 1)) or len(set(check)) != n:
-        raise OracleBudgetError("internal check of the found assignment failed")
+    labels = [0] * m
+    for eid, label in zip(order, chosen):
+        labels[eid] = label
+    report = verify_antimagic(graph, labels)
+    if not report.passed:
+        raise InternalInvariantError(f"the oracle's labeling fails verification: "
+                                     f"{report.first_failure}")
     return True, labels

@@ -178,6 +178,19 @@ class TestOracle:
         assert main(["oracle", k5_file, "--max-perms", "2"]) == 1
         assert "exceeded" in capsys.readouterr().err
 
+    def test_failed_self_check_exits_3(self, tmp_path, monkeypatch, capsys):
+        # a found labeling that the verifier rejects is a bug in the oracle,
+        # not an exhausted budget
+        def failing(graph, labels):
+            return dataclasses.replace(verify_antimagic(graph, labels), bijection_ok=False,
+                                       first_failure="synthetic failure")
+
+        monkeypatch.setattr("antimagic.oracle.verify_antimagic", failing)
+        path = write(tmp_path, "tri.txt", "0 1\n1 2\n0 2\n")
+        assert main(["oracle", path]) == 3
+        err = capsys.readouterr().err
+        assert "internal invariant violated" in err and "synthetic failure" in err
+
 
 class TestGenAndStress:
     def test_gen_k5(self, capsys):

@@ -36,17 +36,12 @@ def reference_parse_document(text):
         kind, *rest = line.split()
         if kind == "graph":
             doc.n, doc.m = _reference_int_fields(rest, 2, lineno)
-        elif kind == "root":
-            (doc.root,) = _reference_int_fields(rest, 1, lineno)
-        elif kind == "degree":
-            (doc.degree,) = _reference_int_fields(rest, 1, lineno)
-        elif kind == "layers":
-            (doc.depth,) = _reference_int_fields(rest, 1, lineno)
+        elif kind in ("root", "degree", "layers"):
+            _reference_int_fields(rest, 1, lineno)  # checked, not kept
         elif kind == "plan":
             continue
         elif kind == "layer":
-            v, idx = _reference_int_fields(rest, 2, lineno)
-            doc.layer_of[v] = idx
+            _reference_int_fields(rest, 2, lineno)  # checked, not kept
         elif kind == "edge":
             u, v, label = _reference_int_fields(rest, 3, lineno)
             if u == v:
@@ -160,9 +155,6 @@ class TestRoundTrip:
         res = label_graph(circulant(9, [1, 2]))
         doc = parse_document(render_document(res))
         assert doc.n == 9 and doc.m == 18
-        assert doc.root == 0 and doc.degree == 4
-        assert doc.depth == res.layering.depth
-        assert doc.layer_of == {v: res.layering.layer_of[v] for v in range(9)}
         assert doc.sums == {v: res.labeling.vertex_sums[v] for v in range(9)}
         assert labels_for_graph(res.graph, doc) == list(res.labeling.labels)
 
@@ -239,7 +231,7 @@ class TestAgainstReference:
         text = f"{HEADER}\n\n  # note\nsum\t1 5\n\tedge 1 0\t3  \nlayer 1 1\ngraph 2 1\n"
         doc = parse_document(text)
         assert doc == reference_parse_document(text)
-        assert doc.labels == {(0, 1): 3} and doc.sums == {1: 5} and doc.layer_of == {1: 1}
+        assert doc.labels == {(0, 1): 3} and doc.sums == {1: 5}
         assert (doc.n, doc.m) == (2, 1)
 
 

@@ -18,7 +18,7 @@ from antimagic import (BipartiteView, CoveringPair, GraphShapeError, InternalInv
                        label_graph, labeling, trails, verify_antimagic)
 from antimagic.cli import main
 from antimagic.documents import render_document
-from antimagic.labeling import LayerPlan
+from antimagic.labeling import LayerPlan, LayerRecord
 from antimagic.verify import stress_instances
 from corpus import (circulant, complete_bipartite, complete_graph, cycle_graph,
                     hypercube, octahedron, record_pair, shuffled_circulant, torus_grid)
@@ -38,7 +38,7 @@ class TestGoldenK5:
         parent_edge = res.layers[1].parent_edge
         assert {u: sums[u] - labels[parent_edge[u]] for u in range(1, 5)} \
             == {1: 6, 2: 10, 3: 12, 4: 14}
-        assert sums[res.root] == 34
+        assert sums[res.layering.root] == 34
 
     def test_root_sum_strictly_largest(self):
         res = label_graph(complete_graph(5))
@@ -332,7 +332,8 @@ class TestRecordsHoldNoTrailFamilies:
 class TestRecordsHoldNoView:
     """A held result keeps of each covering pair only its links and matching
     edge ids: nothing it refers to, however indirectly, is a layer view or a
-    covering pair."""
+    covering pair, and a layer record holds only the choices the construction
+    leaves open."""
 
     @pytest.mark.parametrize("graph", [complete_bipartite(6, 6), generate_regular(60, 6, 1)],
                              ids=["K6,6", "R60"])
@@ -348,9 +349,11 @@ class TestRecordsHoldNoView:
                     seen.add(id(ref))
                     stack.append(ref)
         assert kinds[BipartiteView.__name__] == kinds[CoveringPair.__name__] == 0
-        # the walk reaches the records: every link object, recorded or free
+        # the walk reaches the records: every recorded link object
         assert kinds[Link.__name__] == len({id(link) for rec in res.layers.values()
-                                            for link in rec.links + rec.free_links})
+                                            for link in rec.links})
+        assert [f.name for f in dataclasses.fields(LayerRecord)] == [
+            "links", "matching", "parent_edge", "events"]
 
 
 class TestHeldMemory:
@@ -413,7 +416,7 @@ class TestDeterminismAndRoots:
     def test_all_roots_of_k5(self):
         for root in range(5):
             res = label_graph(complete_graph(5), root=root)
-            assert res.root == root
+            assert res.layering.root == root
             issues, _ = check_construction(res)
             assert issues == []
 

@@ -257,16 +257,6 @@ def _():
     return with_layer(res, 2, parent_edge={**rec.parent_edge, rec.links[0].end_a: eid})
 
 
-@tamper("record claims a bad component, K6,6 layer 2")
-def _():
-    return with_layer(labeled("K6,6"), 2, bad_cids=frozenset({0}))
-
-
-@tamper("record drops a free link, K6,6 layer 2")
-def _():
-    return with_layer(labeled("K6,6"), 2, free_links=())
-
-
 @tamper("within-layer labels swapped, R40 layer 2")
 def _():
     res = labeled("R40")
@@ -489,7 +479,8 @@ def _():
 
 @tamper("root replaced by 17, R30")
 def _():
-    return dataclasses.replace(labeled("R30"), root=17)
+    res = labeled("R30")
+    return dataclasses.replace(res, layering=dataclasses.replace(res.layering, root=17))
 
 
 @tamper("trail edge ids 15 = (3, 23) and 58 = (23, 24) swapped in the record, R30 layer 4")

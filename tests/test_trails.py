@@ -15,7 +15,7 @@ from collections import Counter, namedtuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from antimagic import InternalInvariantError, bipartite_view, label_graph
+from antimagic import InternalInvariantError, bipartite_view, check_construction, label_graph
 from antimagic.covering import CoveringPair, Link, maximize_free_links
 from antimagic.trails import (Trail, analyze_bad_components, choose_closed_start,
                               decompose_trails, detect_bad_components, residual_edge_sets,
@@ -699,7 +699,8 @@ class TestAnalysisDifferential:
             rec = res.layers[2]
             assert rec.links
             analysis = assert_same_analysis(record_pair(res, 2), rec.parent_edge)
-            assert analysis.free_links == rec.free_links
+            # the replay, which keeps no analysis, counts the same free links
+            assert check_construction(res)[1]["free_links_total"] == len(analysis.free_links)
 
     def test_free_link_gadget_before_and_after_exchange(self):
         _, pair, parent = free_link_gadget()

@@ -49,10 +49,10 @@ class TestVerifyAntimagic:
         assert not report.distinct_sums_ok
         assert not report.passed
 
-    def test_label_dict_accepted(self):
-        g = cycle_graph(3)
-        report = verify_antimagic(g, {0: 1, 1: 3, 2: 2})
-        assert report.passed
+    def test_label_dict_rejected(self):
+        # labels are a sequence by edge id; a dict's keys are no labels
+        with pytest.raises(TypeError, match="sequence by edge id"):
+            verify_antimagic(cycle_graph(3), {0: 1, 1: 3, 2: 2})
 
     def test_wrong_label_count_rejected(self):
         with pytest.raises(ValueError):
@@ -156,7 +156,9 @@ class TestCheckConstruction:
         broken = with_layer(res, 2, parent_edge={u: e for u, e in rec.parent_edge.items()
                                                  if u != a})
         issues, _ = check_construction(broken)
-        assert f"layer 2: vertex {a} has no valid parent edge for its partial sum" in issues
+        # the vertex is reported once, and no partial sum is read without it
+        assert [issue for issue in issues if f"vertex {a} " in issue] == [
+            f"layer 2: vertex {a} has an invalid parent edge None"]
         assert not [issue for issue in issues if "parent edge of vertex" in issue]
 
     @pytest.mark.parametrize("past_end", [True, False], ids=["m+5", "-1"])
@@ -256,18 +258,6 @@ class TestCheckConstruction:
                 f"expected {labels[a]}") in issues
         assert (f"layer 2: parent edge of vertex {w} carries label {labels[a]}, "
                 f"expected {labels[b]}") in issues
-
-    @pytest.mark.parametrize("tamper", ["claims a bad component", "drops a free link"])
-    def test_tampered_bad_analysis_is_reported(self, tamper):
-        res = label_graph(complete_bipartite(6, 6))
-        rec = res.layers[2]
-        assert rec.free_links and not rec.bad_cids
-        if tamper == "claims a bad component":
-            forged = {"bad_cids": frozenset({0})}
-        else:
-            forged = {"free_links": ()}
-        issues, _ = check_construction(with_layer(res, 2, **forged))
-        assert "layer 2: recomputed bad components disagree with the record" in issues
 
 
 class TestReplayRecomputation:
