@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, KeysView
+from typing import AbstractSet, Callable, Iterable, Iterator
 
 from .errors import GraphShapeError, InternalInvariantError
 from .graph import BipartiteView, bipartite_view
@@ -48,44 +48,37 @@ class Link:
 class CoveringPair:
     """Immutable covering pair: links, matching edge ids, and derived lookups.
 
-    It keeps two maps, link end -> link and matched vertex -> matching edge
-    id, and the set of link edge ids.  The link ends, centers and matching
-    are read off the maps."""
+    It keeps the set of link ends, the map matched vertex -> matching edge
+    id, read off the view's outer incidence in one pass, and the set of link
+    edge ids.  The centers and matching are read off the links and the map."""
 
-    __slots__ = ("view", "d", "links", "_link_of", "link_edge_ids", "_match_of")
+    __slots__ = ("view", "d", "links", "link_ends", "link_edge_ids", "_match_of")
 
     def __init__(self, view: BipartiteView, d: int, links: Iterable[Link], matching: Iterable[int]):
         self.view = view
         self.d = d
         self.links = tuple(sorted(links))
 
-        link_of: dict[int, Link] = {}
-        for l in self.links:
-            for end in l.ends:
-                if end in link_of:
-                    raise InternalInvariantError(f"outer vertex {end} is an end of two links")
-            link_of[l.end_a] = l
-            link_of[l.end_b] = l
-        self._link_of = link_of
-
-        match_of: dict[int, int] = {}
-        for eid in sorted(set(matching)):
-            x, y = view.ends_of(eid)
-            if x in match_of or y in match_of:
-                raise InternalInvariantError(f"matching edges share a vertex at edge {eid}")
-            match_of[x] = eid
-            match_of[y] = eid
-        self._match_of = match_of
-
+        link_ends: set[int] = set()
         link_eids: list[int] = []
         for l in self.links:
             for end in l.ends:
+                if end in link_ends:
+                    raise InternalInvariantError(f"outer vertex {end} is an end of two links")
                 eid = view.edge_between(l.center, end)
                 if eid is None:
                     raise InternalInvariantError(
                         f"link edge ({l.center}, {end}) is not an edge of the view")
                 link_eids.append(eid)
+            link_ends.update(l.ends)
+        self.link_ends = frozenset(link_ends)
         self.link_edge_ids = frozenset(link_eids)
+
+        wanted = set(matching)
+        self._match_of = _matched_in(view, wanted)
+        if len(self._match_of) < 2 * len(wanted):
+            eid = min(wanted.difference(self._match_of.values()))
+            raise InternalInvariantError(f"matching edge {eid} is not an edge of the view")
 
     @property
     def matching(self) -> frozenset[int]:
@@ -95,15 +88,26 @@ class CoveringPair:
     def centers(self) -> frozenset[int]:
         return frozenset(l.center for l in self.links)
 
-    @property
-    def link_ends(self) -> KeysView[int]:
-        return self._link_of.keys()
-
     def is_matched(self, v: int) -> bool:
         return v in self._match_of
 
     def matching_edge(self, v: int) -> int | None:
         return self._match_of.get(v)
+
+
+def _matched_in(view: BipartiteView, matching: AbstractSet[int]) -> dict[int, int]:
+    """Matched vertex -> matching edge id, for the edges of `matching` that
+    are view edges, found in one pass over the view's outer incidence, where
+    each view edge appears once; raises if two of them share a vertex."""
+    match_of: dict[int, int] = {}
+    incident = view.incident
+    for y in view.outer:
+        for x, eid in incident(y):
+            if eid in matching:
+                if x in match_of or y in match_of:
+                    raise InternalInvariantError(f"matching edges share a vertex at edge {eid}")
+                match_of[x] = match_of[y] = eid
+    return match_of
 
 
 def validate_covering_pair(pair: CoveringPair) -> None:
@@ -393,7 +397,8 @@ def pad_to_biregular(view: BipartiteView, d: int) -> BipartiteView:
         return view
 
     next_v = max(itertools.chain(view.inner, view.outer)) + 1
-    next_e = max(view.edge_ends, default=-1) + 1
+    edges = view.edges
+    next_e = edges[-1][2] + 1 if edges else 0
     new_edges: list[tuple[int, int, int]] = []
 
     missing = [x for x in sorted(inner_def) for _ in range(inner_def[x])]
@@ -426,7 +431,7 @@ def pad_to_biregular(view: BipartiteView, d: int) -> BipartiteView:
 
     padded = bipartite_view(view.index, tuple(view.inner) + tuple(fresh_inner),
                             tuple(view.outer) + tuple(privates) + tuple(fillers),
-                            view.edges + tuple(new_edges))
+                            edges + tuple(new_edges))
     for x in padded.inner:
         if padded.degree(x) != d:
             raise InternalInvariantError(f"padded inner vertex {x} has degree {padded.degree(x)}")
@@ -455,11 +460,9 @@ def restrict_and_reduce(view: BipartiteView, d: int, links: Iterable[Link],
     which later link exchanges depend on.
     """
     vids = set(view.inner) | set(view.outer)
-    view_eids = view.edge_ends.keys()
-    m_set = {eid for eid in matching if eid in view_eids}
+    matched = _matched_in(view, set(matching))
     f_list = sorted(l for l in links
                     if l.center in vids and l.end_a in vids and l.end_b in vids)
-    matched = {v for eid in m_set for v in view.ends_of(eid)}
     link_ends = {end for l in f_list for end in l.ends}
 
     while True:
@@ -482,10 +485,9 @@ def restrict_and_reduce(view: BipartiteView, d: int, links: Iterable[Link],
             if eid is None:
                 raise InternalInvariantError(
                     f"reduction target edge ({l.center}, {target}) missing from the view")
-            m_set.add(eid)
-            matched.update((l.center, target))
+            matched[l.center] = matched[target] = eid
 
-    return CoveringPair(view, d, f_list, m_set)
+    return CoveringPair(view, d, f_list, matched.values())
 
 
 def build_covering_pair(view: BipartiteView, d: int) -> CoveringPair:

@@ -239,30 +239,22 @@ class BipartiteView:
 
     Every view is built by this one constructor from each vertex's sorted
     (neighbor, edge id) tuple, given as `adj`, a map of every vertex, inner
-    then outer.  Each edge's ends are kept once, in the id -> (inner, outer)
-    map `edge_ends`, filled outer vertex by outer vertex from their
-    incidence; `edges` lists them as (inner, outer, edge id) triples in edge
-    id order.  The constructor checks nothing: `layer_view` passes a
-    layering's split of the graph's incidence, and `bipartite_view` checks
-    and sorts an edge list first.
+    then outer.  Each edge sits in the incidence of both its ends, so
+    `edges` and `edge_count` read it once, from its outer end.  The
+    constructor checks nothing: `layer_view` passes a layering's split of
+    the graph's incidence, and `bipartite_view` checks and sorts an edge
+    list first.
     """
 
-    __slots__ = ("index", "inner", "outer", "_side", "_adj", "_ends")
+    __slots__ = ("index", "inner", "outer", "_side", "_adj")
 
     def __init__(self, index: int, inner: tuple[int, ...], outer: tuple[int, ...],
                  adj: dict[int, tuple[tuple[int, int], ...]]):
-        side = dict.fromkeys(inner, "inner")
-        ends = {}
-        for y in outer:
-            side[y] = "outer"
-            for x, eid in adj[y]:
-                ends[eid] = (x, y)
         self.index = index
         self.inner = inner
         self.outer = outer
-        self._side = side
+        self._side = dict.fromkeys(inner, "inner") | dict.fromkeys(outer, "outer")
         self._adj = adj
-        self._ends = ends
 
     def __eq__(self, other):
         if not isinstance(other, BipartiteView):
@@ -277,12 +269,13 @@ class BipartiteView:
 
     @property
     def edges(self) -> tuple[tuple[int, int, int], ...]:
-        """(inner vertex, outer vertex, edge id) of every view edge."""
-        return tuple((x, y, eid) for eid, (x, y) in sorted(self._ends.items()))
+        """(inner vertex, outer vertex, edge id) of every view edge, by edge id."""
+        return tuple(sorted(((x, y, eid) for y in self.outer for x, eid in self._adj[y]),
+                            key=lambda e: e[2]))
 
     @property
     def edge_count(self) -> int:
-        return len(self._ends)
+        return sum(map(len, map(self._adj.__getitem__, self.outer)))
 
     def side(self, v: int) -> str:
         return self._side[v]
@@ -297,15 +290,6 @@ class BipartiteView:
     def neighbors(self, v: int) -> list[int]:
         return [w for w, _ in self._adj[v]]
 
-    def ends_of(self, eid: int) -> tuple[int, int]:
-        """(inner, outer) endpoints of a view edge."""
-        return self._ends[eid]
-
-    @property
-    def edge_ends(self) -> dict[int, tuple[int, int]]:
-        """(inner, outer) endpoints of every view edge, by edge id."""
-        return self._ends
-
     def edge_between(self, u: int, v: int) -> int | None:
         for w, eid in self._adj[u]:
             if w == v:
@@ -316,18 +300,24 @@ class BipartiteView:
 def bipartite_view(index: int, inner: tuple[int, ...], outer: tuple[int, ...],
                    edges: tuple[tuple[int, int, int], ...]) -> BipartiteView:
     """The view of (inner, outer, edge id) triples, for padded and hand-built
-    views, whose vertices and edges belong to no graph: it checks that no
-    vertex is on both sides and that every edge crosses them, and sorts each
-    vertex's incidence."""
-    side = {v: "inner" for v in inner}
-    for v in outer:
-        if v in side:
-            raise GraphShapeError(f"vertex {v} on both sides of a bipartite view")
-        side[v] = "outer"
+    views, whose vertices and edges belong to no graph: it checks that each
+    vertex is listed once, on one side, and that every edge crosses the
+    sides and has its own id, and sorts each vertex's incidence."""
+    side: dict[int, str] = {}
+    for name, vertices in (("inner", inner), ("outer", outer)):
+        for v in vertices:
+            if v in side:
+                where = f"listed twice on the {name} side" if side[v] == name else "on both sides"
+                raise GraphShapeError(f"vertex {v} {where} of a bipartite view")
+            side[v] = name
     adj: dict[int, list[tuple[int, int]]] = {v: [] for v in side}
+    seen: set[int] = set()
     for x, y, eid in edges:
         if side.get(x) != "inner" or side.get(y) != "outer":
             raise GraphShapeError(f"view edge ({x}, {y}) does not cross the two sides")
+        if eid in seen:
+            raise GraphShapeError(f"edge id {eid} used twice in a bipartite view")
+        seen.add(eid)
         adj[x].append((y, eid))
         adj[y].append((x, eid))
     return BipartiteView(index, inner, outer, {v: tuple(sorted(lst)) for v, lst in adj.items()})

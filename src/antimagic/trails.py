@@ -70,12 +70,12 @@ class TrailFamily:
 
 def residual_edge_sets(pair: CoveringPair, parent_edge: dict[int, int]) -> AbstractSet[int]:
     """Trail edge ids: the pair's view's edges minus parent edges and link
-    edges.  On a layer without links the residual set is returned as it is,
-    with no copy; no caller mutates it."""
-    residual = pair.view.edge_ends.keys() - parent_edge.values()
-    if not pair.links:
-        return residual
-    return residual - pair.link_edge_ids
+    edges.  Each view edge is read once, at its outer end, where the one
+    parent edge to skip is that vertex's own; link edges are removed only
+    on a layer with links."""
+    incident = pair.view.incident
+    residual = {eid for y in pair.view.outer for _, eid in incident(y) if eid != parent_edge[y]}
+    return residual - pair.link_edge_ids if pair.links else residual
 
 
 def _extend(todo: dict[int, Iterator[tuple[int, int]]], used: set[int],

@@ -122,6 +122,11 @@ def random_bounded_bipartite(rng: random.Random, d: int, max_inner: int = 8,
     return bipartite_view(1, inner, outer, tuple(edges))
 
 
+def view_ends(view: BipartiteView) -> dict[int, tuple[int, int]]:
+    """(inner, outer) ends of every view edge, by edge id, read from `view.edges`."""
+    return {eid: (x, y) for x, y, eid in view.edges}
+
+
 def record_pair(res, i: int) -> CoveringPair:
     """The covering pair the engine built for layer i of a labeling result,
     rebuilt on the layer's view from the links and matching its record keeps."""

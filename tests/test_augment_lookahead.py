@@ -12,7 +12,7 @@ import pytest
 
 from antimagic import BipartiteView, InternalInvariantError
 from antimagic.covering import _LinkSearch, hall_matching, maximize_link_family
-from corpus import padded_layer_two
+from corpus import padded_layer_two, view_ends
 from test_link_search_golden import VIEWS
 
 
@@ -67,7 +67,8 @@ def run(monkeypatch, augment, padded, d):
         except InternalInvariantError:
             covered = None
         else:
-            covered = {padded.ends_of(eid)[0] for eid in matching}
+            ends = view_ends(padded)
+            covered = {ends[eid][0] for eid in matching}
     return centers, moves, covered
 
 

@@ -16,7 +16,7 @@ from antimagic.covering import (CoveringPair, Link, _candidate_moves, _link_sear
 from antimagic.trails import analyze_bad_components
 from antimagic.verify import stress_instances
 from corpus import (complete_bipartite, complete_graph, free_link_gadget, padded_layer_two,
-                    random_bounded_bipartite, shuffled_circulant)
+                    random_bounded_bipartite, shuffled_circulant, view_ends)
 
 
 def make_view(inner, outer, pairs):
@@ -74,9 +74,10 @@ def assert_irreducible(pair: CoveringPair, view: BipartiteView, d: int):
             used.add(v)
         for end in link.ends:
             assert pair.is_matched(end)
+    ends = view_ends(view)
     matched = set()
     for eid in pair.matching:
-        matched.update(view.ends_of(eid))
+        matched.update(ends[eid])
     for x in view.inner:
         if view.degree(x) == d:
             assert (x in pair.centers) != (x in matched)
@@ -146,6 +147,11 @@ class TestValidate:
                             [view.edge_between(x, y) for x, y in ((1, 2), (7, 3), (8, 5), (9, 6))])
         with pytest.raises(InternalInvariantError, match="link center 1 is also matched"):
             validate_covering_pair(pair)
+
+    def test_matching_edge_outside_the_view_rejected(self):
+        view = make_view([0, 1], [2, 3], [(0, 2), (1, 3)])
+        with pytest.raises(InternalInvariantError, match="matching edge 7 is not an edge of the view"):
+            CoveringPair(view, 3, [], {0, 7})
 
 
 class TestPadding:
@@ -236,7 +242,7 @@ def reference_pad_to_biregular(view: BipartiteView, d: int) -> BipartiteView:
         return view
 
     next_v = max(list(view.inner) + list(view.outer)) + 1
-    next_e = max(view.edge_ends, default=-1) + 1
+    next_e = max(view_ends(view), default=-1) + 1
     new_edges: list[tuple[int, int, int]] = []
 
     privates: list[int] = []
@@ -381,9 +387,10 @@ class TestLinkFamily:
         g = complete_bipartite(4, 3)
         view = layer_view(g, bfs_layering(g, 0), 2)
         eids = hall_matching(view, 3)
+        ends = view_ends(view)
         matched = set()
         for eid in eids:
-            x, y = view.ends_of(eid)
+            x, y = ends[eid]
             assert x not in matched and y not in matched
             matched.update((x, y))
         assert all(x in matched for x in view.inner if view.degree(x) == 3)
@@ -393,9 +400,10 @@ class TestLinkFamily:
         view = layer_view(g, bfs_layering(g, 0), 2)
         forbidden = frozenset([view.inner[0]])
         eids = hall_matching(view, 3, forbidden)
+        ends = view_ends(view)
         matched = set()
         for eid in eids:
-            matched.update(view.ends_of(eid))
+            matched.update(ends[eid])
         assert view.inner[0] not in matched
 
     def test_hall_matching_empty_view(self):
@@ -467,7 +475,8 @@ class TestLongAugmentingPaths:
         view = make_view(range(length + 1), range(o, o + length + 1), pairs)
         eids = hall_matching(view, 2)
         assert len(eids) == length + 1
-        partner = dict(view.ends_of(eid) for eid in eids)
+        ends = view_ends(view)
+        partner = dict(ends[eid] for eid in eids)
         assert partner[length] == o
         assert all(partner[i] == o + i + 1 for i in range(length))
 
@@ -590,9 +599,10 @@ class TestBuildCoveringPair:
 def reference_restrict_and_reduce(view, d, links, matching, fired):
     """The reduction as first written, rebuilding the matched set and the
     link ends after every rule; verbatim but for the rule name each action
-    carries, appended to `fired`."""
+    carries, appended to `fired`, and the ends read from `view_ends`."""
     vids = set(view.inner) | set(view.outer)
-    view_eids = view.edge_ends.keys()
+    ends = view_ends(view)
+    view_eids = ends.keys()
     m_set = {eid for eid in matching if eid in view_eids}
     f_list = sorted(l for l in links
                     if l.center in vids and l.end_a in vids and l.end_b in vids)
@@ -600,7 +610,7 @@ def reference_restrict_and_reduce(view, d, links, matching, fired):
     while True:
         matched: set[int] = set()
         for eid in m_set:
-            matched.update(view.ends_of(eid))
+            matched.update(ends[eid])
         link_ends = {end for l in f_list for end in l.ends}
         action = None
         for l in f_list:
@@ -649,7 +659,8 @@ def seeded_reduction_inputs(seed):
     if seed % 3 == 1:
         matching = {eid for eid in sorted(matching) if rng.random() < 0.7}
     elif seed % 3 == 2:
-        matched = {v for eid in matching for v in padded.ends_of(eid)}
+        ends = view_ends(padded)
+        matched = {v for eid in matching for v in ends[eid]}
         for l in links:
             free = [(y, eid) for y, eid in view.incident(l.center)
                     if y not in matched] if l.center in view.inner else []

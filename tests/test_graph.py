@@ -10,7 +10,7 @@ from antimagic import (Graph, GraphFormatError, GraphShapeError, bfs_layering, b
                        parse_edge_list, validate_even_regular)
 from antimagic.verify import stress_instances
 from corpus import (circulant, complete_bipartite, complete_graph, cycle_graph, petersen,
-                    pipeline_corpus, shuffled_circulant, two_disjoint_k5)
+                    pipeline_corpus, shuffled_circulant, two_disjoint_k5, view_ends)
 
 
 class TestGraph:
@@ -166,9 +166,10 @@ class TestLayerView:
         view = layer_view(g, lay, 2)
         assert set(view.inner) == {1, 2, 5, 6}
         assert set(view.outer) == {3, 4}
+        ends = view_ends(view)
         for x, y, eid in view.edges:
             assert lay.layer_of[x] == 1 and lay.layer_of[y] == 2
-            assert view.ends_of(eid) == (x, y)
+            assert ends[eid] == (x, y)
         assert view.edge_count == sum(1 for u, v in g.edges
                                       if {lay.layer_of[u], lay.layer_of[v]} == {1, 2})
 
@@ -206,6 +207,18 @@ class TestLayerView:
         # an edge must run from an inner vertex to an outer one, in that order
         with pytest.raises(GraphShapeError, match=r"view edge \(2, 0\) does not cross"):
             bipartite_view(1, (0, 1), (2, 3), ((0, 2, 0), (2, 0, 1)))
+
+    def test_edge_id_used_twice_rejected(self):
+        # the view counts its edges from its outer incidence, so a repeated
+        # id would count twice
+        with pytest.raises(GraphShapeError, match="edge id 5 used twice"):
+            bipartite_view(1, (0,), (1, 2), ((0, 1, 5), (0, 2, 5)))
+
+    def test_vertex_listed_twice_on_one_side_rejected(self):
+        with pytest.raises(GraphShapeError, match="vertex 0 listed twice on the inner side"):
+            bipartite_view(1, (0, 0), (1,), ((0, 1, 3),))
+        with pytest.raises(GraphShapeError, match="vertex 1 listed twice on the outer side"):
+            bipartite_view(1, (0,), (1, 1), ((0, 1, 3),))
 
 
 def _graphs_with_roots():
@@ -278,7 +291,7 @@ class TestLayerViewMatchesFullScan:
                 view = layer_view(g, lay, i)
                 ref = bipartite_view(i, *_full_scan_view(g, lay, i))
                 assert view == ref
-                for name in ("_side", "_adj", "_ends"):
+                for name in ("_side", "_adj"):
                     assert list(getattr(view, name).items()) == list(getattr(ref, name).items())
 
     def test_shuffled_deep_circulant(self):

@@ -603,8 +603,8 @@ def test_replay_reads_no_view_edges():
     read = collections.Counter(node.attr for node in ast.walk(tree)
                                if isinstance(node, ast.Attribute))
     assert {name: read[name] for name in
-            ("edge_ends", "ends_of", "edge_between", "link_edge_ids", "view")} == {
-        "edge_ends": 0, "ends_of": 0, "edge_between": 0, "link_edge_ids": 0, "view": 0}
+            ("edge_between", "link_edge_ids", "view")} == {
+        "edge_between": 0, "link_edge_ids": 0, "view": 0}
 
 
 def test_trail_id_swap_forgeries_are_flagged():

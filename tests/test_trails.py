@@ -21,7 +21,7 @@ from antimagic.trails import (Trail, analyze_bad_components, choose_closed_start
                               decompose_trails, detect_bad_components, residual_edge_sets,
                               rotate_closed)
 from antimagic.verify import _bad_components
-from corpus import complete_bipartite, free_link_gadget, random_bounded_bipartite, record_pair
+from corpus import complete_bipartite, free_link_gadget, random_bounded_bipartite, record_pair, view_ends
 
 
 def all_trails(fam):
@@ -35,8 +35,9 @@ def make_view(inner, outer, pairs):
 
 def assert_valid_walk(view, trail):
     assert len(trail.vertices) == trail.edge_count + 1
+    ends = view_ends(view)
     for pos, eid in enumerate(trail.edges):
-        assert set(view.ends_of(eid)) == {trail.vertices[pos], trail.vertices[pos + 1]}
+        assert set(ends[eid]) == {trail.vertices[pos], trail.vertices[pos + 1]}
     assert len(set(trail.edges)) == trail.edge_count
     if trail.closed:
         assert trail.vertices[0] == trail.vertices[-1]
@@ -479,7 +480,7 @@ def walk_and_splice_decompose_trails(view, trail_eids):
 def reference_trail_eids(view, pair, parent_edge):
     """Trail edge ids as the trail stage computed them before: residual sets
     as frozensets."""
-    residual = frozenset(view.edge_ends.keys() - parent_edge.values())
+    residual = frozenset(view_ends(view).keys() - parent_edge.values())
     return frozenset(residual - set(pair.link_edge_ids))
 
 
@@ -718,7 +719,7 @@ class TestAnalysisDifferential:
         analysis = analyze_bad_components(pair, parent_edge)
         trail_eids = residual_edge_sets(pair, parent_edge)
         bad_cids, _, free_links = _bad_components(pair.links, pair.link_ends,
-                                                  pair.view.edge_ends, trail_eids, k)
+                                                  view_ends(pair.view), trail_eids, k)
         assert (bad_cids, free_links) == (analysis.bad_cids, analysis.free_links)
         closed = {t.vertices[0]: t for t in analysis.family.closed}
         for cid in bad_cids:
@@ -770,7 +771,7 @@ class TestResidual:
         links = set(pair.link_edge_ids)
         assert pair.links and len(links) == 2 * len(pair.links)
         assert trail.isdisjoint(links) and trail.isdisjoint(parent.values())
-        assert trail | links | set(parent.values()) == set(view.edge_ends)
+        assert trail | links | set(parent.values()) == set(view_ends(view))
         assert len(trail) == view.edge_count - len(view.outer) - len(links)
 
     def test_without_links_only_parent_edges_go(self):

@@ -11,7 +11,7 @@ from antimagic.labeling import TrailEvent
 from antimagic.trails import Trail, analyze_bad_components, residual_edge_sets
 from antimagic.verify import _bad_components, recompute_vertex_sums, stress_instances
 from corpus import (circulant, complete_bipartite, complete_graph, cycle_graph,
-                    free_link_gadget, hypercube, record_pair, shuffled_circulant)
+                    free_link_gadget, hypercube, record_pair, shuffled_circulant, view_ends)
 
 
 def with_layer(res, i, **changes):
@@ -268,7 +268,7 @@ class TestReplayRecomputation:
     def assert_bad_components_agree(pair, parent_edge, k):
         ref = analyze_bad_components(pair, parent_edge)
         trail_eids = residual_edge_sets(pair, parent_edge)
-        got = _bad_components(pair.links, pair.link_ends, pair.view.edge_ends, trail_eids, k)
+        got = _bad_components(pair.links, pair.link_ends, view_ends(pair.view), trail_eids, k)
         assert got == (ref.bad_cids, ref.bad_vertices, ref.free_links)
         return ref
 
