@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .covering import CoveringPair, Link, build_covering_pair, maximize_free_links
+from .covering import CoveringPair, build_covering_pair, maximize_free_links
 from .errors import InternalInvariantError
 from .graph import Graph, Layering, bfs_layering, layer_view, validate_even_regular
 from .trails import (
@@ -76,14 +76,10 @@ class LayerPlan:
 
 @dataclass(frozen=True, slots=True)
 class LayerRecord:
-    """What the replay reads of one layer, built in the one labeling pass once
-    the layer is labeled: the choices the construction leaves open, of its
-    covering pair only the links and matching edge ids.  The pair, its view,
-    trail family and bad-component analysis are dropped with the layer."""
+    """What the replay reads of one layer besides its plan and the labels,
+    which fix its parent edges and links: the trail units, in the order they
+    were dealt.  The pair, its view and the trail stage die with the layer."""
 
-    links: tuple[Link, ...]
-    matching: frozenset[int]
-    parent_edge: dict[int, int]
     events: tuple["TrailEvent", ...]
 
 
@@ -259,7 +255,7 @@ def label_graph(graph: Graph, root: int = 0) -> LabelingResult:
         order.sort()
         for lab, (_, u) in enumerate(order, start=plan.parent_interval[0]):
             labels[parent[u]] = lab
-        records[i] = LayerRecord(pair.links, pair.matching, parent, events)
+        records[i] = LayerRecord(events)
 
     label_seq = tuple(labels)
 

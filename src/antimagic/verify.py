@@ -9,9 +9,10 @@ tests can assert an empty list.  Like the labeling, the replay makes one
 pass from the outermost layer in: one scan of the graph files each edge,
 by its ends' layers, as a within-layer edge of their layer or a cross edge
 of the outer one with its (inner, outer) ends.  Each layer's edges, ends
-and plan counts come from that scan, its link edges from the graph's
-incidence, and the covering pair's links and matching are judged on the
-scan's facts, with no view.  Layers replay once each, so issues group by layer.
+and plan counts come from that scan, and its parent edges and links from
+the labels its cross edges carry in the plan's intervals; the covering pair
+is judged on them, by a matching that must exist among the parent edges,
+with no view.  Layers replay once each, so issues group by layer.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import time
 from dataclasses import dataclass
 from typing import AbstractSet, Iterator, Mapping, Sequence
 
-from .covering import Link
 from .errors import InternalInvariantError, StressFailure
 from .generate import generate_regular
 from .graph import Graph, Layering, format_edge_list
@@ -136,7 +136,13 @@ def _layer_pair_sums(i: int, plan: LayerPlan, rec: LayerRecord,
                 x, y = ends.get(eid, (None, None))
                 inner = a == x
                 if (not inner and a != y) or b != (y if inner else x):
-                    return [_walk_issue(i, rec, b if a in (x, y) else a, len(labels))]
+                    # a unit naming an id outside the edge range leaves its edges there
+                    m = len(labels)
+                    stray = [e for ev in rec.events for t in ev.trails for e in t.edges
+                             if not 0 <= e < m]
+                    return [f"layer {i}: trail names edge id {stray[0]}, outside 0..{m - 1}"
+                            if stray else f"layer {i}: trail unit does not walk its edges "
+                            f"at vertex {b if a in (x, y) else a}"]
                 # prev and eid meet at a, which is eid's inner end when `inner`
                 if prev is not None:
                     s = labels[prev] + labels[eid]
@@ -177,31 +183,18 @@ def _layer_pair_sums(i: int, plan: LayerPlan, rec: LayerRecord,
     return issues
 
 
-def _walk_issue(i: int, rec: LayerRecord, vertex: int, m: int) -> str:
-    """The one issue of layer i, whose units leave their edges at `vertex`.
-    An edge id outside 0..m-1 is never a cross edge, so a unit naming one
-    leaves its edges there or earlier, and is reported by that id."""
-    stray = [eid for ev in rec.events for trail in ev.trails for eid in trail.edges
-             if not 0 <= eid < m]
-    if stray:
-        return f"layer {i}: trail names edge id {stray[0]}, outside 0..{m - 1}"
-    return f"layer {i}: trail unit does not walk its edges at vertex {vertex}"
-
-
-def _bad_components(links: Sequence[Link], link_ends: AbstractSet[int],
-                    ends: Mapping[int, tuple[int, int]], trail_eids: AbstractSet[int],
-                    k: int) -> tuple[tuple[int, ...], frozenset[int], tuple[Link, ...]]:
-    """(bad component ids ascending, their vertices, free links) of the trail
-    graph on `trail_eids`, by their `ends`, read off its connected components
-    without walking any trail.
+def _bad_components(link_ends: AbstractSet[int], ends: Mapping[int, tuple[int, int]],
+                    trail_eids: set[int], k: int) -> tuple[tuple[int, ...], frozenset[int]]:
+    """(bad component ids ascending, their vertices) of the trail graph on
+    `trail_eids`, by their `ends`, read off its connected components without
+    walking any trail.
 
     A component's id is its smallest vertex, as in the trail builder, and
     the search starts each component there.  A component is bad when every
     degree is 2k and every outer vertex is one of the `link_ends`, so a
-    layer without links has none; a link is free when at least one end lies
-    outside every bad component."""
-    if not links:
-        return (), frozenset(), ()
+    layer without links has none."""
+    if not link_ends:
+        return (), frozenset()
     adj: dict[int, list[int]] = {}
     outer: set[int] = set()
     for eid in trail_eids:
@@ -230,69 +223,85 @@ def _bad_components(links: Sequence[Link], link_ends: AbstractSet[int],
                 and all(u in link_ends for u in outer_members)):
             bad_cids.append(v)
             bad_vertices.update(members)
-    free = tuple(l for l in links if l.end_a not in bad_vertices or l.end_b not in bad_vertices)
-    return tuple(bad_cids), frozenset(bad_vertices), free
+    return tuple(bad_cids), frozenset(bad_vertices)
+
+
+def _read_labels(plan: LayerPlan, ends: Mapping[int, tuple[int, int]], labels: Sequence[int]):
+    """What a layer's labels fix, from its cross edges `ends` in id order:
+    (each outer vertex's parent edge, labeled in the parent interval, where a
+    vertex with two leaves another with none; the other non-link edges; the
+    links (center, low end, high end), labeled lo + j and hi - j in the link
+    interval, or the first such pair, equal for an odd count, not at one
+    inner vertex; each outer vertex's lowest-id non-link edge)."""
+    lo, hi = plan.link_interval
+    top = hi + plan.layer_size  # the parent interval is (hi, top]
+    parent, link_at, first = {}, {}, {}
+    for eid, (_, y) in ends.items():  # plain compares: chained ones cost more here
+        lab = labels[eid]
+        if lab < lo:
+            if y not in first:
+                first[y] = eid
+        elif lab > hi:
+            if y not in first:
+                first[y] = eid
+            if lab <= top:
+                parent[y] = eid
+        else:
+            link_at[lab] = eid
+    links: list[tuple[int, int, int]] | tuple[int, int] = []
+    for j in range((plan.link_count + 1) // 2):
+        a, b = link_at.get(lo + j), link_at.get(hi - j)
+        if a is None or b is None or a == b or ends[a][0] != ends[b][0]:
+            links = (lo + j, hi - j)
+            break
+        links.append((*ends[a], ends[b][1]))
+    return parent, (ends.keys() - parent.values()).difference(link_at.values()), links, first
 
 
 def _replay_layer(result: LabelingResult, i: int, labels: Sequence[int], sums: Sequence[int],
                   within: Sequence[int], ends: Mapping[int, tuple[int, int]],
                   outdeg: Sequence[int], stats: dict) -> list[str]:
-    """Every check of layer i past its plan, on its share of the caller's
-    scan: link edges, the covering pair, parent map, trail coverage, cursor
-    and pair sums, bad components, link labels, partial sums and parent
-    order, and each within-layer edge's interval.  Parent order, link labels
-    and cursor pin every cross-edge label; tallies go to `stats`."""
+    """Every check of layer i past its plan, on its share of the caller's scan
+    and the parent edges and links its labels fix: the covering pair, trail
+    coverage, cursor and pair sums, bad components, link rules, partial sums,
+    parent order and within-layer intervals.  These pin each cross-edge label
+    up to the order among free links and among the rest; tallies go to `stats`."""
     plan, rec, k, g = result.plans[i], result.layers[i], result.k, result.graph
-    links, parent_edge, layer = rec.links, rec.parent_edge, result.layering.layers[i]
+    layer = result.layering.layers[i]
     d = 2 * k + 1
-    issues: list[str] = []
+    parent, trail_eids, links, first = _read_labels(plan, ends, labels)
+    if isinstance(links, tuple):
+        return [f"layer {i}: link labels {links[0]} and {links[1]} are not two cross edges "
+                f"at one inner vertex"]
+    issues = [f"layer {i}: vertex {u} has no cross edge labeled in the parent interval"
+              for u in layer if u not in parent]
 
-    # the covering pair's invariants (validate_covering_pair) on the scan's facts
-    match_of: dict[int, int] = {}
-    for eid in sorted(rec.matching):
-        x, y = ends.get(eid, (None, None))
-        if x is None:
-            issues.append(f"layer {i}: matching edge {eid} is not a cross edge of the layer")
-        elif x in match_of or y in match_of:
-            issues.append(f"layer {i}: matching edges share a vertex at edge {eid}")
-        else:
-            match_of[x] = match_of[y] = eid
-    link_edge: dict[tuple[int, int], int] = {}
-    for link in links:
-        c = link.center
-        at = g.incident(c) if 0 <= c < g.n else ()
-        for end in link.ends:
-            eid = next((e for w, e in at if w == end), None)
-            if ends.get(eid) != (c, end):
-                return [f"layer {i}: link at center {c} has no cross edge to {end}"]
-            link_edge[c, end] = eid
-        if outdeg[c] != d:
-            issues.append(f"layer {i}: link center {c} has {outdeg[c]} outward edges, not {d}")
-        if c in match_of:
-            issues.append(f"layer {i}: link center {c} is also matched")
-        issues += [f"layer {i}: neighbor {w} of link center {c} is unmatched"
-                   for w, eid in at if eid in ends and w not in match_of]
-    centers, link_ends = {c for c, _ in link_edge}, {end for _, end in link_edge}
-    if len(centers) + len(link_ends) != 3 * len(links):
-        issues.append(f"layer {i}: links share a vertex")
-    issues += [f"layer {i}: full-degree inner vertex {x} is uncovered"
-               for x in result.layering.layers[i - 1]
-               if outdeg[x] == d and x not in match_of and x not in centers]
-    link_eids = set(link_edge.values())
-
-    sigma_eids = set(parent_edge.values())
-    for u in layer:
-        eid = parent_edge.get(u)
-        if eid is None or ends.get(eid, (None, None))[1] != u:
-            issues.append(f"layer {i}: vertex {u} has an invalid parent edge {eid}")
-            continue
-        if u in match_of and eid != match_of[u]:
-            issues.append(f"layer {i}: matched vertex {u} does not use its matching edge")
-        if eid in link_eids:
-            issues.append(f"layer {i}: parent edge of vertex {u} is a link edge")
-    if len(sigma_eids) != len(layer):
-        issues.append(f"layer {i}: parent edges are not distinct")
-    trail_eids = ends.keys() - sigma_eids - link_eids
+    # the covering pair's invariants (validate_covering_pair), with a matching
+    # that must exist among the parent edges: it holds the parent edge of each
+    # outer vertex next to a center or not on its lowest-id non-link edge
+    centers = link_ends = near = frozenset()  # near: the centers' outer neighbors
+    if links:
+        centers = {c for c, _, _ in links}
+        link_ends = {end for _, a, b in links for end in (a, b)}
+        if len(centers) + len(link_ends) != 3 * len(links):
+            issues.append(f"layer {i}: links share a vertex")
+        issues += [f"layer {i}: link center {c} has {outdeg[c]} outward edges, not {d}"
+                   for c in sorted(centers) if outdeg[c] != d]
+        near = {w for c in centers for w, eid in g.incident(c) if eid in ends}
+    forced: dict[int, int] = {}  # inner end of a forced parent edge -> its outer end
+    for u, eid in parent.items():
+        if u in near or eid != first[u]:
+            x = ends[eid][0]
+            if x in centers:
+                issues.append(f"layer {i}: parent edge of vertex {u} ends at link center {x}")
+            elif x in forced:
+                issues.append(f"layer {i}: forced parent edges of vertices {forced[x]} and {u} "
+                              f"meet at inner vertex {x}")
+            forced[x] = u
+    full = [x for x in result.layering.layers[i - 1] if outdeg[x] == d and x not in centers]
+    covered = {ends[eid][0] for eid in parent.values()} if full else ()
+    issues += [f"layer {i}: full-degree inner vertex {x} is no link center and has no "
+               f"parent edge" for x in full if x not in covered]
 
     # the two-ended cursor from the trail interval, over the units in order
     lo, hi = plan.trail_interval
@@ -321,42 +330,37 @@ def _replay_layer(result: LabelingResult, i: int, labels: Sequence[int], sums: S
         issues.append(f"layer {i}: trail units do not cover the trail graph exactly")
     issues += _layer_pair_sums(i, plan, rec, ends, labels)
 
-    bad_cids, bad_vertices, free_links = _bad_components(links, link_ends, ends, trail_eids, k)
+    # the link rules, in interval order: free links (an end outside every bad
+    # component) first; a free link with one end in a bad component has that
+    # end low, any other its smaller end; a link edge into one is at most top
+    bad_cids, bad_vertices = _bad_components(link_ends, ends, trail_eids, k)
+    lo, hi = plan.link_interval
+    top, free = hi - k, 0
+    for j, (c, low, high) in enumerate(links):
+        in_bad = [end for end in (low, high) if end in bad_vertices]
+        free += len(in_bad) < 2
+        if len(in_bad) < 2 and free <= j:
+            issues.append(f"layer {i}: free link at center {c} follows a link that is not free")
+        want = in_bad[0] if len(in_bad) == 1 else min(low, high)
+        if low != want:
+            issues.append(f"layer {i}: link at center {c} has its low label at end {low}, "
+                          f"not {want}")
+        issues += [f"layer {i}: link edge into a bad component has label {lab}, above {top}"
+                   for end, lab in ((low, lo + j), (high, hi - j))
+                   if end in bad_vertices and lab > top]
     if bad_cids:
         stats["bad_layers"] += 1
-        if len(free_links) < k:
-            issues.append(f"layer {i}: only {len(free_links)} free links with bad "
-                          f"components present, need {k}")
+        if free < k:
+            issues.append(f"layer {i}: only {free} free links with bad components present, "
+                          f"need {k}")
     stats["links_total"] += len(links)
-    stats["free_links_total"] += len(free_links)
-
-    base = plan.offset + plan.inner_count + plan.trail_count
-    c = plan.link_count
-    free_set = set(free_links)
-    link_order = list(free_links) + [l for l in links if l not in free_set]
-    for idx, link in enumerate(link_order, start=1):
-        in_bad = [e for e in link.ends if e in bad_vertices]
-        u_low = in_bad[0] if (link in free_set and len(in_bad) == 1) else min(link.ends)
-        u_high = link.end_b if u_low == link.end_a else link.end_a
-        if labels[link_edge[link.center, u_low]] != base + idx:
-            issues.append(f"layer {i}: low link edge of center {link.center} mislabeled")
-        if labels[link_edge[link.center, u_high]] != base + c - idx + 1:
-            issues.append(f"layer {i}: high link edge of center {link.center} mislabeled")
-    if bad_cids:
-        for link in links:
-            for end in link.ends:
-                if end in bad_vertices:
-                    lab = labels[link_edge[link.center, end]]
-                    if lab > base + c - k:
-                        issues.append(f"layer {i}: link edge into a bad component has "
-                                      f"label {lab}, above {base + c - k}")
+    stats["free_links_total"] += free
 
     # partial sums: each vertex sum less its parent label, at most the
     # layer's bound and at least the next outer layer's (none outermost or
     # unplanned); a slack is the layer's smallest margin to one of them.  A
-    # vertex without a parent edge in the label range, already reported, has none
-    partial = {u: sums[u] - labels[eid] for u in layer
-               if (eid := parent_edge.get(u)) is not None and 0 <= eid < len(labels)}
+    # vertex without a parent edge, already reported, has none
+    partial = {u: sums[u] - labels[eid] for u, eid in parent.items()}
     hi_slack = lo_slack = None
     outer_plan = result.plans.get(i + 1) if i < result.layering.depth else None
     if partial:
@@ -378,9 +382,9 @@ def _replay_layer(result: LabelingResult, i: int, labels: Sequence[int], sums: S
     if len(partial) == len(layer):
         parent_order = sorted(partial, key=lambda u: (partial[u], u))
         for lab, u in enumerate(parent_order, start=plan.parent_interval[0]):
-            if labels[parent_edge[u]] != lab:
+            if labels[parent[u]] != lab:
                 issues.append(f"layer {i}: parent edge of vertex {u} carries "
-                              f"label {labels[parent_edge[u]]}, expected {lab}")
+                              f"label {labels[parent[u]]}, expected {lab}")
 
     lo, hi = plan.inner_interval
     issues += [f"edge {eid} is a within-layer edge of layer {i} but carries label {labels[eid]} "
@@ -448,7 +452,7 @@ def check_construction(result: LabelingResult) -> tuple[list[str], dict]:
             missing = "plan" if plan is None else "layer record"
             issues.append(f"layer {i}: the record has no {missing}")
         else:
-            size, links = len(lay.layers[i]), 2 * len(rec.links)
+            size, links = len(lay.layers[i]), plan.link_count
             counts = (i, size, len(within[i]), len(cross[i]) - size - links, links, offset)
             recorded = (plan.index, plan.layer_size, plan.inner_count, plan.trail_count,
                         plan.link_count, plan.offset)

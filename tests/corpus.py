@@ -6,7 +6,10 @@ import itertools
 import random
 
 from antimagic import BipartiteView, Graph, bfs_layering, bipartite_view, layer_view
-from antimagic.covering import CoveringPair, Link, pad_to_biregular
+from antimagic.covering import (CoveringPair, Link, build_covering_pair, maximize_free_links,
+                                pad_to_biregular)
+from antimagic.labeling import assign_parent_edges
+from antimagic.trails import analyze_bad_components
 
 
 def complete_graph(n: int) -> Graph:
@@ -127,12 +130,13 @@ def view_ends(view: BipartiteView) -> dict[int, tuple[int, int]]:
     return {eid: (x, y) for x, y, eid in view.edges}
 
 
-def record_pair(res, i: int) -> CoveringPair:
-    """The covering pair the engine built for layer i of a labeling result,
-    rebuilt on the layer's view from the links and matching its record keeps."""
-    rec = res.layers[i]
-    return CoveringPair(layer_view(res.graph, res.layering, i), 2 * res.k + 1, rec.links,
-                        rec.matching)
+def engine_layer(res, i: int) -> tuple[CoveringPair, dict[int, int]]:
+    """The covering pair and parent-edge map of layer i of a labeling result,
+    rebuilt on the layer's view as `label_graph` builds them."""
+    pair = build_covering_pair(layer_view(res.graph, res.layering, i), 2 * res.k + 1)
+    parent = assign_parent_edges(pair)
+    pair, _ = maximize_free_links(pair, lambda p: analyze_bad_components(p, parent))
+    return pair, parent
 
 
 def padded_layer_two(a: int) -> BipartiteView:

@@ -19,9 +19,9 @@ from antimagic import (BipartiteView, CoveringPair, GraphShapeError, InternalInv
 from antimagic.cli import main
 from antimagic.documents import render_document
 from antimagic.labeling import LayerPlan, LayerRecord
-from antimagic.verify import stress_instances
-from corpus import (circulant, complete_bipartite, complete_graph, cycle_graph,
-                    hypercube, octahedron, record_pair, shuffled_circulant, torus_grid)
+from antimagic.verify import _read_labels, stress_instances
+from corpus import (circulant, complete_bipartite, complete_graph, cycle_graph, engine_layer,
+                    hypercube, octahedron, shuffled_circulant, torus_grid, view_ends)
 
 
 class TestGoldenK5:
@@ -35,7 +35,7 @@ class TestGoldenK5:
         # partial sums: each vertex sum less its parent label; the root has
         # no parent edge, so its partial sum is its vertex sum, 34
         labels, sums = res.labeling.labels, res.labeling.vertex_sums
-        parent_edge = res.layers[1].parent_edge
+        _, parent_edge = engine_layer(res, 1)
         assert {u: sums[u] - labels[parent_edge[u]] for u in range(1, 5)} \
             == {1: 6, 2: 10, 3: 12, 4: 14}
         assert sums[res.layering.root] == 34
@@ -87,7 +87,7 @@ class TestLinksEndToEnd:
     def test_k66_has_a_link_and_passes(self):
         res = label_graph(complete_bipartite(6, 6))
         assert res.k == 2
-        assert len(res.layers[2].links) >= 1
+        assert res.plans[2].link_count >= 2
         issues, stats = check_construction(res)
         assert issues == []
         assert stats["links_total"] >= 1
@@ -100,7 +100,7 @@ class TestLinkSearchGoldens:
     @pytest.mark.parametrize("a", [6, 8])
     def test_document(self, a):
         res = label_graph(complete_bipartite(a, a))
-        assert len(res.layers[2].links) == 1
+        assert res.plans[2].link_count == 2
         golden = Path(__file__).parent / "golden" / f"k{a}_{a}.txt"
         assert render_document(res) == golden.read_text()
 
@@ -126,8 +126,7 @@ class TestClosedUnitGolden:
         rec = res.layers[3]
         unit, = rec.events
         assert (unit.kind, unit.case) == ("closed", "outer-high")
-        walked, = trails.analyze_bad_components(record_pair(res, 3),
-                                                 rec.parent_edge).family.closed
+        walked, = trails.analyze_bad_components(*engine_layer(res, 3)).family.closed
         turned = walked.edges[::-1]
         dealt = unit.trails[0].edges
         assert dealt in {turned[j:] + turned[:j] for j in range(len(turned))}
@@ -236,14 +235,14 @@ def reference_interval_plan(graph, layering, trail_counts, link_counts):
 class TestPlanAgainstReference:
     """Each layer's plan, computed from its class-edge count as the layer is
     labeled, equals the two-pass plan built from the recorded trail units and
-    links."""
+    the links of the layer's rebuilt covering pair."""
 
     @staticmethod
     def assert_plans_match(graph, root=0):
         res = label_graph(graph, root)
         trail_counts = {i: sum(len(t.edges) for ev in rec.events for t in ev.trails)
                         for i, rec in res.layers.items()}
-        link_counts = {i: 2 * len(rec.links) for i, rec in res.layers.items()}
+        link_counts = {i: 2 * len(engine_layer(res, i)[0].links) for i in res.layers}
         assert res.plans == reference_interval_plan(graph, res.layering, trail_counts,
                                                     link_counts)
 
@@ -318,8 +317,8 @@ class TestTrailsDealtAsGiven:
 
 
 class TestRecordsHoldNoTrailFamilies:
-    """A held result keeps each layer's trail units, bad component ids and
-    free links, but no trail family or bad-component analysis."""
+    """A held result keeps each layer's trail units, but no trail family or
+    bad-component analysis."""
 
     def test_deep_circulant(self):
         kinds = (trails.TrailFamily, trails.BadAnalysis)
@@ -329,11 +328,46 @@ class TestRecordsHoldNoTrailFamilies:
         assert [type(obj).__name__ for obj in gc.get_objects() if isinstance(obj, kinds)] == []
 
 
+class TestLabelsFixTheRecord:
+    """The replay reads each layer's parent edges and links from the labels
+    in the plan's intervals, and decides that a matching exists among the
+    parent edges.  On each layer rebuilt as label_graph builds it, the
+    replay reads the engine's parent map, links and trail edges, the
+    engine's matching is among the parent edges, and it holds every edge
+    the replay forces."""
+
+    @staticmethod
+    def links_read_alike(graph):
+        res = label_graph(graph)
+        links_read = 0
+        for i, plan in res.plans.items():
+            pair, parent = engine_layer(res, i)
+            ends = dict(sorted(view_ends(pair.view).items()))  # in id order, as the replay scans
+            read, trail_eids, links, first = _read_labels(plan, ends, res.labeling.labels)
+            assert read == parent
+            assert sorted(Link.of(*link) for link in links) == list(pair.links)
+            assert trail_eids == trails.residual_edge_sets(pair, parent)
+            assert pair.matching <= set(parent.values())
+            near = {w for link in pair.links for w in pair.view.neighbors(link.center)}
+            assert {eid for u, eid in parent.items() if u in near or eid != first[u]} \
+                <= pair.matching
+            links_read += len(links)
+        return links_read
+
+    @pytest.mark.parametrize("a", [4, 6, 8, 12, 20])
+    def test_complete_bipartite(self, a):
+        assert self.links_read_alike(complete_bipartite(a, a)) == 1
+
+    def test_corpus_graphs(self):
+        graphs = [shuffled_circulant(48, [1, 2], 48), generate_regular(60, 6, 1), hypercube(4),
+                  *(graph for *_, graph in stress_instances(40, 8, 60, [4, 6, 8], 0))]
+        assert sum(map(self.links_read_alike, graphs)) == 0
+
+
 class TestRecordsHoldNoView:
-    """A held result keeps of each covering pair only its links and matching
-    edge ids: nothing it refers to, however indirectly, is a layer view or a
-    covering pair, and a layer record holds only the choices the construction
-    leaves open."""
+    """A held result keeps of each layer only its trail units: nothing it
+    refers to, however indirectly, is a layer view, a covering pair or a
+    link, since the labels already fix the parent edges and links."""
 
     @pytest.mark.parametrize("graph", [complete_bipartite(6, 6), generate_regular(60, 6, 1)],
                              ids=["K6,6", "R60"])
@@ -349,21 +383,17 @@ class TestRecordsHoldNoView:
                     seen.add(id(ref))
                     stack.append(ref)
         assert kinds[BipartiteView.__name__] == kinds[CoveringPair.__name__] == 0
-        # the walk reaches the records: every recorded link object
-        assert kinds[Link.__name__] == len({id(link) for rec in res.layers.values()
-                                            for link in rec.links})
-        assert [f.name for f in dataclasses.fields(LayerRecord)] == [
-            "links", "matching", "parent_edge", "events"]
+        assert kinds[Link.__name__] == 0 and kinds[LayerRecord.__name__] == len(res.layers)
+        assert [f.name for f in dataclasses.fields(LayerRecord)] == ["events"]
 
 
 class TestHeldMemory:
     """Bytes per edge that a held result of a deep graph keeps: each of its
-    thousand layers keeps its links and matching, a parent map, its trail
-    units and its plan.  The result measured 311 bytes per edge on Python
-    3.11 (502 when each layer also kept its view and covering pair); the
-    bound is the held-memory target of ROADMAP direction 9."""
+    thousand layers keeps its trail units and its plan.  The result measured
+    251 bytes per edge on Python 3.11; the bound is the held-memory target
+    of ROADMAP direction 12."""
 
-    BYTES_PER_EDGE = 380
+    BYTES_PER_EDGE = 280
 
     def test_deep_circulant(self):
         g = circulant(4000, [1, 2])

@@ -14,6 +14,7 @@ import ast
 import collections
 import dataclasses
 import functools
+import itertools
 import json
 import re
 from pathlib import Path
@@ -21,12 +22,12 @@ from pathlib import Path
 import pytest
 
 from antimagic import check_construction, generate_regular, label_graph, verify_antimagic
-from antimagic.covering import Link
 from antimagic.labeling import Labeling, TrailEvent
 from antimagic.trails import Trail
 from antimagic.verify import __file__ as VERIFY_PY
 from antimagic.verify import recompute_vertex_sums
-from corpus import circulant, complete_bipartite, complete_graph, hypercube, shuffled_circulant
+from corpus import (circulant, complete_bipartite, complete_graph, engine_layer, hypercube,
+                    shuffled_circulant)
 
 GOLDEN = Path(__file__).parent / "golden" / "replay_issues.json"
 
@@ -72,30 +73,41 @@ def with_plan(res, i, **changes):
                                                                                **changes)})
 
 
+def edge(res, u, v):
+    return next(eid for w, eid in res.graph.incident(u) if w == v)
+
+
 def with_links(res, i, links):
-    """The record with layer i's links replaced, and its plan's link and
-    trail counts moved to match them, so the replay reads the layer."""
-    plan, extra = res.plans[i], 2 * (len(links) - len(res.layers[i].links))
+    """The result with its plan's link and trail counts of layer i moved to
+    fit `links`, each (center, low end, high end), and the j-th link's two
+    edges swapped onto labels lo + j and hi - j of the new link interval."""
+    plan, extra = res.plans[i], 2 * len(links) - res.plans[i].link_count
     res = with_plan(res, i, link_count=plan.link_count + extra,
                     trail_count=plan.trail_count - extra)
-    return with_layer(res, i, links=tuple(links))
+    lo, hi = res.plans[i].link_interval
+    for j, (c, low, high) in enumerate(links):
+        for end, lab in ((low, lo + j), (high, hi - j)):
+            res = swapped(res, (edge(res, c, end), res.labeling.labels.index(lab)))
+    return res
 
 
 def ids_swapped(res, i, a, b):
-    """The record with edge ids a and b of layer i swapped in its matching,
-    parent map and trail units, and their labels swapped, with the cached
-    sums recomputed: every fact the record holds of the two edges agrees
-    with the swap, and only the graph tells them apart."""
+    """The record with edge ids a and b of layer i swapped in its trail
+    units, and their labels swapped, with the cached sums recomputed: every
+    fact the record holds of the two edges agrees with the swap, and only
+    the graph tells them apart."""
     swap = {a: b, b: a}
     f = lambda eid: swap.get(eid, eid)  # noqa: E731
-    rec = res.layers[i]
-    events = tuple(dataclasses.replace(ev, trails=tuple(
+    res = with_layer(res, i, events=tuple(dataclasses.replace(ev, trails=tuple(
         dataclasses.replace(t, edges=tuple(map(f, t.edges))) for t in ev.trails))
-        for ev in rec.events)
-    res = with_layer(res, i, matching=frozenset(map(f, rec.matching)), events=events,
-                     parent_edge={u: f(eid) for u, eid in rec.parent_edge.items()})
+        for ev in res.layers[i].events))
     labels = list(res.labeling.labels)
     labels[a], labels[b] = labels[b], labels[a]
+    return resummed(res, labels)
+
+
+def resummed(res, labels):
+    """The result with `labels` and the vertex sums they give."""
     return dataclasses.replace(res, labeling=Labeling(
         tuple(labels), tuple(recompute_vertex_sums(res.graph, labels))))
 
@@ -115,17 +127,27 @@ def trail_eids(res, i):
     return [eid for ev in res.layers[i].events for t in ev.trails for eid in t.edges]
 
 
+def parent_edge(res, i):
+    """Layer i's parent edges by outer vertex, as the engine picks them."""
+    return engine_layer(res, i)[1]
+
+
 def parent_pair(res, i):
-    rec = res.layers[i]
+    parent = parent_edge(res, i)
     u, w = res.layering.layers[i][:2]
-    return rec.parent_edge[u], rec.parent_edge[w]
+    return parent[u], parent[w]
 
 
 def link_edges(res, i):
     """The two edges of layer i's first link, from its center to each end."""
-    link = res.layers[i].links[0]
-    at = dict(res.graph.incident(link.center))
-    return tuple(at[end] for end in link.ends)
+    link = engine_layer(res, i)[0].links[0]
+    return tuple(edge(res, link.center, end) for end in link.ends)
+
+
+def trail_edge_at(res, i, u):
+    """The lowest-id edge at u labeled in layer i's trail interval."""
+    lo, hi = res.plans[i].trail_interval
+    return min(eid for _, eid in res.graph.incident(u) if lo <= res.labeling.labels[eid] <= hi)
 
 
 TAMPERS = {}
@@ -162,29 +184,30 @@ def _():
 
 @tamper("foreign parent edge, R40 layer 2")
 def _():
+    # a's parent label moves to a trail edge at b, which then has two
     res = labeled("R40")
-    rec = res.layers[2]
     a, b = res.layering.layers[2][:2]
-    return with_layer(res, 2, parent_edge={**rec.parent_edge, a: rec.parent_edge[b]})
+    return swapped(res, (parent_edge(res, 2)[a], trail_edge_at(res, 2, b)))
 
 
 @tamper("parent edges of two vertices exchanged, R40 layer 2")
 def _():
-    # every edge stays a parent-map value, but neither is its own outer
-    # end's parent edge any more
+    # a's parent label moves to a trail edge at b and b's to one at a: each
+    # still has one parent edge, but neither its own parent label (2 and 4
+    # are the layer's first vertices with a trail edge)
     res = labeled("R40")
-    rec = res.layers[2]
-    a, b = res.layering.layers[2][:2]
-    return with_layer(res, 2, parent_edge={**rec.parent_edge, a: rec.parent_edge[b],
-                                           b: rec.parent_edge[a]})
+    parent = parent_edge(res, 2)
+    a, b = res.layering.layers[2][1:3]
+    return swapped(res, (parent[a], trail_edge_at(res, 2, b)),
+                   (parent[b], trail_edge_at(res, 2, a)))
 
 
 @tamper("missing parent edge, R40 layer 2")
 def _():
+    # a's parent label moves to the layer's lowest-id within-layer edge
     res = labeled("R40")
-    rec = res.layers[2]
     a = res.layering.layers[2][0]
-    return with_layer(res, 2, parent_edge={u: e for u, e in rec.parent_edge.items() if u != a})
+    return swapped(res, (parent_edge(res, 2)[a], within_eids(res, 2)[0]))
 
 
 for _stray in ("m+5", "-1"):
@@ -251,10 +274,10 @@ def _():
 
 @tamper("link edge as parent edge, K6,6 layer 2")
 def _():
+    # link end 1's parent label and its link label change edges, so the
+    # link interval's outer pair no longer meets at one inner vertex
     res = labeled("K6,6")
-    rec = res.layers[2]
-    eid = link_edges(res, 2)[0]
-    return with_layer(res, 2, parent_edge={**rec.parent_edge, rec.links[0].end_a: eid})
+    return swapped(res, (link_edges(res, 2)[0], parent_edge(res, 2)[1]))
 
 
 @tamper("within-layer labels swapped, R40 layer 2")
@@ -320,7 +343,7 @@ def _():
     # layer 6's parent label 55 in place of 63 it leaves 24's partial sum
     # one below the outer bound
     res = labeled("C48(1,2)")
-    return swapped(res, (res.layers[5].parent_edge[17], res.layers[6].parent_edge[38]))
+    return swapped(res, (parent_edge(res, 5)[17], parent_edge(res, 6)[38]))
 
 
 @tamper("closed unit's last label swapped with a parent label, Q4 layer 3")
@@ -329,7 +352,7 @@ def _():
     res = labeled("Q4")
     ev = res.layers[3].events[0]
     assert ev.case == "outer-high"
-    return swapped(res, (ev.trails[0].edges[-1], res.layers[3].parent_edge[7]))
+    return swapped(res, (ev.trails[0].edges[-1], parent_edge(res, 3)[7]))
 
 
 @tamper("closed trail case flipped and its first label swapped with label 1, Q4")
@@ -343,64 +366,53 @@ def _():
 
 @tamper("covering pair without matching edge 56, R60 layer 3")
 def _():
-    # 56 = (51, 10) is the layer's one matching edge, and inner vertex 51,
-    # with five outward edges, is left uncovered without it
-    res = labeled("R60")
-    return with_layer(res, 3, matching=res.layers[3].matching - {56})
-
-
-@tamper("matching gains within-layer edge 6, R60 layer 3")
-def _():
-    res = labeled("R60")
-    return with_layer(res, 3, matching=res.layers[3].matching | {6})
+    # 56 = (51, 10) is the layer's one matching edge; 10's parent label
+    # moves to its lowest-id cross edge 47 = (8, 10), so no parent edge
+    # needs matching, and inner vertex 51 keeps parent edges 172 and 174:
+    # a matching still exists, and the trail deal shows the swap
+    return swapped(labeled("R60"), (56, 47))
 
 
 @tamper("matching gains edge 102 = (51, 20), R60 layer 3")
 def _():
-    # edge 56 already matches inner vertex 51
-    res = labeled("R60")
-    return with_layer(res, 3, matching=res.layers[3].matching | {102})
+    # 20's parent label moves from its lowest-id cross edge 42 to 102, which
+    # must then be matched, as edge 56 of 10 must be, at inner vertex 51
+    return swapped(labeled("R60"), (42, 102))
 
 
 @tamper("link 4 - 9 - 49 at inner vertex 9 of three outward edges, R60 layer 3")
 def _():
-    # 9's outward neighbors 4, 49 and 59 are all unmatched; the plan's link
-    # and trail counts are forged to match the extra link
-    return with_links(labeled("R60"), 3, [Link(9, 4, 49)])
+    # the plan's link and trail counts are forged to fit the extra link
+    return with_links(labeled("R60"), 3, [(9, 4, 49)])
 
 
 @tamper("second link at center 6, K6,6 layer 2")
 def _():
     # link 1 - 6 - 2 and link 3 - 6 - 4 share their center; the plan's
-    # link and trail counts are forged to match the extra link
-    return with_links(labeled("K6,6"), 2, [Link(6, 1, 2), Link(6, 3, 4)])
+    # link and trail counts are forged to fit the extra link
+    return with_links(labeled("K6,6"), 2, [(6, 1, 2), (6, 3, 4)])
 
 
-@tamper("link center 6 matched to link end 1 by edge 6, K6,6 layer 2")
+@tamper("plan link count 1, R40 layer 3")
 def _():
-    # edge 6 = (1, 6) takes end 1 from its matching edge 7 = (1, 7)
-    res = labeled("K6,6")
-    return with_layer(res, 2, matching=res.layers[2].matching - {7} | {6})
+    # the link interval is then the one label 35, the layer's last trail label
+    res = labeled("R40")
+    return with_plan(res, 3, link_count=1, trail_count=res.plans[3].trail_count - 1)
 
 
 @tamper("link end 1 unmatched, K6,6 layer 2")
 def _():
-    res = labeled("K6,6")
-    return with_layer(res, 2, matching=res.layers[2].matching - {7})
+    # every outer vertex is a neighbor of center 6, so each parent edge is
+    # matched; 1's parent label moves from edge 7 = (1, 7) to edge 8 =
+    # (1, 8), where 2's parent edge 14 = (2, 8) is matched too
+    return swapped(labeled("K6,6"), (7, 8))
 
 
 @tamper("center 6's neighbor 3 unmatched, K6,6 layer 2")
 def _():
-    # 3 is no link end, and matching edge 21 = (3, 9) is dropped
-    res = labeled("K6,6")
-    return with_layer(res, 2, matching=res.layers[2].matching - {21})
-
-
-@tamper("link center outside the graph, K6,6 layer 2")
-def _():
-    # link 1 - 6 - 2 becomes 1 - 12 - 2; the graph has no vertex 12 = n
-    res = labeled("K6,6")
-    return with_layer(res, 2, links=(Link(res.graph.n, 1, 2),))
+    # 3's parent label moves from edge 21 = (3, 9) to edge 18 = (3, 6),
+    # which ends at the center
+    return swapped(labeled("K6,6"), (21, 18))
 
 
 @tamper("plan layer size one too large, R40 layer 2")
@@ -492,9 +504,9 @@ def _():
 
 @tamper("link end moved to the root, K6,6 layer 2")
 def _():
-    # link 1 - 6 - 2 becomes 0 - 6 - 2, whose edge to the root is no cross
-    # edge of layer 2
-    return with_layer(labeled("K6,6"), 2, links=(Link(6, 0, 2),))
+    # link 1 - 6 - 2 becomes 0 - 6 - 2: its low label moves from edge 6 =
+    # (1, 6) to the root's edge 0 = (0, 6), no cross edge of layer 2
+    return swapped(labeled("K6,6"), (6, 0))
 
 
 @tamper("one label short, C10(1,2)")
@@ -540,11 +552,13 @@ def test_issues_come_outermost_layer_first():
 
 
 # No corpus graph has a bad component, so these checks have no tamper yet;
-# they wait for graphs whose layers reach bad components.
+# they wait for graphs whose layers reach bad components.  Without one
+# every link is free, so no link can follow one that is not.
 AWAITING_BAD_COMPONENTS = {
     "layer {}: outer meet at {} in a bad component sums to {}, expected exactly {}",
     "layer {}: wrap pair of a bad trail at {} sums to {}, above {}",
     "layer {}: only {} free links with bad components present, need {}",
+    "layer {}: free link at center {} follows a link that is not free",
     "layer {}: link edge into a bad component has label {}, above {}",
 }
 
@@ -596,15 +610,14 @@ def test_every_issue_template_has_a_tamper():
 
 
 def test_replay_reads_no_view_edges():
-    """The replay takes each layer's edges, their ends and its link edges
-    from its own scan of the graph, and judges the covering pair's links
-    and matching on them: it reads no view and no pair's edge lookups."""
+    """The replay takes each layer's edges and their ends from its own scan
+    of the graph, and its parent edges and links from the labels: it reads
+    no view, no pair's edge lookups and no links, matching or parent map."""
     tree = ast.parse(Path(VERIFY_PY).read_text())
     read = collections.Counter(node.attr for node in ast.walk(tree)
                                if isinstance(node, ast.Attribute))
-    assert {name: read[name] for name in
-            ("edge_between", "link_edge_ids", "view")} == {
-        "edge_between": 0, "link_edge_ids": 0, "view": 0}
+    names = ("edge_between", "link_edge_ids", "view", "links", "matching", "parent_edge")
+    assert {name: read[name] for name in names} == dict.fromkeys(names, 0)
 
 
 def test_trail_id_swap_forgeries_are_flagged():
@@ -622,6 +635,30 @@ def test_trail_id_swap_forgeries_are_flagged():
                     forgeries += 1
                     assert check_construction(forged)[0], (seed, i, a, b)
     assert forgeries == 104
+
+
+def test_label_swap_forgeries_are_flagged():
+    """Every transposition of two cross-edge labels of one layer, with the
+    cached sums recomputed, whose labels still verify as antimagic is
+    reported: the replay reads the parent edges and links from the labels,
+    so a swap that moves one is no harder to see than one that moves a
+    trail label.  The layers are K6,6's link layer and every layer of
+    generate_regular(30, 4, s) for s = 1..5."""
+    layers = [(labeled("K6,6"), 2)] + [(res, i) for s in range(1, 6)
+                                       for res in [label_graph(generate_regular(30, 4, s))]
+                                       for i in res.layers]
+    forgeries = 0
+    for res, i in layers:
+        layer_of = res.layering.layer_of
+        cross = [eid for eid, (u, v) in enumerate(res.graph.edges)
+                 if max(layer_of[u], layer_of[v]) == i and layer_of[u] != layer_of[v]]
+        for a, b in itertools.combinations(cross, 2):
+            labels = list(res.labeling.labels)
+            labels[a], labels[b] = labels[b], labels[a]
+            if verify_antimagic(res.graph, labels, res.layering).passed:
+                forgeries += 1
+                assert check_construction(resummed(res, labels))[0], (i, a, b)
+    assert forgeries == 812
 
 
 if __name__ == "__main__":

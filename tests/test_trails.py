@@ -21,7 +21,8 @@ from antimagic.trails import (Trail, analyze_bad_components, choose_closed_start
                               decompose_trails, detect_bad_components, residual_edge_sets,
                               rotate_closed)
 from antimagic.verify import _bad_components
-from corpus import complete_bipartite, free_link_gadget, random_bounded_bipartite, record_pair, view_ends
+from corpus import (complete_bipartite, engine_layer, free_link_gadget, random_bounded_bipartite,
+                    view_ends)
 
 
 def all_trails(fam):
@@ -697,9 +698,9 @@ class TestAnalysisDifferential:
         g = complete_bipartite(a, a)
         for root in (0, g.n - 1):
             res = label_graph(g, root)
-            rec = res.layers[2]
-            assert rec.links
-            analysis = assert_same_analysis(record_pair(res, 2), rec.parent_edge)
+            pair, parent = engine_layer(res, 2)
+            assert pair.links
+            analysis = assert_same_analysis(pair, parent)
             # the replay, which keeps no analysis, counts the same free links
             assert check_construction(res)[1]["free_links_total"] == len(analysis.free_links)
 
@@ -714,13 +715,13 @@ class TestAnalysisDifferential:
     @staticmethod
     def assert_named_alike(pair, parent_edge, k):
         """The trail stage and the replay's own search, at the replay's k, give
-        the same bad component ids and free links, and each id is the
-        smallest vertex of its component; returns the analysis."""
+        the same bad component ids and vertices, and each id is the smallest
+        vertex of its component; returns the analysis."""
         analysis = analyze_bad_components(pair, parent_edge)
         trail_eids = residual_edge_sets(pair, parent_edge)
-        bad_cids, _, free_links = _bad_components(pair.links, pair.link_ends,
-                                                  view_ends(pair.view), trail_eids, k)
-        assert (bad_cids, free_links) == (analysis.bad_cids, analysis.free_links)
+        bad_cids, bad_vertices = _bad_components(pair.link_ends, view_ends(pair.view),
+                                                 trail_eids, k)
+        assert (bad_cids, bad_vertices) == (analysis.bad_cids, analysis.bad_vertices)
         closed = {t.vertices[0]: t for t in analysis.family.closed}
         for cid in bad_cids:
             assert cid == min(closed[cid].vertices)
@@ -732,8 +733,7 @@ class TestAnalysisDifferential:
             g = complete_bipartite(a, a)
             for root in (0, g.n - 1):
                 res = label_graph(g, root)
-                rec = res.layers[2]
-                self.assert_named_alike(record_pair(res, 2), rec.parent_edge, res.k)
+                self.assert_named_alike(*engine_layer(res, 2), res.k)
                 views += 1
         _, pair, parent = free_link_gadget()
         # the 4-cycles 12-0-14-1 and 13-4-15-5, named by their smallest

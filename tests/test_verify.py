@@ -10,8 +10,8 @@ from antimagic.covering import maximize_free_links
 from antimagic.labeling import TrailEvent
 from antimagic.trails import Trail, analyze_bad_components, residual_edge_sets
 from antimagic.verify import _bad_components, recompute_vertex_sums, stress_instances
-from corpus import (circulant, complete_bipartite, complete_graph, cycle_graph,
-                    free_link_gadget, hypercube, record_pair, shuffled_circulant, view_ends)
+from corpus import (circulant, complete_bipartite, complete_graph, cycle_graph, engine_layer,
+                    free_link_gadget, hypercube, shuffled_circulant, view_ends)
 
 
 def with_layer(res, i, **changes):
@@ -129,37 +129,44 @@ class TestCheckConstruction:
         assert (stats["bijection_ok"], stats["distinct_sums_ok"],
                 stats["layer_monotone_ok"]) == (False, None, None)
 
+    @staticmethod
+    def parent_label_moved(res, i, a, to_within):
+        """The result with the parent label of outer vertex a of layer i
+        swapped with the label of a within-layer edge of layer i or of a
+        trail edge at the next vertex of the layer, neither at a."""
+        g, layer_of, labels = res.graph, res.layering.layer_of, res.labeling.labels
+        lo, hi = res.plans[i].trail_interval
+        b = res.layering.layers[i][1]
+        other = next(eid for eid, (u, v) in enumerate(g.edges) if a not in (u, v) and (
+            layer_of[u] == layer_of[v] == i if to_within else
+            b in (u, v) and lo <= labels[eid] <= hi))
+        return TestCheckConstruction.with_swapped_labels(res, engine_layer(res, i)[1][a], other)
+
     def test_foreign_parent_edge_is_reported_not_raised(self):
+        # a's parent label moves to a trail edge at the next vertex b
         res = label_graph(generate_regular(40, 6, 3))
-        rec = res.layers[2]
-        a, b = res.layering.layers[2][:2]
-        broken = with_layer(res, 2, parent_edge={**rec.parent_edge, a: rec.parent_edge[b]})
-        issues, _ = check_construction(broken)
-        assert any(f"vertex {a} has an invalid parent edge" in issue for issue in issues)
-        assert "layer 2: parent edges are not distinct" in issues
+        a = res.layering.layers[2][0]
+        issues, _ = check_construction(self.parent_label_moved(res, 2, a, to_within=False))
+        assert f"layer 2: vertex {a} has no cross edge labeled in the parent interval" in issues
+        # b's trail edge now carries a parent label, so a unit covers a non-trail edge
+        assert "layer 2: trail units do not cover the trail graph exactly" in issues
 
     def test_missing_parent_edge_is_reported_not_raised(self):
         res = label_graph(generate_regular(40, 6, 3))
-        rec = res.layers[2]
         a = res.layering.layers[2][0]
-        broken = with_layer(res, 2, parent_edge={u: e for u, e in rec.parent_edge.items()
-                                                 if u != a})
-        issues, _ = check_construction(broken)
-        assert f"layer 2: vertex {a} has an invalid parent edge None" in issues
+        issues, _ = check_construction(self.parent_label_moved(res, 2, a, to_within=True))
+        assert f"layer 2: vertex {a} has no cross edge labeled in the parent interval" in issues
 
     def test_missing_parent_edge_skips_the_parent_order(self):
         # the order by partial sum cannot be recomputed without the vertex's
         # partial sum, so the other parent labels are not judged against it
         res = label_graph(generate_regular(40, 6, 3))
-        rec = res.layers[2]
         a = res.layering.layers[2][0]
-        broken = with_layer(res, 2, parent_edge={u: e for u, e in rec.parent_edge.items()
-                                                 if u != a})
-        issues, _ = check_construction(broken)
+        issues, _ = check_construction(self.parent_label_moved(res, 2, a, to_within=True))
         # the vertex is reported once, and no partial sum is read without it
         assert [issue for issue in issues if f"vertex {a} " in issue] == [
-            f"layer 2: vertex {a} has an invalid parent edge None"]
-        assert not [issue for issue in issues if "parent edge of vertex" in issue]
+            f"layer 2: vertex {a} has no cross edge labeled in the parent interval"]
+        assert not [issue for issue in issues if issue.startswith("layer 2: parent edge of")]
 
     @pytest.mark.parametrize("past_end", [True, False], ids=["m+5", "-1"])
     def test_stray_trail_edge_id_is_reported_not_raised(self, past_end):
@@ -240,18 +247,18 @@ class TestCheckConstruction:
 
     def test_swapped_link_labels_are_reported(self):
         res = label_graph(complete_bipartite(6, 6))
-        pair = record_pair(res, 2)
+        pair, _ = engine_layer(res, 2)
         view, link = pair.view, pair.links[0]
         a, b = (view.edge_between(link.center, end) for end in link.ends)
         issues, _ = check_construction(self.with_swapped_labels(res, a, b))
-        assert f"layer 2: low link edge of center {link.center} mislabeled" in issues
-        assert f"layer 2: high link edge of center {link.center} mislabeled" in issues
+        assert (f"layer 2: link at center {link.center} has its low label at end {link.end_b}, "
+                f"not {link.end_a}") in issues
 
     def test_swapped_parent_labels_are_reported(self):
         res = label_graph(complete_bipartite(6, 6))
-        rec = res.layers[2]
+        _, parent_edge = engine_layer(res, 2)
         u, w = res.layering.layers[2][:2]
-        a, b = rec.parent_edge[u], rec.parent_edge[w]
+        a, b = parent_edge[u], parent_edge[w]
         labels = res.labeling.labels
         issues, _ = check_construction(self.with_swapped_labels(res, a, b))
         assert (f"layer 2: parent edge of vertex {u} carries label {labels[b]}, "
@@ -268,8 +275,8 @@ class TestReplayRecomputation:
     def assert_bad_components_agree(pair, parent_edge, k):
         ref = analyze_bad_components(pair, parent_edge)
         trail_eids = residual_edge_sets(pair, parent_edge)
-        got = _bad_components(pair.links, pair.link_ends, view_ends(pair.view), trail_eids, k)
-        assert got == (ref.bad_cids, ref.bad_vertices, ref.free_links)
+        got = _bad_components(pair.link_ends, view_ends(pair.view), trail_eids, k)
+        assert got == (ref.bad_cids, ref.bad_vertices)
         return ref
 
     def test_every_stress_layer(self):
@@ -277,10 +284,11 @@ class TestReplayRecomputation:
             res = label_graph(graph)
             labels = res.labeling.labels
             upper, lower = [], []
-            for i, rec in res.layers.items():
-                self.assert_bad_components_agree(record_pair(res, i), rec.parent_edge, res.k)
+            for i in res.layers:
+                pair, parent_edge = engine_layer(res, i)
+                self.assert_bad_components_agree(pair, parent_edge, res.k)
                 resummed = [sum(labels[eid] for _, eid in graph.incident(u))
-                            - labels[rec.parent_edge[u]] for u in res.layering.layers[i]]
+                            - labels[parent_edge[u]] for u in res.layering.layers[i]]
                 upper.append(res.plans[i].partial_sum_bound(res.k) - max(resummed))
                 if i < res.layering.depth:
                     lower.append(min(resummed) - res.plans[i + 1].partial_sum_bound(res.k))
