@@ -49,12 +49,15 @@ class CoveringPair:
     """Immutable covering pair: links, matching edge ids, and derived lookups.
 
     It keeps the set of link ends, the map matched vertex -> matching edge
-    id, read off the view's outer incidence in one pass, and the set of link
-    edge ids.  The centers and matching are read off the links and the map."""
+    id, and the set of link edge ids.  The matching comes as that map, which
+    `hall_matching` and `restrict_and_reduce` build as they match and is
+    taken as given, or as edge ids, read off the view's outer incidence in
+    one pass.  The centers and matching are read off the links and the map."""
 
-    __slots__ = ("view", "d", "links", "link_ends", "link_edge_ids", "_match_of")
+    __slots__ = ("view", "d", "links", "link_ends", "link_edge_ids", "match_of")
 
-    def __init__(self, view: BipartiteView, d: int, links: Iterable[Link], matching: Iterable[int]):
+    def __init__(self, view: BipartiteView, d: int, links: Iterable[Link],
+                 matching: Iterable[int] | dict[int, int]):
         self.view = view
         self.d = d
         self.links = tuple(sorted(links))
@@ -74,25 +77,22 @@ class CoveringPair:
         self.link_ends = frozenset(link_ends)
         self.link_edge_ids = frozenset(link_eids)
 
-        wanted = set(matching)
-        self._match_of = _matched_in(view, wanted)
-        if len(self._match_of) < 2 * len(wanted):
-            eid = min(wanted.difference(self._match_of.values()))
-            raise InternalInvariantError(f"matching edge {eid} is not an edge of the view")
+        if isinstance(matching, dict):
+            self.match_of = matching
+        else:
+            wanted = set(matching)
+            self.match_of = _matched_in(view, wanted)
+            if len(self.match_of) < 2 * len(wanted):
+                eid = min(wanted.difference(self.match_of.values()))
+                raise InternalInvariantError(f"matching edge {eid} is not an edge of the view")
 
     @property
     def matching(self) -> frozenset[int]:
-        return frozenset(self._match_of.values())
+        return frozenset(self.match_of.values())
 
     @property
     def centers(self) -> frozenset[int]:
         return frozenset(l.center for l in self.links)
-
-    def is_matched(self, v: int) -> bool:
-        return v in self._match_of
-
-    def matching_edge(self, v: int) -> int | None:
-        return self._match_of.get(v)
 
 
 def _matched_in(view: BipartiteView, matching: AbstractSet[int]) -> dict[int, int]:
@@ -113,13 +113,14 @@ def _matched_in(view: BipartiteView, matching: AbstractSet[int]) -> dict[int, in
 def validate_covering_pair(pair: CoveringPair) -> None:
     """Check every structural invariant of the irreducible form; raise on any gap.
 
-    Together with the checks of CoveringPair (link ends unique, matching
-    edges disjoint, link edges in the view, so an inner center's ends are
-    outer) these make every component of matching plus links a single
+    Together with the checks of CoveringPair (link ends unique, link edges
+    in the view, so an inner center's ends are outer) and disjoint matching
+    edges, which `_matched_in` checks and the matching and the reduction
+    keep, these make every component of matching plus links a single
     matching edge or a W-shape: one unmatched center whose two ends each
     carry their own matching edge.  No link edge is a matching edge, since
     that edge would match its center."""
-    view, d = pair.view, pair.d
+    view, d, matched = pair.view, pair.d, pair.match_of
     seen: set[int] = set()
     for l in pair.links:
         if view.side(l.center) != "inner":
@@ -131,19 +132,19 @@ def validate_covering_pair(pair: CoveringPair) -> None:
         if view.degree(l.center) != d:
             raise InternalInvariantError(
                 f"link center {l.center} has degree {view.degree(l.center)}, expected {d}")
-        if pair.is_matched(l.center):
+        if l.center in matched:
             raise InternalInvariantError(f"link center {l.center} is also matched")
         for end in l.ends:
-            if not pair.is_matched(end):
+            if end not in matched:
                 raise InternalInvariantError(f"link end {end} is unmatched")
         # every neighbor of a center must be usable as a parent edge elsewhere
         for w in view.neighbors(l.center):
-            if not pair.is_matched(w) and w not in pair.link_ends:
+            if w not in matched and w not in pair.link_ends:
                 raise InternalInvariantError(
                     f"neighbor {w} of center {l.center} is neither matched nor a link end")
     # `seen` holds every link vertex; an inner one is a center
     for x in view.inner:
-        if view.degree(x) == d and not (pair.is_matched(x) or x in seen):
+        if view.degree(x) == d and not (x in matched or x in seen):
             raise InternalInvariantError(f"full-degree inner vertex {x} is uncovered")
 
 
@@ -343,10 +344,11 @@ def _gaining_add(view: BipartiteView, st: _LinkSearch, covered: dict[int, int]) 
     return False
 
 
-def hall_matching(view: BipartiteView, d: int, forbidden: frozenset[int] = frozenset()) -> frozenset[int]:
-    """Matching covering every degree-d inner vertex outside `forbidden`: the
-    link search's augmenting paths give each such target one end; raises if
-    some target cannot be covered.
+def hall_matching(view: BipartiteView, d: int, forbidden: frozenset[int] = frozenset()) -> dict[int, int]:
+    """Matching covering every degree-d inner vertex outside `forbidden`, as
+    the map matched vertex -> matching edge id: the link search's augmenting
+    paths give each such target one end; raises if some target cannot be
+    covered.
 
     With the search's lookahead a target takes a free end of its own before
     any path through earlier targets, so on a dense view, such as K_{a,a}'s
@@ -358,7 +360,10 @@ def hall_matching(view: BipartiteView, d: int, forbidden: frozenset[int] = froze
     for x in view.inner:
         if view.degree(x) == d and x not in forbidden and not st.augment(x):
             raise InternalInvariantError(f"no matching covers full-degree inner vertex {x}")
-    return frozenset(view.edge_between(x, y) for y, x in st.owner.items())
+    match_of: dict[int, int] = {}
+    for y, x in st.owner.items():
+        match_of[x] = match_of[y] = view.edge_between(x, y)
+    return match_of
 
 
 def pad_to_biregular(view: BipartiteView, d: int) -> BipartiteView:
@@ -487,7 +492,7 @@ def restrict_and_reduce(view: BipartiteView, d: int, links: Iterable[Link],
                     f"reduction target edge ({l.center}, {target}) missing from the view")
             matched[l.center] = matched[target] = eid
 
-    return CoveringPair(view, d, f_list, matched.values())
+    return CoveringPair(view, d, f_list, matched)
 
 
 def build_covering_pair(view: BipartiteView, d: int) -> CoveringPair:
@@ -495,17 +500,19 @@ def build_covering_pair(view: BipartiteView, d: int) -> CoveringPair:
 
     A matching of the view that covers every full-degree inner vertex is,
     with no links, already an irreducible pair; it is tried unless there are
-    visibly too few outer vertices for it.  It needs no validation:
-    `hall_matching` raises for any uncovered full-degree inner vertex and
-    `CoveringPair` for matching edges that share a vertex, which is all
-    `validate_covering_pair` checks of a pair without links.  Otherwise the
-    pair comes from the link search (`_link_search_pair`), which validates it.
+    visibly too few outer vertices for it, and is empty if there are none.
+    It needs no validation: `hall_matching` raises for any uncovered
+    full-degree inner vertex, and its map matches each vertex once, which is
+    all `validate_covering_pair` checks of a pair without links.  Otherwise
+    the pair comes from the link search (`_link_search_pair`), which
+    validates it.
     """
     if d < 3:
         raise GraphShapeError(f"covering pairs need degree bound >= 3, got {d}")
-    if sum(1 for x in view.inner if view.degree(x) == d) <= len(view.outer):
+    full = sum(1 for x in view.inner if view.degree(x) == d)
+    if full <= len(view.outer):
         try:
-            matching = hall_matching(view, d)
+            matching = hall_matching(view, d) if full else {}
         except InternalInvariantError:
             pass  # Hall's condition fails on some set of full-degree inner vertices
         else:
@@ -519,7 +526,7 @@ def _link_search_pair(view: BipartiteView, d: int) -> CoveringPair:
     links = maximize_link_family(padded, d)
     centers = frozenset(l.center for l in links)
     matching = hall_matching(padded, d, forbidden=centers)
-    pair = restrict_and_reduce(view, d, links, matching)
+    pair = restrict_and_reduce(view, d, links, matching.values())
     validate_covering_pair(pair)
     return pair
 
@@ -528,7 +535,7 @@ def _exchanges(pair: CoveringPair) -> Iterator[CoveringPair]:
     """The pairs one exchange away, in order: link by link, each end moved
     out in turn (end_a first), to each neighbor of the center, in incidence
     order, that is no link end."""
-    link_ends, matching = pair.link_ends, pair.matching
+    link_ends, matching = pair.link_ends, pair.match_of
     for link in pair.links:
         for keep in (link.end_b, link.end_a):
             for w in pair.view.neighbors(link.center):

@@ -3,7 +3,10 @@
 Layers are handled in one pass from the outermost layer inward: each layer's
 covering pair, parent edges and trail decomposition are built, its label
 block is stacked on the labels the layers outside it used, and its edges are
-labeled.  Within a layer the order is: edges inside the layer, trail edges,
+labeled.  A layer without links has no bad component, so it skips the
+free-link exchange, the bad-component test and the link deal: one walk of
+its outer incidence gives its parent edges, its trail lists and its trail
+count.  Within a layer the order is: edges inside the layer, trail edges,
 link edges, parent edges.
 Trail and link intervals are dealt by one two-ended rule (`_deal`), so that
 consecutive trail edges meeting at an inner vertex sum high and those meeting
@@ -15,12 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import trails
 from .covering import CoveringPair, build_covering_pair, maximize_free_links
 from .errors import InternalInvariantError
 from .graph import Graph, Layering, bfs_layering, layer_view, validate_even_regular
 from .trails import (
     BadAnalysis,
     Trail,
+    TrailFamily,
     analyze_bad_components,
     choose_closed_start,
     rotate_closed,
@@ -131,11 +136,12 @@ def _deal(units, lo: int, hi: int, labels: list[int]) -> tuple[int, int]:
 
 def assign_parent_edges(pair: CoveringPair) -> dict[int, int]:
     """Pick each outer vertex's parent edge: its matching edge when matched,
-    otherwise its lowest-id cross edge that is not a link edge."""
+    otherwise its lowest-id cross edge that is not a link edge.  A layer
+    without links picks them in the walk that builds its trail graph."""
     view, link_eids = pair.view, pair.link_edge_ids
     parent: dict[int, int] = {}
     for u in view.outer:
-        eid = pair.matching_edge(u)
+        eid = pair.match_of.get(u)
         if eid is None:
             for _, e in view.incident(u):
                 if e not in link_eids and (eid is None or e < eid):
@@ -146,34 +152,32 @@ def assign_parent_edges(pair: CoveringPair) -> dict[int, int]:
     return parent
 
 
-def compute_interval_plan(layering: Layering, pair: CoveringPair, offset: int) -> LayerPlan:
+def compute_interval_plan(layering: Layering, pair: CoveringPair, offset: int,
+                          trail_count: int) -> LayerPlan:
     """The plan of the pair's layer, stacked on the `offset` labels of the
     layers outside it.  The layer's edges are its within-layer edges, as the
     layering lists them, and the view's cross edges: one parent edge per
-    outer vertex, two edges per link, and the trail edges."""
-    view = pair.view
-    i = view.index
-    layer_size = len(layering.layers[i])
-    link_count = 2 * len(pair.links)
+    outer vertex, two edges per link, and the `trail_count` trail edges
+    that the walk building the trail graph counted."""
+    i = pair.view.index
     return LayerPlan(
         index=i,
-        layer_size=layer_size,
+        layer_size=len(layering.layers[i]),
         inner_count=len(layering.within_edges[i]),
-        trail_count=view.edge_count - layer_size - link_count,
-        link_count=link_count,
+        trail_count=trail_count,
+        link_count=2 * len(pair.links),
         offset=offset,
     )
 
 
-def _assign_trail_labels(pair: CoveringPair, analysis: BadAnalysis, plan: LayerPlan,
-                         labels: list[int]) -> tuple[TrailEvent, ...]:
+def _assign_trail_labels(pair: CoveringPair, family: TrailFamily, bad_cids: tuple[int, ...],
+                         plan: LayerPlan, labels: list[int]) -> tuple[TrailEvent, ...]:
     """Deal the trail interval over the layer's trails: closed trails by
     their smallest edge id, each rotated to its start, then the open trails
     exactly as the trail stage gives them, mixed ones two to a unit."""
-    family = analysis.family
     events: list[TrailEvent] = []
     for trail in sorted(family.closed, key=lambda t: min(t.edges)):
-        start, case = choose_closed_start(trail, trail.vertices[0] in analysis.bad_cids, pair)
+        start, case = choose_closed_start(trail, trail.vertices[0] in bad_cids, pair)
         events.append(TrailEvent("closed", (rotate_closed(trail, start),), case))
     for trail in family.open_inner:
         events.append(TrailEvent("open-inner", (trail,), None))
@@ -222,24 +226,31 @@ def label_graph(graph: Graph, root: int = 0) -> LabelingResult:
     plans: dict[int, LayerPlan] = {}
     records: dict[int, LayerRecord] = {}
     labels = [0] * graph.m  # 0 until labeled; an edge left at 0 fails the bijection
-    offset = 0
+    offset = lower = 0  # lower: the partial-sum bound of the layer outside (none outermost)
     for i in range(p, 0, -1):
         pair = build_covering_pair(layer_view(graph, layering, i), d)
-        parent = assign_parent_edges(pair)
-        pair, analysis = maximize_free_links(
-            pair, lambda pr: analyze_bad_components(pr, parent))
-        plan = plans[i] = compute_interval_plan(layering, pair, offset)
-        offset = plan.upper
+        if pair.links:
+            parent = assign_parent_edges(pair)
+            pair, analysis = maximize_free_links(
+                pair, lambda pr: analyze_bad_components(pr, parent))
+            family, bad_cids, trail_count = analysis.family, analysis.bad_cids, analysis.trail_count
+        else:  # no links, so no bad component to exchange away
+            # read off `trails` at each call, as analyze_bad_components reads
+            # them, so a function replaced there runs on every layer
+            parent, lists, odd, trail_count = trails.residual_edge_sets(pair)
+            family, bad_cids = trails.decompose_trails(pair.view, lists, odd, trail_count), ()
+        plan = plans[i] = compute_interval_plan(layering, pair, offset, trail_count)
+        first_parent, offset = plan.parent_interval
         for lab, eid in enumerate(layering.within_edges[i], start=plan.inner_interval[0]):
             labels[eid] = lab
-        events = _assign_trail_labels(pair, analysis, plan, labels)
-        _assign_link_labels(pair, analysis, plan, labels)
+        events = _assign_trail_labels(pair, family, bad_cids, plan, labels)
+        if pair.links:
+            _assign_link_labels(pair, analysis, plan, labels)
 
         # partial sums: incident labels but the parent edge's, which is
         # still 0, within the layer's bound and above the next outer
-        # layer's (none outermost)
+        # layer's
         upper = plan.partial_sum_bound(k)
-        lower = plans[i + 1].partial_sum_bound(k) if i < p else 0
         order = []
         for u in layering.layers[i]:
             s = 0
@@ -253,8 +264,9 @@ def label_graph(graph: Graph, root: int = 0) -> LabelingResult:
                     f"partial sum {s} of vertex {u} falls below the outer layer bound {lower}")
             order.append((s, u))
         order.sort()
-        for lab, (_, u) in enumerate(order, start=plan.parent_interval[0]):
+        for lab, (_, u) in enumerate(order, start=first_parent):
             labels[parent[u]] = lab
+        lower = upper
         records[i] = LayerRecord(events)
 
     label_seq = tuple(labels)

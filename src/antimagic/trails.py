@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import AbstractSet, Iterator
+from typing import Iterator
 
 from .covering import CoveringPair, Link
 from .errors import InternalInvariantError
@@ -68,14 +68,49 @@ class TrailFamily:
     open_mixed: tuple[Trail, ...]
 
 
-def residual_edge_sets(pair: CoveringPair, parent_edge: dict[int, int]) -> AbstractSet[int]:
-    """Trail edge ids: the pair's view's edges minus parent edges and link
-    edges.  Each view edge is read once, at its outer end, where the one
-    parent edge to skip is that vertex's own; link edges are removed only
-    on a layer with links."""
-    incident = pair.view.incident
-    residual = {eid for y in pair.view.outer for _, eid in incident(y) if eid != parent_edge[y]}
-    return residual - pair.link_edge_ids if pair.links else residual
+TrailLists = dict[int, list[tuple[int, int]]]
+
+
+def residual_edge_sets(pair: CoveringPair, parent_edge: dict[int, int] | None = None
+                       ) -> tuple[dict[int, int], TrailLists, list[int], int]:
+    """Parent edges and trail graph of the pair's view, in one walk over its
+    outer vertices' incidence, where each view edge appears once.
+
+    An outer vertex's parent edge is its entry in `parent_edge`; one it
+    does not name, or every one if it is None, is picked and added: the
+    matching edge if the vertex is matched, else its lowest-id edge that is
+    not a link edge.  Its other entries that are not link edges are its
+    trail list, and each inner vertex's list is its own incidence filtered
+    to those trail edges, so every list is sorted and holds the view's own
+    entries.  Returns the parent edges, the lists of the vertices that have
+    trail edges, the odd ones among them and the trail edge count, as
+    `decompose_trails` reads them."""
+    match_of, link_eids, incident = pair.match_of, pair.link_edge_ids, pair.view.incident
+    parent = {} if parent_edge is None else parent_edge
+    lists: TrailLists = {}
+    for y in pair.view.outer:
+        entries = incident(y)
+        if y in parent:
+            p = parent[y]
+        elif y in match_of:
+            p = parent[y] = match_of[y]
+        else:
+            p = None
+            for _, eid in entries:
+                if eid not in link_eids and (p is None or eid < p):
+                    p = eid
+            if p is None:
+                raise InternalInvariantError(f"outer vertex {y} has no usable parent edge")
+            parent[y] = p
+        lst = [entry for entry in entries if entry[1] != p and entry[1] not in link_eids]
+        if lst:
+            lists[y] = lst
+    trail = {eid for lst in lists.values() for _, eid in lst}
+    for x in pair.view.inner:
+        lst = [entry for entry in incident(x) if entry[1] in trail]
+        if lst:
+            lists[x] = lst
+    return parent, lists, [v for v, lst in lists.items() if len(lst) % 2], len(trail)
 
 
 def _extend(todo: dict[int, Iterator[tuple[int, int]]], used: set[int],
@@ -116,40 +151,30 @@ def _splice(todo: dict[int, Iterator[tuple[int, int]]], used: set[int],
     return out_v, out_e
 
 
-def decompose_trails(view: BipartiteView, trail_eids: AbstractSet[int]) -> TrailFamily:
-    """Decompose the trail graph into trails, one walk per trail.
+def decompose_trails(view: BipartiteView, lists: TrailLists, odd: list[int],
+                     total: int) -> TrailFamily:
+    """Decompose the trail graph, as `residual_edge_sets` gives it, into
+    trails, one walk per trail.
 
-    The trail adjacency filters the view's incidence lists, which are already
-    sorted, and each vertex gets one iterator over its list; the same loop
-    notes the odd vertices.  A walk starts at each odd vertex, in increasing
-    order over the whole layer, that no earlier walk ended at, and takes
-    unused edges until it is stuck, which is at a larger odd vertex of its
-    component.  Only then, once every odd vertex is an end, and only while
-    edges are left, is each walk spliced with the circuits left over through
-    its vertices (spliced sooner, a circuit could end at an odd vertex); each
-    becomes one open trail.  Walks in different components share no edge, so
-    each component gets the same trails whatever walks come between its own.
-    The edges still left form the components without odd vertices: a walk
-    from each vertex in increasing order, while edges remain, finds each such
-    component at its smallest vertex, walks back to it, and is spliced into
-    the component's closed trail.  Open trails are kept in the direction
-    `TrailFamily` gives, each walk's lists reversed in place if need be."""
-    incident = view.incident
-    todo: dict[int, Iterator[tuple[int, int]]] = {}
-    odd: list[int] = []
-    for v in (*view.inner, *view.outer):
-        lst = []
-        for pair in incident(v):
-            if pair[1] in trail_eids:
-                lst.append(pair)
-        if lst:
-            todo[v] = iter(lst)
-            if len(lst) % 2:
-                odd.append(v)
+    Each vertex gets one iterator over its sorted list, and `odd` is sorted
+    in place.  A walk starts at each odd vertex, in increasing order over
+    the whole layer, that no earlier walk ended at, and takes unused edges
+    until it is stuck, which is at a larger odd vertex of its component.
+    Only then, once every odd vertex is an end, and only while edges are
+    left, is each walk spliced with the circuits left over through its
+    vertices (spliced sooner, a circuit could end at an odd vertex); each
+    becomes one open trail.  Walks in different components share no edge,
+    so each component gets the same trails whatever walks come between its
+    own.  The edges still left form the components without odd vertices: a
+    walk from each vertex in increasing order, while edges remain, finds
+    each such component at its smallest vertex, walks back to it, and is
+    spliced into the component's closed trail.  Open trails are kept in the
+    direction `TrailFamily` gives, each walk's lists reversed in place if
+    need be."""
+    todo: dict[int, Iterator[tuple[int, int]]] = dict(zip(lists, map(iter, lists.values())))
     odd.sort()
 
     used: set[int] = set()  # edges the walks took
-    total = len(trail_eids)
     walks = []
     ends = set()
     for s in odd:
@@ -200,9 +225,7 @@ def detect_bad_components(family: TrailFamily, pair: CoveringPair) -> tuple[int,
     2k-regular, for the pair's degree bound d = 2k + 1, with every outer
     vertex a link end.  Such a component is even, so its closed trail, which
     starts at its id, visits each of its vertices k times, and a layer
-    without links has none."""
-    if not pair.links:
-        return ()
+    without links has none: every component has an outer vertex."""
     view, k, link_ends = pair.view, pair.d // 2, pair.link_ends
     bad = []
     for trail in family.closed:
@@ -217,18 +240,20 @@ def detect_bad_components(family: TrailFamily, pair: CoveringPair) -> tuple[int,
 
 @dataclass(frozen=True, slots=True)
 class BadAnalysis:
-    """Trail family plus bad-component bookkeeping for one layer."""
+    """Trail family, its edge count and bad-component bookkeeping for one layer."""
 
     family: TrailFamily
     bad_cids: tuple[int, ...]
     bad_vertices: frozenset[int]
     free_links: tuple[Link, ...]
+    trail_count: int
 
 
 def analyze_bad_components(pair: CoveringPair, parent_edge: dict[int, int]) -> BadAnalysis:
     """Decompose the trail graph of the pair's view and work out which links
     are free (at least one end outside every bad component)."""
-    family = decompose_trails(pair.view, residual_edge_sets(pair, parent_edge))
+    _, lists, odd, count = residual_edge_sets(pair, parent_edge)
+    family = decompose_trails(pair.view, lists, odd, count)
     bad_cids = detect_bad_components(family, pair)
     bad_vertices: set[int] = set()
     for trail in family.closed:
@@ -236,7 +261,7 @@ def analyze_bad_components(pair: CoveringPair, parent_edge: dict[int, int]) -> B
             bad_vertices.update(trail.vertices)
     free = tuple(l for l in pair.links
                  if l.end_a not in bad_vertices or l.end_b not in bad_vertices)
-    return BadAnalysis(family, bad_cids, frozenset(bad_vertices), free)
+    return BadAnalysis(family, bad_cids, frozenset(bad_vertices), free, count)
 
 
 def choose_closed_start(trail: Trail, bad: bool, pair: CoveringPair) -> tuple[int, str]:

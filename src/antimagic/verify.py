@@ -522,6 +522,8 @@ def stress(count: int, n_min: int, n_max: int, degrees: Sequence[int], seed: int
             raise ValueError(f"degree {degree} out of scope; need even degree >= 4")
     if count < 0:
         raise ValueError("count must be nonnegative")
+    if n_min > n_max:
+        raise ValueError(f"smallest vertex count {n_min} is above the largest, {n_max}")
     t0 = time.monotonic()
     runs = []  # each instance's replay statistics
     for idx, n, degree, gseed, graph in stress_instances(count, n_min, n_max, degrees, seed):

@@ -9,7 +9,7 @@ from antimagic import BipartiteView, Graph, bfs_layering, bipartite_view, layer_
 from antimagic.covering import (CoveringPair, Link, build_covering_pair, maximize_free_links,
                                 pad_to_biregular)
 from antimagic.labeling import assign_parent_edges
-from antimagic.trails import analyze_bad_components
+from antimagic.trails import analyze_bad_components, residual_edge_sets
 
 
 def complete_graph(n: int) -> Graph:
@@ -139,6 +139,24 @@ def engine_layer(res, i: int) -> tuple[CoveringPair, dict[int, int]]:
     return pair, parent
 
 
+def trail_lists(view: BipartiteView, trail_eids) -> tuple[dict, list[int], int]:
+    """The trail graph on `trail_eids` in the form `residual_edge_sets` and
+    `decompose_trails` use, made by filtering each vertex's view incidence:
+    the lists of the vertices with trail edges, the odd ones ascending, and
+    the edge count."""
+    lists = {v: [e for e in view.incident(v) if e[1] in trail_eids]
+             for v in sorted((*view.inner, *view.outer))}
+    lists = {v: lst for v, lst in lists.items() if lst}
+    return lists, [v for v, lst in lists.items() if len(lst) % 2], len(trail_eids)
+
+
+def trail_edge_ids(pair: CoveringPair, parent_edge: dict[int, int]) -> set[int]:
+    """The trail edge ids of the walk `residual_edge_sets` makes with the
+    given parent edges."""
+    _, lists, _, _ = residual_edge_sets(pair, parent_edge)
+    return {eid for y in pair.view.outer for _, eid in lists.get(y, ())}
+
+
 def padded_layer_two(a: int) -> BipartiteView:
     """The layer-2 view of K_{a,a}, padded: a inner vertices of degree a - 1
     over a - 1 outer ones, where Hall's condition fails."""
@@ -181,5 +199,5 @@ def free_link_gadget():
         add(x, y)
     view = bipartite_view(1, tuple(range(12)), tuple(range(12, 18)), tuple(triples))
     pair = CoveringPair(view, 3, [Link.of(2, 12, 13), Link.of(3, 14, 15)], matching_eids)
-    parent_edge = {y: pair.matching_edge(y) for y in view.outer}
+    parent_edge = {y: pair.match_of.get(y) for y in view.outer}
     return view, pair, parent_edge

@@ -68,7 +68,7 @@ def run(monkeypatch, augment, padded, d):
             covered = None
         else:
             ends = view_ends(padded)
-            covered = {ends[eid][0] for eid in matching}
+            covered = {ends[eid][0] for eid in matching.values()}
     return centers, moves, covered
 
 

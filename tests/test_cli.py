@@ -215,6 +215,19 @@ class TestGenAndStress:
         assert main(["stress", "--count", "4", "--n", "16", "--degree", "4"]) == 0
         assert "4/4 passed" in capsys.readouterr().out
 
+    def test_stress_smallest_count_above_largest_exits_1(self, capsys):
+        # --n is the largest vertex count, so no instance may have n = 50
+        assert main(["stress", "--n-min", "50", "--n", "10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: smallest vertex count 50 is above the largest, 10\n"
+
+    def test_stress_negative_count_exits_1(self, capsys):
+        assert main(["stress", "--count", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: count must be nonnegative\n"
+
     STRESS_ARGS = ["stress", "--count", "4", "--n", "16", "--seed", "1"]
 
     @staticmethod

@@ -68,12 +68,12 @@ def assert_irreducible(pair: CoveringPair, view: BipartiteView, d: int):
     used = set()
     for link in pair.links:
         assert view.degree(link.center) == d
-        assert not pair.is_matched(link.center)
+        assert link.center not in pair.match_of
         for v in (link.center, link.end_a, link.end_b):
             assert v not in used
             used.add(v)
         for end in link.ends:
-            assert pair.is_matched(end)
+            assert end in pair.match_of
     ends = view_ends(view)
     matched = set()
     for eid in pair.matching:
@@ -147,6 +147,28 @@ class TestValidate:
                             [view.edge_between(x, y) for x, y in ((1, 2), (7, 3), (8, 5), (9, 6))])
         with pytest.raises(InternalInvariantError, match="link center 1 is also matched"):
             validate_covering_pair(pair)
+
+    def test_outer_link_center_rejected(self):
+        # outer 2 with inner ends 0 and 1: both link edges are view edges
+        view = make_view([0, 1], [2, 3], [(0, 2), (1, 2), (1, 3)])
+        pair = CoveringPair(view, 3, [Link.of(2, 0, 1)], [])
+        with pytest.raises(InternalInvariantError, match="link center 2 is not an inner vertex"):
+            validate_covering_pair(pair)
+
+    def test_links_at_one_center_rejected(self):
+        # center 0 of degree d = 4 with four matched neighbors carries both
+        # links, whose ends are all distinct
+        view = make_view([0, 6, 7, 8, 9], [2, 3, 4, 5],
+                         [(0, 2), (0, 3), (0, 4), (0, 5), (6, 2), (7, 3), (8, 4), (9, 5)])
+        pair = CoveringPair(view, 4, [Link.of(0, 2, 3), Link.of(0, 4, 5)], [4, 5, 6, 7])
+        with pytest.raises(InternalInvariantError, match="links share vertex 0"):
+            validate_covering_pair(pair)
+
+    def test_uncovered_full_degree_inner_vertex_rejected(self):
+        view = make_view([0], [1, 2, 3], [(0, 1), (0, 2), (0, 3)])
+        with pytest.raises(InternalInvariantError,
+                           match="full-degree inner vertex 0 is uncovered"):
+            validate_covering_pair(CoveringPair(view, 3, [], []))
 
     def test_matching_edge_outside_the_view_rejected(self):
         view = make_view([0, 1], [2, 3], [(0, 2), (1, 3)])
@@ -386,28 +408,31 @@ class TestLinkFamily:
     def test_hall_matching_covers_targets(self):
         g = complete_bipartite(4, 3)
         view = layer_view(g, bfs_layering(g, 0), 2)
-        eids = hall_matching(view, 3)
+        match_of = hall_matching(view, 3)
         ends = view_ends(view)
         matched = set()
-        for eid in eids:
+        for eid in set(match_of.values()):
             x, y = ends[eid]
             assert x not in matched and y not in matched
+            assert match_of[x] == match_of[y] == eid
             matched.update((x, y))
+        assert matched == set(match_of)
         assert all(x in matched for x in view.inner if view.degree(x) == 3)
 
     def test_hall_matching_respects_forbidden(self):
         g = complete_bipartite(4, 3)
         view = layer_view(g, bfs_layering(g, 0), 2)
         forbidden = frozenset([view.inner[0]])
-        eids = hall_matching(view, 3, forbidden)
+        match_of = hall_matching(view, 3, forbidden)
         ends = view_ends(view)
         matched = set()
-        for eid in eids:
+        for eid in match_of.values():
             matched.update(ends[eid])
+        assert matched == set(match_of)
         assert view.inner[0] not in matched
 
     def test_hall_matching_empty_view(self):
-        assert hall_matching(make_view([], [], []), 3) == frozenset()
+        assert hall_matching(make_view([], [], []), 3) == {}
 
 
 def reference_gaining_add(view, st, covered):
@@ -473,8 +498,9 @@ class TestLongAugmentingPaths:
         pairs += [(i, o + i + 1) for i in range(length)]
         pairs += [(length, o), (length, o + 1)]
         view = make_view(range(length + 1), range(o, o + length + 1), pairs)
-        eids = hall_matching(view, 2)
-        assert len(eids) == length + 1
+        match_of = hall_matching(view, 2)
+        eids = set(match_of.values())
+        assert len(eids) == length + 1 and len(match_of) == 2 * (length + 1)
         ends = view_ends(view)
         partner = dict(ends[eid] for eid in eids)
         assert partner[length] == o
@@ -655,7 +681,7 @@ def seeded_reduction_inputs(seed):
     view = random_bounded_bipartite(rng, d, max_inner=12, max_outer=14)
     padded = pad_to_biregular(view, d)
     links = maximize_link_family(padded, d)
-    matching = set(hall_matching(padded, d, forbidden=frozenset(l.center for l in links)))
+    matching = set(hall_matching(padded, d, forbidden=frozenset(l.center for l in links)).values())
     if seed % 3 == 1:
         matching = {eid for eid in sorted(matching) if rng.random() < 0.7}
     elif seed % 3 == 2:

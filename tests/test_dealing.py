@@ -2,12 +2,14 @@
 
 `_Cursor` and the two assigners below are the labeling's trail and link
 dealers as they were before one loop dealt both intervals, kept verbatim as
-references.  Each test labels a corpus and, on every layer, deals the trail
-and link intervals both ways from the same covering pair and analysis: the
-labels and the trail units must come out alike.
+references.  Each test labels a corpus and deals the trail interval on
+every layer, and the link interval on every layer with links, both ways
+from the same covering pair and trail family: the labels and the trail
+units must come out alike.
 """
 
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -100,35 +102,55 @@ def reference_assign_link_labels(pair, analysis, plan, labels):
         labels[e_high] = base + c - idx + 1
 
 
-def assert_dealt_alike(pair, analysis, plan, m, seen: Counter,
-                       assign=labeling._assign_trail_labels) -> None:
-    """Deal one layer's trail and link intervals both ways on fresh label
-    lists of length m, the trail interval by `assign`; count the layer's
-    units by (kind, case) and its links."""
+def assert_trails_dealt_alike(pair, family, bad_cids, plan, m, seen: Counter,
+                              assign=labeling._assign_trail_labels) -> None:
+    """Deal one layer's trail interval both ways on fresh label lists of
+    length m, the engine's way by `assign`; count the layer's units by
+    (kind, case)."""
     ref_labels, labels = [0] * m, [0] * m
+    analysis = SimpleNamespace(family=family, bad_cids=bad_cids)
     ref_events = reference_assign_trail_labels(pair.view, pair, analysis, plan, ref_labels,
                                                pair.d // 2)
-    events = assign(pair, analysis, plan, labels)
+    events = assign(pair, family, bad_cids, plan, labels)
     assert events == ref_events
     assert labels == ref_labels
-    reference_assign_link_labels(pair, analysis, plan, ref_labels)
-    labeling._assign_link_labels(pair, analysis, plan, labels)
-    assert labels == ref_labels
     seen.update((ev.kind, ev.case) for ev in events)
+
+
+def assert_links_dealt_alike(pair, analysis, plan, m, seen: Counter,
+                             assign=labeling._assign_link_labels) -> None:
+    """Deal one layer's link interval both ways on fresh label lists of
+    length m, the engine's way by `assign`; count the layer's links."""
+    ref_labels, labels = [0] * m, [0] * m
+    reference_assign_link_labels(pair, analysis, plan, ref_labels)
+    assign(pair, analysis, plan, labels)
+    assert labels == ref_labels
     seen["links"] += len(pair.links)
 
 
+def assert_dealt_alike(pair, analysis, plan, m, seen: Counter) -> None:
+    """Deal one layer's trail and link intervals both ways."""
+    assert_trails_dealt_alike(pair, analysis.family, analysis.bad_cids, plan, m, seen)
+    assert_links_dealt_alike(pair, analysis, plan, m, seen)
+
+
 def dealt_alike(monkeypatch, graphs) -> list[Counter]:
-    """Label each graph, comparing the two deals on every layer as the
+    """Label each graph, comparing the two deals of the trail interval on
+    every layer, and of the link interval on every layer with links, as the
     labeling reaches it; one count of units and links per graph."""
-    assign = labeling._assign_trail_labels
+    trail_assign, link_assign = labeling._assign_trail_labels, labeling._assign_link_labels
     seen = Counter()
 
-    def comparing(pair, analysis, plan, labels):
-        assert_dealt_alike(pair, analysis, plan, len(labels), seen, assign)
-        return assign(pair, analysis, plan, labels)
+    def comparing_trails(pair, family, bad_cids, plan, labels):
+        assert_trails_dealt_alike(pair, family, bad_cids, plan, len(labels), seen, trail_assign)
+        return trail_assign(pair, family, bad_cids, plan, labels)
 
-    monkeypatch.setattr(labeling, "_assign_trail_labels", comparing)
+    def comparing_links(pair, analysis, plan, labels):
+        assert_links_dealt_alike(pair, analysis, plan, len(labels), seen, link_assign)
+        return link_assign(pair, analysis, plan, labels)
+
+    monkeypatch.setattr(labeling, "_assign_trail_labels", comparing_trails)
+    monkeypatch.setattr(labeling, "_assign_link_labels", comparing_links)
     counts = []
     for g in graphs:
         label_graph(g)

@@ -17,11 +17,13 @@ from antimagic import (BipartiteView, CoveringPair, GraphShapeError, InternalInv
                        Link, check_construction, format_edge_list, generate_regular,
                        label_graph, labeling, trails, verify_antimagic)
 from antimagic.cli import main
+from antimagic.covering import _matched_in, build_covering_pair
 from antimagic.documents import render_document
-from antimagic.labeling import LayerPlan, LayerRecord
+from antimagic.graph import layer_view
+from antimagic.labeling import LayerPlan, LayerRecord, assign_parent_edges
 from antimagic.verify import _read_labels, stress_instances
 from corpus import (circulant, complete_bipartite, complete_graph, cycle_graph, engine_layer,
-                    hypercube, octahedron, shuffled_circulant, torus_grid, view_ends)
+                    hypercube, octahedron, shuffled_circulant, torus_grid, trail_lists, view_ends)
 
 
 class TestGoldenK5:
@@ -181,8 +183,8 @@ class TestLostTrailEdge:
     def losing_last_edge(monkeypatch):
         decompose = trails.decompose_trails
 
-        def truncated(view, trail_eids):
-            family = decompose(view, trail_eids)
+        def truncated(*trail_graph):
+            family = decompose(*trail_graph)
             for kind in ("open_inner", "open_outer", "open_mixed"):
                 found = getattr(family, kind)
                 if found:
@@ -271,9 +273,9 @@ class TestTrailsDealtAsGiven:
         assign = labeling._assign_trail_labels
         layers = []
 
-        def recording(pair, analysis, plan, labels):
-            events = assign(pair, analysis, plan, labels)
-            layers.append((pair.view, analysis.family, events))
+        def recording(pair, family, bad_cids, plan, labels):
+            events = assign(pair, family, bad_cids, plan, labels)
+            layers.append((pair.view, family, events))
             return events
 
         monkeypatch.setattr(labeling, "_assign_trail_labels", recording)
@@ -328,16 +330,42 @@ class TestRecordsHoldNoTrailFamilies:
         assert [type(obj).__name__ for obj in gc.get_objects() if isinstance(obj, kinds)] == []
 
 
+def reference_trail_edges(pair, parent_edge):
+    """Trail edge ids as a set, as they were taken before the trail graph
+    came as lists: the view's edges minus parent edges and link edges."""
+    incident = pair.view.incident
+    residual = {eid for y in pair.view.outer for _, eid in incident(y) if eid != parent_edge[y]}
+    return residual - pair.link_edge_ids if pair.links else residual
+
+
 class TestLabelsFixTheRecord:
     """The replay reads each layer's parent edges and links from the labels
     in the plan's intervals, and decides that a matching exists among the
     parent edges.  On each layer rebuilt as label_graph builds it, the
     replay reads the engine's parent map, links and trail edges, the
     engine's matching is among the parent edges, and it holds every edge
-    the replay forces."""
+    the replay forces.  The same layers hold the engine's one walk of the
+    outer incidence to its references: the walk picks the parent edges
+    `assign_parent_edges` picks, on the pair before and after any exchange,
+    its lists are the view's incidence filtered to the trail edges as they
+    were taken before the walk, and its count is the view's edge count less
+    the parent and link edges; the pair's matching map is the one its edge
+    ids give."""
 
     @staticmethod
-    def links_read_alike(graph):
+    def walked_alike(res, i, pair, parent):
+        before = build_covering_pair(layer_view(res.graph, res.layering, i), 2 * res.k + 1)
+        for p in (before, pair):
+            walked, lists, odd, count = trails.residual_edge_sets(p)
+            assert walked == assign_parent_edges(p) == parent
+            trail_eids = reference_trail_edges(p, parent)
+            assert (lists, sorted(odd), count) == trail_lists(p.view, trail_eids)
+            assert count == p.view.edge_count - len(res.layering.layers[i]) - 2 * len(p.links)
+            assert p.match_of == _matched_in(p.view, p.matching)
+        return trail_eids
+
+    @classmethod
+    def links_read_alike(cls, graph):
         res = label_graph(graph)
         links_read = 0
         for i, plan in res.plans.items():
@@ -346,7 +374,7 @@ class TestLabelsFixTheRecord:
             read, trail_eids, links, first = _read_labels(plan, ends, res.labeling.labels)
             assert read == parent
             assert sorted(Link.of(*link) for link in links) == list(pair.links)
-            assert trail_eids == trails.residual_edge_sets(pair, parent)
+            assert trail_eids == cls.walked_alike(res, i, pair, parent)
             assert pair.matching <= set(parent.values())
             near = {w for link in pair.links for w in pair.view.neighbors(link.center)}
             assert {eid for u, eid in parent.items() if u in near or eid != first[u]} \

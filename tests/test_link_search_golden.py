@@ -37,7 +37,7 @@ def observe(padded, d):
     links = maximize_link_family(padded, d)
     centers = frozenset(l.center for l in links)
     return {"links": [[l.center, l.end_a, l.end_b] for l in links],
-            "matching": sorted(hall_matching(padded, d, forbidden=centers))}
+            "matching": sorted(set(hall_matching(padded, d, forbidden=centers).values()))}
 
 
 @functools.cache

@@ -15,14 +15,21 @@ from collections import Counter, namedtuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from antimagic import InternalInvariantError, bipartite_view, check_construction, label_graph
+from antimagic import (InternalInvariantError, bipartite_view, check_construction, label_graph,
+                       trails)
 from antimagic.covering import CoveringPair, Link, maximize_free_links
+from antimagic.labeling import assign_parent_edges
 from antimagic.trails import (Trail, analyze_bad_components, choose_closed_start,
-                              decompose_trails, detect_bad_components, residual_edge_sets,
-                              rotate_closed)
+                              detect_bad_components, residual_edge_sets, rotate_closed)
 from antimagic.verify import _bad_components
 from corpus import (complete_bipartite, engine_layer, free_link_gadget, random_bounded_bipartite,
-                    view_ends)
+                    trail_edge_ids, trail_lists, view_ends)
+
+
+def decompose_trails(view, trail_eids):
+    """The trail stage on the trail graph of `trail_eids`, filtered from the
+    view's incidence."""
+    return trails.decompose_trails(view, *trail_lists(view, trail_eids))
 
 
 def all_trails(fam):
@@ -42,6 +49,17 @@ def assert_valid_walk(view, trail):
     assert len(set(trail.edges)) == trail.edge_count
     if trail.closed:
         assert trail.vertices[0] == trail.vertices[-1]
+
+
+class TestTrailShape:
+    def test_one_vertex_more_than_edges(self):
+        with pytest.raises(InternalInvariantError, match="trail vertex/edge lengths disagree"):
+            Trail((0, 1), (), closed=False)
+
+    def test_closed_trail_returns_to_its_start(self):
+        with pytest.raises(InternalInvariantError,
+                           match="closed trail does not return to its start"):
+            Trail((0, 1, 2), (5, 6), closed=True)
 
 
 class TestDecompose:
@@ -718,7 +736,7 @@ class TestAnalysisDifferential:
         the same bad component ids and vertices, and each id is the smallest
         vertex of its component; returns the analysis."""
         analysis = analyze_bad_components(pair, parent_edge)
-        trail_eids = residual_edge_sets(pair, parent_edge)
+        trail_eids = trail_edge_ids(pair, parent_edge)
         bad_cids, bad_vertices = _bad_components(pair.link_ends, view_ends(pair.view),
                                                  trail_eids, k)
         assert (bad_cids, bad_vertices) == (analysis.bad_cids, analysis.bad_vertices)
@@ -757,7 +775,7 @@ class TestAnalysisDifferential:
                          [(0, 10), (0, 11), (1, 10), (1, 11), (2, 10), (2, 12),
                           (6, 10), (7, 11), (8, 12)])
         pair = CoveringPair(view, 3, [Link.of(2, 10, 12)], [6, 7, 8])
-        parent = {y: pair.matching_edge(y) for y in view.outer}
+        parent = {y: pair.match_of.get(y) for y in view.outer}
         analysis = assert_same_analysis(pair, parent)
         assert [t.edges for t in analysis.family.closed] == [(0, 2, 3, 1)]
         assert analysis.bad_cids == () and analysis.free_links == pair.links
@@ -767,17 +785,50 @@ class TestResidual:
     def test_gadget_split(self):
         # every view edge is a parent edge, a link edge or a trail edge
         view, pair, parent = free_link_gadget()
-        trail = residual_edge_sets(pair, parent)
+        walked, lists, odd, count = residual_edge_sets(pair, parent)
+        trail = trail_edge_ids(pair, parent)
         links = set(pair.link_edge_ids)
+        assert walked is parent
         assert pair.links and len(links) == 2 * len(pair.links)
         assert trail.isdisjoint(links) and trail.isdisjoint(parent.values())
         assert trail | links | set(parent.values()) == set(view_ends(view))
-        assert len(trail) == view.edge_count - len(view.outer) - len(links)
+        assert len(trail) == count == view.edge_count - len(view.outer) - len(links)
+        assert (lists, sorted(odd), count) == trail_lists(view, trail)
 
     def test_without_links_only_parent_edges_go(self):
         view = make_view([0, 1], [2, 3], [(0, 2), (0, 3), (1, 2), (1, 3)])
         pair = CoveringPair(view, 3, [], [])
-        assert residual_edge_sets(pair, {2: 0, 3: 3}) == {1, 2}
+        assert trail_edge_ids(pair, {2: 0, 3: 3}) == {1, 2}
+        _, lists, odd, count = residual_edge_sets(pair, {2: 0, 3: 3})
+        assert lists == {2: [(1, 2)], 3: [(0, 1)], 0: [(3, 1)], 1: [(2, 2)]}
+        assert sorted(odd) == [0, 1, 2, 3] and count == 2
+
+    def test_unmatched_outer_vertex_takes_its_lowest_id_edge(self):
+        # no matching: outer 3 takes edge 0, its lowest id, which is its
+        # second entry in (neighbor, edge id) order; outer 2 takes edge 1
+        view = make_view([0, 1], [2, 3], [(1, 3), (0, 2), (0, 3), (1, 2)])
+        pair = CoveringPair(view, 3, [], [])
+        parent, lists, odd, count = residual_edge_sets(pair)
+        assert parent == {2: 1, 3: 0}
+        assert lists == {2: [(1, 3)], 3: [(0, 2)], 0: [(3, 2)], 1: [(2, 3)]}
+        assert sorted(odd) == [0, 1, 2, 3] and count == 2
+
+    def test_matched_outer_vertex_takes_its_matching_edge(self):
+        # outer 3 is matched by edge 3 although edge 1 has the lower id
+        view = make_view([0, 1], [2, 3], [(0, 2), (0, 3), (1, 2), (1, 3)])
+        pair = CoveringPair(view, 3, [], [3])
+        parent, _, _, count = residual_edge_sets(pair)
+        assert parent == {2: 0, 3: 3} and count == 2
+
+    def test_outer_vertex_with_only_link_edges_has_no_parent_edge(self):
+        # outer 3's only cross edge, to center 0, is a link edge, so no
+        # rule gives it a parent edge; assign_parent_edges walks alike
+        view = make_view([0, 1], [2, 3], [(0, 2), (0, 3), (1, 2)])
+        pair = CoveringPair(view, 3, [Link.of(0, 2, 3)], [])
+        for walk in (residual_edge_sets, assign_parent_edges):
+            with pytest.raises(InternalInvariantError,
+                               match="outer vertex 3 has no usable parent edge"):
+                walk(pair)
 
 
 class TestBadComponents:

@@ -8,10 +8,10 @@ from antimagic import (Graph, StressFailure, check_construction, generate_regula
                        parse_edge_list, stress, verify_antimagic)
 from antimagic.covering import maximize_free_links
 from antimagic.labeling import TrailEvent
-from antimagic.trails import Trail, analyze_bad_components, residual_edge_sets
+from antimagic.trails import Trail, analyze_bad_components
 from antimagic.verify import _bad_components, recompute_vertex_sums, stress_instances
 from corpus import (circulant, complete_bipartite, complete_graph, cycle_graph, engine_layer,
-                    free_link_gadget, hypercube, shuffled_circulant, view_ends)
+                    free_link_gadget, hypercube, shuffled_circulant, trail_edge_ids, view_ends)
 
 
 def with_layer(res, i, **changes):
@@ -274,7 +274,7 @@ class TestReplayRecomputation:
     @staticmethod
     def assert_bad_components_agree(pair, parent_edge, k):
         ref = analyze_bad_components(pair, parent_edge)
-        trail_eids = residual_edge_sets(pair, parent_edge)
+        trail_eids = trail_edge_ids(pair, parent_edge)
         got = _bad_components(pair.link_ends, view_ends(pair.view), trail_eids, k)
         assert got == (ref.bad_cids, ref.bad_vertices)
         return ref
