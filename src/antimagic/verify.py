@@ -77,7 +77,8 @@ def verify_antimagic(graph: Graph, labels, layering: Layering | None = None,
     labels = _normalize_labels(graph, labels)
     first_failure = None
 
-    bijection_ok = sorted(labels) == list(range(1, graph.m + 1))
+    # m labels that take each of the m values 1..m are a bijection onto them
+    bijection_ok = set(labels).issuperset(range(1, graph.m + 1))
     if not bijection_ok:
         first_failure = "labels are not a bijection onto the label range"
 
@@ -183,29 +184,27 @@ def _layer_pair_sums(i: int, plan: LayerPlan, rec: LayerRecord,
     return issues
 
 
-def _bad_components(link_ends: AbstractSet[int], ends: Mapping[int, tuple[int, int]],
-                    trail_eids: set[int], k: int) -> tuple[tuple[int, ...], frozenset[int]]:
+def _bad_components(g: Graph, link_ends: AbstractSet[int], trail_eids: AbstractSet[int],
+                    k: int) -> tuple[tuple[int, ...], frozenset[int]]:
     """(bad component ids ascending, their vertices) of the trail graph on
-    `trail_eids`, by their `ends`, read off its connected components without
-    walking any trail.
+    `trail_eids`, read from the trail edges at the `link_ends` alone.
 
-    A component's id is its smallest vertex, as in the trail builder, and
-    the search starts each component there.  A component is bad when every
-    degree is 2k and every outer vertex is one of the `link_ends`, so a
-    layer without links has none."""
-    if not link_ends:
-        return (), frozenset()
+    A component is bad when every degree is 2k and every outer vertex is one
+    of the `link_ends`, so a layer without links has none, and a bad one's
+    edges are exactly the trail edges at its ends.  So a component of those
+    edges is bad when each of its vertices has 2k of them and each inner one
+    no other trail edge in `g`.  Its id is its smallest vertex, as in the
+    trail builder."""
     adj: dict[int, list[int]] = {}
-    outer: set[int] = set()
-    for eid in trail_eids:
-        x, y = ends[eid]
-        adj.setdefault(x, []).append(y)
-        adj.setdefault(y, []).append(x)
-        outer.add(y)
+    for y in link_ends:
+        for x, eid in g.incident(y):
+            if eid in trail_eids:
+                adj.setdefault(y, []).append(x)
+                adj.setdefault(x, []).append(y)
     bad_cids: list[int] = []
     bad_vertices: set[int] = set()
     seen: set[int] = set()
-    for v in sorted(adj):
+    for v in adj:
         if v in seen:
             continue
         seen.add(v)
@@ -218,12 +217,11 @@ def _bad_components(link_ends: AbstractSet[int], ends: Mapping[int, tuple[int, i
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
-        outer_members = [u for u in members if u in outer]
-        if (all(len(adj[u]) == 2 * k for u in members) and outer_members
-                and all(u in link_ends for u in outer_members)):
-            bad_cids.append(v)
+        if all(len(adj[u]) == 2 * k and (u in link_ends or 2 * k == sum(
+                eid in trail_eids for _, eid in g.incident(u))) for u in members):
+            bad_cids.append(min(members))
             bad_vertices.update(members)
-    return tuple(bad_cids), frozenset(bad_vertices)
+    return tuple(sorted(bad_cids)), frozenset(bad_vertices)
 
 
 def _read_labels(plan: LayerPlan, ends: Mapping[int, tuple[int, int]], labels: Sequence[int]):
@@ -326,14 +324,14 @@ def _replay_layer(result: LabelingResult, i: int, labels: Sequence[int], sums: S
                           f"expected {want}")
     if lo != hi + 1:
         issues.append(f"layer {i}: trail interval not exactly consumed (cursor {(lo, hi)})")
-    if sorted(unit_eids) != sorted(trail_eids):
+    if len(unit_eids) != len(trail_eids) or set(unit_eids) != trail_eids:
         issues.append(f"layer {i}: trail units do not cover the trail graph exactly")
     issues += _layer_pair_sums(i, plan, rec, ends, labels)
 
     # the link rules, in interval order: free links (an end outside every bad
     # component) first; a free link with one end in a bad component has that
     # end low, any other its smaller end; a link edge into one is at most top
-    bad_cids, bad_vertices = _bad_components(link_ends, ends, trail_eids, k)
+    bad_cids, bad_vertices = _bad_components(g, link_ends, trail_eids, k)
     lo, hi = plan.link_interval
     top, free = hi - k, 0
     for j, (c, low, high) in enumerate(links):
@@ -508,8 +506,7 @@ def stress_instances(count: int, n_min: int, n_max: int, degrees: Sequence[int],
     rng = random.Random(seed)
     for idx in range(count):
         degree = degrees[idx % len(degrees)]
-        lo = max(degree + 1, n_min)
-        n = rng.randrange(lo, max(lo, n_max) + 1)
+        n = rng.randrange(max(degree + 1, n_min), n_max + 1)
         gseed = rng.randrange(1 << 30)
         yield idx, n, degree, gseed, generate_regular(n, degree, gseed)
 
@@ -520,6 +517,8 @@ def stress(count: int, n_min: int, n_max: int, degrees: Sequence[int], seed: int
     for degree in degrees:
         if degree % 2 or degree < 4:
             raise ValueError(f"degree {degree} out of scope; need even degree >= 4")
+        if degree >= n_max:
+            raise ValueError(f"degree {degree} needs {degree + 1} vertices, above --n {n_max}")
     if count < 0:
         raise ValueError("count must be nonnegative")
     if n_min > n_max:

@@ -105,6 +105,41 @@ def pipeline_corpus() -> list[tuple[str, Graph]]:
             if g.degree(0) >= 4]
 
 
+def bad_component_realizer(j: int, seed: int) -> Graph:
+    """A 4-regular graph (k = 1) whose last layer often holds a bad component.
+
+    A root has 4 children, and a 3-ary tree hangs below them down to an
+    inner layer of 4t vertices, t = 3^j.  A last layer of 3t outer vertices
+    joins that inner layer by a random (3, 4)-biregular graph: 20 switch
+    attempts per edge on the round-robin start (s mod 4t, s mod 3t).  Ids
+    are shuffled by the seed, with the root kept at 0."""
+    rng = random.Random(seed)
+    t = 3 ** j
+    edges, layer, n = [], [0], 1
+    for width in [4] + [3] * j:
+        nxt = []
+        for v in layer:
+            for c in range(n, n + width):
+                edges.append((v, c))
+                nxt.append(c)
+            n += width
+        layer = nxt
+    outer = range(n, n + 3 * t)
+    cross = [(layer[s % (4 * t)], outer[s % (3 * t)]) for s in range(12 * t)]
+    present = set(cross)
+    for _ in range(20 * len(cross)):
+        p, q = rng.randrange(len(cross)), rng.randrange(len(cross))
+        (a, b), (c, d) = cross[p], cross[q]
+        if a != c and b != d and (a, d) not in present and (c, b) not in present:
+            present -= {(a, b), (c, d)}
+            present |= {(a, d), (c, b)}
+            cross[p], cross[q] = (a, d), (c, b)
+    n += 3 * t
+    perm = [0] + rng.sample(range(1, n), n - 1)
+    return Graph(n, sorted((min(perm[u], perm[v]), max(perm[u], perm[v]))
+                           for u, v in edges + cross))
+
+
 def random_bounded_bipartite(rng: random.Random, d: int, max_inner: int = 8,
                              max_outer: int = 10) -> BipartiteView:
     """Random view with inner degrees <= d and outer degrees <= d + 1."""

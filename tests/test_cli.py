@@ -222,6 +222,13 @@ class TestGenAndStress:
         assert captured.out == ""
         assert captured.err == "error: smallest vertex count 50 is above the largest, 10\n"
 
+    def test_stress_degree_above_largest_count_exits_1(self, capsys):
+        # an 8-regular graph needs 9 vertices, more than --n allows
+        assert main(["stress", "--count", "2", "--n-min", "8", "--n", "8", "--degree", "8"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: degree 8 needs 9 vertices, above --n 8\n"
+
     def test_stress_negative_count_exits_1(self, capsys):
         assert main(["stress", "--count", "-1"]) == 1
         captured = capsys.readouterr()

@@ -26,8 +26,8 @@ from antimagic.labeling import Labeling, TrailEvent
 from antimagic.trails import Trail
 from antimagic.verify import __file__ as VERIFY_PY
 from antimagic.verify import recompute_vertex_sums
-from corpus import (circulant, complete_bipartite, complete_graph, engine_layer, hypercube,
-                    shuffled_circulant)
+from corpus import (bad_component_realizer, circulant, complete_bipartite, complete_graph,
+                    engine_layer, hypercube, shuffled_circulant)
 
 GOLDEN = Path(__file__).parent / "golden" / "replay_issues.json"
 
@@ -43,6 +43,11 @@ GRAPHS = {
     "R60": lambda: generate_regular(60, 6, 1),
     # layer 4's first unit is one closed trail over edges 15, 58, 38, 37
     "R30": lambda: generate_regular(30, 4, 1),
+    # k = 1; layer 3 holds one bad component, the closed trail 19-8-21-24
+    # over edges 27, 28, 50, 47, labeled 1, 21, 2, 20; links 7 - 9 - 14,
+    # 4 - 10 - 18 and 19 - 3 - 21 hold labels 22 + j and 27 - j, j = 0, 1, 2,
+    # and only the last has both ends in the bad component
+    "B26": lambda: bad_component_realizer(1, 317),
 }
 
 
@@ -509,6 +514,36 @@ def _():
     return swapped(labeled("K6,6"), (6, 0))
 
 
+@tamper("bad trail label 2 swapped with label 3 of edge 11, B26 layer 3")
+def _():
+    # 50 = (21, 24) then carries 3, so the outer meet at 21 sums to 21 + 3
+    return swapped(labeled("B26"), (50, 11))
+
+
+@tamper("bad trail label 1 swapped with label 3 of edge 11, B26 layer 3")
+def _():
+    # 27 = (8, 19) then carries 3, so the wrap pair at 19 sums to 20 + 3
+    return swapped(labeled("B26"), (27, 11))
+
+
+for _j, _center in ((1, 10), (0, 9)):
+    @tamper(f"links at centers 3 and {_center} trade places, B26 layer 3")
+    def _(j=_j):
+        # the link with both ends in the bad component moves from place 2 to
+        # place j, before a free link; at place 0 its high end has label 27
+        res = labeled("B26")
+        lo, hi = res.plans[3].link_interval
+        at = res.labeling.labels.index
+        return swapped(res, (at(lo + 2), at(lo + j)), (at(hi - 2), at(hi - j)))
+
+
+@tamper("links cut to 19 - 3 - 21, B26 layer 3")
+def _():
+    # the one link left has both ends in the bad component, so no link is
+    # free; the plan's link and trail counts are forged to fit
+    return with_links(labeled("B26"), 3, [(3, 19, 21)])
+
+
 @tamper("one label short, C10(1,2)")
 def _():
     res = labeled("C10(1,2)")
@@ -549,18 +584,6 @@ def test_issues_come_outermost_layer_first():
               if (m := LAYER_OF_ISSUE.search(issue))]
     assert {3, 1} <= set(layers)
     assert layers == sorted(layers, reverse=True)
-
-
-# No corpus graph has a bad component, so these checks have no tamper yet;
-# they wait for graphs whose layers reach bad components.  Without one
-# every link is free, so no link can follow one that is not.
-AWAITING_BAD_COMPONENTS = {
-    "layer {}: outer meet at {} in a bad component sums to {}, expected exactly {}",
-    "layer {}: wrap pair of a bad trail at {} sums to {}, above {}",
-    "layer {}: only {} free links with bad components present, need {}",
-    "layer {}: free link at center {} follows a link that is not free",
-    "layer {}: link edge into a bad component has label {}, above {}",
-}
 
 
 def issue_templates():
@@ -606,7 +629,7 @@ def test_every_issue_template_has_a_tamper():
         pattern = re.compile("(.+)".join(map(re.escape, template.split("{}"))))
         if not any(pattern.fullmatch(issue) for issue in issues):
             unreached.add(template)
-    assert unreached == AWAITING_BAD_COMPONENTS
+    assert unreached == set()
 
 
 def test_replay_reads_no_view_edges():

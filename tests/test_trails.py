@@ -737,8 +737,7 @@ class TestAnalysisDifferential:
         vertex of its component; returns the analysis."""
         analysis = analyze_bad_components(pair, parent_edge)
         trail_eids = trail_edge_ids(pair, parent_edge)
-        bad_cids, bad_vertices = _bad_components(pair.link_ends, view_ends(pair.view),
-                                                 trail_eids, k)
+        bad_cids, bad_vertices = _bad_components(pair.view, pair.link_ends, trail_eids, k)
         assert (bad_cids, bad_vertices) == (analysis.bad_cids, analysis.bad_vertices)
         closed = {t.vertices[0]: t for t in analysis.family.closed}
         for cid in bad_cids:

@@ -1,17 +1,21 @@
 """Independent verifier: positive cases, seeded corruption, stress harness."""
 
 import dataclasses
+import itertools
+from pathlib import Path
 
 import pytest
 
-from antimagic import (Graph, StressFailure, check_construction, generate_regular, label_graph,
-                       parse_edge_list, stress, verify_antimagic)
-from antimagic.covering import maximize_free_links
+from antimagic import (Graph, StressFailure, check_construction, format_edge_list,
+                       generate_regular, label_graph, layer_view, parse_edge_list, stress,
+                       verify_antimagic)
+from antimagic.covering import build_covering_pair, maximize_free_links
 from antimagic.labeling import TrailEvent
 from antimagic.trails import Trail, analyze_bad_components
 from antimagic.verify import _bad_components, recompute_vertex_sums, stress_instances
-from corpus import (circulant, complete_bipartite, complete_graph, cycle_graph, engine_layer,
-                    free_link_gadget, hypercube, shuffled_circulant, trail_edge_ids, view_ends)
+from corpus import (bad_component_realizer, circulant, complete_bipartite, complete_graph,
+                    cycle_graph, engine_layer, free_link_gadget, hypercube, shuffled_circulant,
+                    trail_edge_ids, view_ends)
 
 
 def with_layer(res, i, **changes):
@@ -34,6 +38,13 @@ class TestVerifyAntimagic:
         assert not report.bijection_ok
         assert not report.passed
         assert "bijection" in report.first_failure
+
+    @pytest.mark.parametrize("labels", [[1, 3, 3], [0, 1, 2], [1, 2, 4], [1, 2.5, 3]],
+                             ids=["repeated", "zero", "m+1", "2.5"])
+    def test_labels_off_the_label_range_are_no_bijection(self, labels):
+        report = verify_antimagic(cycle_graph(3), labels)
+        assert not report.bijection_ok
+        assert report.first_failure == "labels are not a bijection onto the label range"
 
     def test_rejects_colliding_sums(self):
         # edge order (0,1) (0,3) (1,2) (2,3): vertices 0 and 2 both sum to 5
@@ -183,6 +194,17 @@ class TestCheckConstruction:
         assert "layer 2: trail units do not cover the trail graph exactly" in issues
         assert stray_issue in issues
 
+    def test_unit_listing_an_edge_twice_is_reported(self):
+        # the last trail's last edge is replaced by its first: the units list
+        # as many edges as the trail graph has, but one twice and one not
+        res = label_graph(complete_bipartite(6, 6))
+        events = list(res.layers[2].events)
+        *kept, last = events[0].trails
+        last = dataclasses.replace(last, edges=last.edges[:-1] + last.edges[:1])
+        events[0] = dataclasses.replace(events[0], trails=(*kept, last))
+        issues, _ = check_construction(with_layer(res, 2, events=tuple(events)))
+        assert "layer 2: trail units do not cover the trail graph exactly" in issues
+
     @pytest.mark.parametrize("vertex", [10 ** 6, 3, 1], ids=["foreign", "outer", "inner"])
     def test_unit_off_its_edges_is_reported_not_raised(self, vertex):
         # layer 3's first unit is an open-inner trail 11, 30, 13, ...; its
@@ -267,16 +289,54 @@ class TestCheckConstruction:
                 f"expected {labels[b]}") in issues
 
 
+def whole_trail_graph_bad_components(link_ends, ends, trail_eids, k):
+    """The reference for the replay's bad-component search, which reads only
+    the trail edges at the link ends: the connected components of the whole
+    trail graph on `trail_eids`, by their `ends`, each started at its
+    smallest vertex, are bad when every degree is 2k and every outer vertex
+    is one of the `link_ends`."""
+    if not link_ends:
+        return (), frozenset()
+    adj, outer = {}, set()
+    for eid in trail_eids:
+        x, y = ends[eid]
+        adj.setdefault(x, []).append(y)
+        adj.setdefault(y, []).append(x)
+        outer.add(y)
+    bad_cids, bad_vertices, seen = [], set(), set()
+    for v in sorted(adj):
+        if v in seen:
+            continue
+        seen.add(v)
+        stack, members = [v], []
+        while stack:
+            u = stack.pop()
+            members.append(u)
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        outer_members = [u for u in members if u in outer]
+        if (all(len(adj[u]) == 2 * k for u in members) and outer_members
+                and all(u in link_ends for u in outer_members)):
+            bad_cids.append(v)
+            bad_vertices.update(members)
+    return tuple(bad_cids), frozenset(bad_vertices)
+
+
 class TestReplayRecomputation:
     """The replay's own bad-component and partial-sum recomputation against
-    the trail builder and a re-sum of incident labels."""
+    the trail builder, the whole-trail-graph reference and a re-sum of
+    incident labels."""
 
     @staticmethod
     def assert_bad_components_agree(pair, parent_edge, k):
         ref = analyze_bad_components(pair, parent_edge)
         trail_eids = trail_edge_ids(pair, parent_edge)
-        got = _bad_components(pair.link_ends, view_ends(pair.view), trail_eids, k)
+        got = _bad_components(pair.view, pair.link_ends, trail_eids, k)
         assert got == (ref.bad_cids, ref.bad_vertices)
+        assert got == whole_trail_graph_bad_components(pair.link_ends, view_ends(pair.view),
+                                                       trail_eids, k)
         return ref
 
     def test_every_stress_layer(self):
@@ -307,6 +367,93 @@ class TestReplayRecomputation:
         exchanged, _ = maximize_free_links(pair, analyze)
         ref = self.assert_bad_components_agree(exchanged, parent, 1)
         assert ref.bad_cids and ref.free_links
+
+
+# realizer hits (j, seed) whose last layer holds one bad component: at
+# (1, 199) and (2, 171) the free-link exchange moves a link end, which frees
+# one more link and leaves one of two bad components; at (1, 317) a link
+# has both ends in the bad component
+REALIZER_HITS = [(1, 8), (1, 199), (1, 317), (2, 171)]
+
+
+class TestBadComponentSearch:
+    """The replay's search from the link ends against the whole-trail-graph
+    reference, on every call the replay makes; TestReplayRecomputation holds
+    it to both on the engine's own pairs."""
+
+    @staticmethod
+    def replayed(res, monkeypatch):
+        """check_construction of `res`, with each bad-component search it
+        makes held to the reference; returns (issues, stats, searches)."""
+        layer_of = res.layering.layer_of
+        searches = []
+
+        def both(g, link_ends, trail_eids, k):
+            ends = {eid: tuple(sorted(g.edges[eid], key=layer_of.__getitem__))
+                    for eid in trail_eids}
+            got = _bad_components(g, link_ends, trail_eids, k)
+            assert got == whole_trail_graph_bad_components(link_ends, ends, trail_eids, k)
+            searches.append(got)
+            return got
+
+        monkeypatch.setattr("antimagic.verify._bad_components", both)
+        return (*check_construction(res), searches)
+
+    def test_every_layer_of_the_realizer_graphs(self, monkeypatch):
+        hits = 0
+        for j, count in ((1, 400), (2, 60)):
+            for seed in range(count):
+                res = label_graph(bad_component_realizer(j, seed))
+                issues, stats, searches = self.replayed(res, monkeypatch)
+                assert issues == [] and len(searches) == res.layering.depth
+                if stats["bad_layers"]:
+                    hits += 1
+                    assert [bool(cids) for cids, _ in searches] == [True] + [False] * (j + 1)
+        assert hits == 25
+
+    @pytest.mark.parametrize("j, seed, bad", [(1, 8, 338), (1, 199, 334), (1, 317, 338),
+                                              ("K6,6", None, 0)])
+    def test_label_swaps_of_a_link_layer(self, j, seed, bad, monkeypatch):
+        """Every transposition of two cross-edge labels of the link layer of
+        a realizer hit or of K6,6, as the replay reads it: the parent edges,
+        links and trail edges move with the labels; `bad` searches find a
+        bad component."""
+        res = label_graph(complete_bipartite(6, 6) if seed is None
+                          else bad_component_realizer(j, seed))
+        i = max(i for i, plan in res.plans.items() if plan.link_count)
+        layer_of = res.layering.layer_of
+        cross = [eid for eid, (u, v) in enumerate(res.graph.edges)
+                 if max(layer_of[u], layer_of[v]) == i and layer_of[u] != layer_of[v]]
+        found = 0
+        for a, b in itertools.combinations(cross, 2):
+            labels = list(res.labeling.labels)
+            labels[a], labels[b] = labels[b], labels[a]
+            _, _, searches = self.replayed(dataclasses.replace(
+                res, labeling=dataclasses.replace(res.labeling, labels=tuple(labels))),
+                monkeypatch)
+            found += sum(bool(cids) for cids, _ in searches)
+        assert found == bad
+
+
+class TestBadComponentRealizer:
+    """The k = 1 family of corpus.bad_component_realizer reaches bad
+    components end to end: the engine labels them and the replay judges the
+    record."""
+
+    @pytest.mark.parametrize("j, seed", REALIZER_HITS)
+    def test_hits_replay_clean_with_one_bad_layer(self, j, seed):
+        res = label_graph(bad_component_realizer(j, seed))
+        issues, stats = check_construction(res)
+        assert issues == []
+        assert stats["bad_layers"] == 1
+        # the exchange moves a link of the last layer at those two hits alone
+        i = res.layering.depth
+        first = build_covering_pair(layer_view(res.graph, res.layering, i), 3)
+        assert (first.links != engine_layer(res, i)[0].links) == (seed in (199, 171))
+
+    def test_golden_edge_list_is_the_realizer_graph(self):
+        golden = Path(__file__).parent / "golden" / "realizer_1_317.edges"
+        assert golden.read_text() == format_edge_list(bad_component_realizer(1, 317))
 
 
 class TestStress:
