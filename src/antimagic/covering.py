@@ -557,9 +557,9 @@ def maximize_free_links(pair: CoveringPair, analyze: Callable[[CoveringPair], "o
     parent edge becomes a link edge.
     Each step analyzes the candidates of `_exchanges` in order and accepts
     the first whose free-link count strictly exceeds the current one; the
-    loop stops when none does.  At a local optimum with bad components still
-    present, fewer than k free links, for the pair's degree bound d = 2k + 1,
-    is an implementation bug.
+    loop stops when none does; `analyze` walks no trail.  At a local optimum
+    with bad components still present, fewer than k free links, for the
+    pair's degree bound d = 2k + 1, is an implementation bug.
     """
     analysis = analyze(pair)
     guard = len(pair.links) + 1

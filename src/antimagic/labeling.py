@@ -3,11 +3,12 @@
 Layers are handled in one pass from the outermost layer inward: each layer's
 covering pair, parent edges and trail decomposition are built, its label
 block is stacked on the labels the layers outside it used, and its edges are
-labeled.  A layer without links has no bad component, so it skips the
-free-link exchange, the bad-component test and the link deal: one walk of
-its outer incidence gives its parent edges, its trail lists and its trail
-count.  Within a layer the order is: edges inside the layer, trail edges,
-link edges, parent edges.
+labeled.  A layer with links picks its parent edges and runs the free-link
+exchange, which reads bad components off the trail edges at the link ends; a
+layer without links has none and skips it and the link deal.  Then one walk
+gives the trail graph (and a link-free layer's parent edges), and the trails
+are built once.  Within a layer the order is: edges inside the layer, trail
+edges, link edges, parent edges.
 Trail and link intervals are dealt by one two-ended rule (`_deal`), so that
 consecutive trail edges meeting at an inner vertex sum high and those meeting
 at an outer vertex sum low; parent edges are labeled in increasing order of
@@ -22,14 +23,8 @@ from . import trails
 from .covering import CoveringPair, build_covering_pair, maximize_free_links
 from .errors import InternalInvariantError
 from .graph import Graph, Layering, bfs_layering, layer_view, validate_even_regular
-from .trails import (
-    BadAnalysis,
-    Trail,
-    TrailFamily,
-    analyze_bad_components,
-    choose_closed_start,
-    rotate_closed,
-)
+from .trails import (BadAnalysis, Trail, TrailFamily, analyze_bad_components, choose_closed_start,
+                     rotate_closed)
 
 
 @dataclass(frozen=True, slots=True)
@@ -229,16 +224,15 @@ def label_graph(graph: Graph, root: int = 0) -> LabelingResult:
     offset = lower = 0  # lower: the partial-sum bound of the layer outside (none outermost)
     for i in range(p, 0, -1):
         pair = build_covering_pair(layer_view(graph, layering, i), d)
+        parent, bad_cids = None, ()  # no links, so no bad component to exchange away
         if pair.links:
             parent = assign_parent_edges(pair)
             pair, analysis = maximize_free_links(
                 pair, lambda pr: analyze_bad_components(pr, parent))
-            family, bad_cids, trail_count = analysis.family, analysis.bad_cids, analysis.trail_count
-        else:  # no links, so no bad component to exchange away
-            # read off `trails` at each call, as analyze_bad_components reads
-            # them, so a function replaced there runs on every layer
-            parent, lists, odd, trail_count = trails.residual_edge_sets(pair)
-            family, bad_cids = trails.decompose_trails(pair.view, lists, odd, trail_count), ()
+            bad_cids = analysis.bad_cids
+        # the final pair's trails, read off `trails` so a function replaced there runs
+        parent, lists, odd, trail_count = trails.residual_edge_sets(pair, parent)
+        family = trails.decompose_trails(pair.view, lists, odd, trail_count)
         plan = plans[i] = compute_interval_plan(layering, pair, offset, trail_count)
         first_parent, offset = plan.parent_interval
         for lab, eid in enumerate(layering.within_edges[i], start=plan.inner_interval[0]):

@@ -59,8 +59,7 @@ class TrailFamily:
     first at even positions of `open_mixed` and outer end first at odd ones.
     A closed trail runs over its whole component, so its `vertices[:-1]`
     lists each vertex half its trail degree times: that is all closed-trail
-    starts and bad-component detection read of a component, and a bad
-    component is 2k-regular, so it is even."""
+    starts read of a component, and a bad one is even and starts at its id."""
 
     closed: tuple[Trail, ...]
     open_inner: tuple[Trail, ...]
@@ -220,48 +219,54 @@ def decompose_trails(view: BipartiteView, lists: TrailLists, odd: list[int],
     )
 
 
-def detect_bad_components(family: TrailFamily, pair: CoveringPair) -> tuple[int, ...]:
-    """Ids (smallest vertices), ascending, of the components that are
-    2k-regular, for the pair's degree bound d = 2k + 1, with every outer
-    vertex a link end.  Such a component is even, so its closed trail, which
-    starts at its id, visits each of its vertices k times, and a layer
-    without links has none: every component has an outer vertex."""
-    view, k, link_ends = pair.view, pair.d // 2, pair.link_ends
-    bad = []
-    for trail in family.closed:
-        visits = Counter(trail.vertices[:-1])
-        if any(count != k for count in visits.values()):
-            continue
-        outer = [v for v in visits if view.side(v) == "outer"]
-        if outer and all(v in link_ends for v in outer):
-            bad.append(trail.vertices[0])
-    return tuple(bad)
+def detect_bad_components(pair: CoveringPair, parent_edge: dict[int, int]
+                          ) -> tuple[tuple[int, ...], frozenset[int]]:
+    """(Ids ascending, vertices) of the trail graph's bad components: the
+    2k-regular ones, for the pair's degree bound d = 2k + 1, whose outer
+    vertices are all link ends.  Only the trail edges at the link ends are
+    read: a component of them is bad when each of its vertices has 2k of
+    them and each inner one no other trail edge.  Its id is its smallest vertex."""
+    link_ends, link_eids, incident = pair.link_ends, pair.link_edge_ids, pair.view.incident
+    adj: dict[int, list[int]] = {}
+    for y in link_ends:
+        for x, eid in incident(y):
+            if eid != parent_edge[y] and eid not in link_eids:
+                adj.setdefault(y, []).append(x)
+                adj.setdefault(x, []).append(y)
+    bad_cids, bad_vertices, seen = [], set(), set()
+    for v in sorted(adj):  # so v is the smallest vertex of its component
+        if v not in seen:
+            members, stack = {v}, [v]
+            while stack:
+                for w in adj[stack.pop()]:
+                    if w not in members:
+                        members.add(w)
+                        stack.append(w)
+            seen |= members
+            if all(len(adj[u]) == pair.d - 1 and (u in link_ends or pair.d - 1 == sum(
+                    e != parent_edge[w] and e not in link_eids for w, e in incident(u)))
+                   for u in members):
+                bad_cids.append(v)
+                bad_vertices |= members
+    return tuple(bad_cids), frozenset(bad_vertices)
 
 
 @dataclass(frozen=True, slots=True)
 class BadAnalysis:
-    """Trail family, its edge count and bad-component bookkeeping for one layer."""
+    """Bad components and free links of one layer's covering pair."""
 
-    family: TrailFamily
     bad_cids: tuple[int, ...]
     bad_vertices: frozenset[int]
     free_links: tuple[Link, ...]
-    trail_count: int
 
 
 def analyze_bad_components(pair: CoveringPair, parent_edge: dict[int, int]) -> BadAnalysis:
-    """Decompose the trail graph of the pair's view and work out which links
-    are free (at least one end outside every bad component)."""
-    _, lists, odd, count = residual_edge_sets(pair, parent_edge)
-    family = decompose_trails(pair.view, lists, odd, count)
-    bad_cids = detect_bad_components(family, pair)
-    bad_vertices: set[int] = set()
-    for trail in family.closed:
-        if trail.vertices[0] in bad_cids:
-            bad_vertices.update(trail.vertices)
+    """The pair's bad components, and its free links: those with an end
+    outside every bad component."""
+    bad_cids, bad_vertices = detect_bad_components(pair, parent_edge)
     free = tuple(l for l in pair.links
                  if l.end_a not in bad_vertices or l.end_b not in bad_vertices)
-    return BadAnalysis(family, bad_cids, frozenset(bad_vertices), free, count)
+    return BadAnalysis(bad_cids, bad_vertices, free)
 
 
 def choose_closed_start(trail: Trail, bad: bool, pair: CoveringPair) -> tuple[int, str]:

@@ -303,7 +303,7 @@ def _replay_layer(result: LabelingResult, i: int, labels: Sequence[int], sums: S
 
     # the two-ended cursor from the trail interval, over the units in order
     lo, hi = plan.trail_interval
-    target = plan.target_pair_sum
+    target, m = plan.target_pair_sum, len(labels)
     unit_eids: list[int] = []
     for ev in rec.events:
         high_first = (ev.kind == "closed" and ev.case == "outer-high") or ev.kind == "open-outer"
@@ -315,7 +315,7 @@ def _replay_layer(result: LabelingResult, i: int, labels: Sequence[int], sums: S
             else:
                 want, lo = lo, lo + 1
             # an id outside the edge range is reported by _layer_pair_sums
-            if 0 <= eid < len(labels) and labels[eid] != want:
+            if 0 <= eid < m and labels[eid] != want:
                 issues.append(f"layer {i}: edge {eid} carries label {labels[eid]}, "
                               f"replay gives {want}")
         want = target if len(eids) % 2 == 0 else target + 1
@@ -514,6 +514,8 @@ def stress_instances(count: int, n_min: int, n_max: int, degrees: Sequence[int],
 def stress(count: int, n_min: int, n_max: int, degrees: Sequence[int], seed: int) -> StressSummary:
     """Generate, label, and deeply verify random regular graphs; any failure
     raises StressFailure carrying a reproducible instance."""
+    if not degrees:
+        raise ValueError("no degree to cycle through")
     for degree in degrees:
         if degree % 2 or degree < 4:
             raise ValueError(f"degree {degree} out of scope; need even degree >= 4")

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter, namedtuple
 
 from antimagic import BipartiteView, Graph, bfs_layering, bipartite_view, layer_view
 from antimagic.covering import (CoveringPair, Link, build_covering_pair, maximize_free_links,
                                 pad_to_biregular)
 from antimagic.labeling import assign_parent_edges
-from antimagic.trails import analyze_bad_components, residual_edge_sets
+from antimagic.trails import (TrailFamily, analyze_bad_components, decompose_trails,
+                              residual_edge_sets)
 
 
 def complete_graph(n: int) -> Graph:
@@ -190,6 +192,41 @@ def trail_edge_ids(pair: CoveringPair, parent_edge: dict[int, int]) -> set[int]:
     given parent edges."""
     _, lists, _, _ = residual_edge_sets(pair, parent_edge)
     return {eid for y in pair.view.outer for _, eid in lists.get(y, ())}
+
+
+def layer_trails(pair: CoveringPair, parent_edge: dict[int, int]) -> TrailFamily:
+    """The trails of the pair's trail graph, built as `label_graph` builds
+    them once the pair is final."""
+    _, lists, odd, count = residual_edge_sets(pair, parent_edge)
+    return decompose_trails(pair.view, lists, odd, count)
+
+
+DecomposedAnalysis = namedtuple("DecomposedAnalysis",
+                                "family trail_count bad_cids bad_vertices free_links")
+
+
+def decomposition_bad_analysis(pair: CoveringPair, parent_edge: dict[int, int]
+                               ) -> DecomposedAnalysis:
+    """The bad-component analysis as the trail stage made it before it read
+    only the link ends, kept as the reference for `detect_bad_components`:
+    the whole trail graph walked and decomposed, and a closed trail's
+    component bad when the trail visits each of its vertices k times, for
+    the degree bound d = 2k + 1, and its outer vertices are all link ends."""
+    _, lists, odd, count = residual_edge_sets(pair, parent_edge)
+    family = decompose_trails(pair.view, lists, odd, count)
+    view, k = pair.view, pair.d // 2
+    bad_cids, bad_vertices = [], set()
+    for trail in family.closed:
+        visits = Counter(trail.vertices[:-1])
+        if any(c != k for c in visits.values()):
+            continue
+        outer = [v for v in visits if view.side(v) == "outer"]
+        if outer and all(v in pair.link_ends for v in outer):
+            bad_cids.append(trail.vertices[0])
+            bad_vertices.update(trail.vertices)
+    free = tuple(l for l in pair.links
+                 if l.end_a not in bad_vertices or l.end_b not in bad_vertices)
+    return DecomposedAnalysis(family, count, tuple(bad_cids), frozenset(bad_vertices), free)
 
 
 def padded_layer_two(a: int) -> BipartiteView:

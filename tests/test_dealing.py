@@ -20,7 +20,7 @@ from antimagic.graph import BipartiteView, bipartite_view
 from antimagic.labeling import LayerPlan, TrailEvent
 from antimagic.trails import analyze_bad_components, choose_closed_start, rotate_closed
 from antimagic.verify import stress_instances
-from corpus import complete_bipartite, free_link_gadget, shuffled_circulant
+from corpus import complete_bipartite, free_link_gadget, layer_trails, shuffled_circulant
 
 
 class _Cursor:
@@ -128,9 +128,10 @@ def assert_links_dealt_alike(pair, analysis, plan, m, seen: Counter,
     seen["links"] += len(pair.links)
 
 
-def assert_dealt_alike(pair, analysis, plan, m, seen: Counter) -> None:
-    """Deal one layer's trail and link intervals both ways."""
-    assert_trails_dealt_alike(pair, analysis.family, analysis.bad_cids, plan, m, seen)
+def assert_dealt_alike(pair, parent, analysis, plan, m, seen: Counter) -> None:
+    """Deal one layer's trail and link intervals both ways, over the trails
+    of the pair with the `parent` edges."""
+    assert_trails_dealt_alike(pair, layer_trails(pair, parent), analysis.bad_cids, plan, m, seen)
     assert_links_dealt_alike(pair, analysis, plan, m, seen)
 
 
@@ -222,7 +223,7 @@ class TestDealtAlikeOnGadgets:
         seen = Counter()
         analysis = analyze(pair)
         assert len(analysis.bad_cids) == 2 and not analysis.free_links
-        assert_dealt_alike(pair, analysis, plan_of(view, pair), view.edge_count, seen)
+        assert_dealt_alike(pair, parent, analysis, plan_of(view, pair), view.edge_count, seen)
         assert seen[("closed", "bad")] == 2
 
         seen.clear()
@@ -232,7 +233,8 @@ class TestDealtAlikeOnGadgets:
         # its low end although it is the link's larger end
         assert any(link.end_b in analysis.bad_vertices and link.end_a not in analysis.bad_vertices
                    for link in analysis.free_links)
-        assert_dealt_alike(exchanged, analysis, plan_of(view, exchanged), view.edge_count, seen)
+        assert_dealt_alike(exchanged, parent, analysis, plan_of(view, exchanged), view.edge_count,
+                           seen)
         assert seen[("closed", "bad")] == 1
 
     def test_inner_low_start(self):
@@ -240,5 +242,5 @@ class TestDealtAlikeOnGadgets:
         analysis = analyze_bad_components(pair, parent)
         assert not analysis.bad_cids
         seen = Counter()
-        assert_dealt_alike(pair, analysis, plan_of(view, pair), view.edge_count, seen)
+        assert_dealt_alike(pair, parent, analysis, plan_of(view, pair), view.edge_count, seen)
         assert seen == Counter({("closed", "inner-low"): 1, "links": 1})

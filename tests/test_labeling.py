@@ -22,8 +22,9 @@ from antimagic.documents import render_document
 from antimagic.graph import layer_view
 from antimagic.labeling import LayerPlan, LayerRecord, assign_parent_edges
 from antimagic.verify import _read_labels, stress_instances
-from corpus import (circulant, complete_bipartite, complete_graph, cycle_graph, engine_layer,
-                    hypercube, octahedron, shuffled_circulant, torus_grid, trail_lists, view_ends)
+from corpus import (bad_component_realizer, circulant, complete_bipartite, complete_graph,
+                    cycle_graph, engine_layer, hypercube, layer_trails, octahedron,
+                    shuffled_circulant, torus_grid, trail_lists, view_ends)
 
 
 class TestGoldenK5:
@@ -128,7 +129,7 @@ class TestClosedUnitGolden:
         rec = res.layers[3]
         unit, = rec.events
         assert (unit.kind, unit.case) == ("closed", "outer-high")
-        walked, = trails.analyze_bad_components(*engine_layer(res, 3)).family.closed
+        walked, = layer_trails(*engine_layer(res, 3)).closed
         turned = walked.edges[::-1]
         dealt = unit.trails[0].edges
         assert dealt in {turned[j:] + turned[:j] for j in range(len(turned))}
@@ -171,6 +172,48 @@ class TestEdgeScans:
         issues, _ = check_construction(res)
         assert issues == []
         assert g.edges.reads <= 16 * g.m
+
+
+class TestOneTrailDecompositionPerLayer:
+    """Every layer walks its trail graph and decomposes it once, after its
+    covering pair is final: the exchange loop scores its candidates from the
+    link ends alone, so no walk or decomposition runs inside it."""
+
+    def test_calls_per_layer(self, monkeypatch):
+        calls, inside = Counter(), []
+
+        def counting(name, fn):
+            def counted(*args):
+                calls[name, "in exchange" if inside else "per layer"] += 1
+                return fn(*args)
+            return counted
+
+        def exchange(*args, fn=labeling.maximize_free_links):
+            inside.append(True)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(trails, "residual_edge_sets",
+                            counting("walk", trails.residual_edge_sets))
+        monkeypatch.setattr(trails, "decompose_trails",
+                            counting("decompose", trails.decompose_trails))
+        monkeypatch.setattr(labeling, "analyze_bad_components",
+                            counting("analysis", labeling.analyze_bad_components))
+        monkeypatch.setattr(labeling, "maximize_free_links", exchange)
+        graphs = [bad_component_realizer(j, seed) for j, seed in ((1, 199), (2, 171))]
+        graphs += [complete_bipartite(a, a) for a in (4, 10)]
+        graphs += [circulant(400, [1, 2]), generate_regular(60, 6, 1)]
+        scored = []
+        for g in graphs:
+            calls.clear()
+            depth = label_graph(g).layering.depth
+            scored.append(calls.pop(("analysis", "in exchange"), 0))
+            assert calls == {("walk", "per layer"): depth, ("decompose", "per layer"): depth}
+        # the two realizer hits score their exchange candidates; K_{a,a}
+        # scores its one link layer's pair alone
+        assert scored == [8, 16, 1, 1, 0, 0]
 
 
 class TestLostTrailEdge:

@@ -16,13 +16,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from antimagic import (InternalInvariantError, bipartite_view, check_construction, label_graph,
-                       trails)
-from antimagic.covering import CoveringPair, Link, maximize_free_links
+                       labeling, layer_view, trails)
+from antimagic.covering import (CoveringPair, Link, _exchanges, build_covering_pair,
+                                maximize_free_links)
 from antimagic.labeling import assign_parent_edges
 from antimagic.trails import (Trail, analyze_bad_components, choose_closed_start,
                               detect_bad_components, residual_edge_sets, rotate_closed)
 from antimagic.verify import _bad_components
-from corpus import (complete_bipartite, engine_layer, free_link_gadget, random_bounded_bipartite,
+from corpus import (bad_component_realizer, complete_bipartite, decomposition_bad_analysis,
+                    engine_layer, free_link_gadget, layer_trails, random_bounded_bipartite,
                     trail_edge_ids, trail_lists, view_ends)
 
 
@@ -617,15 +619,16 @@ def assert_same_family(fam, ref, walked):
 
 
 def assert_same_analysis(pair, parent_edge):
-    """analyze_bad_components gives the reference analysis's family, bad
-    component ids, bad vertices and free links; returns the analysis."""
+    """The layer's trails are the reference analysis's family, and
+    analyze_bad_components gives its bad component ids, bad vertices and
+    free links; returns the analysis."""
     view, k = pair.view, pair.d // 2
     analysis = analyze_bad_components(pair, parent_edge)
     ref_family, ref_bad, ref_vertices, ref_free = reference_analyze_bad_components(
         view, pair, parent_edge, k)
     walked, _ = walk_and_splice_decompose_trails(
         view, reference_trail_eids(view, pair, parent_edge))
-    assert_same_family(analysis.family, ref_family, walked)
+    assert_same_family(layer_trails(pair, parent_edge), ref_family, walked)
     assert analysis.bad_cids == tuple(sorted(ref_bad))
     assert analysis.bad_vertices == ref_vertices
     assert analysis.free_links == ref_free
@@ -739,7 +742,7 @@ class TestAnalysisDifferential:
         trail_eids = trail_edge_ids(pair, parent_edge)
         bad_cids, bad_vertices = _bad_components(pair.view, pair.link_ends, trail_eids, k)
         assert (bad_cids, bad_vertices) == (analysis.bad_cids, analysis.bad_vertices)
-        closed = {t.vertices[0]: t for t in analysis.family.closed}
+        closed = {t.vertices[0]: t for t in layer_trails(pair, parent_edge).closed}
         for cid in bad_cids:
             assert cid == min(closed[cid].vertices)
         return analysis
@@ -776,8 +779,77 @@ class TestAnalysisDifferential:
         pair = CoveringPair(view, 3, [Link.of(2, 10, 12)], [6, 7, 8])
         parent = {y: pair.match_of.get(y) for y in view.outer}
         analysis = assert_same_analysis(pair, parent)
-        assert [t.edges for t in analysis.family.closed] == [(0, 2, 3, 1)]
+        assert [t.edges for t in layer_trails(pair, parent).closed] == [(0, 2, 3, 1)]
         assert analysis.bad_cids == () and analysis.free_links == pair.links
+
+
+class TestDetectionAgainstDecomposition:
+    """detect_bad_components, which reads only the trail edges at the link
+    ends, against the analysis that decomposed the whole trail graph
+    (`corpus.decomposition_bad_analysis`): on every pair the exchange loop
+    scores on the realizer graphs, and on every exchange candidate of three
+    hits and of the free-link gadget."""
+
+    @staticmethod
+    def assert_detected_alike(pair, parent_edge):
+        """Both analyses give the same bad ids, bad vertices and free links;
+        returns whether the pair has a bad component."""
+        ref = decomposition_bad_analysis(pair, parent_edge)
+        analysis = analyze_bad_components(pair, parent_edge)
+        assert detect_bad_components(pair, parent_edge) == (ref.bad_cids, ref.bad_vertices)
+        assert ((analysis.bad_cids, analysis.bad_vertices, analysis.free_links)
+                == (ref.bad_cids, ref.bad_vertices, ref.free_links))
+        return bool(ref.bad_cids)
+
+    def test_every_link_layer_of_the_realizer_graphs(self, monkeypatch):
+        # the 460 graphs of test_verify's TestBadComponentSearch, one link
+        # layer each: every pair the engine scores, the first of the layer
+        # and each candidate, 133 of the 594 with a bad component
+        scored, analyze = [], labeling.analyze_bad_components
+
+        def both(pair, parent_edge):
+            scored.append((pair.view.index, self.assert_detected_alike(pair, parent_edge)))
+            return analyze(pair, parent_edge)
+
+        monkeypatch.setattr(labeling, "analyze_bad_components", both)
+        totals = Counter()
+        for j, count in ((1, 400), (2, 60)):
+            for seed in range(count):
+                res = label_graph(bad_component_realizer(j, seed))
+                assert {i for i, _ in scored} == {i for i, plan in res.plans.items()
+                                                  if plan.link_count}
+                totals.update(pairs=len(scored), bad=sum(bad for _, bad in scored),
+                              link_layers=len({i for i, _ in scored}))
+                scored.clear()
+        assert totals == {"link_layers": 460, "pairs": 594, "bad": 133}
+
+    @pytest.mark.parametrize("j, seed, candidates, bad", [(1, 199, 12, 11), (1, 317, 4, 4),
+                                                          (2, 171, 24, 22)])
+    def test_every_exchange_candidate_of_a_hit(self, j, seed, candidates, bad):
+        """The candidates of the link layer's first pair and, where an
+        exchange was accepted, of its final one; `bad` of them keep a bad
+        component."""
+        res = label_graph(bad_component_realizer(j, seed))
+        i = max(i for i, plan in res.plans.items() if plan.link_count)
+        first = build_covering_pair(layer_view(res.graph, res.layering, i), 3)
+        final, parent = engine_layer(res, i)
+        counts = Counter()
+        for pair in (first,) if final.links == first.links else (first, final):
+            for cand in _exchanges(pair):
+                counts.update(candidates=1, bad=self.assert_detected_alike(cand, parent))
+        assert counts == {"candidates": candidates, "bad": bad}
+
+    def test_free_link_gadget(self):
+        _, pair, parent = free_link_gadget()
+        exchanged, _ = maximize_free_links(
+            pair, lambda p: analyze_bad_components(p, parent))
+        counts = Counter()
+        for p in (pair, exchanged):
+            counts.update(bad=self.assert_detected_alike(p, parent))
+            for cand in _exchanges(p):
+                counts.update(candidates=1, bad=self.assert_detected_alike(cand, parent))
+        # both pairs and 7 of the 8 candidates keep a bad component
+        assert counts == {"candidates": 8, "bad": 9}
 
 
 class TestResidual:
@@ -836,7 +908,8 @@ class TestBadComponents:
         analysis = analyze_bad_components(pair, parent)
         # the 4-cycles 12-0-14-1 and 13-4-15-5, named by their smallest vertex
         assert analysis.bad_cids == (0, 4)
-        closed = {t.vertices[0]: t for t in analysis.family.closed}
+        assert analysis.bad_vertices == {0, 1, 4, 5, 12, 13, 14, 15}
+        closed = {t.vertices[0]: t for t in layer_trails(pair, parent).closed}
         for cid in analysis.bad_cids:
             # 2-regular: the closed trail visits each vertex once
             visits = Counter(closed[cid].vertices[:-1])
@@ -845,24 +918,36 @@ class TestBadComponents:
 
     def test_four_regular_component_is_bad_at_k2(self):
         # K_{4,4} on inner 0..3 and outer 10..13, every outer vertex a link
-        # end: its closed trail visits each vertex twice, so it is bad at
-        # k = 2 (d = 5) only
+        # end with its parent edge to one of 6..9: its closed trail visits
+        # each vertex twice, so it is bad at k = 2 (d = 5) only
         pairs = [(x, y) for x in range(4) for y in (10, 11, 12, 13)]
-        view = make_view([0, 1, 2, 3, 4, 5], [10, 11, 12, 13],
-                         pairs + [(4, 10), (4, 11), (5, 12), (5, 13)])
+        view = make_view([0, 1, 2, 3, 4, 5, 6, 7, 8, 9], [10, 11, 12, 13],
+                         pairs + [(4, 10), (4, 11), (5, 12), (5, 13)]
+                         + [(6, 10), (7, 11), (8, 12), (9, 13)])
         links = [Link.of(4, 10, 11), Link.of(5, 12, 13)]
-        pair = CoveringPair(view, 5, links, [])
+        parent = {10: 20, 11: 21, 12: 22, 13: 23}
+        pair = CoveringPair(view, 5, links, parent.values())
         fam = decompose_trails(view, frozenset(range(len(pairs))))
+        assert fam == layer_trails(pair, parent)
         assert [t.vertices[0] for t in fam.closed] == [0]
-        assert detect_bad_components(fam, pair) == (0,)
-        assert detect_bad_components(fam, CoveringPair(view, 3, links, [])) == ()
+        k44 = frozenset([0, 1, 2, 3, 10, 11, 12, 13])
+        assert detect_bad_components(pair, parent) == ((0,), k44)
+        at_k1 = CoveringPair(view, 3, links, parent.values())
+        assert detect_bad_components(at_k1, parent) == ((), frozenset())
+        for p in (pair, at_k1):
+            ref = decomposition_bad_analysis(p, parent)
+            assert detect_bad_components(p, parent) == (ref.bad_cids, ref.bad_vertices)
         assert choose_closed_start(fam.closed[0], True, pair) == (10, "bad")
 
     def test_cycle_with_non_link_outer_is_not_bad(self):
-        view = make_view([0, 1], [2, 3], [(0, 2), (0, 3), (1, 2), (1, 3)])
-        pair = CoveringPair(view, 3, [], [])
+        # the 4-cycle 0-2-1-3 past the parent edges of 2 and 3, at 4 and 5,
+        # on a layer without links
+        view = make_view([0, 1, 4, 5], [2, 3],
+                         [(0, 2), (0, 3), (1, 2), (1, 3), (4, 2), (5, 3)])
+        pair = CoveringPair(view, 3, [], [4, 5])
         fam = decompose_trails(view, frozenset(range(4)))
-        assert detect_bad_components(fam, pair) == ()
+        assert fam == layer_trails(pair, {2: 4, 3: 5}) and len(fam.closed) == 1
+        assert detect_bad_components(pair, {2: 4, 3: 5}) == ((), frozenset())
 
 
 class TestOrientation:
@@ -886,7 +971,7 @@ class TestClosedStart:
     def test_bad_component_starts_at_lowest_outer(self):
         view, pair, parent = free_link_gadget()
         analysis = analyze_bad_components(pair, parent)
-        closed = {t.vertices[0]: t for t in analysis.family.closed}
+        closed = {t.vertices[0]: t for t in layer_trails(pair, parent).closed}
         for cid in analysis.bad_cids:
             trail = closed[cid]
             start, case = choose_closed_start(trail, True, pair)
@@ -903,19 +988,22 @@ class TestClosedStart:
         assert start == 2
 
     def test_visit_counts_at_k2(self):
-        # K_{4,2} on inner 0..3 and outer 10, 11, both link ends of center 4:
-        # the closed trail visits each outer vertex twice (degree 4) and each
-        # inner vertex once (degree 2), so at k = 2 (d = 5) no outer vertex
-        # can start and the lowest inner vertex starts "inner-low"
-        view = make_view([0, 1, 2, 3, 4], [10, 11],
-                         [(x, y) for x in range(5) for y in (10, 11)])
+        # K_{4,2} on inner 0..3 and outer 10, 11, both link ends of center 4,
+        # with parent edges to 5 and 6: the closed trail visits each outer
+        # vertex twice (degree 4) and each inner vertex once (degree 2), so
+        # at k = 2 (d = 5) no outer vertex can start and the lowest inner
+        # vertex starts "inner-low"
+        view = make_view([0, 1, 2, 3, 4, 5, 6], [10, 11],
+                         [(x, y) for x in range(5) for y in (10, 11)] + [(5, 10), (6, 11)])
         links = [Link.of(4, 10, 11)]
-        pair = CoveringPair(view, 5, links, [])
+        parent = {10: 10, 11: 11}
+        pair = CoveringPair(view, 5, links, parent.values())
         fam = decompose_trails(view, frozenset(range(8)))
+        assert fam == layer_trails(pair, parent)
         trail, = fam.closed
         assert Counter(trail.vertices[:-1]) == {0: 1, 1: 1, 2: 1, 3: 1, 10: 2, 11: 2}
         assert choose_closed_start(trail, False, pair) == (0, "inner-low")
-        assert detect_bad_components(fam, pair) == ()
+        assert detect_bad_components(pair, parent) == ((), frozenset())
         # at k = 3 (d = 7) the outer vertices' two visits are too few, so 10 starts
         assert choose_closed_start(trail, False, CoveringPair(view, 7, links, [])) == (
             10, "outer-high")

@@ -1,6 +1,7 @@
 """Independent verifier: positive cases, seeded corruption, stress harness."""
 
 import dataclasses
+import hashlib
 import itertools
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from antimagic import (Graph, StressFailure, check_construction, format_edge_lis
                        generate_regular, label_graph, layer_view, parse_edge_list, stress,
                        verify_antimagic)
 from antimagic.covering import build_covering_pair, maximize_free_links
+from antimagic.documents import render_document
 from antimagic.labeling import TrailEvent
 from antimagic.trails import Trail, analyze_bad_components
 from antimagic.verify import _bad_components, recompute_vertex_sums, stress_instances
@@ -455,6 +457,22 @@ class TestBadComponentRealizer:
         golden = Path(__file__).parent / "golden" / "realizer_1_317.edges"
         assert golden.read_text() == format_edge_list(bad_component_realizer(1, 317))
 
+    @pytest.mark.parametrize("j, seed, sha256", [
+        (1, 199, "ac755b9e24f6c3d95ca15d52a0c5363ad13aa20f49854f107ddfcf367deb4c92"),
+        (2, 171, "30854c251025073a65cb95b0a59ca9509663f017a8fb165729f936d4c0aec9d2")])
+    def test_exchange_hit_documents(self, j, seed, sha256):
+        """The two hits whose exchange moves a link, frozen in tests/golden
+        as edge lists: the document of each, by its hash, and its tightest
+        slacks, an upper one of 0 among them."""
+        golden = Path(__file__).parent / "golden" / f"realizer_{j}_{seed}.edges"
+        text = golden.read_text()
+        assert text == format_edge_list(bad_component_realizer(j, seed))
+        res = label_graph(parse_edge_list(text))
+        assert hashlib.sha256(render_document(res).encode("utf-8")).hexdigest() == sha256
+        issues, stats = check_construction(res)
+        assert issues == []
+        assert (stats["min_upper_slack"], stats["min_lower_slack"], stats["bad_layers"]) == (0, 2, 1)
+
 
 class TestStress:
     def test_small_batch_passes(self):
@@ -473,6 +491,13 @@ class TestStress:
     def test_rejects_out_of_scope_degree(self):
         with pytest.raises(ValueError):
             stress(count=1, n_min=8, n_max=20, degrees=[3], seed=0)
+
+    def test_rejects_an_empty_degree_list(self, monkeypatch):
+        # raised before any instance is generated, whatever the count
+        monkeypatch.setattr("antimagic.verify.stress_instances", None)
+        for count in (0, 2):
+            with pytest.raises(ValueError, match="^no degree to cycle through$"):
+                stress(count=count, n_min=8, n_max=20, degrees=[], seed=0)
 
     def test_zero_count_gives_empty_summary(self):
         summary = stress(count=0, n_min=8, n_max=20, degrees=[4], seed=0)
