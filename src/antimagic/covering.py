@@ -335,7 +335,10 @@ def _gaining_add(view: BipartiteView, st: _LinkSearch, covered: dict[int, int]) 
 
     `covered` is the coverage of the current centers: adding x grows it
     exactly when x has an uncovered neighbor, so each candidate is screened
-    in O(d) and no potential is computed."""
+    in O(d), none when every outer vertex is covered, and no potential is
+    computed."""
+    if len(covered) == len(view.outer):
+        return False
     for x in view.inner:
         if x in st.centers or all(y in covered for y, _ in view.incident(x)):
             continue

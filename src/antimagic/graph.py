@@ -239,14 +239,14 @@ class BipartiteView:
 
     Every view is built by this one constructor from each vertex's sorted
     (neighbor, edge id) tuple, given as `adj`, a map of every vertex, inner
-    then outer.  Each edge sits in the incidence of both its ends, so
-    `edges` and `edge_count` read it once, from its outer end.  The
-    constructor checks nothing: `layer_view` passes a layering's split of
-    the graph's incidence, and `bipartite_view` checks and sorts an edge
-    list first.
+    then outer, kept as is (the trail walk reads it whole; nothing writes
+    it).  Each edge sits in the incidence of both its ends, so `edges` and
+    `edge_count` read it once, from its outer end.  The constructor checks
+    nothing: `layer_view` passes a layering's split of the graph's
+    incidence, and `bipartite_view` checks and sorts an edge list first.
     """
 
-    __slots__ = ("index", "inner", "outer", "_side", "_adj")
+    __slots__ = ("index", "inner", "outer", "_side", "adj")
 
     def __init__(self, index: int, inner: tuple[int, ...], outer: tuple[int, ...],
                  adj: dict[int, tuple[tuple[int, int], ...]]):
@@ -254,7 +254,7 @@ class BipartiteView:
         self.inner = inner
         self.outer = outer
         self._side = dict.fromkeys(inner, "inner") | dict.fromkeys(outer, "outer")
-        self._adj = adj
+        self.adj = adj
 
     def __eq__(self, other):
         if not isinstance(other, BipartiteView):
@@ -270,28 +270,28 @@ class BipartiteView:
     @property
     def edges(self) -> tuple[tuple[int, int, int], ...]:
         """(inner vertex, outer vertex, edge id) of every view edge, by edge id."""
-        return tuple(sorted(((x, y, eid) for y in self.outer for x, eid in self._adj[y]),
+        return tuple(sorted(((x, y, eid) for y in self.outer for x, eid in self.adj[y]),
                             key=lambda e: e[2]))
 
     @property
     def edge_count(self) -> int:
-        return sum(map(len, map(self._adj.__getitem__, self.outer)))
+        return sum(map(len, map(self.adj.__getitem__, self.outer)))
 
     def side(self, v: int) -> str:
         return self._side[v]
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return len(self.adj[v])
 
     def incident(self, v: int) -> tuple[tuple[int, int], ...]:
         """(neighbor, edge id) pairs at v in the view, sorted."""
-        return self._adj[v]
+        return self.adj[v]
 
     def neighbors(self, v: int) -> list[int]:
-        return [w for w, _ in self._adj[v]]
+        return [w for w, _ in self.adj[v]]
 
     def edge_between(self, u: int, v: int) -> int | None:
-        for w, eid in self._adj[u]:
+        for w, eid in self.adj[u]:
             if w == v:
                 return eid
         return None

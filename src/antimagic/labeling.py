@@ -6,8 +6,8 @@ block is stacked on the labels the layers outside it used, and its edges are
 labeled.  A layer with links picks its parent edges and runs the free-link
 exchange, which reads bad components off the trail edges at the link ends; a
 layer without links has none and skips it and the link deal.  Then one walk
-gives the trail graph (and a link-free layer's parent edges), and the trails
-are built once.  Within a layer the order is: edges inside the layer, trail
+counts the trail graph (and picks a link-free layer's parent edges), and the
+trails are built once.  Within a layer the order is: edges inside the layer, trail
 edges, link edges, parent edges.
 Trail and link intervals are dealt by one two-ended rule (`_deal`), so that
 consecutive trail edges meeting at an inner vertex sum high and those meeting
@@ -130,21 +130,10 @@ def _deal(units, lo: int, hi: int, labels: list[int]) -> tuple[int, int]:
 
 
 def assign_parent_edges(pair: CoveringPair) -> dict[int, int]:
-    """Pick each outer vertex's parent edge: its matching edge when matched,
-    otherwise its lowest-id cross edge that is not a link edge.  A layer
-    without links picks them in the walk that builds its trail graph."""
-    view, link_eids = pair.view, pair.link_edge_ids
-    parent: dict[int, int] = {}
-    for u in view.outer:
-        eid = pair.match_of.get(u)
-        if eid is None:
-            for _, e in view.incident(u):
-                if e not in link_eids and (eid is None or e < eid):
-                    eid = e
-            if eid is None:
-                raise InternalInvariantError(f"outer vertex {u} has no usable parent edge")
-        parent[u] = eid
-    return parent
+    """Each outer vertex's parent edge: its matching edge when matched,
+    otherwise its lowest-id cross edge that is not a link edge, as the
+    walk that builds the trail graph picks them."""
+    return trails.residual_edge_sets(pair)[0]
 
 
 def compute_interval_plan(layering: Layering, pair: CoveringPair, offset: int,
@@ -231,8 +220,8 @@ def label_graph(graph: Graph, root: int = 0) -> LabelingResult:
                 pair, lambda pr: analyze_bad_components(pr, parent))
             bad_cids = analysis.bad_cids
         # the final pair's trails, read off `trails` so a function replaced there runs
-        parent, lists, odd, trail_count = trails.residual_edge_sets(pair, parent)
-        family = trails.decompose_trails(pair.view, lists, odd, trail_count)
+        parent, skip, odd, trail_count = trails.residual_edge_sets(pair, parent)
+        family = trails.decompose_trails(pair.view, skip, odd, trail_count)
         plan = plans[i] = compute_interval_plan(layering, pair, offset, trail_count)
         first_parent, offset = plan.parent_interval
         for lab, eid in enumerate(layering.within_edges[i], start=plan.inner_interval[0]):

@@ -1,14 +1,15 @@
 """Residual graphs and their decomposition into closed and open trails.
 
 For each layer the cross edges minus parent edges form the residual graph;
-removing link edges as well leaves the trail graph.  Every component of the
-trail graph splits into edge-disjoint trails: one closed trail if all degrees
-are even, otherwise one open trail per pair of odd-degree vertices.  Each
-trail is walked from an end, or from the component's smallest vertex if it
-is closed, and the circuits of edges left unused are spliced in, as in
-Hierholzer's algorithm.  The stage emits each open trail in the order and
-direction the labeling deals it; the labeling only rotates each closed trail
-to its start.
+removing link edges as well leaves the trail graph, which is never copied:
+the walks read the view's own incidence and pass over parent and link
+edges.  Every component of the trail graph splits into edge-disjoint
+trails: one closed trail if all degrees are even, otherwise one open trail
+per pair of odd-degree vertices.  Each trail is walked from an end, or from
+the component's smallest vertex if it is closed, and the circuits of edges
+left unused are spliced in, as in Hierholzer's algorithm.  The stage emits
+each open trail in the order and direction the labeling deals it; the
+labeling only rotates each closed trail to its start.
 """
 
 from __future__ import annotations
@@ -67,58 +68,57 @@ class TrailFamily:
     open_mixed: tuple[Trail, ...]
 
 
-TrailLists = dict[int, list[tuple[int, int]]]
-
-
 def residual_edge_sets(pair: CoveringPair, parent_edge: dict[int, int] | None = None
-                       ) -> tuple[dict[int, int], TrailLists, list[int], int]:
-    """Parent edges and trail graph of the pair's view, in one walk over its
-    outer vertices' incidence, where each view edge appears once.
+                       ) -> tuple[dict[int, int], set[int], list[int], int]:
+    """Parent edges and trail graph of the pair's view, from one walk over
+    its outer vertices' incidence, where each view edge appears once.
 
-    An outer vertex's parent edge is its entry in `parent_edge`; one it
-    does not name, or every one if it is None, is picked and added: the
-    matching edge if the vertex is matched, else its lowest-id edge that is
-    not a link edge.  Its other entries that are not link edges are its
-    trail list, and each inner vertex's list is its own incidence filtered
-    to those trail edges, so every list is sorted and holds the view's own
-    entries.  Returns the parent edges, the lists of the vertices that have
-    trail edges, the odd ones among them and the trail edge count, as
-    `decompose_trails` reads them."""
-    match_of, link_eids, incident = pair.match_of, pair.link_edge_ids, pair.view.incident
+    Without `parent_edge`, each outer vertex's parent edge is picked here:
+    its matching edge if it is matched, else its lowest-id edge that is not
+    a link edge; a given map must name every outer vertex.  The trail graph
+    is not built but its degrees counted: links share no vertex, and a
+    parent edge that is a matching edge is counted at its inner end through
+    the matching.  Returns the parent edges, the set `skip` of parent and
+    link edge ids, the odd vertices and the trail edge count."""
+    match_of, link_eids, link_ends = pair.match_of, pair.link_edge_ids, pair.link_ends
+    adj, inner = pair.view.adj, pair.view.inner
     parent = {} if parent_edge is None else parent_edge
-    lists: TrailLists = {}
+    lost = dict.fromkeys(inner, 0)  # parent edges at each inner vertex, but matching edges
+    odd, total = [], 0
     for y in pair.view.outer:
-        entries = incident(y)
-        if y in parent:
-            p = parent[y]
-        elif y in match_of:
-            p = parent[y] = match_of[y]
-        else:
-            p = None
-            for _, eid in entries:
+        entries = adj[y]
+        degree = len(entries) - 1 - (y in link_ends)
+        total += degree
+        if degree % 2:
+            odd.append(y)
+        p = match_of.get(y) if parent_edge is None else parent[y]
+        if y in match_of and match_of[y] == p:
+            parent[y] = p
+            continue  # counted at its inner end, which the matching names
+        if p is None:
+            for x, eid in entries:
                 if eid not in link_eids and (p is None or eid < p):
-                    p = eid
+                    p, end = eid, x
             if p is None:
                 raise InternalInvariantError(f"outer vertex {y} has no usable parent edge")
             parent[y] = p
-        lst = [entry for entry in entries if entry[1] != p and entry[1] not in link_eids]
-        if lst:
-            lists[y] = lst
-    trail = {eid for lst in lists.values() for _, eid in lst}
-    for x in pair.view.inner:
-        lst = [entry for entry in incident(x) if entry[1] in trail]
-        if lst:
-            lists[x] = lst
-    return parent, lists, [v for v, lst in lists.items() if len(lst) % 2], len(trail)
+        else:
+            end = next(x for x, eid in entries if eid == p)
+        lost[end] += 1
+    skip = {*link_eids, *parent.values()}
+    for x in inner:
+        if (len(adj[x]) - lost[x] - (x in match_of and match_of[x] in skip)) % 2:
+            odd.append(x)
+    return parent, skip, odd, total
 
 
 def _extend(todo: dict[int, Iterator[tuple[int, int]]], used: set[int],
             verts: list[int], eids: list[int]) -> None:
     """Walk on from `verts[-1]` until stuck, taking at each vertex its first
     edge not yet used and appending the vertex and edge id reached to `verts`
-    and `eids`.  `todo` holds one iterator per vertex over its sorted list, so
-    every entry is read once, and `used` the edges walked so far: an edge
-    already walked from its other end is skipped there."""
+    and `eids`.  `todo` holds one iterator per vertex over its sorted view
+    incidence, so every entry is read once, and `used` the parent and link
+    edges and those walked so far, which are all skipped."""
     u = verts[-1]
     while True:
         for w, eid in todo[u]:
@@ -150,32 +150,32 @@ def _splice(todo: dict[int, Iterator[tuple[int, int]]], used: set[int],
     return out_v, out_e
 
 
-def decompose_trails(view: BipartiteView, lists: TrailLists, odd: list[int],
+def decompose_trails(view: BipartiteView, skip: set[int], odd: list[int],
                      total: int) -> TrailFamily:
     """Decompose the trail graph, as `residual_edge_sets` gives it, into
     trails, one walk per trail.
 
-    Each vertex gets one iterator over its sorted list, and `odd` is sorted
-    in place.  A walk starts at each odd vertex, in increasing order over
-    the whole layer, that no earlier walk ended at, and takes unused edges
-    until it is stuck, which is at a larger odd vertex of its component.
-    Only then, once every odd vertex is an end, and only while edges are
-    left, is each walk spliced with the circuits left over through its
-    vertices (spliced sooner, a circuit could end at an odd vertex); each
-    becomes one open trail.  Walks in different components share no edge,
-    so each component gets the same trails whatever walks come between its
-    own.  The edges still left form the components without odd vertices: a
-    walk from each vertex in increasing order, while edges remain, finds
+    Each view vertex gets one iterator over its sorted view incidence, and
+    `skip` becomes the set of used edges, so a parent or link entry is
+    passed over like an edge already walked from its other end; `odd` is
+    sorted in place.  A walk starts at each odd vertex, in increasing order
+    over the whole layer, that no earlier walk ended at, and takes unused
+    edges until it is stuck, which is at a larger odd vertex of its
+    component.  Only then, once every odd vertex is an end, and only while
+    edges are left, is each walk spliced with the circuits left over through
+    its vertices (spliced sooner, a circuit could end at an odd vertex);
+    each becomes one open trail.  Walks in different components share no
+    edge, so each component gets the same trails whatever walks come between
+    its own.  The edges still left form the components without odd vertices:
+    a walk from each vertex in increasing order, while edges remain, finds
     each such component at its smallest vertex, walks back to it, and is
     spliced into the component's closed trail.  Open trails are kept in the
     direction `TrailFamily` gives, each walk's lists reversed in place if
     need be."""
-    todo: dict[int, Iterator[tuple[int, int]]] = dict(zip(lists, map(iter, lists.values())))
+    adj, used, full = view.adj, skip, total + len(skip)  # full: every view edge used
+    todo: dict[int, Iterator[tuple[int, int]]] = dict(zip(adj, map(iter, adj.values())))
     odd.sort()
-
-    used: set[int] = set()  # edges the walks took
-    walks = []
-    ends = set()
+    walks, ends = [], set()
     for s in odd:
         if s not in ends:
             verts, eids = [s], []
@@ -188,7 +188,7 @@ def decompose_trails(view: BipartiteView, lists: TrailLists, odd: list[int],
     open_mixed: list[Trail] = []
     side = view.side
     for verts, eids in walks:
-        if len(used) < total:
+        if len(used) < full:
             verts, eids = _splice(todo, used, verts, eids)
         first, last = side(verts[0]), side(verts[-1])
         if first != last:
@@ -203,9 +203,9 @@ def decompose_trails(view: BipartiteView, lists: TrailLists, odd: list[int],
             open_outer.append(Trail(tuple(verts), tuple(eids), closed=False))
 
     closed: list[Trail] = []
-    if len(used) < total:
-        for v in sorted(todo):
-            if len(used) == total:
+    if len(used) < full:
+        for v in sorted(adj):
+            if len(used) == full:
                 break
             verts, eids = _splice(todo, used, [v], [])
             if eids:

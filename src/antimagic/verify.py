@@ -61,9 +61,9 @@ def _normalize_labels(graph: Graph, labels) -> list[int]:
 
 def recompute_vertex_sums(graph: Graph, labels: Sequence[int]) -> list[int]:
     sums = [0] * graph.n
-    for eid, (u, v) in enumerate(graph.edges):
-        sums[u] += labels[eid]
-        sums[v] += labels[eid]
+    for (u, v), label in zip(graph.edges, labels, strict=True):
+        sums[u] += label
+        sums[v] += label
     return sums
 
 
@@ -83,15 +83,14 @@ def verify_antimagic(graph: Graph, labels, layering: Layering | None = None,
         first_failure = "labels are not a bijection onto the label range"
 
     sums = recompute_vertex_sums(graph, labels)
-    seen: dict[int, int] = {}
-    distinct_ok = True
-    for v in range(graph.n):
-        if sums[v] in seen:
-            distinct_ok = False
-            if first_failure is None:
-                first_failure = (f"vertices {seen[sums[v]]} and {v} share vertex sum {sums[v]}")
-            break
-        seen[sums[v]] = v
+    distinct_ok = len(set(sums)) == graph.n
+    if not distinct_ok and first_failure is None:  # name the first repeat
+        seen: dict[int, int] = {}
+        for v, s in enumerate(sums):
+            if s in seen:
+                first_failure = f"vertices {seen[s]} and {v} share vertex sum {s}"
+                break
+            seen[s] = v
 
     monotone_ok = None
     if layering is not None:

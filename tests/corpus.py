@@ -9,9 +9,10 @@ from collections import Counter, namedtuple
 from antimagic import BipartiteView, Graph, bfs_layering, bipartite_view, layer_view
 from antimagic.covering import (CoveringPair, Link, build_covering_pair, maximize_free_links,
                                 pad_to_biregular)
+from antimagic.errors import InternalInvariantError
 from antimagic.labeling import assign_parent_edges
-from antimagic.trails import (TrailFamily, analyze_bad_components, decompose_trails,
-                              residual_edge_sets)
+from antimagic.trails import (Trail, TrailFamily, _extend, _splice, analyze_bad_components,
+                              decompose_trails, residual_edge_sets)
 
 
 def complete_graph(n: int) -> Graph:
@@ -177,10 +178,10 @@ def engine_layer(res, i: int) -> tuple[CoveringPair, dict[int, int]]:
 
 
 def trail_lists(view: BipartiteView, trail_eids) -> tuple[dict, list[int], int]:
-    """The trail graph on `trail_eids` in the form `residual_edge_sets` and
-    `decompose_trails` use, made by filtering each vertex's view incidence:
-    the lists of the vertices with trail edges, the odd ones ascending, and
-    the edge count."""
+    """The trail graph on `trail_eids` in the form `list_residual_edge_sets`
+    and `list_decompose_trails` use, made by filtering each vertex's view
+    incidence: the lists of the vertices with trail edges, the odd ones
+    ascending, and the edge count."""
     lists = {v: [e for e in view.incident(v) if e[1] in trail_eids]
              for v in sorted((*view.inner, *view.outer))}
     lists = {v: lst for v, lst in lists.items() if lst}
@@ -189,16 +190,92 @@ def trail_lists(view: BipartiteView, trail_eids) -> tuple[dict, list[int], int]:
 
 def trail_edge_ids(pair: CoveringPair, parent_edge: dict[int, int]) -> set[int]:
     """The trail edge ids of the walk `residual_edge_sets` makes with the
-    given parent edges."""
-    _, lists, _, _ = residual_edge_sets(pair, parent_edge)
-    return {eid for y in pair.view.outer for _, eid in lists.get(y, ())}
+    given parent edges: the view's edges it does not skip."""
+    _, skip, _, _ = residual_edge_sets(pair, parent_edge)
+    return set(view_ends(pair.view)) - skip
 
 
 def layer_trails(pair: CoveringPair, parent_edge: dict[int, int]) -> TrailFamily:
     """The trails of the pair's trail graph, built as `label_graph` builds
     them once the pair is final."""
-    _, lists, odd, count = residual_edge_sets(pair, parent_edge)
-    return decompose_trails(pair.view, lists, odd, count)
+    _, skip, odd, count = residual_edge_sets(pair, parent_edge)
+    return decompose_trails(pair.view, skip, odd, count)
+
+
+def list_residual_edge_sets(pair: CoveringPair, parent_edge: dict[int, int] | None = None):
+    """The walk as it was before it counted degrees, kept as the reference
+    for `residual_edge_sets`: the parent edges, as that walk picks them
+    (filling in any outer vertex a given map leaves out), each outer
+    vertex's other non-link entries as its trail list, each inner vertex's
+    incidence filtered to those trail edges, the odd vertices among them
+    and the trail edge count."""
+    match_of, link_eids, incident = pair.match_of, pair.link_edge_ids, pair.view.incident
+    parent = {} if parent_edge is None else parent_edge
+    lists = {}
+    for y in pair.view.outer:
+        entries = incident(y)
+        if y in parent:
+            p = parent[y]
+        elif y in match_of:
+            p = parent[y] = match_of[y]
+        else:
+            p = None
+            for _, eid in entries:
+                if eid not in link_eids and (p is None or eid < p):
+                    p = eid
+            if p is None:
+                raise InternalInvariantError(f"outer vertex {y} has no usable parent edge")
+            parent[y] = p
+        lst = [entry for entry in entries if entry[1] != p and entry[1] not in link_eids]
+        if lst:
+            lists[y] = lst
+    trail = {eid for lst in lists.values() for _, eid in lst}
+    for x in pair.view.inner:
+        lst = [entry for entry in incident(x) if entry[1] in trail]
+        if lst:
+            lists[x] = lst
+    return parent, lists, [v for v, lst in lists.items() if len(lst) % 2], len(trail)
+
+
+def list_decompose_trails(view: BipartiteView, lists: dict, odd: list[int],
+                          total: int) -> TrailFamily:
+    """The trail stage as it was before it read the view's own incidence,
+    kept as the reference for `decompose_trails`: the same walks and splices
+    over iterators of the filtered `lists`, with nothing skipped."""
+    todo = dict(zip(lists, map(iter, lists.values())))
+    used, walks, ends = set(), [], set()
+    for s in sorted(odd):
+        if s not in ends:
+            verts, eids = [s], []
+            _extend(todo, used, verts, eids)
+            ends.add(verts[-1])
+            walks.append((verts, eids))
+
+    open_inner, open_outer, open_mixed = [], [], []
+    side = view.side
+    for verts, eids in walks:
+        if len(used) < total:
+            verts, eids = _splice(todo, used, verts, eids)
+        first, last = side(verts[0]), side(verts[-1])
+        if first != last:
+            if (first == "inner") != (len(open_mixed) % 2 == 0):
+                verts.reverse()
+                eids.reverse()
+            open_mixed.append(Trail(tuple(verts), tuple(eids), closed=False))
+        elif first == "inner":
+            open_inner.append(Trail(tuple(verts), tuple(eids), closed=False))
+        else:
+            open_outer.append(Trail(tuple(verts), tuple(eids), closed=False))
+
+    closed = []
+    if len(used) < total:
+        for v in sorted(todo):
+            if len(used) == total:
+                break
+            verts, eids = _splice(todo, used, [v], [])
+            if eids:
+                closed.append(Trail(tuple(verts), tuple(eids), closed=True))
+    return TrailFamily(tuple(closed), tuple(open_inner), tuple(open_outer), tuple(open_mixed))
 
 
 DecomposedAnalysis = namedtuple("DecomposedAnalysis",
@@ -212,8 +289,8 @@ def decomposition_bad_analysis(pair: CoveringPair, parent_edge: dict[int, int]
     the whole trail graph walked and decomposed, and a closed trail's
     component bad when the trail visits each of its vertices k times, for
     the degree bound d = 2k + 1, and its outer vertices are all link ends."""
-    _, lists, odd, count = residual_edge_sets(pair, parent_edge)
-    family = decompose_trails(pair.view, lists, odd, count)
+    _, lists, odd, count = list_residual_edge_sets(pair, dict(parent_edge))
+    family = list_decompose_trails(pair.view, lists, odd, count)
     view, k = pair.view, pair.d // 2
     bad_cids, bad_vertices = [], set()
     for trail in family.closed:

@@ -484,6 +484,32 @@ class TestGainingAddDifferential:
         assert len(links) == 1
         assert len(calls) == 1
 
+    def test_add_scan_reads_nothing_once_every_outer_vertex_is_covered(self, monkeypatch):
+        # on K_{20,20} layer 2 the first center covers all 19 outer
+        # vertices, so the add scan that ends the search reads no incidence
+        real, scans, read = covering._gaining_add, [], []
+
+        class Reading:
+            """The view, with each incidence it hands out recorded."""
+
+            def __init__(self, view):
+                self.view = view
+
+            def __getattr__(self, name):
+                return getattr(self.view, name)
+
+            def incident(self, v):
+                read.append(v)
+                return self.view.incident(v)
+
+        def scanning(view, st, covered):
+            scans.append(len(covered))
+            return real(Reading(view), st, covered)
+
+        monkeypatch.setattr(covering, "_gaining_add", scanning)
+        assert len(maximize_link_family(padded_layer_two(20), 19)) == 1
+        assert scans == [19] and read == []
+
 
 class TestLongAugmentingPaths:
     """Augmenting paths longer than the interpreter's recursion limit."""

@@ -291,7 +291,7 @@ class TestLayerViewMatchesFullScan:
                 view = layer_view(g, lay, i)
                 ref = bipartite_view(i, *_full_scan_view(g, lay, i))
                 assert view == ref
-                for name in ("_side", "_adj"):
+                for name in ("_side", "adj"):
                     assert list(getattr(view, name).items()) == list(getattr(ref, name).items())
 
     def test_shuffled_deep_circulant(self):

@@ -23,8 +23,9 @@ from antimagic.graph import layer_view
 from antimagic.labeling import LayerPlan, LayerRecord, assign_parent_edges
 from antimagic.verify import _read_labels, stress_instances
 from corpus import (bad_component_realizer, circulant, complete_bipartite, complete_graph,
-                    cycle_graph, engine_layer, hypercube, layer_trails, octahedron,
-                    shuffled_circulant, torus_grid, trail_lists, view_ends)
+                    cycle_graph, engine_layer, hypercube, layer_trails,
+                    list_residual_edge_sets, octahedron, shuffled_circulant, torus_grid,
+                    trail_lists, view_ends)
 
 
 class TestGoldenK5:
@@ -177,23 +178,27 @@ class TestEdgeScans:
 class TestOneTrailDecompositionPerLayer:
     """Every layer walks its trail graph and decomposes it once, after its
     covering pair is final: the exchange loop scores its candidates from the
-    link ends alone, so no walk or decomposition runs inside it."""
+    link ends alone, so no walk or decomposition runs inside it.  A layer
+    with links also picks its parent edges before the exchange, by one walk
+    inside `assign_parent_edges`, and nothing else runs there."""
 
     def test_calls_per_layer(self, monkeypatch):
         calls, inside = Counter(), []
 
         def counting(name, fn):
             def counted(*args):
-                calls[name, "in exchange" if inside else "per layer"] += 1
+                calls[name, inside[-1] if inside else "per layer"] += 1
                 return fn(*args)
             return counted
 
-        def exchange(*args, fn=labeling.maximize_free_links):
-            inside.append(True)
-            try:
-                return fn(*args)
-            finally:
-                inside.pop()
+        def within(where, fn):
+            def run(*args):
+                inside.append(where)
+                try:
+                    return fn(*args)
+                finally:
+                    inside.pop()
+            return run
 
         monkeypatch.setattr(trails, "residual_edge_sets",
                             counting("walk", trails.residual_edge_sets))
@@ -201,19 +206,26 @@ class TestOneTrailDecompositionPerLayer:
                             counting("decompose", trails.decompose_trails))
         monkeypatch.setattr(labeling, "analyze_bad_components",
                             counting("analysis", labeling.analyze_bad_components))
-        monkeypatch.setattr(labeling, "maximize_free_links", exchange)
+        monkeypatch.setattr(labeling, "maximize_free_links",
+                            within("in exchange", labeling.maximize_free_links))
+        monkeypatch.setattr(labeling, "assign_parent_edges",
+                            within("picking parents", labeling.assign_parent_edges))
         graphs = [bad_component_realizer(j, seed) for j, seed in ((1, 199), (2, 171))]
         graphs += [complete_bipartite(a, a) for a in (4, 10)]
         graphs += [circulant(400, [1, 2]), generate_regular(60, 6, 1)]
-        scored = []
+        scored, picked = [], []
         for g in graphs:
             calls.clear()
-            depth = label_graph(g).layering.depth
+            res = label_graph(g)
+            depth = res.layering.depth
             scored.append(calls.pop(("analysis", "in exchange"), 0))
+            picked.append(calls.pop(("walk", "picking parents"), 0))
+            assert picked[-1] == sum(1 for plan in res.plans.values() if plan.link_count)
             assert calls == {("walk", "per layer"): depth, ("decompose", "per layer"): depth}
         # the two realizer hits score their exchange candidates; K_{a,a}
         # scores its one link layer's pair alone
         assert scored == [8, 16, 1, 1, 0, 0]
+        assert picked == [1, 1, 1, 1, 0, 0]
 
 
 class TestLostTrailEdge:
@@ -390,19 +402,22 @@ class TestLabelsFixTheRecord:
     the replay forces.  The same layers hold the engine's one walk of the
     outer incidence to its references: the walk picks the parent edges
     `assign_parent_edges` picks, on the pair before and after any exchange,
-    its lists are the view's incidence filtered to the trail edges as they
-    were taken before the walk, and its count is the view's edge count less
-    the parent and link edges; the pair's matching map is the one its edge
-    ids give."""
+    the edges it does not skip are the trail edges as they were taken before
+    the walk, the reference walk's lists are the view's incidence filtered
+    to them, and its count is the view's edge count less the parent and
+    link edges; the pair's matching map is the one its edge ids give."""
 
     @staticmethod
     def walked_alike(res, i, pair, parent):
         before = build_covering_pair(layer_view(res.graph, res.layering, i), 2 * res.k + 1)
         for p in (before, pair):
-            walked, lists, odd, count = trails.residual_edge_sets(p)
+            walked, skip, odd, count = trails.residual_edge_sets(p)
             assert walked == assign_parent_edges(p) == parent
             trail_eids = reference_trail_edges(p, parent)
-            assert (lists, sorted(odd), count) == trail_lists(p.view, trail_eids)
+            assert set(view_ends(p.view)) - skip == trail_eids
+            lists, *odd_and_count = trail_lists(p.view, trail_eids)
+            assert list_residual_edge_sets(p)[1] == lists
+            assert [sorted(odd), count] == odd_and_count
             assert count == p.view.edge_count - len(res.layering.layers[i]) - 2 * len(p.links)
             assert p.match_of == _matched_in(p.view, p.matching)
         return trail_eids

@@ -22,16 +22,22 @@ from antimagic.covering import (CoveringPair, Link, _exchanges, build_covering_p
 from antimagic.labeling import assign_parent_edges
 from antimagic.trails import (Trail, analyze_bad_components, choose_closed_start,
                               detect_bad_components, residual_edge_sets, rotate_closed)
-from antimagic.verify import _bad_components
+from antimagic.verify import _bad_components, stress_instances
 from corpus import (bad_component_realizer, complete_bipartite, decomposition_bad_analysis,
-                    engine_layer, free_link_gadget, layer_trails, random_bounded_bipartite,
-                    trail_edge_ids, trail_lists, view_ends)
+                    engine_layer, free_link_gadget, layer_trails, list_decompose_trails,
+                    list_residual_edge_sets, random_bounded_bipartite, trail_edge_ids,
+                    trail_lists, view_ends)
 
 
 def decompose_trails(view, trail_eids):
-    """The trail stage on the trail graph of `trail_eids`, filtered from the
-    view's incidence."""
-    return trails.decompose_trails(view, *trail_lists(view, trail_eids))
+    """The trail stage on the trail graph of `trail_eids`, which skips every
+    other view edge, held to the reference stage on the lists filtered from
+    the view's incidence."""
+    lists, odd, count = trail_lists(view, trail_eids)
+    family = trails.decompose_trails(view, set(view_ends(view)).difference(trail_eids),
+                                     list(odd), count)
+    assert family == list_decompose_trails(view, lists, odd, count)
+    return family
 
 
 def all_trails(fam):
@@ -856,31 +862,35 @@ class TestResidual:
     def test_gadget_split(self):
         # every view edge is a parent edge, a link edge or a trail edge
         view, pair, parent = free_link_gadget()
-        walked, lists, odd, count = residual_edge_sets(pair, parent)
+        walked, skip, odd, count = residual_edge_sets(pair, parent)
         trail = trail_edge_ids(pair, parent)
         links = set(pair.link_edge_ids)
-        assert walked is parent
+        assert walked is parent and skip == links | set(parent.values())
         assert pair.links and len(links) == 2 * len(pair.links)
         assert trail.isdisjoint(links) and trail.isdisjoint(parent.values())
         assert trail | links | set(parent.values()) == set(view_ends(view))
         assert len(trail) == count == view.edge_count - len(view.outer) - len(links)
-        assert (lists, sorted(odd), count) == trail_lists(view, trail)
+        lists, *odd_and_count = trail_lists(view, trail)
+        assert list_residual_edge_sets(pair, dict(parent))[1] == lists
+        assert [sorted(odd), count] == odd_and_count
 
     def test_without_links_only_parent_edges_go(self):
         view = make_view([0, 1], [2, 3], [(0, 2), (0, 3), (1, 2), (1, 3)])
         pair = CoveringPair(view, 3, [], [])
         assert trail_edge_ids(pair, {2: 0, 3: 3}) == {1, 2}
-        _, lists, odd, count = residual_edge_sets(pair, {2: 0, 3: 3})
+        _, skip, odd, count = residual_edge_sets(pair, {2: 0, 3: 3})
+        _, lists, _, _ = list_residual_edge_sets(pair, {2: 0, 3: 3})
         assert lists == {2: [(1, 2)], 3: [(0, 1)], 0: [(3, 1)], 1: [(2, 2)]}
-        assert sorted(odd) == [0, 1, 2, 3] and count == 2
+        assert skip == {0, 3} and sorted(odd) == [0, 1, 2, 3] and count == 2
 
     def test_unmatched_outer_vertex_takes_its_lowest_id_edge(self):
         # no matching: outer 3 takes edge 0, its lowest id, which is its
         # second entry in (neighbor, edge id) order; outer 2 takes edge 1
         view = make_view([0, 1], [2, 3], [(1, 3), (0, 2), (0, 3), (1, 2)])
         pair = CoveringPair(view, 3, [], [])
-        parent, lists, odd, count = residual_edge_sets(pair)
-        assert parent == {2: 1, 3: 0}
+        parent, skip, odd, count = residual_edge_sets(pair)
+        _, lists, _, _ = list_residual_edge_sets(pair)
+        assert parent == {2: 1, 3: 0} and skip == {0, 1}
         assert lists == {2: [(1, 3)], 3: [(0, 2)], 0: [(3, 2)], 1: [(2, 3)]}
         assert sorted(odd) == [0, 1, 2, 3] and count == 2
 
@@ -888,8 +898,8 @@ class TestResidual:
         # outer 3 is matched by edge 3 although edge 1 has the lower id
         view = make_view([0, 1], [2, 3], [(0, 2), (0, 3), (1, 2), (1, 3)])
         pair = CoveringPair(view, 3, [], [3])
-        parent, _, _, count = residual_edge_sets(pair)
-        assert parent == {2: 0, 3: 3} and count == 2
+        parent, skip, _, count = residual_edge_sets(pair)
+        assert parent == {2: 0, 3: 3} and skip == {0, 3} and count == 2
 
     def test_outer_vertex_with_only_link_edges_has_no_parent_edge(self):
         # outer 3's only cross edge, to center 0, is a link edge, so no
@@ -900,6 +910,78 @@ class TestResidual:
             with pytest.raises(InternalInvariantError,
                                match="outer vertex 3 has no usable parent edge"):
                 walk(pair)
+
+
+class TestWalkAgainstLists:
+    """The walk that counts degrees and the trail stage that reads the
+    view's own incidence, skipping parent and link edges, against the
+    walk and stage that filtered a list per vertex
+    (`corpus.list_residual_edge_sets`, `corpus.list_decompose_trails`), on
+    every walk `label_graph` makes: each layer's, and on a link layer also
+    the one `assign_parent_edges` makes on the pair before the exchange."""
+
+    @staticmethod
+    def assert_walked_alike(pair, parent_edge=None):
+        """Same parent map, odd vertices, trail count and trails; the set
+        to skip is the parent and link edges.  Returns what the walk gave."""
+        given = None if parent_edge is None else dict(parent_edge)
+        walked = residual_edge_sets(pair, parent_edge)
+        parent, skip, odd, count = walked
+        ref_parent, lists, ref_odd, ref_count = list_residual_edge_sets(pair, given)
+        assert parent == ref_parent and (sorted(odd), count) == (sorted(ref_odd), ref_count)
+        assert skip == pair.link_edge_ids | set(parent.values())
+        family = trails.decompose_trails(pair.view, set(skip), list(odd), count)
+        assert family == list_decompose_trails(pair.view, lists, ref_odd, ref_count)
+        return walked
+
+    def walks_alike(self, graphs, monkeypatch):
+        """Label each graph with every walk held to the reference; returns
+        the counts of walks that pick parent edges and that are given them."""
+        walks = Counter()
+
+        def both(pair, parent_edge=None):
+            walks["picked" if parent_edge is None else "given"] += 1
+            return self.assert_walked_alike(pair, parent_edge)
+
+        monkeypatch.setattr(trails, "residual_edge_sets", both)
+        for g in graphs:
+            label_graph(g)
+        return walks
+
+    def test_realizer_graphs(self, monkeypatch):
+        # the 460 graphs of test_verify's TestBadComponentSearch: one link
+        # layer each, so one walk given parent edges per graph
+        graphs = [bad_component_realizer(j, seed) for j, count in ((1, 400), (2, 60))
+                  for seed in range(count)]
+        walks = self.walks_alike(graphs, monkeypatch)
+        assert walks == {"picked": 400 * 3 + 60 * 4, "given": 460}
+
+    def test_complete_bipartite(self, monkeypatch):
+        # K_{a,a} has two layers, the second with one link
+        walks = self.walks_alike([complete_bipartite(a, a) for a in range(4, 21, 2)], monkeypatch)
+        assert walks == {"picked": 2 * 9, "given": 9}
+
+    def test_stress_instances(self, monkeypatch):
+        walks = self.walks_alike([g for *_, g in stress_instances(200, 8, 60, [4, 6, 8], 0)],
+                                 monkeypatch)
+        assert walks["picked"] > 200 and walks["given"] == 0
+
+    def test_given_parent_edge_that_is_no_matching_edge(self):
+        # outer 2 is matched by edge 0 but given edge 2, to inner 1: edge 0
+        # is a trail edge, and inner 1 loses both its edges to parent edges
+        view = make_view([0, 1], [2, 3], [(0, 2), (0, 3), (1, 2), (1, 3)])
+        pair = CoveringPair(view, 3, [], [0, 3])
+        parent, skip, odd, count = self.assert_walked_alike(pair, {2: 2, 3: 3})
+        assert skip == {2, 3} and sorted(odd) == [2, 3] and count == 2
+        assert layer_trails(pair, {2: 2, 3: 3}).open_outer[0].edges == (0, 1)
+
+    def test_free_link_gadget_before_and_after_its_exchange(self):
+        _, pair, parent = free_link_gadget()
+        exchanged, _ = maximize_free_links(pair, lambda p: analyze_bad_components(p, parent))
+        assert exchanged.links != pair.links
+        for p in (pair, exchanged):
+            assert self.assert_walked_alike(p, parent)[0] == parent
+            self.assert_walked_alike(p)
 
 
 class TestBadComponents:

@@ -10,9 +10,9 @@ import pytest
 from antimagic import (Graph, StressFailure, check_construction, format_edge_list,
                        generate_regular, label_graph, layer_view, parse_edge_list, stress,
                        verify_antimagic)
-from antimagic.covering import build_covering_pair, maximize_free_links
+from antimagic.covering import Link, build_covering_pair, maximize_free_links
 from antimagic.documents import render_document
-from antimagic.labeling import TrailEvent
+from antimagic.labeling import TrailEvent, assign_parent_edges
 from antimagic.trails import Trail, analyze_bad_components
 from antimagic.verify import _bad_components, recompute_vertex_sums, stress_instances
 from corpus import (bad_component_realizer, circulant, complete_bipartite, complete_graph,
@@ -55,6 +55,15 @@ class TestVerifyAntimagic:
         assert not report.distinct_sums_ok
         assert "share vertex sum" in report.first_failure
 
+    def test_first_shared_sum_is_named(self):
+        # the first vertex, in id order, whose sum an earlier vertex has
+        report = verify_antimagic(cycle_graph(4), [1, 4, 2, 3])
+        assert report.first_failure == "vertices 0 and 2 share vertex sum 5"
+        # a failed bijection keeps its message, and the sums are still judged
+        report = verify_antimagic(cycle_graph(4), [2, 2, 2, 2])
+        assert not report.bijection_ok and not report.distinct_sums_ok
+        assert report.first_failure == "labels are not a bijection onto the label range"
+
     def test_single_edge_always_fails(self):
         # both endpoints of the lone edge receive the same sum
         report = verify_antimagic(Graph(2, [(0, 1)]), [1])
@@ -87,6 +96,12 @@ class TestRecomputeSums:
     def test_matches_incidence(self):
         g = parse_edge_list("0 1\n1 2\n0 2\n")
         assert recompute_vertex_sums(g, [5, 7, 11]) == [16, 12, 18]
+
+    def test_one_label_per_edge(self):
+        g = parse_edge_list("0 1\n1 2\n0 2\n")
+        for labels in ([5, 7], [5, 7, 11, 13]):
+            with pytest.raises(ValueError):
+                recompute_vertex_sums(g, labels)
 
 
 class TestCheckConstruction:
@@ -472,6 +487,32 @@ class TestBadComponentRealizer:
         issues, stats = check_construction(res)
         assert issues == []
         assert (stats["min_upper_slack"], stats["min_lower_slack"], stats["bad_layers"]) == (0, 2, 1)
+
+    def test_forced_exchange_hit(self):
+        """Hit (1, 6861), frozen in tests/golden as an edge list: its link
+        layer starts with no free link, below k = 1, so the exchange must
+        free links, and it frees all three and leaves no bad component.  The
+        document, by its hash, and its tightest slacks."""
+        golden = Path(__file__).parent / "golden" / "realizer_1_6861.edges"
+        text = golden.read_text()
+        assert text == format_edge_list(bad_component_realizer(1, 6861))
+        res = label_graph(parse_edge_list(text))
+        assert (res.graph.n, res.graph.m) == (26, 52)
+        i = res.layering.depth
+        assert [j for j, plan in res.plans.items() if plan.link_count] == [i]
+        first = build_covering_pair(layer_view(res.graph, res.layering, i), 3)
+        before = analyze_bad_components(first, assign_parent_edges(first))
+        assert [link.center for link in first.links] == [5, 9, 13]
+        assert (len(before.free_links), before.bad_cids) == (0, (1, 2))
+        final, parent = engine_layer(res, i)
+        after = analyze_bad_components(final, parent)
+        assert final.links == (Link(5, 4, 23), Link(9, 8, 24), Link(13, 1, 3))
+        assert (len(after.free_links), after.bad_cids) == (3, ())
+        assert hashlib.sha256(render_document(res).encode("utf-8")).hexdigest() == (
+            "5a4ce71c643f80e76b338003ef70a76117d722e6e68c078f5f55bb5f0cb20188")
+        issues, stats = check_construction(res)
+        assert issues == []
+        assert (stats["min_upper_slack"], stats["min_lower_slack"], stats["bad_layers"]) == (0, 1, 0)
 
 
 class TestStress:
